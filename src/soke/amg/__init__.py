@@ -12,7 +12,7 @@ from .decoding import (
     generate_triples,
     unflatten,
 )
-from .model import HEAD_PARTS, MODES, AmgConfig, GeneratorModel, fuse_embeddings
+from .model import MODES, AmgConfig, GeneratorModel, fuse_embeddings
 from .training import (
     AmgTrainConfig,
     TrainPair,
@@ -20,6 +20,7 @@ from .training import (
     generator_loss,
     load_generator,
     save_generator,
+    tokens_from_triples,
     train_generator,
     triples_from_tokens,
 )
@@ -30,7 +31,6 @@ __all__ = [
     "AmgTrainConfig",
     "DecodeResult",
     "GeneratorModel",
-    "HEAD_PARTS",
     "LANGUAGES",
     "MODES",
     "PartTokenTriple",
@@ -49,6 +49,7 @@ __all__ = [
     "load_vocab",
     "save_generator",
     "save_vocab",
+    "tokens_from_triples",
     "train_generator",
     "triples_from_tokens",
     "unflatten",

@@ -1,21 +1,29 @@
-"""Greedy decoding in three factorizations, with instrumented step counts.
+"""Greedy decoding in three factorizations of one autoregressive generator.
 
-step_count is the number of decoder forward passes attributable to kept
-output: 3K for sequential decoding of K triples, K for parallel and
-multi-head. forward_passes additionally counts the pass that produced EOS.
+One greedy loop serves every mode. Each step is one decoder pass over R rows
+and one masked argmax per slot, a (row, head, support part) triple. Decoding
+stops at the first step where any slot picks EOS, and that step is excluded.
+The modes differ only in data:
+
+- sequential: one <BOS> row; step t has the single slot
+  (0, body head, PARTS[t % 3]), one flat stream of at most 3 * k_max steps;
+- parallel: three <Lang_p> rows over the encoder state tiled three times;
+  slots (r, body head, PARTS[r]);
+- multihead: one <BOS> row; slots (0, head p, p) for each part p; the next
+  input is the fused embedding of the three picks.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InputError, ModeError
 from ..grad import Tensor, concat, log_softmax_array
-from ..motion import Part
-from .model import HEAD_PARTS, GeneratorModel, fuse_embeddings
+from ..motion import PARTS, Part
+from .model import GeneratorModel, fuse_embeddings
 from .vocab import Vocabulary
 
 
@@ -33,6 +41,16 @@ class PartTokenTriple:
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """One greedy decode of K triples.
+
+    step_count: the decoder passes that produced kept output; 3K for
+    sequential decoding, K for parallel and multi-head decoding.
+    forward_passes: every decoder pass run, one per step also for the three
+    rows of parallel decoding. It is step_count + 1 when decoding stops on
+    EOS (plus the passes of a dropped partial triple in sequential mode) and
+    step_count when it reaches k_max.
+    """
+
     triples: tuple[PartTokenTriple, ...]
     step_count: int
     forward_passes: int
@@ -52,9 +70,7 @@ def flatten(triples: list[PartTokenTriple], vocab: Vocabulary | None = None) -> 
     flat: list[int] = []
     for triple in triples:
         if vocab is not None:
-            _check_slot(vocab, triple.body, Part.BODY)
-            _check_slot(vocab, triple.left, Part.LEFT_HAND)
-            _check_slot(vocab, triple.right, Part.RIGHT_HAND)
+            _check_slots(vocab, triple.as_tuple())
         flat.extend(triple.as_tuple())
     return flat
 
@@ -65,25 +81,20 @@ def unflatten(flat: list[int], vocab: Vocabulary | None = None) -> list[PartToke
     if len(flat) % 3 != 0:
         raise InputError(f"flat token list of length {len(flat)} is not divisible by 3")
     triples = []
-    for k in range(len(flat) // 3):
-        body, left, right = flat[3 * k: 3 * k + 3]
+    for k in range(0, len(flat), 3):
         if vocab is not None:
-            _check_slot(vocab, body, Part.BODY)
-            _check_slot(vocab, left, Part.LEFT_HAND)
-            _check_slot(vocab, right, Part.RIGHT_HAND)
-        triples.append(PartTokenTriple(body, left, right))
+            _check_slots(vocab, flat[k: k + 3])
+        triples.append(PartTokenTriple(*flat[k: k + 3]))
     return triples
 
 
-def _check_slot(vocab: Vocabulary, token_id: int, part: Part) -> None:
-    lo, hi = vocab.part_range(part)
-    if not lo <= token_id < hi:
-        raise InputError(
-            f"token {token_id} does not belong to the {part.value} sub-vocabulary slot"
-        )
-
-
-_SLOT_CYCLE = (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
+def _check_slots(vocab: Vocabulary, token_ids) -> None:
+    for token_id, part in zip(token_ids, PARTS):
+        lo, hi = vocab.part_range(part)
+        if not lo <= token_id < hi:
+            raise InputError(
+                f"token {token_id} does not belong to the {part.value} sub-vocabulary slot"
+            )
 
 
 def _masked_pick(logits_row: np.ndarray, support: np.ndarray) -> tuple[int, float]:
@@ -95,6 +106,59 @@ def _masked_pick(logits_row: np.ndarray, support: np.ndarray) -> tuple[int, floa
     token = int(np.argmax(masked))
     logp = float(log_softmax_array(logits_row, support)[token])
     return token, logp
+
+
+Slot = tuple[int, Part, Part]  # (row, head, support part)
+
+
+def _greedy(
+    model: GeneratorModel,
+    h_en: Tensor,
+    enc_mask: np.ndarray,
+    start_ids: list[int],
+    schedule: tuple[tuple[Slot, ...], ...],
+    max_steps: int,
+    fuse: bool = False,
+) -> tuple[list[list[tuple[int, float]]], int]:
+    """The greedy loop shared by every mode, over one row per start id.
+
+    Step t picks one token per slot of schedule[t % len(schedule)]. Each row's
+    next input is the embedding of its pick, or with `fuse` the fused
+    embedding of all picks of the step (one row). Returns the (token,
+    log-probability) picks of every kept step and the number of decoder passes.
+    """
+    vocab = model.vocab
+    supports = {part: vocab.part_support_mask(part) for part in PARTS}
+    inputs = [model.token_embeddings(np.asarray(start_ids)[:, None])]
+    steps: list[list[tuple[int, float]]] = []
+    for t in range(max_steps):
+        dec_emb = inputs[0] if len(inputs) == 1 else concat(inputs, axis=1)
+        hidden = model.decode_hidden(dec_emb, h_en, enc_mask)
+        slots = schedule[t % len(schedule)]
+        logits = {}
+        for _, head, _ in slots:
+            if head not in logits:
+                logits[head] = model.head_logits(hidden, head).data[:, -1]
+        picks = [_masked_pick(logits[head][row], supports[part]) for row, head, part in slots]
+        tokens = [token for token, _ in picks]
+        if vocab.eos_id in tokens:
+            return steps, t + 1
+        steps.append(picks)
+        if fuse:
+            embs = [model.token_embeddings(np.asarray([[token]])) for token in tokens]
+            inputs.append(fuse_embeddings(*embs, model.config.fuse_lambda))
+        else:
+            inputs.append(model.token_embeddings(np.asarray(tokens)[:, None]))
+    return steps, max_steps
+
+
+def _check_mode(model: GeneratorModel, mode: str) -> None:
+    if model.mode != mode:
+        raise ModeError(f"model was trained for {model.mode!r}, not {mode} decoding")
+
+
+def _step_triples(steps: list[list[tuple[int, float]]]) -> tuple[PartTokenTriple, ...]:
+    return tuple(PartTokenTriple(*(token for token, _ in picks)) for picks in steps)
 
 
 def encode_prompt(model: GeneratorModel, prompt_ids: list[int]) -> tuple[Tensor, np.ndarray]:
@@ -109,33 +173,15 @@ def decode_sequential(
     """Flat greedy decode over the single motion stream; 3K decoder passes
     for K emitted triples. Position slots mask logits to the matching part
     sub-vocabulary (plus EOS)."""
-    if model.mode != "sequential":
-        raise ModeError(f"model was trained for {model.mode!r}, not sequential decoding")
-    vocab = model.vocab
+    _check_mode(model, "sequential")
     k_max = model.config.k_max if k_max is None else k_max
     start = time.perf_counter()
-    supports = [vocab.part_support_mask(part) for part in _SLOT_CYCLE]
-    ids = [vocab.bos_id]
-    emitted: list[int] = []
-    passes = 0
-    for t in range(3 * k_max):
-        hidden = model.decode_hidden(
-            model.token_embeddings(np.asarray([ids])), h_en, enc_mask
-        )
-        logits = model.head_logits(hidden, Part.BODY).data[0, -1]
-        passes += 1
-        token, _ = _masked_pick(logits, supports[t % 3])
-        if token == vocab.eos_id:
-            break
-        emitted.append(token)
-        ids.append(token)
-    kept = 3 * (len(emitted) // 3)
-    triples = unflatten(emitted[:kept], vocab)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return DecodeResult(
-        triples=tuple(triples), step_count=3 * len(triples), forward_passes=passes,
-        wall_ms=wall_ms,
-    )
+    schedule = tuple(((0, Part.BODY, part),) for part in PARTS)
+    steps, passes = _greedy(model, h_en, enc_mask, [model.vocab.bos_id], schedule, 3 * k_max)
+    flat = [picks[0][0] for picks in steps]
+    triples = tuple(unflatten(flat[: 3 * (len(flat) // 3)], model.vocab))
+    return DecodeResult(triples=triples, step_count=3 * len(triples), forward_passes=passes,
+                        wall_ms=(time.perf_counter() - start) * 1e3)
 
 
 def decode_parallel(
@@ -145,42 +191,22 @@ def decode_parallel(
     lang: str,
     k_max: int | None = None,
 ) -> DecodeResult:
-    """Three independent greedy streams seeded by <Lang_p> start tokens.
+    """Three greedy streams seeded by <Lang_p> start tokens, decoded as the
+    three rows of one batched decoder pass per step.
 
     All streams are truncated at the earliest EOS position; step_count is the
-    truncated length K (streams run concurrently in principle)."""
-    if model.mode != "parallel":
-        raise ModeError(f"model was trained for {model.mode!r}, not parallel decoding")
-    vocab = model.vocab
+    truncated length K."""
+    _check_mode(model, "parallel")
     k_max = model.config.k_max if k_max is None else k_max
     start = time.perf_counter()
-    streams: dict[Part, list[int]] = {}
-    passes = 0
-    for part in HEAD_PARTS:
-        support = vocab.part_support_mask(part)
-        ids = [vocab.lang_part_id(lang, part)]
-        tokens: list[int] = []
-        for _ in range(k_max):
-            hidden = model.decode_hidden(
-                model.token_embeddings(np.asarray([ids])), h_en, enc_mask
-            )
-            logits = model.head_logits(hidden, Part.BODY).data[0, -1]
-            passes += 1
-            token, _ = _masked_pick(logits, support)
-            if token == vocab.eos_id:
-                break
-            tokens.append(token)
-            ids.append(token)
-        streams[part] = tokens
-    k = min(len(tokens) for tokens in streams.values())
-    triples = tuple(
-        PartTokenTriple(
-            streams[Part.BODY][i], streams[Part.LEFT_HAND][i], streams[Part.RIGHT_HAND][i]
-        )
-        for i in range(k)
-    )
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return DecodeResult(triples=triples, step_count=k, forward_passes=passes, wall_ms=wall_ms)
+    start_ids = [model.vocab.lang_part_id(lang, part) for part in PARTS]
+    schedule = (tuple((row, Part.BODY, part) for row, part in enumerate(PARTS)),)
+    h_rows = concat([h_en] * len(PARTS), axis=0)
+    mask_rows = np.concatenate([enc_mask] * len(PARTS), axis=0)
+    steps, passes = _greedy(model, h_rows, mask_rows, start_ids, schedule, k_max)
+    triples = _step_triples(steps)
+    return DecodeResult(triples=triples, step_count=len(triples), forward_passes=passes,
+                        wall_ms=(time.perf_counter() - start) * 1e3)
 
 
 def decode_multihead(
@@ -190,46 +216,16 @@ def decode_multihead(
     the next input embedding is the fused average of the three emitted token
     embeddings. Terminates at the first step any head emits EOS (that step
     excluded)."""
-    if model.mode != "multihead":
-        raise ModeError(f"model was trained for {model.mode!r}, not multi-head decoding")
-    vocab = model.vocab
-    cfg = model.config
-    k_max = cfg.k_max if k_max is None else k_max
+    _check_mode(model, "multihead")
+    k_max = model.config.k_max if k_max is None else k_max
     start = time.perf_counter()
-    supports = {part: vocab.part_support_mask(part) for part in HEAD_PARTS}
-    embs: list[Tensor] = [model.token_embeddings(np.asarray([[vocab.bos_id]]))]
-    triples: list[PartTokenTriple] = []
-    logprobs: list[tuple[float, float, float]] = []
-    passes = 0
-    for _ in range(k_max):
-        dec_emb = embs[0] if len(embs) == 1 else concat(embs, axis=1)
-        hidden = model.decode_hidden(dec_emb, h_en, enc_mask)
-        passes += 1
-        picks: dict[Part, int] = {}
-        lps: list[float] = []
-        for part in HEAD_PARTS:
-            logits = model.head_logits(hidden, part).data[0, -1]
-            token, lp = _masked_pick(logits, supports[part])
-            picks[part] = token
-            lps.append(lp)
-        if any(tok == vocab.eos_id for tok in picks.values()):
-            break
-        triples.append(
-            PartTokenTriple(picks[Part.BODY], picks[Part.LEFT_HAND], picks[Part.RIGHT_HAND])
-        )
-        logprobs.append(tuple(lps))
-        fused = fuse_embeddings(
-            model.token_embeddings(np.asarray([[picks[Part.BODY]]])),
-            model.token_embeddings(np.asarray([[picks[Part.LEFT_HAND]]])),
-            model.token_embeddings(np.asarray([[picks[Part.RIGHT_HAND]]])),
-            cfg.fuse_lambda,
-        )
-        embs.append(fused)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return DecodeResult(
-        triples=tuple(triples), step_count=len(triples), forward_passes=passes,
-        wall_ms=wall_ms, step_logprobs=tuple(logprobs),
-    )
+    schedule = (tuple((0, part, part) for part in PARTS),)
+    steps, passes = _greedy(model, h_en, enc_mask, [model.vocab.bos_id], schedule, k_max,
+                            fuse=True)
+    triples = _step_triples(steps)
+    logprobs = tuple(tuple(lp for _, lp in picks) for picks in steps)
+    return DecodeResult(triples=triples, step_count=len(triples), forward_passes=passes,
+                        wall_ms=(time.perf_counter() - start) * 1e3, step_logprobs=logprobs)
 
 
 def generate_triples(model: GeneratorModel, prompt_ids: list[int], lang: str) -> DecodeResult:

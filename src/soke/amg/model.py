@@ -14,11 +14,10 @@ import numpy as np
 
 from ..errors import ConfigError, ModeError
 from ..grad import Tensor, gather_rows, layer_norm, softmax
-from ..motion import Part
+from ..motion import PARTS, Part
 from .vocab import Vocabulary
 
 MODES = ("sequential", "parallel", "multihead")
-HEAD_PARTS = (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class GeneratorModel:
         self.enc_ln_g, self.enc_ln_b = ones(d), zeros(d)
         self.dec_ln_g, self.dec_ln_b = ones(d), zeros(d)
         # zero-init heads: the initial masked softmax is exactly uniform
-        self.heads = {part: {"w": zeros((d, v)), "b": zeros(v)} for part in HEAD_PARTS}
+        self.heads = {part: {"w": zeros((d, v)), "b": zeros(v)} for part in PARTS}
 
     # -- parameters --------------------------------------------------------
 
@@ -119,7 +118,7 @@ class GeneratorModel:
             named.extend(_layer_params(f"enc{i}", layer))
         for i, layer in enumerate(self.dec_layers):
             named.extend(_layer_params(f"dec{i}", layer))
-        for part in HEAD_PARTS:
+        for part in PARTS:
             named.append((f"head_{part.value}.w", self.heads[part]["w"]))
             named.append((f"head_{part.value}.b", self.heads[part]["b"]))
         return named

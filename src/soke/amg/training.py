@@ -18,10 +18,10 @@ from ..grad import (
     load_checkpoint,
     save_checkpoint,
 )
-from ..motion import Part
+from ..motion import PARTS, Part
 from ..deto import TokenSeq
 from .decoding import PartTokenTriple, generate_triples
-from .model import HEAD_PARTS, AmgConfig, GeneratorModel, fuse_embeddings
+from .model import AmgConfig, GeneratorModel, fuse_embeddings
 from .vocab import Vocabulary, load_vocab, save_vocab
 
 SIDECAR_NAME = "amg.json"
@@ -55,13 +55,19 @@ def triples_from_tokens(tokens: dict[Part, TokenSeq], vocab: Vocabulary) -> tupl
     if len(set(lengths.values())) != 1:
         raise InputError(f"part token sequences differ in length: {lengths}")
     return tuple(
-        PartTokenTriple(
-            vocab.motion_id(Part.BODY, tokens[Part.BODY].ids[i]),
-            vocab.motion_id(Part.LEFT_HAND, tokens[Part.LEFT_HAND].ids[i]),
-            vocab.motion_id(Part.RIGHT_HAND, tokens[Part.RIGHT_HAND].ids[i]),
-        )
+        PartTokenTriple(*(vocab.motion_id(part, tokens[part].ids[i]) for part in PARTS))
         for i in range(lengths[Part.BODY])
     )
+
+
+def tokens_from_triples(
+    triples: tuple[PartTokenTriple, ...], vocab: Vocabulary
+) -> dict[Part, TokenSeq]:
+    """Inverse of triples_from_tokens; TokenSeq rejects an empty decode."""
+    return {
+        part: TokenSeq(part, tuple(vocab.code_of(triple.as_tuple()[j])[1] for triple in triples))
+        for j, part in enumerate(PARTS)
+    }
 
 
 def _pad_prompts(pairs: list[TrainPair], vocab: Vocabulary, max_len: int, log: list[dict]):
@@ -96,10 +102,7 @@ def _sequential_batch(pairs, vocab):
         inputs[i, 1: len(flat)] = flat[:-1]
         targets[i, : len(flat)] = flat
         weights[i, : len(flat)] = 1.0
-    support = np.stack(
-        [vocab.part_support_mask((Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)[t % 3])
-         for t in range(width)]
-    )[None, :, :]
+    support = np.stack([vocab.part_support_mask(PARTS[t % 3]) for t in range(width)])[None]
     return inputs, targets, weights, support
 
 
@@ -112,11 +115,11 @@ def _stream_batch(pairs, vocab):
     targets = np.full((3 * b, k_width), vocab.eos_id, dtype=np.int64)
     weights = np.zeros((3 * b, k_width))
     support = np.zeros((3 * b, 1, len(vocab)), dtype=bool)
-    for j, part in enumerate(HEAD_PARTS):
+    for j, part in enumerate(PARTS):
         part_mask = vocab.part_support_mask(part)
         for i, pair in enumerate(pairs):
             row = j * b + i
-            stream = [getattr(t, _FIELD[part]) for t in pair.triples]
+            stream = [triple.as_tuple()[j] for triple in pair.triples]
             inputs[row, 0] = vocab.lang_part_id(pair.lang, part)
             inputs[row, 1: 1 + len(stream)] = stream
             targets[row, : len(stream)] = stream
@@ -126,14 +129,11 @@ def _stream_batch(pairs, vocab):
     return inputs, targets, weights, support
 
 
-_FIELD = {Part.BODY: "body", Part.LEFT_HAND: "left", Part.RIGHT_HAND: "right"}
-
-
 def _multihead_batch(pairs, vocab):
     k_width = max(len(pair.triples) for pair in pairs) + 1
     b = len(pairs)
     in_triples = np.full((b, k_width - 1, 3), vocab.pad_id, dtype=np.int64)
-    targets = {part: np.full((b, k_width), vocab.eos_id, dtype=np.int64) for part in HEAD_PARTS}
+    targets = {part: np.full((b, k_width), vocab.eos_id, dtype=np.int64) for part in PARTS}
     weights = np.zeros((b, k_width))
     for i, pair in enumerate(pairs):
         k = len(pair.triples)
@@ -192,7 +192,7 @@ def generator_loss(model: GeneratorModel, pairs: list[TrainPair], log: list[dict
             model.head_logits(hidden, part), targets[part],
             support_mask=vocab.part_support_mask(part)[None, None, :], weights=weights,
         )
-        for part in HEAD_PARTS
+        for part in PARTS
     ]
     return (losses[0] + losses[1] + losses[2]) * (1.0 / 3.0)
 

@@ -12,12 +12,11 @@ import json
 import numpy as np
 
 from ..errors import VocabularyError
-from ..motion import Part
+from ..motion import PARTS, Part
 from ..textproc import tokenize_words
 
 LANGUAGES = ("ASL", "CSL", "DGS")
 PAD, BOS, EOS, UNK, SEP = "<PAD>", "<BOS>", "<EOS>", "<UNK>", "<SEP>"
-_PART_ORDER = (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
 
 
 class Vocabulary:
@@ -27,11 +26,11 @@ class Vocabulary:
         self.codebook_sizes = tuple(codebook_sizes)
         tokens: list[str] = [PAD, BOS, EOS, UNK, SEP]
         tokens += [f"<{lang}>" for lang in self.languages]
-        tokens += [f"<{lang}_{part.value}>" for lang in self.languages for part in _PART_ORDER]
+        tokens += [f"<{lang}_{part.value}>" for lang in self.languages for part in PARTS]
         self._word_list = sorted(set(w.lower() for w in words))
         tokens += self._word_list
         self._part_start: dict[Part, int] = {}
-        for part, n in zip(_PART_ORDER, codebook_sizes):
+        for part, n in zip(PARTS, codebook_sizes):
             self._part_start[part] = len(tokens)
             tokens += [f"<{part.value}_{i}>" for i in range(n)]
         self._tokens = tokens
@@ -89,7 +88,7 @@ class Vocabulary:
     # -- motion tokens ----------------------------------------------------------------
 
     def motion_id(self, part: Part, code_index: int) -> int:
-        n = self.codebook_sizes[_PART_ORDER.index(part)]
+        n = self.codebook_sizes[PARTS.index(part)]
         if not 0 <= code_index < n:
             raise VocabularyError(f"code index {code_index} outside [0, {n}) for part {part.value}")
         return self._part_start[part] + code_index
@@ -99,10 +98,10 @@ class Vocabulary:
 
     def part_range(self, part: Part) -> tuple[int, int]:
         start = self._part_start[part]
-        return start, start + self.codebook_sizes[_PART_ORDER.index(part)]
+        return start, start + self.codebook_sizes[PARTS.index(part)]
 
     def part_of(self, token_id: int) -> Part | None:
-        for part in _PART_ORDER:
+        for part in PARTS:
             lo, hi = self.part_range(part)
             if lo <= token_id < hi:
                 return part
@@ -113,9 +112,6 @@ class Vocabulary:
         if part is None:
             raise VocabularyError(f"token {token_id} is not a motion token")
         return part, token_id - self._part_start[part]
-
-    def is_motion(self, token_id: int) -> bool:
-        return self.part_of(token_id) is not None
 
     def part_support_mask(self, part: Part, include_eos: bool = True) -> np.ndarray:
         """Boolean mask over the vocabulary: this part's motion tokens plus EOS."""

@@ -5,16 +5,15 @@ Unknown keys are rejected; CLI flags override individual dotted keys.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .amg import AmgConfig, AmgTrainConfig
 from .deto import DetoConfig, DetoTrainConfig
 from .errors import ConfigError
-from .motion import PartLayout, SynthConfig
+from .motion import SynthConfig
 
 
 @dataclass(frozen=True)
@@ -34,50 +33,40 @@ class RunConfig:
 
 
 def _coerce(value: Any, target_type: Any, path: str) -> Any:
-    if is_dataclass(target_type) and isinstance(value, dict):
+    """Check a JSON value against a field type: a nested config, a fixed-length
+    tuple, or a scalar. Integers widen to float; bool is not a number here."""
+    if is_dataclass(target_type):
         return _from_dict(target_type, value, path)
-    origin = getattr(target_type, "__origin__", None)
-    if (origin is tuple or target_type is tuple) and isinstance(value, (list, tuple)):
-        return tuple(value)
-    if target_type is float and isinstance(value, (int, float)):
+    if get_origin(target_type) is tuple:
+        item_types = get_args(target_type)
+        if not isinstance(value, (list, tuple)) or len(value) != len(item_types):
+            raise ConfigError(f"{path}: expected a list of {len(item_types)} items, got {value!r}")
+        return tuple(
+            _coerce(item, item_type, f"{path}[{i}]")
+            for i, (item, item_type) in enumerate(zip(value, item_types))
+        )
+    if target_type is float and isinstance(value, int) and not isinstance(value, bool):
         return float(value)
-    if target_type is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected integer, got {value!r}")
-        return value
+    if (isinstance(value, bool) and target_type is not bool) or not isinstance(value, target_type):
+        raise ConfigError(f"{path}: expected {target_type.__name__}, got {value!r}")
     return value
 
 
 def _from_dict(cls, data: dict, path: str = ""):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or cls.__name__}: expected an object")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(known)
+    types = get_type_hints(cls)
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{path or cls.__name__}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        f = known[name]
-        key_path = f"{path}.{name}" if path else name
-        kwargs[name] = _coerce(value, f.type if not isinstance(f.type, str) else _resolve(f.type), key_path)
+    kwargs = {
+        name: _coerce(value, types[name], f"{path}.{name}" if path else name)
+        for name, value in data.items()
+    }
     try:
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"{path or cls.__name__}: {exc}") from exc
-
-
-_TYPES = {
-    "int": int, "float": float, "str": str, "bool": bool,
-    "SynthConfig": SynthConfig, "DetoConfig": DetoConfig,
-    "DetoTrainConfig": DetoTrainConfig, "AmgConfig": AmgConfig,
-    "AmgTrainConfig": AmgTrainConfig, "PartLayout": PartLayout,
-    "tuple[int, int]": tuple, "tuple[int, int, int]": tuple, "tuple[int, ...]": tuple,
-}
-
-
-def _resolve(annotation: str):
-    # `from __future__ import annotations` stores field types as strings
-    return _TYPES.get(annotation, object)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

@@ -1,9 +1,8 @@
 """Decoupled tokenizer: three per-part VQ autoencoders."""
 
+from ..motion import PARTS
 from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
 from .tokenizer import (
-    PARTS,
-    SUPPORTED_CODEBOOK_SIZES,
     DecoupledTokenizer,
     DetoConfig,
     PartTokenizer,
@@ -28,7 +27,6 @@ __all__ = [
     "PARTS",
     "PartTokenizer",
     "SIDECAR_NAME",
-    "SUPPORTED_CODEBOOK_SIZES",
     "TokenSeq",
     "frozen_vq_loss_fn",
     "load_deto",

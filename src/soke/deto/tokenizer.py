@@ -13,13 +13,8 @@ import numpy as np
 
 from ..errors import ConfigError, InputError
 from ..grad import Tensor, conv1d, gather_rows, straight_through, upsample_repeat
-from ..motion import MotionSequence, Part, PartLayout, PartMotion, merge_parts, split_parts
+from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, merge_parts, split_parts
 from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
-
-PARTS = (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
-
-# Codebook size grid the configuration study covers.
-SUPPORTED_CODEBOOK_SIZES = (64, 96, 128, 192, 256)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,9 @@ import numpy as np
 
 from ..errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
 from ..grad import Adam, CosineSchedule, load_checkpoint, save_checkpoint
-from ..motion import MotionSequence, Part, PartLayout, PartMotion, split_parts
+from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, split_parts
 from .codebook import nearest_code_ids
-from .tokenizer import PARTS, DecoupledTokenizer, DetoConfig, PartTokenizer
+from .tokenizer import DecoupledTokenizer, DetoConfig, PartTokenizer
 
 SIDECAR_NAME = "deto.json"
 CHECKPOINT_NAME = "deto.ckpt"

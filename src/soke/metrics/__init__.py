@@ -9,8 +9,6 @@ from .evaluate import (
     evaluate_split,
     frame_jpe,
     frame_pa_jpe,
-    load_report,
-    max_workers,
     reconstruction_pa_mpjpe,
     save_report,
 )
@@ -29,8 +27,6 @@ __all__ = [
     "evaluate_split",
     "frame_jpe",
     "frame_pa_jpe",
-    "load_report",
-    "max_workers",
     "procrustes_align",
     "reconstruction_pa_mpjpe",
     "save_report",

@@ -10,9 +10,7 @@ Reported DTW values are path-length-normalized (`dtw_normalization = path`).
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -126,14 +124,6 @@ class EvalReport:
         }
 
 
-def max_workers() -> int:
-    value = os.environ.get("SOKE_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 GenerateFn = Callable[[str, str], tuple[MotionSequence, int]]
 
 
@@ -145,15 +135,13 @@ def evaluate_split(
 ) -> EvalReport:
     """Run `generate` over a dataset split and compute DTW joint metrics.
 
-    `generate(text, lang)` returns (motion, decoder step count). Sample
-    metrics may be computed on SOKE_THREADS workers; aggregation always runs
-    in dataset order so aggregates are order-independent and deterministic.
+    `generate(text, lang)` returns (motion, decoder step count). Samples
+    are evaluated and aggregated in dataset order.
     """
     body_idx = body_joint_indices(chain)
     hand_idx = hand_joint_indices(chain)
 
-    def one(index_pair):
-        index, (text, ref) = index_pair
+    def one(index, text, ref):
         start = time.perf_counter()
         gen_seq, steps = generate(text, ref.language_tag)
         wall_ms = (time.perf_counter() - start) * 1e3
@@ -174,15 +162,7 @@ def evaluate_split(
             wall_ms=wall_ms,
         )
 
-    workers = max_workers()
-    items = list(enumerate(dataset))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(one, items))
-    else:
-        samples = [one(item) for item in items]
-    samples.sort(key=lambda s: s.index)
-
+    samples = [one(index, text, ref) for index, (text, ref) in enumerate(dataset)]
     aggregates = _aggregate(samples)
     timing = {
         "mean_wall_ms": float(np.mean([s.wall_ms for s in samples])) if samples else 0.0,
@@ -222,8 +202,3 @@ def save_report(path: str | Path, report: EvalReport) -> None:
     with open(path, "w") as fh:
         json.dump(report.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_report(path: str | Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

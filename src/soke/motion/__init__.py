@@ -11,6 +11,7 @@ from .kinematics import (
 )
 from .layout import (
     DEFAULT_LAYOUT,
+    PARTS,
     MotionSequence,
     Part,
     PartLayout,
@@ -26,6 +27,7 @@ __all__ = [
     "KinematicChain",
     "Lexicon",
     "MotionSequence",
+    "PARTS",
     "Part",
     "PartLayout",
     "PartMotion",

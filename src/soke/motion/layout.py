@@ -23,6 +23,10 @@ class Part(str, Enum):
     RIGHT_HAND = "RH"
 
 
+# The one part order: layout slices, tokenizers, vocabulary ranges, decoder
+# heads and token triples all follow it.
+PARTS = (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
+
 ROTATION_DIMS = 3  # axis-angle per joint
 
 
@@ -124,8 +128,7 @@ def split_parts(seq: MotionSequence) -> tuple[PartMotion, PartMotion, PartMotion
     if seq.frames.shape[1] != layout.total_dims:
         raise LayoutError("sequence width does not match its layout")
     return tuple(
-        PartMotion(part, seq.frames[:, layout.part_slice(part)].copy())
-        for part in (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
+        PartMotion(part, seq.frames[:, layout.part_slice(part)].copy()) for part in PARTS
     )
 
 

@@ -31,16 +31,16 @@ from .amg import (
     generate_triples,
     load_generator,
     save_generator,
+    tokens_from_triples,
     train_generator,
     triples_from_tokens,
 )
 from .config import RunConfig, run_config_to_dict, save_run_config
-from .deto import TokenSeq, load_deto, save_deto, train_tokenizer
+from .deto import load_deto, save_deto, train_tokenizer
 from .errors import SokeError
 from .metrics import EvalReport, evaluate_split, save_report
 from .motion import (
     MotionSequence,
-    Part,
     build_sign_chain,
     load_motions,
     save_motions,
@@ -143,32 +143,15 @@ def make_generate_fn(model: GeneratorModel, deto, dictionary: SignDictionary | N
         prompt = build_prompt(text, lang, dictionary, model.vocab)
         prompt = prompt[: model.config.enc_max_len]
         result = generate_triples(model, prompt, lang)
-        tokens = _triples_to_tokens(result.triples, model.vocab)
-        if tokens is None:  # empty decode: hold a single rest frame
-            import numpy as np
-
+        if not result.triples:  # empty decode: hold a single rest frame
             frames = np.zeros((1, deto.layout.total_dims), dtype=np.float32)
             return MotionSequence(frames, fps=fps, layout=deto.layout,
                                   language_tag=lang), result.step_count
+        tokens = tokens_from_triples(result.triples, model.vocab)
         motion = deto.decode_tokens(tokens, fps=fps, language_tag=lang)
         return motion, result.step_count
 
     return generate
-
-
-def _triples_to_tokens(triples, vocab: Vocabulary):
-    from .deto import TokenSeq
-
-    if not triples:
-        return None
-    by_part = {Part.BODY: [], Part.LEFT_HAND: [], Part.RIGHT_HAND: []}
-    for triple in triples:
-        for part, token_id in zip(
-            (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND), triple.as_tuple()
-        ):
-            _, code = vocab.code_of(token_id)
-            by_part[part].append(code)
-    return {part: TokenSeq(part, tuple(codes)) for part, codes in by_part.items()}
 
 
 def stage_eval(config: RunConfig, out_dir: Path) -> EvalReport:

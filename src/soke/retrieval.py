@@ -18,10 +18,8 @@ from .amg import Vocabulary
 from .deto import DecoupledTokenizer, TokenSeq
 from .errors import InputError
 from .metrics import reconstruction_pa_mpjpe
-from .motion import KinematicChain, MotionSequence, Part
+from .motion import PARTS, KinematicChain, MotionSequence, Part
 from .textproc import lemmatize, tokenize_words
-
-_PART_ORDER = (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,7 @@ class DictionaryEntry:
     recon_error: float
 
     def __post_init__(self):
-        lengths = {len(self.tokens[p]) for p in _PART_ORDER}
+        lengths = {len(self.tokens[p]) for p in PARTS}
         if len(lengths) != 1:
             raise InputError(f"entry {self.word!r}: part token sequences differ in length")
         if self.recon_error < 0:
@@ -151,7 +149,7 @@ def build_prompt(
         if block_separator and not first_block:
             prompt.append(vocab.sep_id)
         first_block = False
-        for part in _PART_ORDER:
+        for part in PARTS:
             prompt.extend(vocab.motion_ids(part, entry.tokens[part].ids))
     return prompt
 

@@ -183,22 +183,21 @@ class ScriptedModel:
 
     def head_logits(self, hidden, part):
         step = hidden.shape[1] - 1
-        logits = np.zeros((1, hidden.shape[1], len(self.vocab)), dtype=np.float32)
-        if self.mode == "sequential":
-            tokens = self.plan
+        logits = np.zeros(hidden.shape[:2] + (len(self.vocab),), dtype=np.float32)
+        for row in range(hidden.shape[0]):
+            if self.mode == "sequential":
+                tokens = self.plan
+            elif self.mode == "parallel":
+                start = int(hidden.data[row, 0, 0])
+                stream_part = next(
+                    p for p in (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
+                    if self.vocab.lang_part_id(self.lang, p) == start
+                )
+                tokens = self.plan[stream_part]
+            else:
+                tokens = self.plan[part]
             token = tokens[step] if step < len(tokens) else self.vocab.eos_id
-        elif self.mode == "parallel":
-            start = int(hidden.data[0, 0, 0])
-            stream_part = next(
-                p for p in (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)
-                if self.vocab.lang_part_id(self.lang, p) == start
-            )
-            tokens = self.plan[stream_part]
-            token = tokens[step] if step < len(tokens) else self.vocab.eos_id
-        else:
-            tokens = self.plan[part]
-            token = tokens[step] if step < len(tokens) else self.vocab.eos_id
-        logits[0, -1, token] = 10.0
+            logits[row, -1, token] = 10.0
         return Tensor(logits)
 
 
@@ -241,6 +240,18 @@ class TestScriptedDecoding:
         result = decode_parallel(model, *dummy_state(), lang="ASL")
         assert len(result.triples) == 4
         assert result.step_count == 4
+
+    def test_parallel_counts_one_pass_per_step(self, vocab):
+        plan = {
+            Part.BODY: [vocab.motion_id(Part.BODY, i % 6) for i in range(4)],
+            Part.LEFT_HAND: [vocab.motion_id(Part.LEFT_HAND, i % 8) for i in range(6)],
+            Part.RIGHT_HAND: [vocab.motion_id(Part.RIGHT_HAND, i % 8) for i in range(7)],
+        }
+        model = ScriptedModel(vocab, "parallel", plan)
+        on_eos = decode_parallel(model, *dummy_state(), lang="ASL")
+        assert on_eos.forward_passes == len(on_eos.triples) + 1 == 5
+        at_limit = decode_parallel(model, *dummy_state(), lang="ASL", k_max=3)
+        assert at_limit.forward_passes == len(at_limit.triples) == 3
 
     def test_parallel_unknown_language(self, vocab):
         model = ScriptedModel(vocab, "parallel", {p: [] for p in
@@ -318,7 +329,41 @@ def make_pairs(vocab, n=8, k=3, seed=0):
     return pairs
 
 
+def parallel_oracle(model, h_en, enc_mask, lang, k_max):
+    """Parallel decoding as three separate B=1 greedy streams, each run to its
+    own EOS, then truncated to the shortest."""
+    vocab = model.vocab
+    streams = []
+    for part in (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND):
+        support = vocab.part_support_mask(part)
+        ids = [vocab.lang_part_id(lang, part)]
+        for _ in range(k_max):
+            hidden = model.decode_hidden(model.token_embeddings(np.asarray([ids])), h_en, enc_mask)
+            logits = model.head_logits(hidden, Part.BODY).data[0, -1]
+            token = int(np.argmax(np.where(support, logits.astype(np.float64), -np.inf)))
+            if token == vocab.eos_id:
+                break
+            ids.append(token)
+        streams.append(ids[1:])
+    k = min(len(stream) for stream in streams)
+    return tuple(PartTokenTriple(*(stream[i] for stream in streams)) for i in range(k))
+
+
 class TestRealModel:
+    def test_parallel_matches_three_separate_streams(self, vocab):
+        model = GeneratorModel(vocab, TINY_CFG, "parallel", seed=6)
+        pairs = make_pairs(vocab, n=8, k=3, seed=5)
+        train_generator(pairs, model, AmgTrainConfig(epochs=40))
+        lengths = []
+        for pair in pairs:
+            h_en, enc_mask = encode_prompt(model, list(pair.prompt_ids))
+            for k_max in (TINY_CFG.k_max, 2):
+                result = decode_parallel(model, h_en, enc_mask, "ASL", k_max=k_max)
+                assert result.triples == parallel_oracle(model, h_en, enc_mask, "ASL", k_max)
+                assert result.step_count == len(result.triples)
+                lengths.append(len(result.triples))
+        assert max(lengths) > 0
+
     @pytest.mark.parametrize("mode", ["sequential", "parallel", "multihead"])
     def test_initial_loss_is_log_support_size(self, vocab, mode):
         model = GeneratorModel(vocab, TINY_CFG, mode, seed=0)
