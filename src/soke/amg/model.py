@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, ModeError
+from ..errors import ConfigError, InputError, ModeError
 from ..grad import Tensor, gather_rows, layer_norm, softmax
 from ..motion import PARTS, Part
 from .vocab import Vocabulary
@@ -169,6 +169,11 @@ class GeneratorModel:
     def decode_hidden(self, dec_emb: Tensor, h_en: Tensor, enc_key_mask: np.ndarray) -> Tensor:
         """Decoder trunk over already-embedded inputs (B, K, d)."""
         b, k, _ = dec_emb.shape
+        if k > self.dec_max_len:
+            raise InputError(
+                f"decoder input has {k} positions but the model has {self.dec_max_len} "
+                f"decoder positions (k_max {self.config.k_max}, mode {self.mode})"
+            )
         causal = np.tril(np.ones((k, k), dtype=bool))[None, None, :, :]
         cross_mask = enc_key_mask[:, None, None, :]
         pos = gather_rows(self.dec_pos, np.arange(k))

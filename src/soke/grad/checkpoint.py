@@ -7,6 +7,7 @@ float32 payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -33,25 +34,38 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
+    """Parameters from a checkpoint file; raises InputError for a bad magic, a
+    size that runs past the end of the file, or bytes left after the last
+    parameter."""
     path = Path(path)
-    blob = path.read_bytes()
+    blob = memoryview(path.read_bytes())
     if blob[: len(MAGIC)] != MAGIC:
         raise InputError(f"{path}: not a SOKE checkpoint (bad magic)")
     offset = len(MAGIC)
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal offset
+        if size > len(blob) - offset:
+            raise InputError(
+                f"{path}: checkpoint truncated: {what} needs {size} bytes at offset "
+                f"{offset}, {len(blob) - offset} left"
+            )
+        offset += size
+        return blob[offset - size: offset]
+
+    (count,) = struct.unpack("<I", take(4, "parameter count"))
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset: offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=size, offset=offset).reshape(shape)
-        offset += 4 * size
-        params[name] = arr.copy()
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = str(take(name_len, "name"), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: parameter name is not utf-8 at offset {offset - name_len}") from exc
+        (ndim,) = struct.unpack("<B", take(1, f"{name} rank"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"{name} shape"))
+        size = math.prod(shape)
+        data = take(4 * size, f"{name} payload")
+        params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+    if offset != len(blob):
+        raise InputError(f"{path}: {len(blob) - offset} trailing bytes after the last parameter")
     return params

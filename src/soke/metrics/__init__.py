@@ -1,6 +1,6 @@
 """DTW joint-position metrics, Procrustes alignment, and eval reports."""
 
-from .dtw import DtwResult, dtw, dtw_brute_force
+from .dtw import DtwResult, dtw
 from .evaluate import (
     EvalReport,
     METRIC_CONVENTIONS,
@@ -12,7 +12,7 @@ from .evaluate import (
     reconstruction_pa_mpjpe,
     save_report,
 )
-from .procrustes import SimilarityTransform, aligned_residual, procrustes_align
+from .procrustes import SimilarityTransform, procrustes_align
 
 __all__ = [
     "DtwResult",
@@ -20,9 +20,7 @@ __all__ = [
     "METRIC_CONVENTIONS",
     "SampleEval",
     "SimilarityTransform",
-    "aligned_residual",
     "dtw",
-    "dtw_brute_force",
     "dtw_joint_metrics",
     "evaluate_split",
     "frame_jpe",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -18,44 +19,55 @@ class DtwResult:
 
 
 def dtw(
-    gen: Sequence, ref: Sequence, cost: Callable[[object, object], float]
+    gen: Sequence, ref: Sequence, cost: Callable[[object, object], float] | np.ndarray
 ) -> DtwResult:
     """Minimal-cost monotone alignment between two sequences.
 
-    Ties between predecessors are broken preferring diagonal, then vertical
-    (advance in `gen`), so results are deterministic. `normalized` is
-    total / len(path).
+    `cost` is either a per-pair function cost(gen[i], ref[j]) or the
+    precomputed (len(gen), len(ref)) matrix of those costs; costs must be
+    finite. Ties between predecessors are broken preferring diagonal, then
+    vertical (advance in `gen`), so results are deterministic. `normalized`
+    is total / len(path).
     """
     n, m = len(gen), len(ref)
     if n == 0 or m == 0:
         raise InputError("dtw requires two nonempty sequences")
 
-    local = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            local[i, j] = cost(gen[i], ref[j])
+    if callable(cost):
+        local = np.array([[cost(g, r) for r in ref] for g in gen], dtype=np.float64)
+    else:
+        local = np.asarray(cost, dtype=np.float64)
+        if local.shape != (n, m):
+            raise InputError(f"cost matrix is {local.shape}, sequences need {(n, m)}")
+    if not np.isfinite(local).all():
+        raise InputError("dtw costs contain NaN or infinity")
 
-    acc = np.full((n, m), np.inf)
     # 0 = diagonal, 1 = vertical (i-1, j), 2 = horizontal (i, j-1)
-    step = np.full((n, m), -1, dtype=np.int8)
-    acc[0, 0] = local[0, 0]
+    rows = local.tolist()
+    acc = [list(itertools.accumulate(rows[0]))]
+    step = [[-1] + [2] * (m - 1)]
     for i in range(1, n):
-        acc[i, 0] = acc[i - 1, 0] + local[i, 0]
-        step[i, 0] = 1
-    for j in range(1, m):
-        acc[0, j] = acc[0, j - 1] + local[0, j]
-        step[0, j] = 2
-    for i in range(1, n):
+        prev, row = acc[-1], rows[i]
+        cur = [prev[0] + row[0]]
+        moves = [1]
         for j in range(1, m):
-            candidates = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-            best = int(np.argmin(candidates))  # first minimum: diagonal, then vertical
-            acc[i, j] = candidates[best] + local[i, j]
-            step[i, j] = best
+            diag, up, left = prev[j - 1], prev[j], cur[j - 1]
+            if diag <= up and diag <= left:
+                cur.append(diag + row[j])
+                moves.append(0)
+            elif up <= left:
+                cur.append(up + row[j])
+                moves.append(1)
+            else:
+                cur.append(left + row[j])
+                moves.append(2)
+        acc.append(cur)
+        step.append(moves)
 
     path = [(n - 1, m - 1)]
     i, j = n - 1, m - 1
     while (i, j) != (0, 0):
-        s = step[i, j]
+        s = step[i][j]
         if s == 0:
             i, j = i - 1, j - 1
         elif s == 1:
@@ -65,33 +77,5 @@ def dtw(
         path.append((i, j))
     path.reverse()
 
-    total = float(acc[n - 1, m - 1])
+    total = acc[n - 1][m - 1]
     return DtwResult(total=total, path=tuple(path), normalized=total / len(path))
-
-
-def dtw_brute_force(
-    gen: Sequence, ref: Sequence, cost: Callable[[object, object], float]
-) -> float:
-    """Exhaustive minimum over all monotone alignment paths. Oracle for tests;
-    exponential, keep lengths small."""
-    n, m = len(gen), len(ref)
-    if n == 0 or m == 0:
-        raise InputError("dtw requires two nonempty sequences")
-    best = [np.inf]
-
-    def walk(i: int, j: int, acc: float) -> None:
-        acc += cost(gen[i], ref[j])
-        if acc >= best[0]:
-            return
-        if i == n - 1 and j == m - 1:
-            best[0] = acc
-            return
-        if i + 1 < n and j + 1 < m:
-            walk(i + 1, j + 1, acc)
-        if i + 1 < n:
-            walk(i + 1, j, acc)
-        if j + 1 < m:
-            walk(i, j + 1, acc)
-
-    walk(0, 0, 0.0)
-    return float(best[0])

@@ -3,7 +3,9 @@
 DTW metrics run one alignment per cost family (raw / Procrustes-aligned);
 the DP cost is the mean error over body+hand joints jointly, and per-subset
 numbers are read off along the chosen path. PA alignment is solved per frame
-pair on the union joint set (config tag `pa_scope = per_frame_pair_union`).
+pair on the union joint set (config tag `pa_scope = per_frame_pair_union`);
+all n*m frame pairs of a track pair are solved in one batched call, which
+holds the (n, m, J) per-joint residuals, so DTW-PA memory is O(n*m*J).
 Reported DTW values are path-length-normalized (`dtw_normalization = path`).
 """
 
@@ -58,24 +60,39 @@ class DtwJpeSummary:
 def dtw_joint_metrics(
     gen_track: np.ndarray, ref_track: np.ndarray, body_idx: np.ndarray, hand_idx: np.ndarray
 ) -> DtwJpeSummary:
-    """DTW-JPE and DTW-PA-JPE for body and hand subsets of paired joint tracks."""
-    raw = dtw(gen_track, ref_track, frame_jpe)
-    raw_body, raw_hand = _path_subset_means(gen_track, ref_track, raw.path, body_idx, hand_idx, aligned=False)
-    pa = dtw(gen_track, ref_track, frame_pa_jpe)
-    pa_body, pa_hand = _path_subset_means(gen_track, ref_track, pa.path, body_idx, hand_idx, aligned=True)
+    """DTW-JPE and DTW-PA-JPE for body and hand subsets of paired joint
+    tracks, (n, J, 3) generated and (m, J, 3) reference."""
+    gen_track = np.asarray(gen_track, dtype=np.float64)
+    ref_track = np.asarray(ref_track, dtype=np.float64)
+    if gen_track.ndim != 3 or gen_track.shape[1:] != ref_track.shape[1:] or gen_track.shape[2] != 3:
+        raise InputError(f"joint tracks differ: {gen_track.shape} vs {ref_track.shape}")
+    for name, track in (("gen_track", gen_track), ("ref_track", ref_track)):
+        if not np.isfinite(track).all():
+            raise InputError(f"{name} contains NaN or infinity")
+    gen_pairs, ref_pairs = gen_track[:, None], ref_track[None, :]
+    raw_err = _distances(gen_pairs, ref_pairs)
+    raw = dtw(gen_track, ref_track, raw_err.mean(axis=-1))
+    aligned, _ = procrustes_align(gen_pairs, ref_pairs)
+    pa_err = _distances(aligned, ref_pairs)
+    pa = dtw(gen_track, ref_track, pa_err.mean(axis=-1))
+    raw_body, raw_hand = _path_subset_means(raw_err, raw.path, body_idx, hand_idx)
+    pa_body, pa_hand = _path_subset_means(pa_err, pa.path, body_idx, hand_idx)
     return DtwJpeSummary(jpe_body=raw_body, jpe_hand=raw_hand, pa_jpe_body=pa_body, pa_jpe_hand=pa_hand)
 
 
-def _path_subset_means(gen_track, ref_track, path, body_idx, hand_idx, aligned: bool):
-    body_sum = hand_sum = 0.0
-    for i, j in path:
-        gen_frame = gen_track[i]
-        if aligned:
-            gen_frame, _ = procrustes_align(gen_frame, ref_track[j])
-        err = np.linalg.norm(gen_frame - ref_track[j], axis=-1)
-        body_sum += err[body_idx].mean()
-        hand_sum += err[hand_idx].mean()
-    return body_sum / len(path), hand_sum / len(path)
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a - b, axis=-1) for 3-vectors, summing the squares in
+    the same order without a reduction over the short last axis."""
+    d = a - b
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+
+
+def _path_subset_means(err: np.ndarray, path, body_idx, hand_idx) -> tuple[float, float]:
+    """Body and hand mean errors over the frame pairs of a path, read from
+    (n, m, J) per-joint residuals."""
+    on_path = err[tuple(np.transpose(path))]
+    return float(on_path[:, body_idx].mean()), float(on_path[:, hand_idx].mean())
 
 
 def reconstruction_pa_mpjpe(
@@ -87,7 +104,8 @@ def reconstruction_pa_mpjpe(
         raise InputError("reconstruction PA-MPJPE requires equal frame counts")
     gen_joints = forward_kinematics_sequence(gen_seq.frames, chain)
     ref_joints = forward_kinematics_sequence(ref_seq.frames, chain)
-    return float(np.mean([frame_pa_jpe(g, r) for g, r in zip(gen_joints, ref_joints)]))
+    aligned, _ = procrustes_align(gen_joints, ref_joints)
+    return float(np.linalg.norm(aligned - ref_joints, axis=-1).mean(axis=-1).mean())
 
 
 @dataclass(frozen=True)

@@ -87,22 +87,30 @@ def forward_kinematics(frame: np.ndarray, chain: KinematicChain) -> np.ndarray:
 
 
 def forward_kinematics_sequence(frames: np.ndarray, chain: KinematicChain) -> np.ndarray:
-    """3D joint positions (T, J, 3) for a T x d parameter array."""
+    """3D joint positions (T, J, 3) for a T x d parameter array.
+
+    Joints are composed one tree depth at a time: every joint of a level
+    hangs off a parent of the level before, which is already placed.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     T = frames.shape[0]
     J = chain.num_joints
+    columns = np.asarray(chain.param_offsets)[:, None] + np.arange(ROTATION_DIMS)
+    local = axis_angle_matrices(frames[:, columns])
     pos = np.empty((T, J, 3))
     rot = np.empty((T, J, 3, 3))
-    for j in range(J):
-        o = chain.param_offsets[j]
-        local = axis_angle_matrices(frames[:, o: o + ROTATION_DIMS])
-        p = chain.parents[j]
-        if p < 0:
-            rot[:, j] = local
-            pos[:, j] = chain.root_position
-        else:
-            rot[:, j] = rot[:, p] @ local
-            pos[:, j] = pos[:, p] + (rot[:, p] @ chain.offsets[j])
+    rot[:, 0] = local[:, 0]
+    pos[:, 0] = chain.root_position
+    parent_of = np.asarray(chain.parents)
+    depth = np.zeros(J, dtype=np.int64)
+    for j in range(1, J):
+        depth[j] = depth[parent_of[j]] + 1
+    for level in range(1, int(depth.max()) + 1):
+        joints = np.flatnonzero(depth == level)
+        parents = parent_of[joints]
+        parent_rot = rot[:, parents]
+        rot[:, joints] = parent_rot @ local[:, joints]
+        pos[:, joints] = pos[:, parents] + (parent_rot @ chain.offsets[joints][..., None])[..., 0]
     return pos
 
 

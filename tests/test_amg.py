@@ -442,6 +442,14 @@ class TestRealModel:
         generator_loss(model, [pair], log)
         assert any(e.get("warning") == "prompt_truncated" for e in log)
 
+    @pytest.mark.parametrize("mode", ["sequential", "parallel", "multihead"])
+    def test_pairs_longer_than_decoder_positions_rejected(self, vocab, mode):
+        cfg = AmgConfig(d_model=32, num_heads=2, enc_layers=1, dec_layers=1, ffn_dim=64,
+                        k_max=2, enc_max_len=24)
+        model = GeneratorModel(vocab, cfg, mode, seed=0)
+        with pytest.raises(InputError, match="decoder positions"):
+            train_generator(make_pairs(vocab, n=3, k=4), model, AmgTrainConfig(epochs=1))
+
     def test_save_load_round_trip(self, vocab, tmp_path):
         model = GeneratorModel(vocab, TINY_CFG, "sequential", seed=4)
         pairs = make_pairs(vocab, n=3, k=2, seed=13)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from soke.errors import ConfigError, GraphError, NonFiniteError
+from soke.errors import ConfigError, GraphError, InputError, NonFiniteError
 from soke.grad import (
     Adam,
     CosineSchedule,
@@ -271,6 +271,33 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     from soke.errors import InputError
 
     with pytest.raises(InputError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [12, 20, -4])
+def test_checkpoint_rejects_truncated_blob(tmp_path, cut):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones((4, 3), dtype=np.float32), "b": np.zeros(3, dtype=np.float32)})
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(InputError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_undecodable_name(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones((4, 3), dtype=np.float32)})
+    blob = bytearray(path.read_bytes())
+    blob[15] = 0xFF  # first byte of the name "w", after magic, count and name length
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InputError, match="utf-8"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones((4, 3), dtype=np.float32)})
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(InputError, match="trailing"):
         load_checkpoint(path)
 
 

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soke.errors import DegenerateAlignmentError, InputError
+import soke.metrics.evaluate as evaluate
 from soke.metrics import (
-    aligned_residual,
     dtw,
-    dtw_brute_force,
     dtw_joint_metrics,
     evaluate_split,
     frame_jpe,
@@ -26,6 +25,86 @@ from soke.motion import (
     hand_joint_indices,
     synthesize_dataset,
 )
+
+
+def aligned_residual(A, B):
+    """Mean per-point Euclidean error after Procrustes alignment of A to B."""
+    aligned, _ = procrustes_align(A, B)
+    return float(np.linalg.norm(aligned - np.asarray(B, dtype=np.float64), axis=1).mean())
+
+
+def dtw_brute_force(gen, ref, cost):
+    """Exhaustive minimum over all monotone alignment paths; exponential, keep
+    lengths small."""
+    n, m = len(gen), len(ref)
+    best = [np.inf]
+
+    def walk(i, j, acc):
+        acc += cost(gen[i], ref[j])
+        if acc >= best[0]:
+            return
+        if i == n - 1 and j == m - 1:
+            best[0] = acc
+            return
+        if i + 1 < n and j + 1 < m:
+            walk(i + 1, j + 1, acc)
+        if i + 1 < n:
+            walk(i + 1, j, acc)
+        if j + 1 < m:
+            walk(i, j + 1, acc)
+
+    walk(0, 0, 0.0)
+    return float(best[0])
+
+
+def dtw_per_cell(gen, ref, cost):
+    """DTW filled one cell at a time with a per-cell argmin over the
+    (diagonal, vertical, horizontal) predecessors. Returns (total, path)."""
+    n, m = len(gen), len(ref)
+    local = np.array([[cost(g, r) for r in ref] for g in gen], dtype=np.float64)
+    acc = np.full((n, m), np.inf)
+    step = np.full((n, m), -1, dtype=np.int8)
+    acc[0, 0] = local[0, 0]
+    for i in range(1, n):
+        acc[i, 0] = acc[i - 1, 0] + local[i, 0]
+        step[i, 0] = 1
+    for j in range(1, m):
+        acc[0, j] = acc[0, j - 1] + local[0, j]
+        step[0, j] = 2
+    for i in range(1, n):
+        for j in range(1, m):
+            candidates = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+            best = int(np.argmin(candidates))
+            acc[i, j] = candidates[best] + local[i, j]
+            step[i, j] = best
+    path = [(n - 1, m - 1)]
+    i, j = n - 1, m - 1
+    while (i, j) != (0, 0):
+        s = step[i, j]
+        i, j = (i - 1, j - 1) if s == 0 else (i - 1, j) if s == 1 else (i, j - 1)
+        path.append((i, j))
+    return float(acc[n - 1, m - 1]), tuple(reversed(path))
+
+
+def dtw_joint_metrics_per_cell(gen_track, ref_track, body_idx, hand_idx):
+    """DTW joint metrics with one 2D Procrustes solve per DTW cell and again
+    along the chosen path. Returns ((jpe_body, jpe_hand, pa_body, pa_hand),
+    raw path, PA path)."""
+
+    def subset_means(path, aligned):
+        body_sum = hand_sum = 0.0
+        for i, j in path:
+            gen_frame = gen_track[i]
+            if aligned:
+                gen_frame, _ = procrustes_align(gen_frame, ref_track[j])
+            err = np.linalg.norm(gen_frame - ref_track[j], axis=-1)
+            body_sum += err[body_idx].mean()
+            hand_sum += err[hand_idx].mean()
+        return body_sum / len(path), hand_sum / len(path)
+
+    _, raw_path = dtw_per_cell(gen_track, ref_track, frame_jpe)
+    _, pa_path = dtw_per_cell(gen_track, ref_track, frame_pa_jpe)
+    return subset_means(raw_path, False) + subset_means(pa_path, True), raw_path, pa_path
 
 
 def random_rotation(rng):
@@ -84,6 +163,55 @@ class TestProcrustes:
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateAlignmentError):
             procrustes_align(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("shapes", [((4, 3), (5, 3)), ((2, 4, 3), (3, 4, 3)), ((4, 2), (4, 2))])
+    def test_mismatched_shapes_rejected(self, shapes):
+        with pytest.raises(DegenerateAlignmentError):
+            procrustes_align(np.ones(shapes[0]), np.ones(shapes[1]))
+
+    def test_plain_call_returns_float_scale(self):
+        rng = np.random.default_rng(6)
+        _, tf = procrustes_align(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+        assert type(tf.scale) is float
+
+    def test_broadcast_matches_loop_of_plain_calls(self):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(5, 1, 9, 3))
+        B = 1.3 * rng.normal(size=(1, 4, 9, 3)) + rng.normal(size=(1, 4, 1, 3))
+        aligned, tf = procrustes_align(A, B)
+        assert aligned.shape == (5, 4, 9, 3)
+        assert tf.scale.shape == (5, 4)
+        for i, j in itertools.product(range(5), range(4)):
+            ref_aligned, ref_tf = procrustes_align(A[i, 0], B[0, j])
+            assert np.allclose(aligned[i, j], ref_aligned, rtol=1e-12, atol=1e-12)
+            assert np.allclose(tf.rotation[i, j], ref_tf.rotation, rtol=1e-12, atol=1e-12)
+            assert tf.scale[i, j] == pytest.approx(ref_tf.scale, rel=1e-12)
+            assert np.allclose(tf.translation[i, j], ref_tf.translation, rtol=1e-12, atol=1e-12)
+            assert np.allclose(tf.apply(A)[i, j], ref_tf.apply(A[i, 0]), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("degenerate", ["collinear", "coincident"])
+    def test_one_degenerate_pair_in_batch_rejected(self, degenerate):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(6, 7, 3))
+        B = rng.normal(size=(6, 7, 3))
+        if degenerate == "collinear":
+            A[3] = np.outer(np.arange(7.0), rng.normal(size=3))
+        else:
+            A[3] = rng.normal(size=3)
+        procrustes_align(np.delete(A, 3, axis=0), np.delete(B, 3, axis=0))
+        with pytest.raises(DegenerateAlignmentError):
+            procrustes_align(A, B)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        rng = np.random.default_rng(9)
+        A = rng.normal(size=(3, 5, 3))
+        B = rng.normal(size=(3, 5, 3))
+        B[1, 2, 0] = bad
+        with pytest.raises(InputError, match="target"):
+            procrustes_align(A, B)
+        with pytest.raises(InputError, match="source"):
+            procrustes_align(B, A)
 
 
 class TestFrameJpe:
@@ -151,6 +279,30 @@ class TestDtw:
         b = rng.normal(size=7)
         assert dtw(a, b, abs_cost).total == pytest.approx(dtw(b, a, abs_cost).total)
 
+    @given(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=7),
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=7),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_array_cost_matches_callable_and_per_cell_oracle(self, a, b):
+        # small integer costs tie often, so this also pins the tie-breaking order
+        matrix = np.abs(np.subtract.outer(np.array(a, float), np.array(b, float)))
+        by_array = dtw(a, b, matrix)
+        by_callable = dtw(a, b, abs_cost)
+        assert by_array == by_callable
+        assert (by_array.total, by_array.path) == dtw_per_cell(a, b, abs_cost)
+
+    def test_array_cost_shape_checked(self):
+        with pytest.raises(InputError):
+            dtw([0.0, 1.0], [0.0, 1.0, 2.0], np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        matrix = np.zeros((2, 3))
+        matrix[1, 1] = bad
+        with pytest.raises(InputError):
+            dtw([0.0, 1.0], [0.0, 1.0, 2.0], matrix)
+
 
 @pytest.fixture(scope="module")
 def chain():
@@ -182,6 +334,50 @@ class TestDtwJointMetrics:
         summary = dtw_joint_metrics(track, track, body_joint_indices(chain), hand_joint_indices(chain))
         assert summary.jpe_body == 0.0
         assert summary.pa_jpe_hand < 1e-9  # SVD noise only
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_cell_oracle(self, chain, toy_pairs, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        _, gen_seq = toy_pairs[seed % len(toy_pairs)]
+        _, ref_seq = toy_pairs[(seed + 1) % len(toy_pairs)]
+        noise = rng.normal(0.0, 0.1, size=gen_seq.frames.shape)
+        gen_track = forward_kinematics_sequence(gen_seq.frames[seed % 2::2] + noise[seed % 2::2], chain)
+        ref_track = forward_kinematics_sequence(ref_seq.frames, chain)
+        assert len(gen_track) != len(ref_track)
+        body_idx, hand_idx = body_joint_indices(chain), hand_joint_indices(chain)
+
+        paths = []
+        recording = evaluate.dtw
+
+        def record(gen, ref, cost):
+            result = recording(gen, ref, cost)
+            paths.append(result.path)
+            return result
+
+        monkeypatch.setattr(evaluate, "dtw", record)
+        summary = dtw_joint_metrics(gen_track, ref_track, body_idx, hand_idx)
+        expected, raw_path, pa_path = dtw_joint_metrics_per_cell(gen_track, ref_track, body_idx, hand_idx)
+        assert paths == [raw_path, pa_path]
+        got = (summary.jpe_body, summary.jpe_hand, summary.pa_jpe_body, summary.pa_jpe_hand)
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_track_named(self, chain, toy_pairs, bad):
+        _, seq = toy_pairs[0]
+        track = forward_kinematics_sequence(seq.frames, chain)
+        broken = track.copy()
+        broken[2, 5, 1] = bad
+        body_idx, hand_idx = body_joint_indices(chain), hand_joint_indices(chain)
+        with pytest.raises(InputError, match="gen_track"):
+            dtw_joint_metrics(broken, track, body_idx, hand_idx)
+        with pytest.raises(InputError, match="ref_track"):
+            dtw_joint_metrics(track, broken, body_idx, hand_idx)
+
+    def test_joint_count_mismatch_rejected(self, chain, toy_pairs):
+        _, seq = toy_pairs[0]
+        track = forward_kinematics_sequence(seq.frames, chain)
+        with pytest.raises(InputError):
+            dtw_joint_metrics(track[:, :-1], track, body_joint_indices(chain), hand_joint_indices(chain))
 
 
 class TestEvaluateSplit:

@@ -142,6 +142,12 @@ class TestKinematics:
         for i, frame in enumerate(frames):
             assert np.allclose(batch[i], forward_kinematics(frame, chain))
 
+    def test_sequence_fk_equals_per_joint_oracle(self):
+        chain = build_sign_chain()
+        rng = np.random.default_rng(6)
+        frames = rng.normal(scale=0.5, size=(7, 133))
+        assert np.array_equal(forward_kinematics_sequence(frames, chain), fk_per_joint(frames, chain))
+
     def test_mean_bone_length_is_100mm(self):
         chain = build_sign_chain()
         lengths = np.linalg.norm(chain.offsets[1:], axis=1)
@@ -150,6 +156,24 @@ class TestKinematics:
     def test_axis_angle_small_angle_continuity(self):
         tiny = axis_angle_matrices(np.array([1e-9, 0.0, 0.0]))
         assert np.allclose(tiny, np.eye(3), atol=1e-8)
+
+
+def fk_per_joint(frames: np.ndarray, chain) -> np.ndarray:
+    """Forward kinematics composed one joint at a time, in topological order."""
+    T, J = frames.shape[0], chain.num_joints
+    pos = np.empty((T, J, 3))
+    rot = np.empty((T, J, 3, 3))
+    for j in range(J):
+        o = chain.param_offsets[j]
+        local = axis_angle_matrices(frames[:, o: o + 3])
+        p = chain.parents[j]
+        if p < 0:
+            rot[:, j] = local
+            pos[:, j] = chain.root_position
+        else:
+            rot[:, j] = rot[:, p] @ local
+            pos[:, j] = pos[:, p] + (rot[:, p] @ chain.offsets[j])
+    return pos
 
 
 def _matrix_to_axis_angle(R: np.ndarray) -> np.ndarray:

@@ -1,0 +1,25 @@
+import pytest
+
+from soke.amg import AmgConfig, AmgTrainConfig
+from soke.config import RunConfig
+from soke.deto import DetoConfig, DetoTrainConfig
+from soke.errors import InputError
+from soke.motion import SynthConfig
+from soke.pipeline import StageError, run_pipeline
+
+
+def test_amg_stage_failure_is_tagged(tmp_path):
+    # three-word sentences tokenize to more triples than k_max = 1 leaves
+    # decoder positions for
+    config = RunConfig(
+        synth=SynthConfig(lexicon_size=4, num_sentences=3, sentence_words=(3, 3)),
+        deto=DetoConfig(code_dim=8, codebook_sizes=(4, 4, 4), hidden_channels=8),
+        deto_train=DetoTrainConfig(steps=1),
+        amg=AmgConfig(d_model=8, num_heads=2, enc_layers=1, dec_layers=1, ffn_dim=16, k_max=1),
+        amg_train=AmgTrainConfig(epochs=1),
+        eval_sentences=1,
+    )
+    with pytest.raises(StageError) as info:
+        run_pipeline(config, tmp_path)
+    assert info.value.stage == "amg"
+    assert isinstance(info.value.cause, InputError)
