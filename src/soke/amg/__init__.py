@@ -16,7 +16,6 @@ from .model import MODES, AmgConfig, GeneratorModel, fuse_embeddings
 from .training import (
     AmgTrainConfig,
     TrainPair,
-    exact_match_rate,
     generator_loss,
     load_generator,
     save_generator,
@@ -40,7 +39,6 @@ __all__ = [
     "decode_parallel",
     "decode_sequential",
     "encode_prompt",
-    "exact_match_rate",
     "flatten",
     "fuse_embeddings",
     "generate_triples",

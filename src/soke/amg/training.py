@@ -2,26 +2,26 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
+from ..artifacts import from_dict, read_json, write_json, write_jsonl
+from ..errors import ConfigError, InputError, ModeError, NonFiniteError, TrainingDivergedError
 from ..grad import (
     Adam,
     CosineSchedule,
     Tensor,
     concat,
     cross_entropy,
-    load_checkpoint,
+    load_parameters,
     save_checkpoint,
 )
 from ..motion import PARTS, Part
 from ..deto import TokenSeq
-from .decoding import PartTokenTriple, generate_triples
-from .model import AmgConfig, GeneratorModel, fuse_embeddings
+from .decoding import PartTokenTriple
+from .model import MODES, AmgConfig, GeneratorModel, fuse_embeddings
 from .vocab import Vocabulary, load_vocab, save_vocab
 
 SIDECAR_NAME = "amg.json"
@@ -222,45 +222,32 @@ def train_generator(
     return model, log
 
 
-def exact_match_rate(model: GeneratorModel, pairs: list[TrainPair]) -> tuple[float, list[bool]]:
-    """Fraction of pairs whose greedy decode reproduces the target triples."""
-    hits = []
-    for pair in pairs:
-        result = generate_triples(model, list(pair.prompt_ids), pair.lang)
-        hits.append(tuple(result.triples) == tuple(pair.triples))
-    return (float(np.mean(hits)) if hits else 0.0), hits
+@dataclass(frozen=True)
+class AmgSidecar:
+    """amg.json: what rebuilds the generator before its parameters load."""
+
+    config: AmgConfig
+    mode: str
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ModeError(f"unknown decoding mode {self.mode!r}; expected one of {MODES}")
 
 
 def save_generator(out_dir: str | Path, model: GeneratorModel, log: list[dict] | None = None) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / CHECKPOINT_NAME, {name: p.data for name, p in model.parameters()})
-    cfg = model.config
-    sidecar = {
-        "mode": model.mode,
-        "config": {
-            "d_model": cfg.d_model, "num_heads": cfg.num_heads,
-            "enc_layers": cfg.enc_layers, "dec_layers": cfg.dec_layers,
-            "ffn_dim": cfg.ffn_dim, "fuse_lambda": cfg.fuse_lambda,
-            "k_max": cfg.k_max, "enc_max_len": cfg.enc_max_len,
-        },
-    }
-    (out_dir / SIDECAR_NAME).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / SIDECAR_NAME, asdict(AmgSidecar(model.config, model.mode)))
     save_vocab(out_dir / "vocab.json", model.vocab)
     if log is not None:
-        with open(out_dir / "train_log.jsonl", "w") as fh:
-            for entry in log:
-                fh.write(json.dumps(entry) + "\n")
+        write_jsonl(out_dir / "train_log.jsonl", log)
 
 
 def load_generator(out_dir: str | Path) -> GeneratorModel:
     out_dir = Path(out_dir)
-    sidecar = json.loads((out_dir / SIDECAR_NAME).read_text())
+    sidecar = read_json(out_dir / SIDECAR_NAME,
+                        lambda payload: from_dict(AmgSidecar, payload, complete=True))
     vocab = load_vocab(out_dir / "vocab.json")
-    model = GeneratorModel(vocab, AmgConfig(**sidecar["config"]), sidecar["mode"], seed=0)
-    params = load_checkpoint(out_dir / CHECKPOINT_NAME)
-    for name, tensor in model.parameters():
-        if name not in params or params[name].shape != tensor.shape:
-            raise InputError(f"checkpoint missing or mismatched parameter {name}")
-        tensor.data = params[name].astype(np.float32)
+    model = GeneratorModel(vocab, sidecar.config, sidecar.mode, seed=0)
+    load_parameters(out_dir / CHECKPOINT_NAME, model.parameters())
     return model

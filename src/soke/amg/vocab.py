@@ -7,10 +7,9 @@ Token id space (one bijection onto [0, |V|)):
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
+from ..artifacts import read_json, write_json
 from ..errors import VocabularyError
 from ..motion import PARTS, Part
 from ..textproc import tokenize_words
@@ -149,11 +148,8 @@ class Vocabulary:
 
 
 def save_vocab(path, vocab: Vocabulary) -> None:
-    with open(path, "w") as fh:
-        json.dump(vocab.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, vocab.to_json())
 
 
 def load_vocab(path) -> Vocabulary:
-    with open(path) as fh:
-        return Vocabulary.from_json(json.load(fh))
+    return read_json(path, Vocabulary.from_json)

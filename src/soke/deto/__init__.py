@@ -6,7 +6,6 @@ from .tokenizer import (
     DecoupledTokenizer,
     DetoConfig,
     PartTokenizer,
-    frozen_vq_loss_fn,
     vq_loss_terms,
 )
 from .training import (
@@ -28,7 +27,6 @@ __all__ = [
     "PartTokenizer",
     "SIDECAR_NAME",
     "TokenSeq",
-    "frozen_vq_loss_fn",
     "load_deto",
     "nearest_code_ids",
     "quantize",

@@ -7,7 +7,7 @@ a multiple of F so the encoder emits exactly ceil(T / F) latents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,36 +144,6 @@ class PartTokenizer:
         return vq_loss_terms(latents, codes, recon, x, self.config.w_emb, self.config.w_com)
 
 
-def frozen_vq_loss_fn(tok: PartTokenizer, motion: PartMotion):
-    """Total VQ loss with every stop-gradient operand frozen at the current
-    operating point.
-
-    The quantizer becomes latents + const(codes0 - latents0) and the detached
-    sides of the embedding/commitment terms become constants, which is
-    exactly the surrogate whose true gradient the straight-through estimator
-    computes. Its finite differences are therefore comparable to backward()
-    on the live loss at this point.
-    """
-    latents0 = tok.encode_latents(motion.frames).data.copy()
-    ids0 = nearest_code_ids(latents0, tok.codebook.codes.data)
-    codes0 = tok.codebook.codes.data[ids0].copy()
-    delta0 = codes0 - latents0
-    T = motion.frames.shape[0]
-    cfg = tok.config
-
-    def loss_fn() -> Tensor:
-        latents = tok.encode_latents(motion.frames)
-        st = latents + Tensor(delta0)
-        recon = tok.decode_latents(st)[:T]
-        rec = ((recon - Tensor(motion.frames)) ** 2).mean()
-        codes = gather_rows(tok.codebook.codes, ids0)
-        emb = ((codes - Tensor(latents0)) ** 2).mean() * cfg.w_emb
-        com = ((latents - Tensor(codes0)) ** 2).mean() * cfg.w_com
-        return rec + emb + com
-
-    return loss_fn
-
-
 def vq_loss_terms(
     latents: Tensor,
     codes: Tensor,
@@ -236,10 +206,4 @@ class DecoupledTokenizer:
         return merge_parts(
             decoded[Part.BODY], decoded[Part.LEFT_HAND], decoded[Part.RIGHT_HAND],
             layout=self.layout, fps=fps, language_tag=language_tag,
-        )
-
-    def round_trip(self, seq: MotionSequence) -> MotionSequence:
-        tokens = self.encode_sequence(seq)
-        return self.decode_tokens(
-            tokens, num_frames=seq.num_frames, fps=seq.fps, language_tag=seq.language_tag
         )

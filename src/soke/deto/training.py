@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import from_dict, read_json, write_json, write_jsonl
 from ..errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
-from ..grad import Adam, CosineSchedule, load_checkpoint, save_checkpoint
+from ..grad import Adam, CosineSchedule, load_parameters, save_checkpoint
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, split_parts
 from .codebook import nearest_code_ids
 from .tokenizer import DecoupledTokenizer, DetoConfig, PartTokenizer
@@ -129,49 +129,26 @@ def train_tokenizer(
     return deto, log
 
 
+@dataclass(frozen=True)
+class DetoSidecar:
+    """deto.json: what rebuilds the tokenizer before its parameters load."""
+
+    layout: PartLayout
+    config: DetoConfig
+
+
 def save_deto(out_dir: str | Path, deto: DecoupledTokenizer, log: list[dict] | None = None) -> None:
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out_dir / CHECKPOINT_NAME, {name: p.data for name, p in deto.parameters()})
-    sidecar = {
-        "layout": {
-            "body_joints": deto.layout.body_joints,
-            "hand_joints_per_hand": deto.layout.hand_joints_per_hand,
-            "expression_dims": deto.layout.expression_dims,
-        },
-        "part_widths": {part.value: deto.layout.part_width(part) for part in PARTS},
-        "downsample": deto.config.downsample,
-        "codebook_sizes": list(deto.config.codebook_sizes),
-        "code_dim": deto.config.code_dim,
-        "hidden_channels": deto.config.hidden_channels,
-        "w_emb": deto.config.w_emb,
-        "w_com": deto.config.w_com,
-    }
-    (out_dir / SIDECAR_NAME).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / SIDECAR_NAME, asdict(DetoSidecar(deto.layout, deto.config)))
     if log is not None:
-        with open(out_dir / "train_log.jsonl", "w") as fh:
-            for entry in log:
-                fh.write(json.dumps(entry) + "\n")
+        write_jsonl(out_dir / "train_log.jsonl", log)
 
 
 def load_deto(out_dir: str | Path) -> DecoupledTokenizer:
     out_dir = Path(out_dir)
-    sidecar = json.loads((out_dir / SIDECAR_NAME).read_text())
-    layout = PartLayout(**sidecar["layout"])
-    config = DetoConfig(
-        code_dim=sidecar["code_dim"],
-        codebook_sizes=tuple(sidecar["codebook_sizes"]),
-        hidden_channels=sidecar["hidden_channels"],
-        downsample=sidecar["downsample"],
-        w_emb=sidecar["w_emb"],
-        w_com=sidecar["w_com"],
-    )
-    deto = DecoupledTokenizer(layout, config, seed=0)
-    params = load_checkpoint(out_dir / CHECKPOINT_NAME)
-    for name, tensor in deto.parameters():
-        if name not in params:
-            raise InputError(f"checkpoint missing parameter {name}")
-        if params[name].shape != tensor.shape:
-            raise InputError(f"checkpoint shape mismatch for {name}")
-        tensor.data = params[name].astype(np.float32)
+    sidecar = read_json(out_dir / SIDECAR_NAME,
+                        lambda payload: from_dict(DetoSidecar, payload, complete=True))
+    deto = DecoupledTokenizer(sidecar.layout, sidecar.config, seed=0)
+    load_parameters(out_dir / CHECKPOINT_NAME, deto.parameters())
     return deto

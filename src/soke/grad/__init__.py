@@ -1,6 +1,6 @@
 """Minimal differentiable-computation substrate used by every trained model."""
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, load_parameters, save_checkpoint
 from .fdcheck import check_gradients, finite_difference_grad, max_relative_error
 from .optim import Adam, CosineSchedule, OptimizerState
 from .tensor import (
@@ -36,6 +36,7 @@ __all__ = [
     "get_default_dtype",
     "layer_norm",
     "load_checkpoint",
+    "load_parameters",
     "log_softmax_array",
     "max_relative_error",
     "save_checkpoint",

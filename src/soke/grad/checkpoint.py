@@ -13,14 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import write_atomic
 from ..errors import InputError
+from .tensor import Tensor
 
 MAGIC = b"SOKEckpt1"
 
 
 def save_checkpoint(path: str | Path, params: dict[str, np.ndarray]) -> None:
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with write_atomic(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(params)))
         for name, value in params.items():
@@ -69,3 +70,13 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     if offset != len(blob):
         raise InputError(f"{path}: {len(blob) - offset} trailing bytes after the last parameter")
     return params
+
+
+def load_parameters(path: str | Path, named_params: list[tuple[str, Tensor]]) -> None:
+    """Overwrite each named tensor with its checkpoint value; a parameter the
+    checkpoint lacks or holds in another shape raises InputError."""
+    params = load_checkpoint(path)
+    for name, tensor in named_params:
+        if name not in params or params[name].shape != tensor.shape:
+            raise InputError(f"{path}: checkpoint missing or mismatched parameter {name}")
+        tensor.data = params[name].astype(np.float32)

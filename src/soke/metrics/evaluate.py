@@ -11,14 +11,14 @@ Reported DTW values are path-length-normalized (`dtw_normalization = path`).
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from ..artifacts import write_json
 from ..errors import InputError
 from ..motion import (
     KinematicChain,
@@ -215,8 +215,4 @@ def _aggregate(samples: list) -> dict:
 
 
 def save_report(path: str | Path, report: EvalReport) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report.to_json())

@@ -12,22 +12,21 @@ from pathlib import Path
 
 import numpy as np
 
+from ..artifacts import write_jsonl
 from ..errors import InputError
 from .layout import MotionSequence, PartLayout
 
 
 def save_motions(path: str | Path, pairs: list[tuple[str, MotionSequence]]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for text, seq in pairs:
-            record = {
-                "text": text,
-                "lang": seq.language_tag,
-                "fps": seq.fps,
-                "frames": [[float(v) for v in frame] for frame in seq.frames],
-            }
-            fh.write(json.dumps(record) + "\n")
+    write_jsonl(path, (
+        {
+            "text": text,
+            "lang": seq.language_tag,
+            "fps": seq.fps,
+            "frames": [[float(v) for v in frame] for frame in seq.frames],
+        }
+        for text, seq in pairs
+    ))
 
 
 def load_motions(path: str | Path, layout: PartLayout | None = None) -> list[tuple[str, MotionSequence]]:

@@ -2,20 +2,30 @@
 generate -> eval, with every stage resumable from its on-disk artifact.
 
 A run directory looks like:
-    run_config.json
+    run_config.json        the RunConfig
     data/train.jsonl, data/test.jsonl, data/dict_instances.jsonl
-    deto/              trained tokenizer
-    dict.json          sign dictionary
-    amg/               trained generator (single mode per run)
-    report.json        EvalReport
-    manifest.json      config hash + artifact hashes, written last
+                           motions, one JSON object per line
+    deto/deto.ckpt         trained tokenizer parameters
+    deto/deto.json         {"layout": PartLayout, "config": DetoConfig}
+    deto/train_log.jsonl   per-epoch losses and reseeded codes of each part
+    dict.json              sign dictionary
+    dict_warnings.jsonl    skipped dictionary instances (only if any)
+    amg/amg.ckpt           trained generator parameters (single mode per run)
+    amg/amg.json           {"config": AmgConfig, "mode": str}
+    amg/vocab.json         integrated vocabulary
+    amg/train_log.jsonl    loss curve and prompt-truncation warnings
+    report.json            EvalReport
+    manifest.json          config hash + artifact hashes, written last
+
+Every file is written atomically (to `<name>.tmp`, then renamed), so a
+crash never leaves a partial file under its final name; a malformed file
+read by a later stage raises InputError naming it, wrapped in StageError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -24,7 +34,6 @@ import numpy as np
 
 from . import __version__
 from .amg import (
-    AmgTrainConfig,
     GeneratorModel,
     TrainPair,
     Vocabulary,
@@ -35,6 +44,7 @@ from .amg import (
     train_generator,
     triples_from_tokens,
 )
+from .artifacts import read_json, write_json, write_jsonl
 from .config import RunConfig, run_config_to_dict, save_run_config
 from .deto import load_deto, save_deto, train_tokenizer
 from .errors import SokeError
@@ -104,9 +114,7 @@ def stage_dict(config: RunConfig, out_dir: Path) -> None:
     dictionary, warnings = build_dictionary(instances, deto, chain)
     save_dictionary(out_dir / "dict.json", dictionary)
     if warnings:
-        with open(out_dir / "dict_warnings.jsonl", "w") as fh:
-            for record in warnings:
-                fh.write(json.dumps(record) + "\n")
+        write_jsonl(out_dir / "dict_warnings.jsonl", warnings)
 
 
 def build_train_pairs(
@@ -214,20 +222,15 @@ def write_manifest(config: RunConfig, out_dir: Path, started: float, ran: list[s
         "started": started,
         "finished": time.time(),
     }
-    tmp = out_dir / "manifest.json.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, out_dir / "manifest.json")
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 
 def verify_manifest(out_dir: str | Path) -> bool:
     """Re-hash artifacts and compare against the stored manifest."""
     out_dir = Path(out_dir)
-    with open(out_dir / "manifest.json") as fh:
-        manifest = json.load(fh)
-    for rel, digest in manifest["artifacts"].items():
+    artifacts = read_json(out_dir / "manifest.json", lambda manifest: dict(manifest["artifacts"]))
+    for rel, digest in artifacts.items():
         path = out_dir / rel
         if not path.exists() or file_hash(path) != digest:
             return False

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_jsonl
 from .errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
 from .grad import Tensor, default_dtype, stack
 from .motion import KinematicChain, MotionSequence
@@ -170,7 +171,7 @@ def loss_temp(joints: Tensor) -> Tensor:
     """Sum over frames of the surface-proxy and joint displacement norms.
 
     FK joints stand in for mesh vertices, so the two norms run over the same
-    point set; both terms are kept so the objective shape is explicit.
+    point set and the term is twice the joint displacement sum.
     T < 2 contributes zero.
     """
     T = joints.shape[0]
@@ -178,9 +179,7 @@ def loss_temp(joints: Tensor) -> Tensor:
         return Tensor(0.0)
     diff = joints[1:] - joints[:-1]
     norms = ((diff * diff).sum(axis=(1, 2)) + _EPS).sqrt()
-    surface_term = norms.sum()
-    joint_term = norms.sum()
-    return surface_term + joint_term
+    return norms.sum() * 2.0
 
 
 def loss_reg(theta: Tensor) -> Tensor:
@@ -196,11 +195,19 @@ def total_loss(
     config: FitConfig,
     smooth: float = 0.0,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """(total, rec, temp, reg) with one FK pass.
+
+    total is the weighted objective the optimizer minimizes; its
+    reprojection term is smoothed by `smooth` (see loss_rec). rec, temp and
+    reg are the exact terms, so rec is the exact L1 even when smooth > 0.
+    """
     joints = body_fk(theta, chain)
-    rec = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
+    rec_smooth = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
+    rec = (loss_rec(joints, observations, cam_params, config.observed_joints)
+           if smooth > 0.0 else rec_smooth)
     temp = loss_temp(joints)
     reg = loss_reg(theta)
-    total = rec * config.w_rec + temp * config.w_temp + reg * config.w_reg
+    total = rec_smooth * config.w_rec + temp * config.w_temp + reg * config.w_reg
     return total, rec, temp, reg
 
 
@@ -252,13 +259,8 @@ def fit_sequence(
             theta_t = Tensor(theta_arr, requires_grad=with_grad)
             cam_t = Tensor(cam_arr, requires_grad=with_grad and config.optimize_camera)
             try:
-                joints = body_fk(theta_t, body_chain)
-                rec_s = loss_rec(joints, observations, cam_t, config.observed_joints,
-                                 smooth=config.rec_smooth_mm)
-                rec = loss_rec(joints, observations, cam_t, config.observed_joints)
-                temp = loss_temp(joints)
-                reg = loss_reg(theta_t)
-                objective = rec_s * config.w_rec + temp * config.w_temp + reg * config.w_reg
+                objective, rec, temp, reg = total_loss(theta_t, cam_t, observations, body_chain,
+                                                       config, smooth=config.rec_smooth_mm)
                 if with_grad:
                     objective.backward()
             except NonFiniteError as exc:
@@ -339,13 +341,11 @@ def fit_sequence(
 
 
 def save_observations(path: str | Path, observations: list[Observation2D]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for i, obs in enumerate(observations):
-            joints = [[float(x), float(y), float(c)]
-                      for (x, y), c in zip(obs.points, obs.confidence)]
-            fh.write(json.dumps({"frame_idx": i, "joints": joints}) + "\n")
+    write_jsonl(path, (
+        {"frame_idx": i,
+         "joints": [[float(x), float(y), float(c)] for (x, y), c in zip(obs.points, obs.confidence)]}
+        for i, obs in enumerate(observations)
+    ))
 
 
 def load_observations(path: str | Path) -> list[Observation2D]:

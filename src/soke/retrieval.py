@@ -9,12 +9,12 @@ order as contiguous per-part blocks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from .amg import Vocabulary
+from .artifacts import read_json, write_json
 from .deto import DecoupledTokenizer, TokenSeq
 from .errors import InputError
 from .metrics import reconstruction_pa_mpjpe
@@ -155,13 +155,8 @@ def build_prompt(
 
 
 def save_dictionary(path: str | Path, dictionary: SignDictionary) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(dictionary.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, dictionary.to_json())
 
 
 def load_dictionary(path: str | Path) -> SignDictionary:
-    with open(path) as fh:
-        return SignDictionary.from_json(json.load(fh))
+    return read_json(path, SignDictionary.from_json)

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from soke.errors import ConfigError, InputError, ModeError, VocabularyError
+from soke.errors import ConfigError, InputError, ModeError, SokeError, VocabularyError
 from soke.amg import (
     AmgConfig,
     AmgTrainConfig,
@@ -13,7 +15,6 @@ from soke.amg import (
     decode_parallel,
     decode_sequential,
     encode_prompt,
-    exact_match_rate,
     flatten,
     fuse_embeddings,
     generate_triples,
@@ -329,6 +330,15 @@ def make_pairs(vocab, n=8, k=3, seed=0):
     return pairs
 
 
+def exact_match_rate(model: GeneratorModel, pairs: list[TrainPair]) -> tuple[float, list[bool]]:
+    """Fraction of pairs whose greedy decode reproduces the target triples."""
+    hits = []
+    for pair in pairs:
+        result = generate_triples(model, list(pair.prompt_ids), pair.lang)
+        hits.append(tuple(result.triples) == tuple(pair.triples))
+    return (float(np.mean(hits)) if hits else 0.0), hits
+
+
 def parallel_oracle(model, h_en, enc_mask, lang, k_max):
     """Parallel decoding as three separate B=1 greedy streams, each run to its
     own EOS, then truncated to the shortest."""
@@ -459,3 +469,45 @@ class TestRealModel:
         prompt = list(pairs[0].prompt_ids)
         assert generate_triples(model, prompt, "ASL").triples == \
             generate_triples(loaded, prompt, "ASL").triples
+
+
+def _edit_json(path, edit):
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+class TestCorruptSidecar:
+    @pytest.fixture()
+    def saved(self, vocab, tmp_path):
+        out = tmp_path / "amg"
+        save_generator(out, GeneratorModel(vocab, TINY_CFG, "sequential", seed=0))
+        return out
+
+    def test_unknown_config_key_names_the_file(self, saved):
+        _edit_json(saved / "amg.json", lambda p: p["config"].update(dropout=0.1))
+        with pytest.raises(SokeError, match="amg.json"):
+            load_generator(saved)
+
+    def test_missing_mode_names_the_file(self, saved):
+        _edit_json(saved / "amg.json", lambda p: p.pop("mode"))
+        with pytest.raises(SokeError, match="amg.json"):
+            load_generator(saved)
+
+    def test_truncated_sidecar_names_the_file(self, saved):
+        text = (saved / "amg.json").read_text()
+        (saved / "amg.json").write_text(text[: len(text) // 2])
+        with pytest.raises(SokeError, match="amg.json"):
+            load_generator(saved)
+
+    def test_vocab_without_codebook_sizes_names_the_file(self, saved):
+        _edit_json(saved / "vocab.json", lambda p: p.pop("codebook_sizes"))
+        with pytest.raises(SokeError, match="vocab.json"):
+            load_generator(saved)
+
+    def test_sidecar_is_the_config_dataclass(self, saved):
+        payload = json.loads((saved / "amg.json").read_text())
+        assert payload == {"mode": "sequential", "config": {
+            "d_model": 32, "num_heads": 2, "enc_layers": 1, "dec_layers": 1, "ffn_dim": 64,
+            "fuse_lambda": 1.0 / 3.0, "k_max": 8, "enc_max_len": 24,
+        }}

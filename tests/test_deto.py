@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soke.errors import ConfigError, InputError
+from soke.errors import ConfigError, InputError, SokeError
 from soke.deto import (
     Codebook,
     DecoupledTokenizer,
@@ -11,7 +13,6 @@ from soke.deto import (
     DetoTrainConfig,
     PartTokenizer,
     TokenSeq,
-    frozen_vq_loss_fn,
     load_deto,
     nearest_code_ids,
     quantize,
@@ -19,7 +20,7 @@ from soke.deto import (
     train_tokenizer,
     vq_loss_terms,
 )
-from soke.grad import Tensor, check_gradients, default_dtype
+from soke.grad import Tensor, check_gradients, default_dtype, gather_rows
 from soke.motion import (
     MotionSequence,
     Part,
@@ -40,6 +41,43 @@ def brute_force_nearest(latent_row: np.ndarray, codes: np.ndarray) -> int:
         if d2 < best_d2:
             best_idx, best_d2 = j, d2
     return best_idx
+
+
+def round_trip(deto: DecoupledTokenizer, seq: MotionSequence) -> MotionSequence:
+    tokens = deto.encode_sequence(seq)
+    return deto.decode_tokens(
+        tokens, num_frames=seq.num_frames, fps=seq.fps, language_tag=seq.language_tag
+    )
+
+
+def frozen_vq_loss_fn(tok: PartTokenizer, motion: PartMotion):
+    """Total VQ loss with every stop-gradient operand frozen at the current
+    operating point.
+
+    The quantizer becomes latents + const(codes0 - latents0) and the detached
+    sides of the embedding/commitment terms become constants, which is
+    exactly the surrogate whose true gradient the straight-through estimator
+    computes. Its finite differences are therefore comparable to backward()
+    on the live loss at this point.
+    """
+    latents0 = tok.encode_latents(motion.frames).data.copy()
+    ids0 = nearest_code_ids(latents0, tok.codebook.codes.data)
+    codes0 = tok.codebook.codes.data[ids0].copy()
+    delta0 = codes0 - latents0
+    T = motion.frames.shape[0]
+    cfg = tok.config
+
+    def loss_fn() -> Tensor:
+        latents = tok.encode_latents(motion.frames)
+        quantized = latents + Tensor(delta0)
+        recon = tok.decode_latents(quantized)[:T]
+        rec = ((recon - Tensor(motion.frames)) ** 2).mean()
+        codes = gather_rows(tok.codebook.codes, ids0)
+        emb = ((codes - Tensor(latents0)) ** 2).mean() * cfg.w_emb
+        com = ((latents - Tensor(codes0)) ** 2).mean() * cfg.w_com
+        return rec + emb + com
+
+    return loss_fn
 
 
 class TestQuantize:
@@ -134,7 +172,7 @@ class TestEncodeDecode:
     def test_round_trip_frame_count(self):
         deto = DecoupledTokenizer(PartLayout(), TINY, seed=3)
         seq = MotionSequence(np.random.default_rng(5).normal(size=(17, 133)).astype(np.float32))
-        out = deto.round_trip(seq)
+        out = round_trip(deto, seq)
         assert out.num_frames == seq.num_frames
 
 
@@ -264,3 +302,58 @@ class TestConfig:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigError):
             DetoConfig(codebook_sizes=(0, 192, 192))
+
+
+def _holder(payload: dict, key: str) -> dict:
+    """The object of a sidecar that holds `key`: the top level or one level down."""
+    if key in payload:
+        return payload
+    return next(v for v in payload.values() if isinstance(v, dict) and key in v)
+
+
+def _drop_w_com(text: str) -> str:
+    payload = json.loads(text)
+    del _holder(payload, "w_com")["w_com"]
+    return json.dumps(payload)
+
+
+def _string_code_dim(text: str) -> str:
+    payload = json.loads(text)
+    _holder(payload, "code_dim")["code_dim"] = "8"
+    return json.dumps(payload)
+
+
+def _unknown_key(text: str) -> str:
+    payload = json.loads(text)
+    _holder(payload, "code_dim")["dropout"] = 0.1
+    return json.dumps(payload)
+
+
+class TestCorruptSidecar:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        out = tmp_path / "deto"
+        save_deto(out, DecoupledTokenizer(PartLayout(), TINY, seed=0))
+        return out
+
+    @pytest.mark.parametrize("corrupt", [
+        _drop_w_com,
+        lambda text: text[: len(text) // 2],
+        _string_code_dim,
+        _unknown_key,
+    ], ids=["missing-key", "truncated", "wrong-type", "unknown-key"])
+    def test_corrupt_sidecar_names_the_file(self, saved, corrupt):
+        sidecar = saved / "deto.json"
+        sidecar.write_text(corrupt(sidecar.read_text()))
+        with pytest.raises(SokeError, match="deto.json"):
+            load_deto(saved)
+
+    def test_sidecar_is_the_two_dataclasses(self, saved):
+        payload = json.loads((saved / "deto.json").read_text())
+        assert payload == {
+            "layout": {"body_joints": 11, "hand_joints_per_hand": 15, "expression_dims": 10},
+            "config": {"code_dim": 6, "codebook_sizes": [5, 7, 7], "hidden_channels": 4,
+                       "downsample": 4, "w_emb": 1.0, "w_com": 0.25},
+        }
+        loaded = load_deto(saved)
+        assert loaded.layout == PartLayout() and loaded.config == TINY

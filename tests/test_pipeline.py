@@ -8,6 +8,16 @@ from soke.motion import SynthConfig
 from soke.pipeline import StageError, run_pipeline
 
 
+TINY = RunConfig(
+    synth=SynthConfig(lexicon_size=4, num_sentences=3, sentence_words=(1, 2)),
+    deto=DetoConfig(code_dim=8, codebook_sizes=(4, 4, 4), hidden_channels=8),
+    deto_train=DetoTrainConfig(steps=1),
+    amg=AmgConfig(d_model=8, num_heads=2, enc_layers=1, dec_layers=1, ffn_dim=16),
+    amg_train=AmgTrainConfig(epochs=1),
+    eval_sentences=1,
+)
+
+
 def test_amg_stage_failure_is_tagged(tmp_path):
     # three-word sentences tokenize to more triples than k_max = 1 leaves
     # decoder positions for
@@ -23,3 +33,16 @@ def test_amg_stage_failure_is_tagged(tmp_path):
         run_pipeline(config, tmp_path)
     assert info.value.stage == "amg"
     assert isinstance(info.value.cause, InputError)
+
+
+def test_corrupt_upstream_sidecar_is_tagged_with_the_reading_stage(tmp_path):
+    run_pipeline(TINY, tmp_path)
+    sidecar = tmp_path / "deto" / "deto.json"
+    text = sidecar.read_text()
+    sidecar.write_text(text[: len(text) // 2])
+    (tmp_path / "dict.json").unlink()
+    with pytest.raises(StageError) as info:
+        run_pipeline(TINY, tmp_path)
+    assert info.value.stage == "dict"
+    assert isinstance(info.value.cause, InputError)
+    assert "deto.json" in str(info.value)

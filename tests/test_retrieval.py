@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from soke.amg import Vocabulary
 from soke.deto import DetoConfig, DetoTrainConfig, TokenSeq, train_tokenizer
-from soke.errors import InputError
+from soke.errors import InputError, SokeError
 from soke.metrics import reconstruction_pa_mpjpe
 from soke.motion import (
     MotionSequence,
@@ -200,3 +202,18 @@ class TestPersistence:
         save_dictionary(path, dictionary)
         loaded = load_dictionary(path)
         assert loaded.to_json() == dictionary.to_json()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text: text[: len(text) // 2],
+        lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": [0]}}}),
+        lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": [0], "err": "x"}}}),
+        lambda text: json.dumps(["ASL"]),
+    ], ids=["truncated", "missing-err", "string-err", "not-an-object"])
+    def test_corrupt_dictionary_names_the_file(self, tmp_path, corrupt):
+        d = SignDictionary()
+        d.offer("ASL", entry_for("cold", n=2))
+        path = tmp_path / "dict.json"
+        save_dictionary(path, d)
+        path.write_text(corrupt(path.read_text()))
+        with pytest.raises(SokeError, match="dict.json"):
+            load_dictionary(path)
