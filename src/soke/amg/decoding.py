@@ -1,16 +1,12 @@
 """Greedy decoding in three factorizations of one autoregressive generator.
 
-One greedy loop serves every mode. Each step is one decoder pass over R rows
-and one masked argmax per slot, a (row, head, support part) triple. Decoding
-stops at the first step where any slot picks EOS, and that step is excluded.
-The modes differ only in data:
-
-- sequential: one <BOS> row; step t has the single slot
-  (0, body head, PARTS[t % 3]), one flat stream of at most 3 * k_max steps;
-- parallel: three <Lang_p> rows over the encoder state tiled three times;
-  slots (r, body head, PARTS[r]);
-- multihead: one <BOS> row; slots (0, head p, p) for each part p; the next
-  input is the fused embedding of the three picks.
+One greedy loop serves every mode and reads the mode's entry of
+`MODE_SPECS` (model.py). Each step is one decoder pass over one row per start
+token and one masked argmax per slot, a (row, head, support part) triple.
+Decoding stops at the first step where any slot picks EOS, and that step is
+excluded. The kept picks, in step and slot order, are the flat stream
+(B, LH, RH, B, ...): they are grouped in threes, and step_count is
+len(schedule) * K.
 """
 
 from __future__ import annotations
@@ -22,8 +18,8 @@ import numpy as np
 
 from ..errors import InputError, ModeError
 from ..grad import Tensor, concat, log_softmax_array
-from ..motion import PARTS, Part
-from .model import GeneratorModel, fuse_embeddings
+from ..motion import PARTS
+from .model import MODE_SPECS, GeneratorModel, fuse_embeddings, tile_rows
 from .vocab import Vocabulary
 
 
@@ -108,57 +104,57 @@ def _masked_pick(logits_row: np.ndarray, support: np.ndarray) -> tuple[int, floa
     return token, logp
 
 
-Slot = tuple[int, Part, Part]  # (row, head, support part)
-
-
 def _greedy(
     model: GeneratorModel,
     h_en: Tensor,
     enc_mask: np.ndarray,
-    start_ids: list[int],
-    schedule: tuple[tuple[Slot, ...], ...],
-    max_steps: int,
-    fuse: bool = False,
-) -> tuple[list[list[tuple[int, float]]], int]:
-    """The greedy loop shared by every mode, over one row per start id.
-
-    Step t picks one token per slot of schedule[t % len(schedule)]. Each row's
-    next input is the embedding of its pick, or with `fuse` the fused
-    embedding of all picks of the step (one row). Returns the (token,
-    log-probability) picks of every kept step and the number of decoder passes.
-    """
+    lang: str | None,
+    k_max: int | None,
+) -> DecodeResult:
+    """Greedy decoding as MODE_SPECS[model.mode] lays it out, for at most
+    len(schedule) * k_max steps; a trailing partial triple is dropped."""
+    spec = MODE_SPECS[model.mode]
     vocab = model.vocab
+    k_max = model.config.k_max if k_max is None else k_max
+    start = time.perf_counter()
     supports = {part: vocab.part_support_mask(part) for part in PARTS}
-    inputs = [model.token_embeddings(np.asarray(start_ids)[:, None])]
-    steps: list[list[tuple[int, float]]] = []
+    h_en, enc_mask = tile_rows(h_en, enc_mask, len(spec.starts))
+    inputs = [model.token_embeddings(np.asarray(spec.start_ids(vocab, lang))[:, None])]
+    picks: list[tuple[int, float]] = []
+    max_steps = len(spec.schedule) * k_max
+    passes = max_steps
     for t in range(max_steps):
         dec_emb = inputs[0] if len(inputs) == 1 else concat(inputs, axis=1)
         hidden = model.decode_hidden(dec_emb, h_en, enc_mask)
-        slots = schedule[t % len(schedule)]
+        slots = spec.schedule[t % len(spec.schedule)]
         logits = {}
         for _, head, _ in slots:
             if head not in logits:
                 logits[head] = model.head_logits(hidden, head).data[:, -1]
-        picks = [_masked_pick(logits[head][row], supports[part]) for row, head, part in slots]
-        tokens = [token for token, _ in picks]
+        step = [_masked_pick(logits[head][row], supports[part]) for row, head, part in slots]
+        tokens = [token for token, _ in step]
         if vocab.eos_id in tokens:
-            return steps, t + 1
-        steps.append(picks)
-        if fuse:
+            passes = t + 1
+            break
+        picks.extend(step)
+        if spec.fuse:
             embs = [model.token_embeddings(np.asarray([[token]])) for token in tokens]
             inputs.append(fuse_embeddings(*embs, model.config.fuse_lambda))
         else:
             inputs.append(model.token_embeddings(np.asarray(tokens)[:, None]))
-    return steps, max_steps
+    k = len(picks) // 3
+    triples = tuple(unflatten([token for token, _ in picks[: 3 * k]], vocab))
+    logprobs = None
+    if model.mode == "multihead":  # one triple of head log-probabilities per step
+        logprobs = tuple(tuple(lp for _, lp in picks[i: i + 3]) for i in range(0, 3 * k, 3))
+    return DecodeResult(triples=triples, step_count=len(spec.schedule) * k,
+                        forward_passes=passes, wall_ms=(time.perf_counter() - start) * 1e3,
+                        step_logprobs=logprobs)
 
 
 def _check_mode(model: GeneratorModel, mode: str) -> None:
     if model.mode != mode:
         raise ModeError(f"model was trained for {model.mode!r}, not {mode} decoding")
-
-
-def _step_triples(steps: list[list[tuple[int, float]]]) -> tuple[PartTokenTriple, ...]:
-    return tuple(PartTokenTriple(*(token for token, _ in picks)) for picks in steps)
 
 
 def encode_prompt(model: GeneratorModel, prompt_ids: list[int]) -> tuple[Tensor, np.ndarray]:
@@ -174,14 +170,7 @@ def decode_sequential(
     for K emitted triples. Position slots mask logits to the matching part
     sub-vocabulary (plus EOS)."""
     _check_mode(model, "sequential")
-    k_max = model.config.k_max if k_max is None else k_max
-    start = time.perf_counter()
-    schedule = tuple(((0, Part.BODY, part),) for part in PARTS)
-    steps, passes = _greedy(model, h_en, enc_mask, [model.vocab.bos_id], schedule, 3 * k_max)
-    flat = [picks[0][0] for picks in steps]
-    triples = tuple(unflatten(flat[: 3 * (len(flat) // 3)], model.vocab))
-    return DecodeResult(triples=triples, step_count=3 * len(triples), forward_passes=passes,
-                        wall_ms=(time.perf_counter() - start) * 1e3)
+    return _greedy(model, h_en, enc_mask, None, k_max)
 
 
 def decode_parallel(
@@ -197,16 +186,7 @@ def decode_parallel(
     All streams are truncated at the earliest EOS position; step_count is the
     truncated length K."""
     _check_mode(model, "parallel")
-    k_max = model.config.k_max if k_max is None else k_max
-    start = time.perf_counter()
-    start_ids = [model.vocab.lang_part_id(lang, part) for part in PARTS]
-    schedule = (tuple((row, Part.BODY, part) for row, part in enumerate(PARTS)),)
-    h_rows = concat([h_en] * len(PARTS), axis=0)
-    mask_rows = np.concatenate([enc_mask] * len(PARTS), axis=0)
-    steps, passes = _greedy(model, h_rows, mask_rows, start_ids, schedule, k_max)
-    triples = _step_triples(steps)
-    return DecodeResult(triples=triples, step_count=len(triples), forward_passes=passes,
-                        wall_ms=(time.perf_counter() - start) * 1e3)
+    return _greedy(model, h_en, enc_mask, lang, k_max)
 
 
 def decode_multihead(
@@ -217,22 +197,9 @@ def decode_multihead(
     embeddings. Terminates at the first step any head emits EOS (that step
     excluded)."""
     _check_mode(model, "multihead")
-    k_max = model.config.k_max if k_max is None else k_max
-    start = time.perf_counter()
-    schedule = (tuple((0, part, part) for part in PARTS),)
-    steps, passes = _greedy(model, h_en, enc_mask, [model.vocab.bos_id], schedule, k_max,
-                            fuse=True)
-    triples = _step_triples(steps)
-    logprobs = tuple(tuple(lp for _, lp in picks) for picks in steps)
-    return DecodeResult(triples=triples, step_count=len(triples), forward_passes=passes,
-                        wall_ms=(time.perf_counter() - start) * 1e3, step_logprobs=logprobs)
+    return _greedy(model, h_en, enc_mask, None, k_max)
 
 
 def generate_triples(model: GeneratorModel, prompt_ids: list[int], lang: str) -> DecodeResult:
     """Encode a prompt and decode with the model's trained strategy."""
-    h_en, enc_mask = encode_prompt(model, prompt_ids)
-    if model.mode == "sequential":
-        return decode_sequential(model, h_en, enc_mask)
-    if model.mode == "parallel":
-        return decode_parallel(model, h_en, enc_mask, lang)
-    return decode_multihead(model, h_en, enc_mask)
+    return _greedy(model, *encode_prompt(model, prompt_ids), lang, None)

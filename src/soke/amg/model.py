@@ -13,11 +13,54 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, InputError, ModeError
-from ..grad import Tensor, gather_rows, layer_norm, softmax
+from ..grad import Tensor, concat, gather_rows, layer_norm, softmax
 from ..motion import PARTS, Part
 from .vocab import Vocabulary
 
-MODES = ("sequential", "parallel", "multihead")
+Slot = tuple[int, Part, Part]  # (decoder row, head, support part)
+
+
+@dataclass(frozen=True)
+class ModeSpec:
+    """One factorization of the part-token stream, read by teacher-forced
+    training and by greedy decoding alike.
+
+    starts: each decoder row's start token, None for <BOS> or part p for
+    <Lang_p>. schedule: the slots of step t are schedule[t % len(schedule)];
+    the slots of successive steps take the tokens of the flat stream
+    (B, LH, RH, B, ...) in order, so one period covers one triple. fuse: the
+    single row's next input is the fused embedding of the step's tokens,
+    otherwise each row's next input is the embedding of its own token.
+    """
+
+    starts: tuple[Part | None, ...]
+    schedule: tuple[tuple[Slot, ...], ...]
+    fuse: bool = False
+
+    @property
+    def heads(self) -> tuple[Part, ...]:
+        """The output heads the slots read, in slot order."""
+        return tuple(dict.fromkeys(head for slots in self.schedule for _, head, _ in slots))
+
+    def start_ids(self, vocab: Vocabulary, lang: str | None) -> list[int]:
+        return [vocab.bos_id if part is None else vocab.lang_part_id(lang, part)
+                for part in self.starts]
+
+
+MODE_SPECS = {
+    # one <BOS> row, one flat stream: step t reads the body head masked to
+    # part PARTS[t % 3], so a triple takes three steps
+    "sequential": ModeSpec(starts=(None,),
+                           schedule=tuple(((0, Part.BODY, part),) for part in PARTS)),
+    # three <Lang_p> rows over the encoder state tiled three times, one pass
+    # per step; row r reads the body head masked to part PARTS[r]
+    "parallel": ModeSpec(starts=PARTS,
+                         schedule=(tuple((row, Part.BODY, part) for row, part in enumerate(PARTS)),)),
+    # one <BOS> row; head p picks part p, and the three picks are fed back fused
+    "multihead": ModeSpec(starts=(None,), schedule=(tuple((0, part, part) for part in PARTS),),
+                          fuse=True),
+}
+MODES = tuple(MODE_SPECS)
 
 
 @dataclass(frozen=True)
@@ -58,7 +101,7 @@ class GeneratorModel:
         self.vocab = vocab
         self.config = config
         self.mode = mode
-        self.dec_max_len = 3 * config.k_max + 2 if mode == "sequential" else config.k_max + 2
+        self.dec_max_len = len(MODE_SPECS[mode].schedule) * config.k_max + 2
         rng = np.random.default_rng(seed)
         d, ffn, v = config.d_model, config.ffn_dim, len(vocab)
 
@@ -193,6 +236,13 @@ class GeneratorModel:
 
     def token_embeddings(self, ids: np.ndarray) -> Tensor:
         return gather_rows(self.emb, np.asarray(ids, dtype=np.int64))
+
+
+def tile_rows(h_en: Tensor, enc_mask: np.ndarray, rows: int) -> tuple[Tensor, np.ndarray]:
+    """The encoder state and key mask repeated once per decoder row (row-major)."""
+    if rows == 1:
+        return h_en, enc_mask
+    return concat([h_en] * rows, axis=0), np.concatenate([enc_mask] * rows, axis=0)
 
 
 def _layer_params(prefix: str, layer: dict) -> list[tuple[str, Tensor]]:

@@ -21,7 +21,7 @@ from ..grad import (
 from ..motion import PARTS, Part
 from ..deto import TokenSeq
 from .decoding import PartTokenTriple
-from .model import MODES, AmgConfig, GeneratorModel, fuse_embeddings
+from .model import MODE_SPECS, MODES, AmgConfig, GeneratorModel, ModeSpec, fuse_embeddings, tile_rows
 from .vocab import Vocabulary, load_vocab, save_vocab
 
 SIDECAR_NAME = "amg.json"
@@ -88,113 +88,69 @@ def _pad_prompts(pairs: list[TrainPair], vocab: Vocabulary, max_len: int, log: l
     return out
 
 
-def _sequential_batch(pairs, vocab):
-    flat_targets = [
-        [t for triple in pair.triples for t in triple.as_tuple()] + [vocab.eos_id]
-        for pair in pairs
-    ]
-    width = max(len(f) for f in flat_targets)
-    inputs = np.full((len(pairs), width), vocab.pad_id, dtype=np.int64)
-    targets = np.full((len(pairs), width), vocab.eos_id, dtype=np.int64)
-    weights = np.zeros((len(pairs), width))
-    for i, flat in enumerate(flat_targets):
-        inputs[i, 0] = vocab.bos_id
-        inputs[i, 1: len(flat)] = flat[:-1]
-        targets[i, : len(flat)] = flat
-        weights[i, : len(flat)] = 1.0
-    support = np.stack([vocab.part_support_mask(PARTS[t % 3]) for t in range(width)])[None]
-    return inputs, targets, weights, support
+def _teacher_batch(spec: ModeSpec, pairs: list[TrainPair], vocab: Vocabulary):
+    """Teacher-forcing arrays of one batch, read off the mode's slot table.
 
+    Decoder row r of pair i is row r * len(pairs) + i, so the rows line up
+    with the encoder state tiled len(spec.starts) times. A pair of k triples
+    puts its flat stream (B, LH, RH, B, ...) into the slots of steps
+    0 .. P*k - 1 in order (P = len(spec.schedule)); step P*k is its EOS step.
 
-def _stream_batch(pairs, vocab):
-    """Parallel mode: one decoder row per (part, pair), laid out part-major
-    to line up with encoder states tiled three times."""
-    k_width = max(len(pair.triples) for pair in pairs) + 1
-    b = len(pairs)
-    inputs = np.full((3 * b, k_width), vocab.pad_id, dtype=np.int64)
-    targets = np.full((3 * b, k_width), vocab.eos_id, dtype=np.int64)
-    weights = np.zeros((3 * b, k_width))
-    support = np.zeros((3 * b, 1, len(vocab)), dtype=bool)
-    for j, part in enumerate(PARTS):
-        part_mask = vocab.part_support_mask(part)
-        for i, pair in enumerate(pairs):
-            row = j * b + i
-            stream = [triple.as_tuple()[j] for triple in pair.triples]
-            inputs[row, 0] = vocab.lang_part_id(pair.lang, part)
-            inputs[row, 1: 1 + len(stream)] = stream
-            targets[row, : len(stream)] = stream
-            targets[row, len(stream)] = vocab.eos_id
-            weights[row, : len(stream) + 1] = 1.0
-            support[row, 0] = part_mask
-    return inputs, targets, weights, support
-
-
-def _multihead_batch(pairs, vocab):
-    k_width = max(len(pair.triples) for pair in pairs) + 1
-    b = len(pairs)
-    in_triples = np.full((b, k_width - 1, 3), vocab.pad_id, dtype=np.int64)
-    targets = {part: np.full((b, k_width), vocab.eos_id, dtype=np.int64) for part in PARTS}
-    weights = np.zeros((b, k_width))
+    Returns, over (decoder rows, steps, heads): the targets and the inputs,
+    which are the targets shifted right behind each row's start token with
+    EOS and padding turned into <PAD>; each head's support mask over (decoder
+    rows, steps, vocabulary); and the (decoder rows, steps) weights shared by
+    the heads.
+    """
+    b, rows, period, heads = len(pairs), len(spec.starts), len(spec.schedule), spec.heads
+    width = period * max(len(pair.triples) for pair in pairs) + 1
+    masks = {part: vocab.part_support_mask(part) for part in PARTS}
+    support = np.zeros((len(heads), rows, width, len(vocab)), dtype=bool)
+    cells = []  # (row, step, head) of each token of a flat stream, in stream order
+    for t in range(width):
+        for r, head, part in spec.schedule[t % period]:
+            h = heads.index(head)
+            support[h, r, t] = masks[part]
+            cells.append((r, t, h))
+    cells = np.array(cells).T
+    targets = np.full((rows * b, width, len(heads)), vocab.eos_id, dtype=np.int64)
+    weights = np.zeros((b, width))
     for i, pair in enumerate(pairs):
-        k = len(pair.triples)
-        for step, triple in enumerate(pair.triples):
-            in_triples[i, step] = triple.as_tuple()
-            targets[Part.BODY][i, step] = triple.body
-            targets[Part.LEFT_HAND][i, step] = triple.left
-            targets[Part.RIGHT_HAND][i, step] = triple.right
-        # all heads are trained to emit EOS together at step k
-        weights[i, : k + 1] = 1.0
-    return in_triples, targets, weights
-
-
-def _multihead_embeddings(model: GeneratorModel, in_triples: np.ndarray) -> Tensor:
-    b = in_triples.shape[0]
-    bos = model.token_embeddings(np.full((b, 1), model.vocab.bos_id, dtype=np.int64))
-    if in_triples.shape[1] == 0:
-        return bos
-    fused = fuse_embeddings(
-        model.token_embeddings(in_triples[:, :, 0]),
-        model.token_embeddings(in_triples[:, :, 1]),
-        model.token_embeddings(in_triples[:, :, 2]),
-        model.config.fuse_lambda,
-    )
-    return concat([bos, fused], axis=1)
+        flat = [token for triple in pair.triples for token in triple.as_tuple()]
+        r, t, h = cells[:, : len(flat)]
+        targets[r * b + i, t, h] = flat
+        weights[i, : period * len(pair.triples) + 1] = 1.0
+    starts = np.array([spec.start_ids(vocab, pair.lang) for pair in pairs])  # (b, rows)
+    inputs = np.full_like(targets, vocab.pad_id)
+    inputs[:, 0] = starts.T.reshape(-1, 1)
+    shifted = targets[:, :-1]
+    inputs[:, 1:] = np.where(shifted == vocab.eos_id, vocab.pad_id, shifted)
+    return targets, inputs, np.repeat(support, b, axis=1), np.tile(weights, (rows, 1))
 
 
 def generator_loss(model: GeneratorModel, pairs: list[TrainPair], log: list[dict] | None = None) -> Tensor:
-    """Mean teacher-forced cross-entropy per position (and per head for the
-    multi-head factorization); padded positions carry zero weight."""
+    """Mean teacher-forced cross-entropy per position, averaged over the
+    mode's output heads; padded positions carry zero weight."""
     if not pairs:
         raise InputError("no training pairs")
     log = log if log is not None else []
-    vocab = model.vocab
+    vocab, spec = model.vocab, MODE_SPECS[model.mode]
     prompts = _pad_prompts(pairs, vocab, model.config.enc_max_len, log)
-    h_en, enc_mask = model.encode(prompts)
-
-    if model.mode == "sequential":
-        inputs, targets, weights, support = _sequential_batch(pairs, vocab)
-        hidden = model.decode_hidden(model.token_embeddings(inputs), h_en, enc_mask)
-        logits = model.head_logits(hidden, Part.BODY)
-        return cross_entropy(logits, targets, support_mask=support, weights=weights)
-
-    if model.mode == "parallel":
-        inputs, targets, weights, support = _stream_batch(pairs, vocab)
-        h_rep = concat([h_en, h_en, h_en], axis=0)
-        mask_rep = np.concatenate([enc_mask] * 3, axis=0)
-        hidden = model.decode_hidden(model.token_embeddings(inputs), h_rep, mask_rep)
-        logits = model.head_logits(hidden, Part.BODY)
-        return cross_entropy(logits, targets, support_mask=support, weights=weights)
-
-    in_triples, targets, weights = _multihead_batch(pairs, vocab)
-    hidden = model.decode_hidden(_multihead_embeddings(model, in_triples), h_en, enc_mask)
+    h_en, enc_mask = tile_rows(*model.encode(prompts), len(spec.starts))
+    targets, inputs, support, weights = _teacher_batch(spec, pairs, vocab)
+    if spec.fuse:  # start token, then the fused embedding of each step's tokens
+        fused = fuse_embeddings(*(model.token_embeddings(inputs[:, 1:, j])
+                                  for j in range(len(spec.heads))), model.config.fuse_lambda)
+        dec_emb = concat([model.token_embeddings(inputs[:, :1, 0]), fused], axis=1)
+    else:
+        dec_emb = model.token_embeddings(inputs[..., 0])
+    hidden = model.decode_hidden(dec_emb, h_en, enc_mask)
     losses = [
-        cross_entropy(
-            model.head_logits(hidden, part), targets[part],
-            support_mask=vocab.part_support_mask(part)[None, None, :], weights=weights,
-        )
-        for part in PARTS
+        cross_entropy(model.head_logits(hidden, head), targets[..., j],
+                      support_mask=support[j], weights=weights)
+        for j, head in enumerate(spec.heads)
     ]
-    return (losses[0] + losses[1] + losses[2]) * (1.0 / 3.0)
+    return sum(losses[1:], losses[0]) * (1.0 / len(losses))
 
 
 def train_generator(

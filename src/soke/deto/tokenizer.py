@@ -99,10 +99,6 @@ class PartTokenizer:
         h = conv1d(upsample_repeat(latents, 2), self.dec_w1, self.dec_b1, padding=1).relu()
         return conv1d(upsample_repeat(h, 2), self.dec_w2, self.dec_b2, padding=1)
 
-    def num_tokens(self, T: int) -> int:
-        f = self.config.downsample
-        return -(-T // f)
-
     def encode(self, motion: PartMotion) -> TokenSeq:
         if motion.part is not self.part:
             raise InputError(f"tokenizer for {self.part.value} got a {motion.part.value} motion")

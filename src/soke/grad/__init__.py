@@ -11,7 +11,6 @@ from .tensor import (
     cross_entropy,
     default_dtype,
     gather_rows,
-    get_default_dtype,
     layer_norm,
     log_softmax_array,
     softmax,
@@ -33,7 +32,6 @@ __all__ = [
     "default_dtype",
     "finite_difference_grad",
     "gather_rows",
-    "get_default_dtype",
     "layer_norm",
     "load_checkpoint",
     "load_parameters",

@@ -85,4 +85,4 @@ def check_gradients(
     return errors
 
 
-__all__ = ["finite_difference_grad", "max_relative_error", "check_gradients", "default_dtype"]
+__all__ = ["finite_difference_grad", "max_relative_error", "check_gradients"]

@@ -24,10 +24,6 @@ _default_dtype = np.float32
 NEG_MASK = -1e9
 
 
-def get_default_dtype():
-    return _default_dtype
-
-
 @contextmanager
 def default_dtype(dtype):
     """Temporarily change the dtype used for newly created tensors."""
@@ -249,11 +245,18 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         out = Tensor(self.data[key], _parents=(self,), _op="slice")
+        # an index array may repeat an element, whose gradients then add up;
+        # basic slices select each element at most once and assign
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in
+                    (key if isinstance(key, tuple) else (key,)))
 
         def backward(g):
             if self.requires_grad:
                 full = np.zeros(self.shape, dtype=self.data.dtype)
-                full[key] = g
+                if fancy:
+                    np.add.at(full, key, g)
+                else:
+                    full[key] = g
                 self._accumulate(full)
 
         out._backward = backward

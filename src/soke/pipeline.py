@@ -9,13 +9,16 @@ A run directory looks like:
     deto/deto.json         {"layout": PartLayout, "config": DetoConfig}
     deto/train_log.jsonl   per-epoch losses and reseeded codes of each part
     dict.json              sign dictionary
-    dict_warnings.jsonl    skipped dictionary instances (only if any)
+    dict_warnings.jsonl    skipped dictionary instances (empty if none)
     amg/amg.ckpt           trained generator parameters (single mode per run)
     amg/amg.json           {"config": AmgConfig, "mode": str}
     amg/vocab.json         integrated vocabulary
     amg/train_log.jsonl    loss curve and prompt-truncation warnings
     report.json            EvalReport
-    manifest.json          config hash + artifact hashes, written last
+    manifest.json          config hash + the hash of every file above except
+                           run_config.json, written last
+
+A stage counts as complete when every file it writes exists.
 
 Every file is written atomically (to `<name>.tmp`, then renamed), so a
 crash never leaves a partial file under its final name; a malformed file
@@ -113,8 +116,7 @@ def stage_dict(config: RunConfig, out_dir: Path) -> None:
     chain = build_sign_chain(config.synth.layout)
     dictionary, warnings = build_dictionary(instances, deto, chain)
     save_dictionary(out_dir / "dict.json", dictionary)
-    if warnings:
-        write_jsonl(out_dir / "dict_warnings.jsonl", warnings)
+    write_jsonl(out_dir / "dict_warnings.jsonl", warnings)
 
 
 def build_train_pairs(
@@ -176,9 +178,10 @@ def stage_eval(config: RunConfig, out_dir: Path) -> EvalReport:
 
 STAGES = (
     ("data", stage_data, ("data/train.jsonl", "data/test.jsonl", "data/dict_instances.jsonl")),
-    ("deto", stage_deto, ("deto/deto.ckpt", "deto/deto.json")),
-    ("dict", stage_dict, ("dict.json",)),
-    ("amg", stage_amg, ("amg/amg.ckpt", "amg/amg.json", "amg/vocab.json")),
+    ("deto", stage_deto, ("deto/deto.ckpt", "deto/deto.json", "deto/train_log.jsonl")),
+    ("dict", stage_dict, ("dict.json", "dict_warnings.jsonl")),
+    ("amg", stage_amg, ("amg/amg.ckpt", "amg/amg.json", "amg/vocab.json",
+                        "amg/train_log.jsonl")),
     ("eval", stage_eval, ("report.json",)),
 )
 

@@ -243,11 +243,13 @@ def fit_sequence(
     T = init.num_frames
     if len(observations) != T:
         raise InputError(f"{len(observations)} observations for {T} frames")
+    j = init.layout.body_joints
+    if not all(0 <= joint < j for joint in config.observed_joints):
+        raise InputError(f"observed_joints {config.observed_joints} must index the {j} body joints")
     n_obs = {o.points.shape[0] for o in observations}
     if n_obs != {len(config.observed_joints)}:
         raise InputError("observation joint count does not match observed_joints")
 
-    j = init.layout.body_joints
     theta_value = init.frames[:, : 3 * j].astype(np.float64).reshape(T, j, 3)
     cam_value = np.array([cam.scale, cam.tx, cam.ty], dtype=np.float64)
 
@@ -351,15 +353,21 @@ def save_observations(path: str | Path, observations: list[Observation2D]) -> No
 def load_observations(path: str | Path) -> list[Observation2D]:
     records = {}
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            joints = np.asarray(rec["joints"], dtype=np.float64)
-            if joints.ndim != 2 or joints.shape[1] != 3:
-                raise InputError(f"{path}: joints must be [[x, y, conf], ...]")
-            records[int(rec["frame_idx"])] = Observation2D(joints[:, :2], joints[:, 2])
+            try:
+                rec = json.loads(line)
+                joints = np.asarray(rec["joints"], dtype=np.float64)
+                frame_idx = int(rec["frame_idx"])
+                if joints.ndim != 2 or joints.shape[1] != 3:
+                    raise InputError("joints must be [[x, y, conf], ...]")
+                if frame_idx in records:
+                    raise InputError(f"frame_idx {frame_idx} repeats")
+                records[frame_idx] = Observation2D(joints[:, :2], joints[:, 2])
+            except (KeyError, ValueError, TypeError, InputError) as exc:
+                raise InputError(f"{path}:{line_no}: malformed observation record: {exc}") from exc
     if sorted(records) != list(range(len(records))):
         raise InputError(f"{path}: frame_idx values must cover 0..T-1")
     return [records[i] for i in range(len(records))]

@@ -18,7 +18,7 @@ from .artifacts import read_json, write_json
 from .deto import DecoupledTokenizer, TokenSeq
 from .errors import InputError
 from .metrics import reconstruction_pa_mpjpe
-from .motion import PARTS, KinematicChain, MotionSequence, Part
+from .motion import PARTS, KinematicChain, MotionSequence
 from .textproc import lemmatize, tokenize_words
 
 
@@ -64,34 +64,23 @@ class SignDictionary:
     # -- persistence ---------------------------------------------------------
 
     def to_json(self) -> dict:
-        payload: dict = {}
-        for lang, table in sorted(self._entries.items()):
-            payload[lang] = {
-                word: {
-                    "B": list(entry.tokens[Part.BODY].ids),
-                    "LH": list(entry.tokens[Part.LEFT_HAND].ids),
-                    "RH": list(entry.tokens[Part.RIGHT_HAND].ids),
-                    "err": entry.recon_error,
-                }
+        """lang -> word -> {"B": ids, "LH": ids, "RH": ids, "err": error}."""
+        return {
+            lang: {
+                word: {**{part.value: list(entry.tokens[part].ids) for part in PARTS},
+                       "err": entry.recon_error}
                 for word, entry in sorted(table.items())
             }
-        return payload
+            for lang, table in sorted(self._entries.items())
+        }
 
     @classmethod
     def from_json(cls, payload: dict) -> "SignDictionary":
         out = cls()
         for lang, table in payload.items():
             for word, rec in table.items():
-                entry = DictionaryEntry(
-                    word=word,
-                    tokens={
-                        Part.BODY: TokenSeq(Part.BODY, tuple(rec["B"])),
-                        Part.LEFT_HAND: TokenSeq(Part.LEFT_HAND, tuple(rec["LH"])),
-                        Part.RIGHT_HAND: TokenSeq(Part.RIGHT_HAND, tuple(rec["RH"])),
-                    },
-                    recon_error=float(rec["err"]),
-                )
-                out.offer(lang, entry)
+                tokens = {part: TokenSeq(part, tuple(rec[part.value])) for part in PARTS}
+                out.offer(lang, DictionaryEntry(word, tokens, float(rec["err"])))
         return out
 
 

@@ -24,8 +24,8 @@ from soke.amg import (
     train_generator,
     unflatten,
 )
-from soke.grad import Tensor, log_softmax_array
-from soke.motion import Part
+from soke.grad import Tensor, concat, cross_entropy, log_softmax_array
+from soke.motion import PARTS, Part
 
 SIZES = (6, 8, 8)
 WORDS = ["alpha", "beta", "gamma", "delta"]
@@ -511,3 +511,131 @@ class TestCorruptSidecar:
             "d_model": 32, "num_heads": 2, "enc_layers": 1, "dec_layers": 1, "ffn_dim": 64,
             "fuse_lambda": 1.0 / 3.0, "k_max": 8, "enc_max_len": 24,
         }}
+
+
+# -- the per-mode teacher-forcing builders that MODE_SPECS replaced, kept as
+# the oracle of generator_loss ------------------------------------------------
+
+
+def _oracle_sequential_batch(pairs, vocab):
+    flat_targets = [
+        [t for triple in pair.triples for t in triple.as_tuple()] + [vocab.eos_id]
+        for pair in pairs
+    ]
+    width = max(len(f) for f in flat_targets)
+    inputs = np.full((len(pairs), width), vocab.pad_id, dtype=np.int64)
+    targets = np.full((len(pairs), width), vocab.eos_id, dtype=np.int64)
+    weights = np.zeros((len(pairs), width))
+    for i, flat in enumerate(flat_targets):
+        inputs[i, 0] = vocab.bos_id
+        inputs[i, 1: len(flat)] = flat[:-1]
+        targets[i, : len(flat)] = flat
+        weights[i, : len(flat)] = 1.0
+    support = np.stack([vocab.part_support_mask(PARTS[t % 3]) for t in range(width)])[None]
+    return inputs, targets, weights, support
+
+
+def _oracle_stream_batch(pairs, vocab):
+    k_width = max(len(pair.triples) for pair in pairs) + 1
+    b = len(pairs)
+    inputs = np.full((3 * b, k_width), vocab.pad_id, dtype=np.int64)
+    targets = np.full((3 * b, k_width), vocab.eos_id, dtype=np.int64)
+    weights = np.zeros((3 * b, k_width))
+    support = np.zeros((3 * b, 1, len(vocab)), dtype=bool)
+    for j, part in enumerate(PARTS):
+        part_mask = vocab.part_support_mask(part)
+        for i, pair in enumerate(pairs):
+            row = j * b + i
+            stream = [triple.as_tuple()[j] for triple in pair.triples]
+            inputs[row, 0] = vocab.lang_part_id(pair.lang, part)
+            inputs[row, 1: 1 + len(stream)] = stream
+            targets[row, : len(stream)] = stream
+            targets[row, len(stream)] = vocab.eos_id
+            weights[row, : len(stream) + 1] = 1.0
+            support[row, 0] = part_mask
+    return inputs, targets, weights, support
+
+
+def _oracle_multihead_batch(pairs, vocab):
+    k_width = max(len(pair.triples) for pair in pairs) + 1
+    b = len(pairs)
+    in_triples = np.full((b, k_width - 1, 3), vocab.pad_id, dtype=np.int64)
+    targets = {part: np.full((b, k_width), vocab.eos_id, dtype=np.int64) for part in PARTS}
+    weights = np.zeros((b, k_width))
+    for i, pair in enumerate(pairs):
+        k = len(pair.triples)
+        for step, triple in enumerate(pair.triples):
+            in_triples[i, step] = triple.as_tuple()
+            targets[Part.BODY][i, step] = triple.body
+            targets[Part.LEFT_HAND][i, step] = triple.left
+            targets[Part.RIGHT_HAND][i, step] = triple.right
+        weights[i, : k + 1] = 1.0
+    return in_triples, targets, weights
+
+
+def _oracle_generator_loss(model, pairs):
+    vocab = model.vocab
+    width = max(len(pair.prompt_ids) for pair in pairs)
+    prompts = np.full((len(pairs), width), vocab.pad_id, dtype=np.int64)
+    for i, pair in enumerate(pairs):
+        prompts[i, : len(pair.prompt_ids)] = pair.prompt_ids
+    h_en, enc_mask = model.encode(prompts)
+    if model.mode == "sequential":
+        inputs, targets, weights, support = _oracle_sequential_batch(pairs, vocab)
+        hidden = model.decode_hidden(model.token_embeddings(inputs), h_en, enc_mask)
+        return cross_entropy(model.head_logits(hidden, Part.BODY), targets,
+                             support_mask=support, weights=weights)
+    if model.mode == "parallel":
+        inputs, targets, weights, support = _oracle_stream_batch(pairs, vocab)
+        h_rep = concat([h_en, h_en, h_en], axis=0)
+        mask_rep = np.concatenate([enc_mask] * 3, axis=0)
+        hidden = model.decode_hidden(model.token_embeddings(inputs), h_rep, mask_rep)
+        return cross_entropy(model.head_logits(hidden, Part.BODY), targets,
+                             support_mask=support, weights=weights)
+    in_triples, targets, weights = _oracle_multihead_batch(pairs, vocab)
+    b = in_triples.shape[0]
+    bos = model.token_embeddings(np.full((b, 1), vocab.bos_id, dtype=np.int64))
+    fused = fuse_embeddings(*(model.token_embeddings(in_triples[:, :, j]) for j in range(3)),
+                            model.config.fuse_lambda)
+    hidden = model.decode_hidden(concat([bos, fused], axis=1), h_en, enc_mask)
+    losses = [
+        cross_entropy(model.head_logits(hidden, part), targets[part],
+                      support_mask=vocab.part_support_mask(part)[None, None, :], weights=weights)
+        for part in PARTS
+    ]
+    return (losses[0] + losses[1] + losses[2]) * (1.0 / 3.0)
+
+
+class TestTeacherForcingOracle:
+    @pytest.mark.parametrize("mode", ["sequential", "parallel", "multihead"])
+    def test_loss_and_gradients_match_per_mode_builders(self, vocab, mode):
+        rng = np.random.default_rng(17)
+        pairs = []
+        for i, (k, lang) in enumerate([(3, "ASL"), (1, "CSL"), (5, "CSL"), (2, "ASL")]):
+            codes = [(int(rng.integers(SIZES[0])), int(rng.integers(SIZES[1])),
+                      int(rng.integers(SIZES[2]))) for _ in range(k)]
+            prompt = [vocab.lang_id(lang)] + [vocab.encode_text(WORDS[i])[0]] * (i + 1)
+            pairs.append(TrainPair(tuple(prompt), tuple(make_triples(vocab, codes)), lang))
+        model = GeneratorModel(vocab, TINY_CFG, mode, seed=23)
+        # a few steps away from the zero-initialized heads, so every gradient is live
+        train_generator(pairs, model, AmgTrainConfig(epochs=3))
+
+        def loss_and_grads(loss_fn):
+            for _, p in model.parameters():
+                p.zero_grad()
+            loss = loss_fn(model, pairs)
+            loss.backward()
+            # None: a head the mode does not train
+            return loss.data.copy(), {name: None if p.grad is None else p.grad.copy()
+                                      for name, p in model.parameters()}
+
+        loss, grads = loss_and_grads(generator_loss)
+        oracle_loss, oracle_grads = loss_and_grads(_oracle_generator_loss)
+        assert np.array_equal(loss, oracle_loss)
+        assert grads.keys() == oracle_grads.keys()
+        assert sum(grad is not None for grad in grads.values()) > 0
+        for name, grad in grads.items():
+            if grad is None:
+                assert oracle_grads[name] is None, name
+            else:
+                assert np.array_equal(grad, oracle_grads[name]), name

@@ -312,3 +312,19 @@ def test_finite_difference_restores_parameter():
         before = p.data.copy()
         finite_difference_grad(lambda: (p * p).sum(), p)
         assert np.array_equal(p.data, before)
+
+
+@pytest.mark.parametrize("key", [np.array([1, 1, 2]), [1, 1, 2]])
+def test_repeated_index_gradients_add_up(key):
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    x[key].sum().backward()
+    assert np.array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
+
+
+def test_repeated_index_inside_a_tuple_key():
+    x = Tensor(np.ones((2, 3, 2)), requires_grad=True)
+    x[:, np.array([0, 0, 2]), 0:1].sum().backward()
+    expected = np.zeros((2, 3, 2))
+    expected[:, 0, 0] = 2.0
+    expected[:, 2, 0] = 1.0
+    assert np.array_equal(x.grad, expected)

@@ -5,7 +5,7 @@ from soke.config import RunConfig
 from soke.deto import DetoConfig, DetoTrainConfig
 from soke.errors import InputError
 from soke.motion import SynthConfig
-from soke.pipeline import StageError, run_pipeline
+from soke.pipeline import StageError, run_pipeline, verify_manifest
 
 
 TINY = RunConfig(
@@ -46,3 +46,14 @@ def test_corrupt_upstream_sidecar_is_tagged_with_the_reading_stage(tmp_path):
     assert info.value.stage == "dict"
     assert isinstance(info.value.cause, InputError)
     assert "deto.json" in str(info.value)
+
+
+def test_training_logs_and_dictionary_warnings_are_manifest_artifacts(tmp_path):
+    manifest = run_pipeline(TINY, tmp_path)
+    for rel in ("deto/train_log.jsonl", "amg/train_log.jsonl", "dict_warnings.jsonl"):
+        assert rel in manifest["artifacts"], rel
+    (tmp_path / "amg" / "train_log.jsonl").unlink()
+    assert not verify_manifest(tmp_path)
+    rerun = run_pipeline(TINY, tmp_path)
+    assert rerun["stages_run"] == ["amg"]
+    assert verify_manifest(tmp_path)

@@ -222,3 +222,56 @@ class TestObservationIO:
     def test_bad_confidence_rejected(self):
         with pytest.raises(InputError):
             Observation2D(np.zeros((2, 2)), np.array([0.5, 1.5]))
+
+
+class TestObservedJoints:
+    def test_repeated_joint_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(4)
+        cfg = FitConfig(observed_joints=(5, 5, 6))
+        seq_truth = constant_pose_sequence(rng.uniform(0.2, 0.6, size=(11, 3)), frames=1)
+        obs = observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN,
+                               observed_joints=cfg.observed_joints, noise_std=1.0, seed=1)
+        with default_dtype(np.float64):
+            theta = Tensor(rng.uniform(0.2, 0.7, size=(1, 11, 3)), requires_grad=True)
+            cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=True)
+
+            def loss_fn():
+                return loss_rec(body_fk(theta, BODY), obs, cam, cfg.observed_joints, smooth=2.0)
+
+            errors = check_gradients(loss_fn, [("theta", theta), ("cam", cam)],
+                                     eps=1e-6, tol=1e-3)
+        assert max(errors.values()) < 1e-3
+
+    @pytest.mark.parametrize("joints", [(20,), (-1,)])
+    def test_joint_outside_the_body_rejected(self, joints):
+        seq = constant_pose_sequence(np.zeros((11, 3)), frames=2)
+        obs = [Observation2D(np.zeros((1, 2)), np.ones(1)) for _ in range(2)]
+        with pytest.raises(InputError, match="observed_joints"):
+            fit_sequence(seq, obs, config=FitConfig(observed_joints=joints), chain=CHAIN)
+
+
+class TestMalformedObservationFile:
+    def _write(self, tmp_path, lines):
+        path = tmp_path / "obs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_truncated_line_names_file_and_line(self, tmp_path):
+        path = self._write(tmp_path, ['{"frame_idx": 0, "joints": [[0, 0, 1]]}',
+                                      '{"frame_idx": 1, "joints": [[0, 0'])
+        with pytest.raises(InputError, match="obs.jsonl:2"):
+            load_observations(path)
+
+    @pytest.mark.parametrize("record", ['{"frame_idx": 0}', '{"joints": [[0, 0, 1]]}'])
+    def test_missing_key_names_file_and_line(self, tmp_path, record):
+        path = self._write(tmp_path, [record])
+        with pytest.raises(InputError, match="obs.jsonl:1"):
+            load_observations(path)
+
+    @pytest.mark.parametrize("second", ['{"frame_idx": 0, "joints": [[5, 5, 1]]}',
+                                        '{"frame_idx": 1, "joints": [[0, 0, 2]]}'])
+    def test_invalid_record_names_file_and_line(self, tmp_path, second):
+        # a repeated frame_idx, then a confidence outside [0, 1]
+        path = self._write(tmp_path, ['{"frame_idx": 0, "joints": [[0, 0, 1]]}', second])
+        with pytest.raises(InputError, match="obs.jsonl:2"):
+            load_observations(path)
