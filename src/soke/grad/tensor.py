@@ -37,7 +37,7 @@ def default_dtype(dtype):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -66,7 +66,12 @@ class Tensor:
         self.data = np.asarray(data, dtype=_default_dtype)
         _check_finite(self.data, _op)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        if not requires_grad:
+            for parent in _parents:
+                if parent.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self._parents = _parents if self.requires_grad else ()
         self._backward = None
         self._op = _op

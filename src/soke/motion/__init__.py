@@ -5,8 +5,9 @@ from .kinematics import (
     axis_angle_matrices,
     body_joint_indices,
     build_sign_chain,
-    forward_kinematics,
+    forward_kinematics_pass,
     forward_kinematics_sequence,
+    forward_kinematics_vjp,
     hand_joint_indices,
 )
 from .layout import (
@@ -36,8 +37,9 @@ __all__ = [
     "body_joint_indices",
     "build_lexicon",
     "build_sign_chain",
-    "forward_kinematics",
+    "forward_kinematics_pass",
     "forward_kinematics_sequence",
+    "forward_kinematics_vjp",
     "hand_joint_indices",
     "load_motions",
     "merge_parts",

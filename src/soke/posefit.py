@@ -7,8 +7,11 @@ temporal-coherence loss, and an L2 pose regularizer. The optimizer is plain
 gradient descent with a backtracking step control, so accepted steps never
 increase the total loss.
 
-Mesh vertices in the temporal term are proxied by FK joint positions; no
-mesh exists at this scale.
+The joint positions come from the motion-core forward kinematics
+(`motion.forward_kinematics_pass`), entered into the autodiff graph as one
+node whose backward is the FK's hand-written VJP. Mesh vertices in the
+temporal term are proxied by these FK joint positions; no mesh exists at
+this scale.
 """
 
 from __future__ import annotations
@@ -21,8 +24,13 @@ import numpy as np
 
 from .artifacts import write_jsonl
 from .errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
-from .grad import Tensor, default_dtype, stack
-from .motion import KinematicChain, MotionSequence
+from .grad import Tensor, default_dtype
+from .motion import (
+    KinematicChain,
+    MotionSequence,
+    forward_kinematics_pass,
+    forward_kinematics_vjp,
+)
 
 _EPS = 1e-24  # inside sqrt: keeps norms differentiable at zero
 
@@ -41,6 +49,8 @@ class Observation2D:
         object.__setattr__(self, "confidence", conf)
         if points.ndim != 2 or points.shape[1] != 2 or conf.shape != (points.shape[0],):
             raise InputError("observation needs (M,2) points and (M,) confidences")
+        if points.shape[0] == 0:
+            raise InputError("observation needs at least one joint")
         if not np.all(np.isfinite(points)):
             raise InputError("observation coordinates must be finite")
         if conf.min() < 0.0 or conf.max() > 1.0:
@@ -86,6 +96,8 @@ class FitConfig:
             raise ConfigError("iteration budget must be positive")
         if self.rec_smooth_mm < 0.0:
             raise ConfigError("smoothing width must be non-negative")
+        if not self.observed_joints:
+            raise ConfigError("observed_joints must name at least one joint")
 
 
 def project_weak(joints3d: np.ndarray, cam: CameraWeakPerspective) -> np.ndarray:
@@ -97,47 +109,20 @@ def project_weak(joints3d: np.ndarray, cam: CameraWeakPerspective) -> np.ndarray
 # -- differentiable forward kinematics over the body chain -------------------
 
 
-def _rodrigues(v: Tensor) -> Tensor:
-    """Axis-angle vectors (T, 3) -> rotation matrices (T, 3, 3), smooth at 0."""
-    T = v.shape[0]
-    t2 = (v * v).sum(axis=-1)
-    t = (t2 + _EPS).sqrt()
-    sin_over_t = t.sin() / t
-    half = t * 0.5
-    half_sinc = half.sin() / half
-    b = half_sinc * half_sinc * 0.5  # (1 - cos t) / t^2 without cancellation
-    x, y, z = v[:, 0], v[:, 1], v[:, 2]
-    zero = x * 0.0
-    k = stack(
-        [
-            stack([zero, -z, y], axis=-1),
-            stack([z, zero, -x], axis=-1),
-            stack([-y, x, zero], axis=-1),
-        ],
-        axis=-2,
-    )
-    eye = Tensor(np.broadcast_to(np.eye(3), (T, 3, 3)).copy())
-    a3 = sin_over_t.reshape(T, 1, 1)
-    b3 = b.reshape(T, 1, 1)
-    return eye + k * a3 + (k @ k) * b3
-
-
 def body_fk(theta: Tensor, chain: KinematicChain) -> Tensor:
-    """Differentiable positions (T, J, 3) for body rotations theta (T, J, 3)."""
-    T, J, _ = theta.shape
-    rots: list[Tensor] = []
-    positions: list[Tensor] = []
-    for j in range(J):
-        local = _rodrigues(theta[:, j, :])
-        parent = chain.parents[j]
-        if parent < 0:
-            rots.append(local)
-            positions.append(Tensor(np.broadcast_to(chain.root_position, (T, 3)).copy()))
-        else:
-            rots.append(rots[parent] @ local)
-            offset = Tensor(chain.offsets[j].reshape(3, 1))
-            positions.append(positions[parent] + (rots[parent] @ offset).reshape(T, 3))
-    return stack(positions, axis=1)
+    """Differentiable positions (T, J, 3) for body rotations theta (T, J, 3).
+
+    One graph node: the motion-core FK forward, its hand-written VJP backward.
+    """
+    pos, rot, local = forward_kinematics_pass(theta.data, chain)
+    out = Tensor(pos, _parents=(theta,), _op="body_fk")
+
+    def backward(g):
+        if theta.requires_grad:
+            theta._accumulate(forward_kinematics_vjp(g, theta.data, rot, local, chain))
+
+    out._backward = backward
+    return out
 
 
 # -- loss terms --------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soke.errors import ConfigError, InputError, LayoutError
+from soke.grad import Tensor, check_gradients, default_dtype
 from soke.motion import (
     MotionSequence,
     Part,
@@ -12,7 +13,6 @@ from soke.motion import (
     axis_angle_matrices,
     build_lexicon,
     build_sign_chain,
-    forward_kinematics,
     forward_kinematics_sequence,
     load_motions,
     merge_parts,
@@ -20,6 +20,13 @@ from soke.motion import (
     split_parts,
     synthesize_dataset,
 )
+from soke.motion.kinematics import axis_angle_vjp
+from soke.posefit import body_fk
+
+
+def forward_kinematics(frame: np.ndarray, chain) -> np.ndarray:
+    """3D joint positions (J, 3) for one flat parameter frame."""
+    return forward_kinematics_sequence(np.asarray(frame, dtype=np.float64)[None, :], chain)[0]
 
 
 def random_sequence(rng, frames=6, layout=None):
@@ -156,6 +163,72 @@ class TestKinematics:
     def test_axis_angle_small_angle_continuity(self):
         tiny = axis_angle_matrices(np.array([1e-9, 0.0, 0.0]))
         assert np.allclose(tiny, np.eye(3), atol=1e-8)
+
+
+BODY = build_sign_chain().body_subchain(11)
+CHEST_CHILDREN = [3, 5, 8]  # neck and both shoulders: one parent at one depth level
+
+
+def _angles(kind: str, rng, frames: int = 3) -> np.ndarray:
+    """Body rotations (frames, 11, 3) of one regime of the Rodrigues VJP."""
+    random = rng.uniform(-1.5, 1.5, size=(frames, 11, 3))
+    directions = random / np.linalg.norm(random, axis=-1, keepdims=True)
+    taylor = directions * rng.uniform(1e-7, 5e-3, size=(frames, 11, 1))  # t < 1e-2
+    if kind == "random":
+        return random
+    if kind == "zero":
+        return np.zeros_like(random)
+    if kind == "taylor":
+        return taylor
+    mixed = random.copy()
+    mixed[:, [1, 4]] = 0.0
+    mixed[:, [2, 6, 9]] = taylor[:, [2, 6, 9]]
+    return mixed
+
+
+class TestBodyFkVjp:
+    @pytest.mark.parametrize("kind", ["random", "zero", "taylor", "mixed"])
+    @pytest.mark.parametrize("weighted", ["all", "chest_children"])
+    def test_gradient_matches_finite_differences(self, kind, weighted):
+        rng = np.random.default_rng(11)
+        weights = rng.normal(size=(3, 11, 3))
+        if weighted == "chest_children":
+            # only the chest's children see the loss: the chest and its
+            # ancestors get their gradient through the shared-parent sum
+            mask = np.zeros((1, 11, 1))
+            mask[:, CHEST_CHILDREN] = 1.0
+            weights = weights * mask
+        with default_dtype(np.float64):
+            theta = Tensor(_angles(kind, rng), requires_grad=True)
+
+            def loss_fn():
+                return (body_fk(theta, BODY) * Tensor(weights)).sum()
+
+            errors = check_gradients(loss_fn, [("theta", theta)], eps=1e-6, tol=1e-6)
+        assert errors["theta"] < 1e-6
+
+    def test_taylor_branch_meets_closed_form_at_its_threshold(self):
+        # A'(t)/t and B'(t)/t switch to their series below t = 1e-2; terms
+        # of order t^2 are below what finite differences resolve, so check
+        # that both forms agree where they meet
+        rng = np.random.default_rng(13)
+        axis = rng.normal(size=(5, 3))
+        axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
+        grad = rng.normal(size=(5, 3, 3))
+        below = axis_angle_vjp(axis * (1e-2 - 1e-13), grad)
+        above = axis_angle_vjp(axis * (1e-2 + 1e-13), grad)
+        assert np.abs(below - above).max() < 1e-12 * np.abs(above).max()
+
+    def test_single_graph_node_on_theta(self):
+        theta = Tensor(np.zeros((2, 11, 3)), requires_grad=True)
+        joints = body_fk(theta, BODY)
+        assert joints._parents == (theta,)
+
+    def test_positions_equal_motion_core_fk_bit_for_bit(self):
+        theta = _angles("mixed", np.random.default_rng(12), frames=4)
+        with default_dtype(np.float64):
+            joints = body_fk(Tensor(theta), BODY).data
+        assert np.array_equal(joints, forward_kinematics_sequence(theta.reshape(4, 33), BODY))
 
 
 def fk_per_joint(frames: np.ndarray, chain) -> np.ndarray:

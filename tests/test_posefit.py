@@ -223,6 +223,10 @@ class TestObservationIO:
         with pytest.raises(InputError):
             Observation2D(np.zeros((2, 2)), np.array([0.5, 1.5]))
 
+    def test_zero_joints_rejected(self):
+        with pytest.raises(InputError, match="at least one joint"):
+            Observation2D(np.zeros((0, 2)), np.zeros(0))
+
 
 class TestObservedJoints:
     def test_repeated_joint_gradient_matches_finite_differences(self):
@@ -241,6 +245,10 @@ class TestObservedJoints:
             errors = check_gradients(loss_fn, [("theta", theta), ("cam", cam)],
                                      eps=1e-6, tol=1e-3)
         assert max(errors.values()) < 1e-3
+
+    def test_empty_joint_list_rejected(self):
+        with pytest.raises(ConfigError, match="observed_joints"):
+            FitConfig(observed_joints=())
 
     @pytest.mark.parametrize("joints", [(20,), (-1,)])
     def test_joint_outside_the_body_rejected(self, joints):
