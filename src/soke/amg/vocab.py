@@ -67,9 +67,6 @@ class Vocabulary:
     def encode_text(self, text: str) -> list[int]:
         return [self._ids.get(w, self.unk_id) for w in tokenize_words(text)]
 
-    def token_string(self, token_id: int) -> str:
-        return self._tokens[token_id]
-
     # -- control tokens -----------------------------------------------------------
 
     def lang_id(self, lang: str) -> int:
@@ -112,13 +109,12 @@ class Vocabulary:
             raise VocabularyError(f"token {token_id} is not a motion token")
         return part, token_id - self._part_start[part]
 
-    def part_support_mask(self, part: Part, include_eos: bool = True) -> np.ndarray:
+    def part_support_mask(self, part: Part) -> np.ndarray:
         """Boolean mask over the vocabulary: this part's motion tokens plus EOS."""
         mask = np.zeros(len(self), dtype=bool)
         lo, hi = self.part_range(part)
         mask[lo:hi] = True
-        if include_eos:
-            mask[self.eos_id] = True
+        mask[self.eos_id] = True
         return mask
 
     # -- persistence ------------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """Minimal differentiable-computation substrate used by every trained model."""
 
 from .checkpoint import load_checkpoint, load_parameters, save_checkpoint
-from .fdcheck import check_gradients, finite_difference_grad, max_relative_error
-from .optim import Adam, CosineSchedule, OptimizerState
+from .optim import Adam, CosineSchedule
 from .tensor import (
     NEG_MASK,
     Tensor,
@@ -14,7 +13,6 @@ from .tensor import (
     layer_norm,
     log_softmax_array,
     softmax,
-    stack,
     straight_through,
     upsample_repeat,
 )
@@ -23,23 +21,18 @@ __all__ = [
     "Adam",
     "CosineSchedule",
     "NEG_MASK",
-    "OptimizerState",
     "Tensor",
-    "check_gradients",
     "concat",
     "conv1d",
     "cross_entropy",
     "default_dtype",
-    "finite_difference_grad",
     "gather_rows",
     "layer_norm",
     "load_checkpoint",
     "load_parameters",
     "log_softmax_array",
-    "max_relative_error",
     "save_checkpoint",
     "softmax",
-    "stack",
     "straight_through",
     "upsample_repeat",
 ]

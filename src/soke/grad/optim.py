@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError
 from .tensor import Tensor
+
+BETA1, BETA2 = 0.9, 0.999  # moment decay rates
+EPS = 1e-8  # added to the second-moment root
 
 
 @dataclass
@@ -26,63 +29,40 @@ class CosineSchedule:
         return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1.0 + math.cos(math.pi * t))
 
 
-@dataclass
-class OptimizerState:
-    """First/second moment accumulators plus the step counter."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-    schedule: CosineSchedule | None = None
-
-
 class Adam:
-    """AdamW-flavored first-order optimizer over a fixed parameter list."""
+    """Adam over a fixed parameter list, with an optional cosine schedule."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 2e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        schedule: CosineSchedule | None = None,
-    ):
+    def __init__(self, params: list[Tensor], lr: float = 2e-4,
+                 schedule: CosineSchedule | None = None):
         if not params:
             raise ConfigError("optimizer needs at least one parameter")
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.state = OptimizerState(
-            m=[np.zeros(p.shape, dtype=p.data.dtype) for p in params],
-            v=[np.zeros(p.shape, dtype=p.data.dtype) for p in params],
-            schedule=schedule,
-        )
+        self.schedule = schedule
+        self.m = [np.zeros(p.shape, dtype=p.data.dtype) for p in params]
+        self.v = [np.zeros(p.shape, dtype=p.data.dtype) for p in params]
+        self.steps_taken = 0
 
     def current_lr(self) -> float:
-        if self.state.schedule is not None:
-            return self.state.schedule.lr(self.state.step)
+        if self.schedule is not None:
+            return self.schedule.lr(self.steps_taken)
         return self.lr
 
     def step(self) -> None:
         lr = self.current_lr()
-        self.state.step += 1
-        t = self.state.step
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for p, m, v in zip(self.params, self.state.m, self.state.v):
+        self.steps_taken += 1
+        t = self.steps_taken
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data = (p.data - lr * update).astype(p.data.dtype)
 
     def zero_grad(self) -> None:

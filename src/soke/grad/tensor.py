@@ -1,10 +1,15 @@
 """Reverse-mode autodiff on dense numpy arrays.
 
-The operator set is deliberately closed: it contains exactly what the motion
-tokenizer CNN, the micro encoder-decoder generator, and the pose-fitting
-losses need. Default storage is float32 with float64 accumulation in
-reductions; gradient-check code switches the whole graph to float64 via
-`default_dtype` so central differences are not drowned by rounding noise.
+The operator set is deliberately closed: it holds only what the motion
+tokenizer CNN, the micro encoder-decoder generator and the pose-fitting
+losses run. The graph nodes those create are add, neg, mul, pow, sqrt, abs,
+relu, matmul, sum, reshape, transpose, slice, concat, gather, softmax,
+cross_entropy, layer_norm, conv1d, upsample, straight_through and detach on
+top of leaves, plus the pose fit's own `body_fk` node; subtraction and mean
+are composed from them. Default storage is float32 with float64 accumulation
+in reductions. `default_dtype` switches newly created tensors to float64; its
+users are `posefit.fit_sequence` and the tests' finite-difference gradient
+checks, so central differences are not drowned by rounding noise.
 Every op checks its output for NaN/inf so divergence surfaces at the op that
 produced it instead of three losses later.
 """
@@ -157,19 +162,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data / other.data, _parents=(self, other), _op="div")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_sum_to_shape(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_sum_to_shape(-g * self.data / (other.data * other.data), other.shape))
-
-        out._backward = backward
-        return out
-
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise GraphError("pow supports scalar exponents only")
@@ -289,38 +281,6 @@ class Tensor:
         out._backward = backward
         return out
 
-    def tanh(self) -> "Tensor":
-        value = np.tanh(self.data)
-        out = Tensor(value, _parents=(self,), _op="tanh")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - value * value))
-
-        out._backward = backward
-        return out
-
-    def exp(self) -> "Tensor":
-        value = np.exp(self.data)
-        out = Tensor(value, _parents=(self,), _op="exp")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * value)
-
-        out._backward = backward
-        return out
-
-    def log(self) -> "Tensor":
-        out = Tensor(np.log(self.data), _parents=(self,), _op="log")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-
-        out._backward = backward
-        return out
-
     def sqrt(self) -> "Tensor":
         value = np.sqrt(self.data)
         out = Tensor(value, _parents=(self,), _op="sqrt")
@@ -328,26 +288,6 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g * 0.5 / value)
-
-        out._backward = backward
-        return out
-
-    def sin(self) -> "Tensor":
-        out = Tensor(np.sin(self.data), _parents=(self,), _op="sin")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * np.cos(self.data))
-
-        out._backward = backward
-        return out
-
-    def cos(self) -> "Tensor":
-        out = Tensor(np.cos(self.data), _parents=(self,), _op="cos")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g * np.sin(self.data))
 
         out._backward = backward
         return out
@@ -410,19 +350,6 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(start, stop)
                 part._accumulate(g[tuple(index)])
-
-    out._backward = backward
-    return out
-
-
-def stack(parts: list[Tensor], axis: int = 0) -> Tensor:
-    out = Tensor(np.stack([p.data for p in parts], axis=axis), _parents=tuple(parts), _op="stack")
-
-    def backward(g):
-        slabs = np.moveaxis(g, axis, 0)
-        for part, slab in zip(parts, slabs):
-            if part.requires_grad:
-                part._accumulate(slab)
 
     out._backward = backward
     return out

@@ -7,8 +7,6 @@ from .evaluate import (
     SampleEval,
     dtw_joint_metrics,
     evaluate_split,
-    frame_jpe,
-    frame_pa_jpe,
     reconstruction_pa_mpjpe,
     save_report,
 )
@@ -23,8 +21,6 @@ __all__ = [
     "dtw",
     "dtw_joint_metrics",
     "evaluate_split",
-    "frame_jpe",
-    "frame_pa_jpe",
     "procrustes_align",
     "reconstruction_pa_mpjpe",
     "save_report",

@@ -34,21 +34,6 @@ REPORT_SCHEMA_VERSION = 1
 METRIC_CONVENTIONS = {"dtw_normalization": "path", "pa_scope": "per_frame_pair_union", "units": "mm"}
 
 
-def frame_jpe(gen_joints: np.ndarray, ref_joints: np.ndarray) -> float:
-    """Mean Euclidean distance over corresponding joints of one frame pair."""
-    gen_joints = np.asarray(gen_joints, dtype=np.float64)
-    ref_joints = np.asarray(ref_joints, dtype=np.float64)
-    if gen_joints.shape != ref_joints.shape:
-        raise InputError(f"joint sets differ: {gen_joints.shape} vs {ref_joints.shape}")
-    return float(np.linalg.norm(gen_joints - ref_joints, axis=-1).mean())
-
-
-def frame_pa_jpe(gen_joints: np.ndarray, ref_joints: np.ndarray) -> float:
-    """frame_jpe after Procrustes-aligning the generated joints to the reference."""
-    aligned, _ = procrustes_align(gen_joints, ref_joints)
-    return frame_jpe(aligned, ref_joints)
-
-
 @dataclass(frozen=True)
 class DtwJpeSummary:
     jpe_body: float

@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor, default_dtype
+from soke.grad import Tensor
 
 
 def finite_difference_grad(

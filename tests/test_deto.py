@@ -20,7 +20,7 @@ from soke.deto import (
     train_tokenizer,
     vq_loss_terms,
 )
-from soke.grad import Tensor, check_gradients, default_dtype, gather_rows
+from soke.grad import Tensor, default_dtype, gather_rows
 from soke.motion import (
     MotionSequence,
     Part,
@@ -29,6 +29,8 @@ from soke.motion import (
     SynthConfig,
     synthesize_dataset,
 )
+
+from gradcheck import check_gradients
 
 TINY = DetoConfig(code_dim=6, codebook_sizes=(5, 7, 7), hidden_channels=4)
 

@@ -6,22 +6,20 @@ from soke.grad import (
     Adam,
     CosineSchedule,
     Tensor,
-    check_gradients,
     concat,
     conv1d,
     cross_entropy,
     default_dtype,
-    finite_difference_grad,
     gather_rows,
     layer_norm,
     load_checkpoint,
-    max_relative_error,
     save_checkpoint,
     softmax,
-    stack,
     straight_through,
     upsample_repeat,
 )
+
+from gradcheck import check_gradients, finite_difference_grad, max_relative_error
 
 
 def test_backward_sum_is_ones():
@@ -54,7 +52,7 @@ def test_backward_twice_errors():
 def test_nan_raises_at_the_op():
     x = Tensor([0.0, 1.0], requires_grad=True)
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-        x.log()
+        x ** -1.0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -68,7 +66,7 @@ def test_composite_graph_matches_finite_differences(seed):
         def loss_fn():
             h = (x @ w + b).relu()
             p = softmax(h * Tensor(1.3))
-            return (p * p).sum() + (h.tanh()).mean()
+            return (p * p).sum() + (h ** 3).mean()
 
         errors = check_gradients(loss_fn, [("w", w), ("b", b)], eps=1e-4, tol=1e-4)
     assert max(errors.values()) < 1e-4
@@ -76,8 +74,8 @@ def test_composite_graph_matches_finite_differences(seed):
 
 @pytest.mark.parametrize(
     "op_name",
-    ["add", "mul", "div", "matmul", "relu", "tanh", "exp", "log", "sqrt", "sin", "cos",
-     "pow", "sum_axis", "mean", "reshape", "transpose", "slice", "concat", "stack"],
+    ["add", "mul", "matmul", "relu", "sqrt", "pow", "sum_axis", "mean", "reshape",
+     "transpose", "slice", "concat"],
 )
 def test_each_op_matches_finite_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % 2**32)
@@ -91,15 +89,9 @@ def test_each_op_matches_finite_differences(op_name):
         builders = {
             "add": lambda: (a + b).sum(),
             "mul": lambda: (a * b).sum(),
-            "div": lambda: (a / b).sum(),
             "matmul": lambda: (a @ c).sum(),
             "relu": lambda: (a - Tensor(1.0)).relu().sum(),
-            "tanh": lambda: a.tanh().sum(),
-            "exp": lambda: a.exp().sum(),
-            "log": lambda: a.log().sum(),
             "sqrt": lambda: a.sqrt().sum(),
-            "sin": lambda: a.sin().sum(),
-            "cos": lambda: a.cos().sum(),
             "pow": lambda: (a ** 3).sum(),
             "sum_axis": lambda: (a.sum(axis=0) * k4).sum(),
             "mean": lambda: a.mean(axis=1).sum(),
@@ -107,7 +99,6 @@ def test_each_op_matches_finite_differences(op_name):
             "transpose": lambda: (a.transpose((1, 0)) @ k31).sum(),
             "slice": lambda: (a[1:, :2] * b[:2, 2:]).sum(),
             "concat": lambda: (concat([a, b], axis=1) ** 2).sum(),
-            "stack": lambda: (stack([a, b], axis=0) ** 2).mean(),
         }
         check_gradients(builders[op_name], [("a", a), ("b", b), ("c", c)], eps=1e-5, tol=1e-4)
 

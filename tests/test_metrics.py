@@ -11,8 +11,6 @@ from soke.metrics import (
     dtw,
     dtw_joint_metrics,
     evaluate_split,
-    frame_jpe,
-    frame_pa_jpe,
     procrustes_align,
     reconstruction_pa_mpjpe,
 )
@@ -25,6 +23,21 @@ from soke.motion import (
     hand_joint_indices,
     synthesize_dataset,
 )
+
+
+def frame_jpe(gen_joints: np.ndarray, ref_joints: np.ndarray) -> float:
+    """Mean Euclidean distance over corresponding joints of one frame pair."""
+    gen_joints = np.asarray(gen_joints, dtype=np.float64)
+    ref_joints = np.asarray(ref_joints, dtype=np.float64)
+    if gen_joints.shape != ref_joints.shape:
+        raise InputError(f"joint sets differ: {gen_joints.shape} vs {ref_joints.shape}")
+    return float(np.linalg.norm(gen_joints - ref_joints, axis=-1).mean())
+
+
+def frame_pa_jpe(gen_joints: np.ndarray, ref_joints: np.ndarray) -> float:
+    """frame_jpe after Procrustes-aligning the generated joints to the reference."""
+    aligned, _ = procrustes_align(gen_joints, ref_joints)
+    return frame_jpe(aligned, ref_joints)
 
 
 def aligned_residual(A, B):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soke.errors import ConfigError, InputError, LayoutError
-from soke.grad import Tensor, check_gradients, default_dtype
+from soke.grad import Tensor, default_dtype
 from soke.motion import (
     MotionSequence,
     Part,
@@ -22,6 +22,8 @@ from soke.motion import (
 )
 from soke.motion.kinematics import axis_angle_vjp
 from soke.posefit import body_fk
+
+from gradcheck import check_gradients
 
 
 def forward_kinematics(frame: np.ndarray, chain) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from soke.errors import ConfigError, InputError
-from soke.grad import Tensor, check_gradients, default_dtype
+from soke.grad import Tensor, default_dtype
 from soke.motion import (
     MotionSequence,
     build_sign_chain,
@@ -23,6 +23,8 @@ from soke.posefit import (
     save_observations,
     total_loss,
 )
+
+from gradcheck import check_gradients
 
 CHAIN = build_sign_chain()
 BODY = CHAIN.body_subchain(11)
