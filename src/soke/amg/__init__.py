@@ -12,7 +12,7 @@ from .decoding import (
     generate_triples,
     unflatten,
 )
-from .model import MODES, AmgConfig, GeneratorModel, fuse_embeddings
+from .model import MODES, AmgConfig, DecoderCache, GeneratorModel, fuse_embeddings
 from .training import (
     AmgTrainConfig,
     TrainPair,
@@ -29,6 +29,7 @@ __all__ = [
     "AmgConfig",
     "AmgTrainConfig",
     "DecodeResult",
+    "DecoderCache",
     "GeneratorModel",
     "LANGUAGES",
     "MODES",

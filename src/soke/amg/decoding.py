@@ -1,8 +1,12 @@
 """Greedy decoding in three factorizations of one autoregressive generator.
 
 One greedy loop serves every mode and reads the mode's entry of
-`MODE_SPECS` (model.py). Each step is one decoder pass over one row per start
-token and one masked argmax per slot, a (row, head, support part) triple.
+`MODE_SPECS` (model.py). Each step is one decoder pass and one masked argmax
+per slot, a (row, head, support part) triple. A pass runs one new position
+per row (one row per start token) against a per-prompt `DecoderCache`, which
+holds the cross-attention keys and values of the prompt and the
+self-attention keys and values of the positions run so far. Decoding builds
+no autodiff graph (`no_grad`).
 Decoding stops at the first step where any slot picks EOS, and that step is
 excluded. The kept picks, in step and slot order, are the flat stream
 (B, LH, RH, B, ...): they are grouped in threes, and step_count is
@@ -17,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError, ModeError
-from ..grad import Tensor, concat, log_softmax_array
+from ..grad import Tensor, no_grad
 from ..motion import PARTS
-from .model import MODE_SPECS, GeneratorModel, fuse_embeddings, tile_rows
+from .model import MODE_SPECS, DecoderCache, GeneratorModel, fuse_embeddings, tile_rows
 from .vocab import Vocabulary
 
 
@@ -42,7 +46,8 @@ class DecodeResult:
     step_count: the decoder passes that produced kept output; 3K for
     sequential decoding, K for parallel and multi-head decoding.
     forward_passes: every decoder pass run, one per step also for the three
-    rows of parallel decoding. It is step_count + 1 when decoding stops on
+    rows of parallel decoding; a pass runs one new position per row against
+    the decoder cache. It is step_count + 1 when decoding stops on
     EOS (plus the passes of a dropped partial triple in sequential mode) and
     step_count when it reaches k_max.
     """
@@ -100,8 +105,8 @@ def _masked_pick(logits_row: np.ndarray, support: np.ndarray) -> tuple[int, floa
     """
     masked = np.where(support, logits_row.astype(np.float64), -np.inf)
     token = int(np.argmax(masked))
-    logp = float(log_softmax_array(logits_row, support)[token])
-    return token, logp
+    # the masked log-softmax at its maximum, where z - max is 0
+    return token, -float(np.log(np.exp(masked - masked[token]).sum()))
 
 
 def _greedy(
@@ -118,30 +123,31 @@ def _greedy(
     k_max = model.config.k_max if k_max is None else k_max
     start = time.perf_counter()
     supports = {part: vocab.part_support_mask(part) for part in PARTS}
-    h_en, enc_mask = tile_rows(h_en, enc_mask, len(spec.starts))
-    inputs = [model.token_embeddings(np.asarray(spec.start_ids(vocab, lang))[:, None])]
     picks: list[tuple[int, float]] = []
     max_steps = len(spec.schedule) * k_max
     passes = max_steps
-    for t in range(max_steps):
-        dec_emb = inputs[0] if len(inputs) == 1 else concat(inputs, axis=1)
-        hidden = model.decode_hidden(dec_emb, h_en, enc_mask)
-        slots = spec.schedule[t % len(spec.schedule)]
-        logits = {}
-        for _, head, _ in slots:
-            if head not in logits:
-                logits[head] = model.head_logits(hidden, head).data[:, -1]
-        step = [_masked_pick(logits[head][row], supports[part]) for row, head, part in slots]
-        tokens = [token for token, _ in step]
-        if vocab.eos_id in tokens:
-            passes = t + 1
-            break
-        picks.extend(step)
-        if spec.fuse:
-            embs = [model.token_embeddings(np.asarray([[token]])) for token in tokens]
-            inputs.append(fuse_embeddings(*embs, model.config.fuse_lambda))
-        else:
-            inputs.append(model.token_embeddings(np.asarray(tokens)[:, None]))
+    with no_grad():
+        h_en, enc_mask = tile_rows(h_en, enc_mask, len(spec.starts))
+        cache = DecoderCache()
+        dec_emb = model.token_embeddings(np.asarray(spec.start_ids(vocab, lang))[:, None])
+        for t in range(max_steps):
+            hidden = model.decode_hidden(dec_emb, h_en, enc_mask, cache=cache)
+            slots = spec.schedule[t % len(spec.schedule)]
+            logits = {}
+            for _, head, _ in slots:
+                if head not in logits:
+                    logits[head] = model.head_logits(hidden, head).data[:, -1]
+            step = [_masked_pick(logits[head][row], supports[part]) for row, head, part in slots]
+            tokens = [token for token, _ in step]
+            if vocab.eos_id in tokens:
+                passes = t + 1
+                break
+            picks.extend(step)
+            if spec.fuse:
+                embs = [model.token_embeddings(np.asarray([[token]])) for token in tokens]
+                dec_emb = fuse_embeddings(*embs, model.config.fuse_lambda)
+            else:
+                dec_emb = model.token_embeddings(np.asarray(tokens)[:, None])
     k = len(picks) // 3
     triples = tuple(unflatten([token for token, _ in picks[: 3 * k]], vocab))
     logprobs = None
@@ -202,4 +208,5 @@ def decode_multihead(
 
 def generate_triples(model: GeneratorModel, prompt_ids: list[int], lang: str) -> DecodeResult:
     """Encode a prompt and decode with the model's trained strategy."""
-    return _greedy(model, *encode_prompt(model, prompt_ids), lang, None)
+    with no_grad():
+        return _greedy(model, *encode_prompt(model, prompt_ids), lang, None)

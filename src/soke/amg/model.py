@@ -8,7 +8,7 @@ exactly uniform over each part's support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,18 +168,52 @@ class GeneratorModel:
 
     # -- forward pieces ---------------------------------------------------------
 
-    def _mha(self, x_q: Tensor, x_kv: Tensor, p: dict, mask: np.ndarray | None) -> Tensor:
-        cfg = self.config
-        b, tq, d = x_q.shape
-        tk = x_kv.shape[1]
-        h, dh = cfg.num_heads, d // cfg.num_heads
-        q = (x_q @ p["wq"] + p["bq"]).reshape(b, tq, h, dh).transpose((0, 2, 1, 3))
-        k = (x_kv @ p["wk"] + p["bk"]).reshape(b, tk, h, dh).transpose((0, 2, 1, 3))
-        v = (x_kv @ p["wv"] + p["bv"]).reshape(b, tk, h, dh).transpose((0, 2, 1, 3))
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
+    def _heads(self, x: Tensor) -> Tensor:
+        """(B, T, d) -> (B, h, T, dh)."""
+        b, t, d = x.shape
+        h = self.config.num_heads
+        return x.reshape(b, t, h, d // h).transpose((0, 2, 1, 3))
+
+    def _attend(self, q: Tensor, k_t: Tensor, v: Tensor, p: dict,
+                mask: np.ndarray | None) -> Tensor:
+        """Queries (B, h, Tq, dh) against keys (B, h, dh, Tk) and values
+        (B, h, Tk, dh), then the output projection: (B, Tq, d)."""
+        b, h, tq, dh = q.shape
+        scores = (q @ k_t) * (1.0 / math.sqrt(dh))
         probs = softmax(scores, mask=mask)
-        ctx = (probs @ v).transpose((0, 2, 1, 3)).reshape(b, tq, d)
+        ctx = (probs @ v).transpose((0, 2, 1, 3)).reshape(b, tq, h * dh)
         return ctx @ p["wo"] + p["bo"]
+
+    def _mha(self, x_q: Tensor, x_kv: Tensor, p: dict, mask: np.ndarray | None) -> Tensor:
+        q = self._heads(x_q @ p["wq"] + p["bq"])
+        k = self._heads(x_kv @ p["wk"] + p["bk"])
+        v = self._heads(x_kv @ p["wv"] + p["bv"])
+        return self._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
+
+    def _cached_self_attention(self, x: Tensor, p: dict, layer: LayerCache,
+                               mask: np.ndarray) -> Tensor:
+        """Self-attention of the new positions x (B, n, d) over the cached
+        keys and values plus their own, which join the cache."""
+        b, n, d = x.shape
+        h = self.config.num_heads
+        qkv = (x @ layer.w_qkv + layer.b_qkv).reshape(b, n, 3, h, d // h)
+        qkv = qkv.transpose((2, 0, 3, 1, 4))  # (3, B, h, n, dh)
+        q, k, v = qkv[0], qkv[1], qkv[2]
+        if layer.self_k is not None:
+            k = concat([layer.self_k, k], axis=2)
+            v = concat([layer.self_v, v], axis=2)
+        layer.self_k, layer.self_v = k, v
+        return self._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
+
+    def _layer_cache(self, layer: dict, h_en: Tensor) -> LayerCache:
+        """A decoder layer's cache for the encoder state h_en (R, S, d)."""
+        sa, ca = layer["self"], layer["cross"]
+        return LayerCache(
+            w_qkv=concat([sa["wq"], sa["wk"], sa["wv"]], axis=1),
+            b_qkv=concat([sa["bq"], sa["bk"], sa["bv"]], axis=0),
+            cross_k=self._heads(h_en @ ca["wk"] + ca["bk"]).transpose((0, 1, 3, 2)),
+            cross_v=self._heads(h_en @ ca["wv"] + ca["bv"]),
+        )
 
     def _ffn(self, x: Tensor, p: dict) -> Tensor:
         return (x @ p["w1"] + p["b1"]).relu() @ p["w2"] + p["b2"]
@@ -209,25 +243,45 @@ class GeneratorModel:
             x = x + self._ffn(layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["ffn"])
         return layer_norm(x, self.enc_ln_g, self.enc_ln_b), key_mask
 
-    def decode_hidden(self, dec_emb: Tensor, h_en: Tensor, enc_key_mask: np.ndarray) -> Tensor:
-        """Decoder trunk over already-embedded inputs (B, K, d)."""
+    def decode_hidden(self, dec_emb: Tensor, h_en: Tensor, enc_key_mask: np.ndarray,
+                      cache: DecoderCache | None = None) -> Tensor:
+        """Decoder trunk over already-embedded inputs (B, K, d).
+
+        Without a cache, dec_emb is the whole teacher-forced prefix. With one,
+        dec_emb holds only the new positions, which attend to the cached ones;
+        the first cached pass projects h_en to the cross-attention keys and
+        values, and every pass appends its self-attention keys and values.
+        """
         b, k, _ = dec_emb.shape
-        if k > self.dec_max_len:
+        offset = 0 if cache is None else cache.length
+        if offset + k > self.dec_max_len:
             raise InputError(
-                f"decoder input has {k} positions but the model has {self.dec_max_len} "
+                f"decoder input has {offset + k} positions but the model has {self.dec_max_len} "
                 f"decoder positions (k_max {self.config.k_max}, mode {self.mode})"
             )
-        causal = np.tril(np.ones((k, k), dtype=bool))[None, None, :, :]
+        if cache is not None and not cache.layers:
+            cache.layers = [self._layer_cache(layer, h_en) for layer in self.dec_layers]
+        causal = np.tri(k, offset + k, offset, dtype=bool)[None, None, :, :]
         cross_mask = enc_key_mask[:, None, None, :]
-        pos = gather_rows(self.dec_pos, np.arange(k))
+        pos = gather_rows(self.dec_pos, np.arange(offset, offset + k))
         x = dec_emb + pos
-        for layer in self.dec_layers:
+        for i, layer in enumerate(self.dec_layers):
             normed = layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            x = x + self._mha(normed, normed, layer["self"], causal)
-            x = x + self._mha(
-                layer_norm(x, layer["lnc_g"], layer["lnc_b"]), h_en, layer["cross"], cross_mask
-            )
+            if cache is None:
+                x = x + self._mha(normed, normed, layer["self"], causal)
+                x = x + self._mha(
+                    layer_norm(x, layer["lnc_g"], layer["lnc_b"]), h_en, layer["cross"], cross_mask
+                )
+            else:
+                lc = cache.layers[i]
+                x = x + self._cached_self_attention(normed, layer["self"], lc, causal)
+                cross = layer["cross"]
+                normed = layer_norm(x, layer["lnc_g"], layer["lnc_b"])
+                q = self._heads(normed @ cross["wq"] + cross["bq"])
+                x = x + self._attend(q, lc.cross_k, lc.cross_v, cross, cross_mask)
             x = x + self._ffn(layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["ffn"])
+        if cache is not None:
+            cache.length += k
         return layer_norm(x, self.dec_ln_g, self.dec_ln_b)
 
     def head_logits(self, hidden: Tensor, part: Part) -> Tensor:
@@ -236,6 +290,31 @@ class GeneratorModel:
 
     def token_embeddings(self, ids: np.ndarray) -> Tensor:
         return gather_rows(self.emb, np.asarray(ids, dtype=np.int64))
+
+
+@dataclass
+class LayerCache:
+    """One decoder layer's state in a DecoderCache."""
+
+    w_qkv: Tensor  # self-attention Q|K|V weights side by side, (d, 3d)
+    b_qkv: Tensor  # (3d,)
+    cross_k: Tensor  # cross-attention keys, pre-transposed: (R, h, dh, S)
+    cross_v: Tensor  # (R, h, S, dh)
+    self_k: Tensor | None = None  # self-attention keys so far, (R, h, length, dh)
+    self_v: Tensor | None = None  # (R, h, length, dh)
+
+
+@dataclass
+class DecoderCache:
+    """Per-prompt state of incremental decoding (decode_hidden with a cache).
+
+    Empty when made; the first cached pass fills one LayerCache per decoder
+    layer, and every pass advances `length` by the positions it ran. It holds
+    projections of the parameters, so it is valid only while they stay fixed.
+    """
+
+    length: int = 0
+    layers: list[LayerCache] = field(default_factory=list)
 
 
 def tile_rows(h_en: Tensor, enc_mask: np.ndarray, rows: int) -> tuple[Tensor, np.ndarray]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, InputError
-from ..grad import Tensor, conv1d, gather_rows, straight_through, upsample_repeat
+from ..grad import Tensor, conv1d, gather_rows, no_grad, straight_through, upsample_repeat
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, merge_parts, split_parts
 from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
 
@@ -107,7 +107,8 @@ class PartTokenizer:
                 f"motion of {motion.num_frames} frames is shorter than one "
                 f"downsample window ({self.config.downsample})"
             )
-        latents = self.encode_latents(motion.frames)
+        with no_grad():
+            latents = self.encode_latents(motion.frames)
         return quantize(latents.data, self.codebook)
 
     def decode(self, tokens: TokenSeq, num_frames: int | None = None) -> PartMotion:
@@ -118,8 +119,9 @@ class PartTokenizer:
             raise InputError(
                 f"token id out of range [0, {self.codebook.num_codes}) for part {self.part.value}"
             )
-        codes = gather_rows(self.codebook.codes, ids)
-        frames = self.decode_latents(codes).data.astype(np.float32)
+        with no_grad():
+            codes = gather_rows(self.codebook.codes, ids)
+            frames = self.decode_latents(codes).data.astype(np.float32)
         if num_frames is not None:
             if frames.shape[0] >= num_frames:
                 frames = frames[:num_frames]

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..artifacts import from_dict, read_json, write_json, write_jsonl
 from ..errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
-from ..grad import Adam, CosineSchedule, load_parameters, save_checkpoint
+from ..grad import Adam, CosineSchedule, load_parameters, no_grad, save_checkpoint
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, split_parts
 from .codebook import nearest_code_ids
 from .tokenizer import DecoupledTokenizer, DetoConfig, PartTokenizer
@@ -32,7 +32,8 @@ class DetoTrainConfig:
 
 def _warm_start_codebook(tok: PartTokenizer, motions: list[PartMotion], rng: np.random.Generator):
     """Initialize codebook rows from encoder outputs so no code starts dead."""
-    latents = np.concatenate([tok.encode_latents(m.frames).data for m in motions], axis=0)
+    with no_grad():
+        latents = np.concatenate([tok.encode_latents(m.frames).data for m in motions], axis=0)
     n = tok.codebook.num_codes
     picks = rng.integers(0, latents.shape[0], size=n)
     jitter = rng.normal(0.0, 0.01, size=(n, latents.shape[1]))
@@ -53,7 +54,8 @@ def _train_one_part(
     )
     epoch_len = len(motions)
     used = np.zeros(tok.codebook.num_codes, dtype=bool)
-    latent_pool = tok.encode_latents(motions[0].frames).data
+    with no_grad():
+        latent_pool = tok.encode_latents(motions[0].frames).data
     epoch_losses: list[tuple[float, float, float, float]] = []
     order = rng.permutation(epoch_len)
 
@@ -69,7 +71,8 @@ def _train_one_part(
             ) from exc
         opt.step()
 
-        latents = tok.encode_latents(motion.frames).data
+        with no_grad():  # the updated encoder's codes, for dead-code detection
+            latents = tok.encode_latents(motion.frames).data
         used[nearest_code_ids(latents, tok.codebook.codes.data)] = True
         latent_pool = latents
         epoch_losses.append((total.item(), rec.item(), emb.item(), com.item()))

@@ -11,7 +11,7 @@ from .tensor import (
     default_dtype,
     gather_rows,
     layer_norm,
-    log_softmax_array,
+    no_grad,
     softmax,
     straight_through,
     upsample_repeat,
@@ -30,7 +30,7 @@ __all__ = [
     "layer_norm",
     "load_checkpoint",
     "load_parameters",
-    "log_softmax_array",
+    "no_grad",
     "save_checkpoint",
     "softmax",
     "straight_through",

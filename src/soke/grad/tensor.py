@@ -10,6 +10,9 @@ are composed from them. Default storage is float32 with float64 accumulation
 in reductions. `default_dtype` switches newly created tensors to float64; its
 users are `posefit.fit_sequence` and the tests' finite-difference gradient
 checks, so central differences are not drowned by rounding noise.
+`no_grad` switches graph building off: inside it, op outputs inherit no
+`requires_grad` and keep no parents, so forward-only callers (decoding,
+tokenizing, the dictionary build) leave no graph behind.
 Every op checks its output for NaN/inf so divergence surfaces at the op that
 produced it instead of three losses later.
 """
@@ -23,6 +26,7 @@ import numpy as np
 from ..errors import GraphError, NonFiniteError
 
 _default_dtype = np.float32
+_grad_enabled = True
 
 # Additive mask value for disallowed logits. Large enough to zero the
 # probability in float32 softmax, small enough not to overflow.
@@ -41,8 +45,21 @@ def default_dtype(dtype):
         _default_dtype = previous
 
 
+@contextmanager
+def no_grad():
+    """Build no graph: op outputs created inside inherit no requires_grad
+    and keep no parents. Leaves keep an explicit requires_grad."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
 
 
@@ -71,7 +88,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=_default_dtype)
         _check_finite(self.data, _op)
         self.grad: np.ndarray | None = None
-        if not requires_grad:
+        if not requires_grad and _grad_enabled:
             for parent in _parents:
                 if parent.requires_grad:
                     requires_grad = True
@@ -125,7 +142,8 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_sum_to_shape(g, other.shape))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     __radd__ = __add__
@@ -137,7 +155,8 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(-g)
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     def __sub__(self, other) -> "Tensor":
@@ -157,7 +176,8 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_sum_to_shape(g * self.data, other.shape))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     __rmul__ = __mul__
@@ -171,7 +191,8 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * exponent * self.data ** (exponent - 1))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     # -- matmul ------------------------------------------------------------------
@@ -186,7 +207,8 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_sum_to_shape(_swap_last(self.data) @ g, other.shape))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     # -- reductions -----------------------------------------------------------------
@@ -204,7 +226,8 @@ class Tensor:
                 gg = g if keepdims else np.expand_dims(g, axis)
                 self._accumulate(np.broadcast_to(gg, self.shape))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -226,18 +249,19 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(np.asarray(g).reshape(self.shape))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     def transpose(self, axes: tuple[int, ...]) -> "Tensor":
         out = Tensor(np.transpose(self.data, axes), _parents=(self,), _op="transpose")
-        inverse = tuple(int(i) for i in np.argsort(axes))
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(np.transpose(g, inverse))
+                self._accumulate(np.transpose(g, np.argsort(axes)))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     def __getitem__(self, key) -> "Tensor":
@@ -256,7 +280,8 @@ class Tensor:
                     full[key] = g
                 self._accumulate(full)
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     # -- nonlinearities -------------------------------------------------------------------
@@ -268,7 +293,8 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * (self.data > 0.0))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     def abs(self) -> "Tensor":
@@ -278,7 +304,8 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * np.sign(self.data))
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     def sqrt(self) -> "Tensor":
@@ -289,7 +316,8 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g * 0.5 / value)
 
-        out._backward = backward
+        if out.requires_grad:
+            out._backward = backward
         return out
 
     # -- graph traversal -------------------------------------------------------------------
@@ -339,19 +367,20 @@ def _swap_last(arr: np.ndarray) -> np.ndarray:
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    arrays = [p.data for p in parts]
-    out = Tensor(np.concatenate(arrays, axis=axis), _parents=tuple(parts), _op="concat")
-    sizes = [a.shape[axis] for a in arrays]
-    offsets = np.cumsum([0] + sizes)
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), _parents=tuple(parts),
+                 _op="concat")
 
     def backward(g):
-        for part, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+        stop = 0
+        for part in parts:
+            start, stop = stop, stop + part.shape[axis]
             if part.requires_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(start, stop)
                 part._accumulate(g[tuple(index)])
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -366,7 +395,8 @@ def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
             np.add.at(full, ids.reshape(-1), np.asarray(g).reshape(-1, table.shape[-1]))
             table._accumulate(full)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -386,7 +416,8 @@ def straight_through(encoder_out: Tensor, quantized: Tensor) -> Tensor:
         if encoder_out.requires_grad:
             encoder_out._accumulate(g)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -411,17 +442,9 @@ def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
                 grad = np.where(mask, grad, 0.0)
             logits._accumulate(grad)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
-
-
-def log_softmax_array(logits: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Value-only masked log-softmax used by decoding and tests."""
-    z = np.asarray(logits, dtype=np.float64)
-    if mask is not None:
-        z = np.where(mask, z, NEG_MASK)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(
@@ -465,17 +488,21 @@ def cross_entropy(
             grad = np.where(support_mask, grad, 0.0)
         logits._accumulate(float(np.asarray(g).reshape(())) * grad)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     dt = x.data.dtype
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = x.data.astype(np.float64).var(axis=-1, keepdims=True)
+    # one float64 pass, the same operations as mean() then var()
+    centered = x.data.astype(np.float64)
+    n = centered.shape[-1]
+    centered -= np.add.reduce(centered, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = (1.0 / np.sqrt(var + eps)).astype(dt)
-    xhat = ((x.data - mu) * inv).astype(dt)
+    xhat = (centered * inv).astype(dt)
     out = Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias), _op="layer_norm")
 
     def backward(g):
@@ -489,7 +516,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             mean_gx = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
             x._accumulate(inv * (gx - mean_g - xhat * mean_gx))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -505,7 +533,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     t_out = (T + 2 * padding - k) // stride + 1
     if t_out < 1:
         raise GraphError(f"conv1d: input length {T} too short for kernel {k} stride {stride}")
-    xp = np.pad(x.data, ((padding, padding), (0, 0))) if padding else x.data
+    xp = x.data
+    if padding:  # zero rows at both ends (np.pad costs ~20x more at these sizes)
+        xp = np.zeros((T + 2 * padding, c_in), dtype=x.data.dtype)
+        xp[padding: padding + T] = x.data
     idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
     cols = xp[idx].reshape(t_out, k * c_in)  # im2col
     w2 = weight.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
@@ -523,7 +554,8 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             np.add.at(gxp, idx, gcols)
             x._accumulate(gxp[padding: padding + T] if padding else gxp)
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -535,5 +567,6 @@ def upsample_repeat(x: Tensor, factor: int) -> Tensor:
         if x.requires_grad:
             x._accumulate(g.reshape(x.shape[0], factor, -1).sum(axis=1, dtype=np.float64))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out

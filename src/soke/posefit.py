@@ -17,6 +17,7 @@ this scale.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,7 +122,8 @@ def body_fk(theta: Tensor, chain: KinematicChain) -> Tensor:
         if theta.requires_grad:
             theta._accumulate(forward_kinematics_vjp(g, theta.data, rot, local, chain))
 
-    out._backward = backward
+    if out.requires_grad:
+        out._backward = backward
     return out
 
 
@@ -172,6 +174,24 @@ def loss_reg(theta: Tensor) -> Tensor:
     return ((theta * theta).sum() + _EPS).sqrt()
 
 
+def _objective(
+    theta: Tensor,
+    cam_params: Tensor,
+    observations: list[Observation2D],
+    chain: KinematicChain,
+    config: FitConfig,
+    smooth: float,
+) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
+    """(joints, total, rec, temp, reg) with one FK pass, rec smoothed by
+    `smooth` (see loss_rec) and total the weighted sum of the three terms."""
+    joints = body_fk(theta, chain)
+    rec = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
+    temp = loss_temp(joints)
+    reg = loss_reg(theta)
+    total = rec * config.w_rec + temp * config.w_temp + reg * config.w_reg
+    return joints, total, rec, temp, reg
+
+
 def total_loss(
     theta: Tensor,
     cam_params: Tensor,
@@ -186,14 +206,22 @@ def total_loss(
     reprojection term is smoothed by `smooth` (see loss_rec). rec, temp and
     reg are the exact terms, so rec is the exact L1 even when smooth > 0.
     """
-    joints = body_fk(theta, chain)
-    rec_smooth = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
-    rec = (loss_rec(joints, observations, cam_params, config.observed_joints)
-           if smooth > 0.0 else rec_smooth)
-    temp = loss_temp(joints)
-    reg = loss_reg(theta)
-    total = rec_smooth * config.w_rec + temp * config.w_temp + reg * config.w_reg
+    joints, total, rec, temp, reg = _objective(theta, cam_params, observations, chain, config,
+                                               smooth)
+    if smooth > 0.0:
+        rec = loss_rec(joints, observations, cam_params, config.observed_joints)
     return total, rec, temp, reg
+
+
+@contextmanager
+def _float64_graph():
+    """float64 tensors, so residual signs near an exact optimum are clean; a
+    non-finite value ends the fit."""
+    with default_dtype(np.float64):
+        try:
+            yield
+        except NonFiniteError as exc:
+            raise TrainingDivergedError(f"pose fit produced a non-finite loss: {exc}") from exc
 
 
 # -- the fit loop ----------------------------------------------------------------
@@ -238,26 +266,12 @@ def fit_sequence(
     theta_value = init.frames[:, : 3 * j].astype(np.float64).reshape(T, j, 3)
     cam_value = np.array([cam.scale, cam.tx, cam.ty], dtype=np.float64)
 
-    def evaluate(theta_arr, cam_arr, with_grad: bool):
-        # float64 graph: residual signs near an exact optimum must be clean.
+    def evaluate(theta_arr, cam_arr) -> dict[str, float]:
         # `objective` is the smoothed total the optimizer minimizes; the
         # logged rec/temp/reg/total values are the exact L1 quantities.
-        with default_dtype(np.float64):
-            theta_t = Tensor(theta_arr, requires_grad=with_grad)
-            cam_t = Tensor(cam_arr, requires_grad=with_grad and config.optimize_camera)
-            try:
-                objective, rec, temp, reg = total_loss(theta_t, cam_t, observations, body_chain,
-                                                       config, smooth=config.rec_smooth_mm)
-                if with_grad:
-                    objective.backward()
-            except NonFiniteError as exc:
-                raise TrainingDivergedError(
-                    f"pose fit produced a non-finite loss: {exc}"
-                ) from exc
-        grads = None
-        if with_grad:
-            g_cam = cam_t.grad if cam_t.grad is not None else np.zeros(3)
-            grads = (theta_t.grad, g_cam)
+        with _float64_graph():
+            objective, rec, temp, reg = total_loss(Tensor(theta_arr), Tensor(cam_arr), observations,
+                                                   body_chain, config, smooth=config.rec_smooth_mm)
         terms = {
             "objective": objective.item(),
             "rec": rec.item(),
@@ -266,7 +280,17 @@ def fit_sequence(
         }
         terms["total"] = (config.w_rec * terms["rec"] + config.w_temp * terms["temp"]
                           + config.w_reg * terms["reg"])
-        return terms, grads
+        return terms
+
+    def gradient(theta_arr, cam_arr) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient of the smoothed objective; builds none of the logged terms."""
+        with _float64_graph():
+            theta_t = Tensor(theta_arr, requires_grad=True)
+            cam_t = Tensor(cam_arr, requires_grad=config.optimize_camera)
+            _objective(theta_t, cam_t, observations, body_chain, config,
+                       config.rec_smooth_mm)[1].backward()
+        g_cam = cam_t.grad if cam_t.grad is not None else np.zeros(3)
+        return theta_t.grad, g_cam
 
     def log_entry(it, terms, step):
         return {"iter": it, "objective": terms["objective"], "total": terms["total"],
@@ -274,7 +298,7 @@ def fit_sequence(
                 "step": step, "accepted": True}
 
     log: list[dict] = []
-    terms_prev, _ = evaluate(theta_value, cam_value, with_grad=False)
+    terms_prev = evaluate(theta_value, cam_value)
     log.append(log_entry(0, terms_prev, 0.0))
     objective_prev = terms_prev["objective"]
     step = config.init_step
@@ -286,7 +310,7 @@ def fit_sequence(
     beta = 0.9
 
     for it in range(1, config.max_iters + 1):
-        _, (g_theta, g_cam) = evaluate(theta_value, cam_value, with_grad=True)
+        g_theta, g_cam = gradient(theta_value, cam_value)
         v_theta = beta * v_theta + (1.0 - beta) * g_theta * g_theta
         v_cam = beta * v_cam + (1.0 - beta) * g_cam * g_cam
         correction = 1.0 - beta ** it
@@ -300,7 +324,7 @@ def fit_sequence(
             if config.optimize_camera:
                 cand_cam = cam_value - step * d_cam
                 cand_cam[0] = max(cand_cam[0], 1e-4)
-            terms, _ = evaluate(cand_theta, cand_cam, with_grad=False)
+            terms = evaluate(cand_theta, cand_cam)
             if terms["objective"] <= objective_prev:
                 accepted = True
                 break

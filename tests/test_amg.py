@@ -5,8 +5,10 @@ import pytest
 
 from soke.errors import ConfigError, InputError, ModeError, SokeError, VocabularyError
 from soke.amg import (
+    MODES,
     AmgConfig,
     AmgTrainConfig,
+    DecoderCache,
     GeneratorModel,
     PartTokenTriple,
     TrainPair,
@@ -24,7 +26,8 @@ from soke.amg import (
     train_generator,
     unflatten,
 )
-from soke.grad import Tensor, concat, cross_entropy, log_softmax_array
+from soke.amg.model import MODE_SPECS, tile_rows
+from soke.grad import NEG_MASK, Tensor, concat, cross_entropy, no_grad
 from soke.motion import PARTS, Part
 
 SIZES = (6, 8, 8)
@@ -40,6 +43,13 @@ def vocab():
 
 def token_string(vocab: Vocabulary, token_id: int) -> str:
     return vocab._tokens[token_id]
+
+
+def log_softmax_array(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Masked log-softmax over the last axis, in float64."""
+    z = np.where(mask, np.asarray(logits, dtype=np.float64), NEG_MASK)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 class TestVocabulary:
@@ -183,8 +193,14 @@ class ScriptedModel:
         emb[..., 0] = ids
         return Tensor(emb)
 
-    def decode_hidden(self, dec_emb, h_en, enc_mask):
-        return dec_emb
+    def decode_hidden(self, dec_emb, h_en, enc_mask, cache=None):
+        if cache is None:
+            return dec_emb
+        # keep the whole prefix in the cache: head_logits reads the step from
+        # its length and the start token from its first position
+        cache.layers.append(dec_emb)
+        cache.length += dec_emb.shape[1]
+        return concat(cache.layers, axis=1)
 
     def head_logits(self, hidden, part):
         step = hidden.shape[1] - 1
@@ -473,6 +489,132 @@ class TestRealModel:
         prompt = list(pairs[0].prompt_ids)
         assert generate_triples(model, prompt, "ASL").triples == \
             generate_triples(loaded, prompt, "ASL").triples
+
+
+def full_prefix_greedy(model, h_en, enc_mask, lang, k_max):
+    """Greedy decoding without the decoder cache: every pass re-runs the
+    decoder over each row's whole prefix. Returns (triples, step_count,
+    forward_passes, multi-head step log-probabilities, the last-position
+    hidden states of every pass)."""
+    spec = MODE_SPECS[model.mode]
+    vocab = model.vocab
+    h_en, enc_mask = tile_rows(h_en, enc_mask, len(spec.starts))
+    inputs = [model.token_embeddings(np.asarray(spec.start_ids(vocab, lang))[:, None])]
+    picks, hiddens = [], []
+    max_steps = len(spec.schedule) * k_max
+    passes = max_steps
+    for t in range(max_steps):
+        hidden = model.decode_hidden(concat(inputs, axis=1), h_en, enc_mask)
+        hiddens.append(hidden.data[:, -1])
+        step = []
+        for row, head, part in spec.schedule[t % len(spec.schedule)]:
+            logits = model.head_logits(hidden, head).data[row, -1]
+            support = vocab.part_support_mask(part)
+            token = int(np.argmax(np.where(support, logits.astype(np.float64), -np.inf)))
+            step.append((token, float(log_softmax_array(logits, support)[token])))
+        tokens = [token for token, _ in step]
+        if vocab.eos_id in tokens:
+            passes = t + 1
+            break
+        picks.extend(step)
+        if spec.fuse:
+            embs = [model.token_embeddings(np.asarray([[token]])) for token in tokens]
+            inputs.append(fuse_embeddings(*embs, model.config.fuse_lambda))
+        else:
+            inputs.append(model.token_embeddings(np.asarray(tokens)[:, None]))
+    k = len(picks) // 3
+    triples = tuple(unflatten([token for token, _ in picks[: 3 * k]], vocab))
+    logprobs = [[lp for _, lp in picks[i: i + 3]] for i in range(0, 3 * k, 3)]
+    return triples, len(spec.schedule) * k, passes, logprobs, hiddens
+
+
+DECODERS = {
+    "sequential": lambda model, h_en, mask, k_max: decode_sequential(model, h_en, mask, k_max),
+    "parallel": lambda model, h_en, mask, k_max: decode_parallel(model, h_en, mask, "ASL", k_max),
+    "multihead": lambda model, h_en, mask, k_max: decode_multihead(model, h_en, mask, k_max),
+}
+
+
+class TestIncrementalDecoding:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cached_greedy_matches_full_prefix_oracle(self, vocab, mode):
+        model = GeneratorModel(vocab, TINY_CFG, mode, seed=4)
+        pairs = make_pairs(vocab, n=6, k=3, seed=9)
+        train_generator(pairs, model, AmgTrainConfig(epochs=60, lr=4e-3))
+        trunk = model.decode_hidden
+        cached_hiddens = []
+
+        def recording_trunk(*args, **kwargs):
+            hidden = trunk(*args, **kwargs)
+            cached_hiddens.append(hidden.data[:, -1])
+            return hidden
+
+        lengths = []
+        for pair in pairs:
+            h_en, enc_mask = encode_prompt(model, list(pair.prompt_ids))
+            for k_max in (TINY_CFG.k_max, 2):
+                triples, steps, passes, logprobs, hiddens = full_prefix_greedy(
+                    model, h_en, enc_mask, "ASL", k_max)
+                cached_hiddens.clear()
+                model.decode_hidden = recording_trunk
+                result = DECODERS[mode](model, h_en, enc_mask, k_max)
+                del model.decode_hidden
+                assert result.triples == triples
+                assert (result.step_count, result.forward_passes) == (steps, passes)
+                assert len(cached_hiddens) == len(hiddens) == passes
+                for cached, full in zip(cached_hiddens, hiddens):
+                    assert np.abs(cached - full).max() <= 1e-5 * np.abs(full).max()
+                if mode == "multihead":
+                    assert np.allclose(result.step_logprobs, logprobs, rtol=0, atol=1e-5)
+                lengths.append(len(triples))
+        assert max(lengths) > 0
+
+    def test_one_pass_over_several_positions_matches_the_full_prefix(self, vocab):
+        model = GeneratorModel(vocab, TINY_CFG, "parallel", seed=2)
+        train_generator(make_pairs(vocab, n=4, k=2, seed=1), model, AmgTrainConfig(epochs=20))
+        h_en, enc_mask = tile_rows(*encode_prompt(model, [vocab.lang_id("ASL"), 6, 7]), 3)
+        ids = np.asarray([[vocab.lang_part_id("ASL", part), vocab.motion_id(part, 1),
+                           vocab.motion_id(part, 2), vocab.motion_id(part, 3)] for part in PARTS])
+        full = model.decode_hidden(model.token_embeddings(ids), h_en, enc_mask).data
+        cache = DecoderCache()
+        with no_grad():
+            first = model.decode_hidden(model.token_embeddings(ids[:, :3]), h_en, enc_mask, cache)
+            last = model.decode_hidden(model.token_embeddings(ids[:, 3:]), h_en, enc_mask, cache)
+        assert cache.length == 4
+        cached = np.concatenate([first.data, last.data], axis=1)
+        assert np.abs(cached - full).max() <= 1e-5 * np.abs(full).max()
+
+    def test_cached_pass_beyond_decoder_positions_raises(self, vocab):
+        model = GeneratorModel(vocab, TINY_CFG, "multihead", seed=0)
+        h_en, enc_mask = encode_prompt(model, [vocab.lang_id("ASL"), 6])
+        bos = model.token_embeddings(np.asarray([[vocab.bos_id]]))
+        too_long = model.token_embeddings(np.full((1, model.dec_max_len + 1), vocab.bos_id))
+        with pytest.raises(InputError) as uncached:
+            model.decode_hidden(too_long, h_en, enc_mask)
+        cache = DecoderCache()
+        with no_grad():
+            for _ in range(model.dec_max_len):
+                model.decode_hidden(bos, h_en, enc_mask, cache)
+            with pytest.raises(InputError) as cached:
+                model.decode_hidden(bos, h_en, enc_mask, cache)
+        assert str(cached.value) == str(uncached.value)
+
+    def test_decoding_builds_no_graph_and_leaves_grads_untouched(self, vocab):
+        model = GeneratorModel(vocab, TINY_CFG, "multihead", seed=3)
+        train_generator(make_pairs(vocab, n=4, k=2, seed=2), model, AmgTrainConfig(epochs=5))
+        before = {name: p.grad.copy() for name, p in model.parameters()}
+        trunk = model.decode_hidden
+        outputs = []
+
+        def recording_trunk(*args, **kwargs):
+            outputs.append(trunk(*args, **kwargs))
+            return outputs[-1]
+
+        model.decode_hidden = recording_trunk
+        generate_triples(model, [vocab.lang_id("ASL"), 6, 7], "ASL")
+        assert outputs and all(out._parents == () for out in outputs)
+        for name, p in model.parameters():
+            assert np.array_equal(p.grad, before[name]), name
 
 
 def _edit_json(path, edit):

@@ -164,6 +164,32 @@ class TestFitSequence:
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert result.log[-1]["total"] < result.log[0]["total"]
 
+    def test_gradient_evaluation_builds_only_the_smoothed_objective(self, monkeypatch):
+        import soke.posefit as posefit
+
+        evaluations = []  # per FK pass: is it a gradient evaluation?
+        rec_calls = {True: [], False: []}  # loss_rec smoothing widths, by evaluation kind
+
+        def counting_fk(theta, chain):
+            evaluations.append(theta.requires_grad)
+            return body_fk(theta, chain)
+
+        def counting_rec(*args, smooth=0.0):
+            rec_calls[evaluations[-1]].append(smooth)
+            return loss_rec(*args, smooth=smooth)
+
+        monkeypatch.setattr(posefit, "body_fk", counting_fk)
+        monkeypatch.setattr(posefit, "loss_rec", counting_rec)
+        seq = constant_pose_sequence(np.full((11, 3), 0.1), frames=3)
+        obs = observe_sequence(seq, CameraWeakPerspective(), CHAIN, noise_std=2.0, seed=4)
+        cfg = FitConfig(max_iters=4)
+        fit_sequence(seq, obs, CameraWeakPerspective(), cfg, CHAIN)
+        gradients = sum(evaluations)
+        assert gradients >= 1
+        assert rec_calls[True] == [cfg.rec_smooth_mm] * gradients
+        # a value-only evaluation builds the smoothed and the exact L1 term
+        assert rec_calls[False] == [cfg.rec_smooth_mm, 0.0] * (len(evaluations) - gradients)
+
     def test_frame_mismatch_rejected(self):
         seq = constant_pose_sequence(np.zeros((11, 3)), frames=4)
         obs = observe_sequence(seq, CameraWeakPerspective(), CHAIN)[:-1]
