@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import InputError, ModeError
 from ..grad import Tensor, no_grad
 from ..motion import PARTS
-from .model import MODE_SPECS, DecoderCache, GeneratorModel, fuse_embeddings, tile_rows
+from .model import MODE_SPECS, DecoderCache, GeneratorModel, fuse_embeddings
 from .vocab import Vocabulary
 
 
@@ -127,8 +127,7 @@ def _greedy(
     max_steps = len(spec.schedule) * k_max
     passes = max_steps
     with no_grad():
-        h_en, enc_mask = tile_rows(h_en, enc_mask, len(spec.starts))
-        cache = DecoderCache()
+        cache = DecoderCache()  # one encoder row, broadcast over the decoder rows
         dec_emb = model.token_embeddings(np.asarray(spec.start_ids(vocab, lang))[:, None])
         for t in range(max_steps):
             hidden = model.decode_hidden(dec_emb, h_en, enc_mask, cache=cache)

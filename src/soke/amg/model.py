@@ -52,8 +52,9 @@ MODE_SPECS = {
     # part PARTS[t % 3], so a triple takes three steps
     "sequential": ModeSpec(starts=(None,),
                            schedule=tuple(((0, Part.BODY, part),) for part in PARTS)),
-    # three <Lang_p> rows over the encoder state tiled three times, one pass
-    # per step; row r reads the body head masked to part PARTS[r]
+    # three <Lang_p> rows over one encoder state (tiled three times in
+    # training, broadcast in decoding), one pass per step; row r reads the
+    # body head masked to part PARTS[r]
     "parallel": ModeSpec(starts=PARTS,
                          schedule=(tuple((row, Part.BODY, part) for row, part in enumerate(PARTS)),)),
     # one <BOS> row; head p picks part p, and the three picks are fed back fused
@@ -206,7 +207,8 @@ class GeneratorModel:
         return self._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
 
     def _layer_cache(self, layer: dict, h_en: Tensor) -> LayerCache:
-        """A decoder layer's cache for the encoder state h_en (R, S, d)."""
+        """A decoder layer's cache for the encoder state h_en (R, S, d); with
+        R = 1 its keys and values broadcast over every decoder row."""
         sa, ca = layer["self"], layer["cross"]
         return LayerCache(
             w_qkv=concat([sa["wq"], sa["wk"], sa["wv"]], axis=1),
@@ -298,8 +300,8 @@ class LayerCache:
 
     w_qkv: Tensor  # self-attention Q|K|V weights side by side, (d, 3d)
     b_qkv: Tensor  # (3d,)
-    cross_k: Tensor  # cross-attention keys, pre-transposed: (R, h, dh, S)
-    cross_v: Tensor  # (R, h, S, dh)
+    cross_k: Tensor  # cross-attention keys, pre-transposed: (R or 1, h, dh, S)
+    cross_v: Tensor  # (R or 1, h, S, dh)
     self_k: Tensor | None = None  # self-attention keys so far, (R, h, length, dh)
     self_v: Tensor | None = None  # (R, h, length, dh)
 

@@ -21,7 +21,7 @@ from ..grad import (
 from ..motion import PARTS, Part
 from ..deto import TokenSeq
 from .decoding import PartTokenTriple
-from .model import MODE_SPECS, MODES, AmgConfig, GeneratorModel, ModeSpec, fuse_embeddings, tile_rows
+from .model import MODE_SPECS, MODES, AmgConfig, GeneratorModel, fuse_embeddings, tile_rows
 from .vocab import Vocabulary, load_vocab, save_vocab
 
 SIDECAR_NAME = "amg.json"
@@ -88,29 +88,50 @@ def _pad_prompts(pairs: list[TrainPair], vocab: Vocabulary, max_len: int, log: l
     return out
 
 
-def _teacher_batch(spec: ModeSpec, pairs: list[TrainPair], vocab: Vocabulary):
+@dataclass(frozen=True)
+class TeacherBatch:
+    """What generator_loss needs of a list of pairs besides the model's
+    parameters; train_generator builds it once for all epochs.
+
+    prompts: (pairs, width) padded encoder ids. inputs: (decoder rows, steps,
+    heads) decoder input ids. weights: (decoder rows, steps), shared by the
+    heads. Per head, in spec.heads order: `columns`, the sorted vocabulary
+    ids the head can emit (its slots' part supports plus EOS); `targets`,
+    (decoder rows, steps) positions in those columns; and `support`, a mask
+    over (decoder rows, steps, columns), or None when the head serves a
+    single part and so may emit every one of its columns.
+    """
+
+    prompts: np.ndarray
+    inputs: np.ndarray
+    weights: np.ndarray
+    columns: tuple[np.ndarray, ...]
+    targets: tuple[np.ndarray, ...]
+    support: tuple[np.ndarray | None, ...]
+
+
+def _teacher_batch(model: GeneratorModel, pairs: list[TrainPair], log: list[dict]) -> TeacherBatch:
     """Teacher-forcing arrays of one batch, read off the mode's slot table.
 
     Decoder row r of pair i is row r * len(pairs) + i, so the rows line up
     with the encoder state tiled len(spec.starts) times. A pair of k triples
     puts its flat stream (B, LH, RH, B, ...) into the slots of steps
     0 .. P*k - 1 in order (P = len(spec.schedule)); step P*k is its EOS step.
-
-    Returns, over (decoder rows, steps, heads): the targets and the inputs,
-    which are the targets shifted right behind each row's start token with
-    EOS and padding turned into <PAD>; each head's support mask over (decoder
-    rows, steps, vocabulary); and the (decoder rows, steps) weights shared by
-    the heads.
+    The inputs are the targets shifted right behind each row's start token,
+    with EOS and padding turned into <PAD>.
     """
+    if not pairs:
+        raise InputError("no training pairs")
+    vocab, spec = model.vocab, MODE_SPECS[model.mode]
+    prompts = _pad_prompts(pairs, vocab, model.config.enc_max_len, log)
     b, rows, period, heads = len(pairs), len(spec.starts), len(spec.schedule), spec.heads
     width = period * max(len(pair.triples) for pair in pairs) + 1
-    masks = {part: vocab.part_support_mask(part) for part in PARTS}
-    support = np.zeros((len(heads), rows, width, len(vocab)), dtype=bool)
+    part_at = np.zeros((len(heads), rows, width), dtype=np.int64)  # PARTS index per slot
     cells = []  # (row, step, head) of each token of a flat stream, in stream order
     for t in range(width):
         for r, head, part in spec.schedule[t % period]:
             h = heads.index(head)
-            support[h, r, t] = masks[part]
+            part_at[h, r, t] = PARTS.index(part)
             cells.append((r, t, h))
     cells = np.array(cells).T
     targets = np.full((rows * b, width, len(heads)), vocab.eos_id, dtype=np.int64)
@@ -125,19 +146,37 @@ def _teacher_batch(spec: ModeSpec, pairs: list[TrainPair], vocab: Vocabulary):
     inputs[:, 0] = starts.T.reshape(-1, 1)
     shifted = targets[:, :-1]
     inputs[:, 1:] = np.where(shifted == vocab.eos_id, vocab.pad_id, shifted)
-    return targets, inputs, np.repeat(support, b, axis=1), np.tile(weights, (rows, 1))
+
+    masks = np.stack([vocab.part_support_mask(part) for part in PARTS])
+    columns, head_targets, support = [], [], []
+    for h, head in enumerate(heads):
+        served = sorted({PARTS.index(part) for slots in spec.schedule
+                         for _, slot_head, part in slots if slot_head == head})
+        cols = np.flatnonzero(masks[served].any(axis=0))
+        columns.append(cols)
+        head_targets.append(np.searchsorted(cols, targets[..., h]))
+        # (rows, steps, columns) per slot, then one copy per pair, row-major
+        support.append(np.repeat(masks[:, cols][part_at[h]], b, axis=0)
+                       if len(served) > 1 else None)
+    return TeacherBatch(prompts, inputs, np.tile(weights, (rows, 1)), tuple(columns),
+                        tuple(head_targets), tuple(support))
 
 
-def generator_loss(model: GeneratorModel, pairs: list[TrainPair], log: list[dict] | None = None) -> Tensor:
+def generator_loss(model: GeneratorModel, pairs: list[TrainPair], log: list[dict] | None = None,
+                   batch: TeacherBatch | None = None) -> Tensor:
     """Mean teacher-forced cross-entropy per position, averaged over the
-    mode's output heads; padded positions carry zero weight."""
-    if not pairs:
-        raise InputError("no training pairs")
-    log = log if log is not None else []
-    vocab, spec = model.vocab, MODE_SPECS[model.mode]
-    prompts = _pad_prompts(pairs, vocab, model.config.enc_max_len, log)
-    h_en, enc_mask = tile_rows(*model.encode(prompts), len(spec.starts))
-    targets, inputs, support, weights = _teacher_batch(spec, pairs, vocab)
+    mode's output heads; padded positions carry zero weight.
+
+    Each head's softmax runs over the columns it can emit (TeacherBatch);
+    the loss and gradients are bit for bit those of a full-vocabulary
+    softmax under the part support masks. `batch`, when given, must have
+    been built by _teacher_batch for this model's mode and these pairs.
+    """
+    if batch is None:
+        batch = _teacher_batch(model, pairs, log if log is not None else [])
+    spec = MODE_SPECS[model.mode]
+    h_en, enc_mask = tile_rows(*model.encode(batch.prompts), len(spec.starts))
+    inputs = batch.inputs
     if spec.fuse:  # start token, then the fused embedding of each step's tokens
         fused = fuse_embeddings(*(model.token_embeddings(inputs[:, 1:, j])
                                   for j in range(len(spec.heads))), model.config.fuse_lambda)
@@ -146,8 +185,9 @@ def generator_loss(model: GeneratorModel, pairs: list[TrainPair], log: list[dict
         dec_emb = model.token_embeddings(inputs[..., 0])
     hidden = model.decode_hidden(dec_emb, h_en, enc_mask)
     losses = [
-        cross_entropy(model.head_logits(hidden, head), targets[..., j],
-                      support_mask=support[j], weights=weights)
+        cross_entropy(model.head_logits(hidden, head), batch.targets[j],
+                      support_mask=batch.support[j], weights=batch.weights,
+                      columns=batch.columns[j])
         for j, head in enumerate(spec.heads)
     ]
     return sum(losses[1:], losses[0]) * (1.0 / len(losses))
@@ -164,10 +204,11 @@ def train_generator(
     params = [p for _, p in model.parameters()]
     opt = Adam(params, schedule=CosineSchedule(train_config.lr, train_config.epochs,
                                                train_config.min_lr))
+    batch = _teacher_batch(model, pairs, log)
     for epoch in range(train_config.epochs):
         try:
             opt.zero_grad()
-            loss = generator_loss(model, pairs, log if epoch == 0 else None)
+            loss = generator_loss(model, pairs, batch=batch)
             loss.backward()
         except NonFiniteError as exc:
             raise TrainingDivergedError(f"generator diverged at epoch {epoch}: {exc}") from exc

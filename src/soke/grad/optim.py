@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -30,17 +31,31 @@ class CosineSchedule:
 
 
 class Adam:
-    """Adam over a fixed parameter list, with an optional cosine schedule."""
+    """Adam over a fixed parameter list, with an optional cosine schedule.
+
+    The first and second moments live in one flat buffer each, laid out in
+    parameter order. A step packs the gradients of each run of consecutive
+    parameters that have one with a single concatenate, runs the moment and
+    update arithmetic once over that run, and subtracts each parameter's
+    slice of the scaled update. The arithmetic is elementwise, so every
+    element sees the same operations as a per-parameter loop. A parameter
+    whose grad is None keeps its data and moments. Parameters are never
+    aliased into the buffers, so assigning `p.data` between steps is fine.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 2e-4,
                  schedule: CosineSchedule | None = None):
         if not params:
             raise ConfigError("optimizer needs at least one parameter")
+        dtype = params[0].data.dtype
+        if any(p.data.dtype != dtype for p in params):
+            raise ConfigError("optimizer parameters must share one dtype")
         self.params = params
         self.lr = lr
         self.schedule = schedule
-        self.m = [np.zeros(p.shape, dtype=p.data.dtype) for p in params]
-        self.v = [np.zeros(p.shape, dtype=p.data.dtype) for p in params]
+        self.offsets = np.cumsum([0] + [p.data.size for p in params]).tolist()
+        self.m = np.zeros(self.offsets[-1], dtype=dtype)
+        self.v = np.zeros(self.offsets[-1], dtype=dtype)
         self.steps_taken = 0
 
     def current_lr(self) -> float:
@@ -54,16 +69,25 @@ class Adam:
         t = self.steps_taken
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is None:
-                continue
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            p.data = (p.data - lr * update).astype(p.data.dtype)
+        runs = groupby(range(len(self.params)), key=lambda i: self.params[i].grad is not None)
+        for has_grad, run in runs:
+            if has_grad:
+                run = list(run)
+                self._update(run[0], run[-1] + 1, lr, bc1, bc2)
+
+    def _update(self, first: int, stop: int, lr: float, bc1: float, bc2: float) -> None:
+        """One Adam update of params[first:stop], which all have gradients."""
+        params, offsets = self.params[first:stop], self.offsets[first: stop + 1]
+        lo, hi = offsets[0], offsets[-1]
+        g = np.concatenate([p.grad.reshape(-1) for p in params])
+        m, v = self.m[lo:hi], self.v[lo:hi]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        delta = lr * ((m / bc1) / (np.sqrt(v / bc2) + EPS))
+        for p, start, end in zip(params, offsets, offsets[1:]):
+            p.data = p.data - delta[start - lo: end - lo].reshape(p.shape)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -15,6 +15,12 @@ checks, so central differences are not drowned by rounding noise.
 tokenizing, the dictionary build) leave no graph behind.
 Every op checks its output for NaN/inf so divergence surfaces at the op that
 produced it instead of three losses later.
+Backward closures only ever replace a tensor's `grad`, never update it in
+place, so `_accumulate` keeps a fresh first gradient as it is and copies
+only a view. Two backward passes are written for speed with the summation
+order of their plain form: conv1d's input gradient (col2im) is k strided
+adds in np.add.at's order, and cross_entropy over a subset of columns sums
+its normaliser at full width, so both are bit-identical to the plain form.
 """
 
 from __future__ import annotations
@@ -115,7 +121,12 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
-            self.grad = grad.copy()
+            # Gradients are only ever replaced, never updated in place, so a
+            # fresh array may be kept even if another tensor keeps it too. A
+            # view is copied so it does not pin its base; the copy, like a
+            # kept array, is C-contiguous, so later ops see one layout.
+            fresh = grad.base is None and grad.flags.c_contiguous
+            self.grad = grad if fresh else grad.copy()
         else:
             self.grad = self.grad + grad
 
@@ -452,6 +463,7 @@ def cross_entropy(
     targets: np.ndarray,
     support_mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
 ) -> Tensor:
     """Mean negative log-likelihood over the last axis of `logits`.
 
@@ -459,13 +471,24 @@ def cross_entropy(
     support_mask: optional boolean mask of allowed classes per position.
     weights: optional per-position weights (0 excludes a position, e.g.
     padding); the mean is taken over the total weight.
+    columns: optional sorted class ids. The softmax then runs over
+    logits[..., columns] only, every other class gets probability zero and
+    gradient zero, and targets and support_mask index into `columns`. The
+    normaliser is still summed at full width with zeros in the other classes,
+    so loss and gradient equal, bit for bit, those of a support mask that
+    allows only `columns`; the narrow width saves the rest of the work.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    z = logits.data.astype(np.float64)
+    z = (logits.data if columns is None else logits.data[..., columns]).astype(np.float64)
     if support_mask is not None:
         z = np.where(support_mask, z, NEG_MASK)
     z = z - z.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    e = np.exp(z)
+    if columns is not None:
+        wide = np.zeros(logits.shape, dtype=np.float64)
+        wide[..., columns] = e
+        e = wide
+    logp = z - np.log(e.sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     if weights is None:
         weights = np.ones(targets.shape, dtype=np.float64)
@@ -486,7 +509,13 @@ def cross_entropy(
         grad = (prob - onehot) * (weights[..., None] / total_weight)
         if support_mask is not None:
             grad = np.where(support_mask, grad, 0.0)
-        logits._accumulate(float(np.asarray(g).reshape(())) * grad)
+        scale = float(np.asarray(g).reshape(()))
+        if columns is None:
+            logits._accumulate(scale * grad)
+        else:
+            wide = np.full(logits.shape, scale * 0.0, dtype=logits.data.dtype)
+            wide[..., columns] = scale * grad
+            logits._accumulate(wide)
 
     if out.requires_grad:
         out._backward = backward
@@ -551,7 +580,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         if x.requires_grad:
             gcols = (g @ w2.T).reshape(t_out, k, c_in)
             gxp = np.zeros_like(xp)
-            np.add.at(gxp, idx, gcols)
+            # col2im as k strided adds; taps run last to first so each row
+            # sums its terms in np.add.at(gxp, idx, gcols)'s order
+            for j in reversed(range(k)):
+                gxp[j: j + stride * (t_out - 1) + 1: stride] += gcols[:, j]
             x._accumulate(gxp[padding: padding + T] if padding else gxp)
 
     if out.requires_grad:

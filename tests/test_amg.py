@@ -785,3 +785,102 @@ class TestTeacherForcingOracle:
                 assert oracle_grads[name] is None, name
             else:
                 assert np.array_equal(grad, oracle_grads[name]), name
+
+
+# -- generator_loss against a full-vocabulary masked loss ------------------------
+
+
+def _full_vocabulary_loss(model, pairs):
+    """Every head's cross-entropy over the whole vocabulary, with one support
+    mask per (decoder row, step) read off the mode's slot table."""
+    vocab, spec = model.vocab, MODE_SPECS[model.mode]
+    b, rows, period, heads = len(pairs), len(spec.starts), len(spec.schedule), spec.heads
+    width = period * max(len(pair.triples) for pair in pairs) + 1
+    support = np.zeros((len(heads), rows * b, width, len(vocab)), dtype=bool)
+    targets = np.full((len(heads), rows * b, width), vocab.eos_id, dtype=np.int64)
+    weights = np.zeros((rows * b, width))
+    slots = [(t, r, heads.index(head), part) for t in range(width)
+             for r, head, part in spec.schedule[t % period]]
+    for i, pair in enumerate(pairs):
+        flat = [token for triple in pair.triples for token in triple.as_tuple()]
+        for r in range(rows):
+            weights[r * b + i, : period * len(pair.triples) + 1] = 1.0
+        for n, (t, r, h, part) in enumerate(slots):
+            support[h, r * b + i, t] = vocab.part_support_mask(part)
+            if n < len(flat):
+                targets[h, r * b + i, t] = flat[n]
+    inputs = np.full((rows * b, width, len(heads)), vocab.pad_id, dtype=np.int64)
+    inputs[:, 0] = np.array([spec.start_ids(vocab, pair.lang) for pair in pairs]).T.reshape(-1, 1)
+    shifted = np.moveaxis(targets, 0, -1)[:, :-1]
+    inputs[:, 1:] = np.where(shifted == vocab.eos_id, vocab.pad_id, shifted)
+    width_p = max(len(pair.prompt_ids) for pair in pairs)
+    prompts = np.full((b, width_p), vocab.pad_id, dtype=np.int64)
+    for i, pair in enumerate(pairs):
+        prompts[i, : len(pair.prompt_ids)] = pair.prompt_ids
+    h_en, enc_mask = tile_rows(*model.encode(prompts), rows)
+    if spec.fuse:
+        fused = fuse_embeddings(*(model.token_embeddings(inputs[:, 1:, j]) for j in range(3)),
+                                model.config.fuse_lambda)
+        dec_emb = concat([model.token_embeddings(inputs[:, :1, 0]), fused], axis=1)
+    else:
+        dec_emb = model.token_embeddings(inputs[..., 0])
+    hidden = model.decode_hidden(dec_emb, h_en, enc_mask)
+    losses = [cross_entropy(model.head_logits(hidden, head), targets[j], support_mask=support[j],
+                            weights=weights) for j, head in enumerate(heads)]
+    return sum(losses[1:], losses[0]) * (1.0 / len(losses))
+
+
+def _mixed_pairs(vocab, seed):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i, (k, lang) in enumerate([(2, "ASL"), (4, "CSL"), (1, "DGS"), (3, "ASL"), (2, "CSL")]):
+        codes = [tuple(int(rng.integers(n)) for n in SIZES) for _ in range(k)]
+        prompt = [vocab.lang_id(lang)] + [vocab.encode_text(WORDS[i % 4])[0]] * (i + 1)
+        pairs.append(TrainPair(tuple(prompt), tuple(make_triples(vocab, codes)), lang))
+    return pairs
+
+
+class TestFullVocabularyOracle:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_loss_and_every_gradient_are_bit_identical(self, vocab, mode):
+        pairs = _mixed_pairs(vocab, 5)
+        model = GeneratorModel(vocab, TINY_CFG, mode, seed=3)
+        train_generator(pairs, model, AmgTrainConfig(epochs=4))  # heads away from zero
+
+        def loss_and_grads(loss_fn):
+            for _, p in model.parameters():
+                p.zero_grad()
+            loss = loss_fn(model, pairs)
+            loss.backward()
+            return loss.data.copy(), [None if p.grad is None else p.grad.copy()
+                                      for _, p in model.parameters()]
+
+        loss, grads = loss_and_grads(generator_loss)
+        oracle_loss, oracle_grads = loss_and_grads(_full_vocabulary_loss)
+        assert np.array_equal(loss, oracle_loss)
+        for (name, _), grad, oracle in zip(model.parameters(), grads, oracle_grads):
+            assert (grad is None) == (oracle is None), name
+            assert grad is None or np.array_equal(grad, oracle), name
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_training_run_is_bit_identical(self, vocab, mode):
+        from adam_reference import PerParameterAdam
+        from soke.grad import CosineSchedule
+
+        pairs = _mixed_pairs(vocab, 9)
+        cfg = AmgTrainConfig(epochs=12, lr=1e-2)
+        model = GeneratorModel(vocab, TINY_CFG, mode, seed=4)
+        _, log = train_generator(pairs, model, cfg)
+        oracle = GeneratorModel(vocab, TINY_CFG, mode, seed=4)
+        opt = PerParameterAdam([p for _, p in oracle.parameters()],
+                               schedule=CosineSchedule(cfg.lr, cfg.epochs, cfg.min_lr))
+        losses = []
+        for _ in range(cfg.epochs):
+            opt.zero_grad()
+            loss = _full_vocabulary_loss(oracle, pairs)
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+        assert [entry["loss"] for entry in log] == [losses[e["epoch"]] for e in log]
+        for (name, p), (_, q) in zip(model.parameters(), oracle.parameters()):
+            assert np.array_equal(p.data, q.data), name

@@ -359,3 +359,67 @@ class TestCorruptSidecar:
         }
         loaded = load_deto(saved)
         assert loaded.layout == PartLayout() and loaded.config == TINY
+
+
+def _direct_nearest(latents: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The (T, N, C) difference-tensor form of the nearest-code rule."""
+    diff = latents.astype(np.float64)[:, None, :] - codes.astype(np.float64)[None, :, :]
+    return (diff * diff).sum(axis=-1).argmin(axis=1)
+
+
+def _ulp_codebook(rng, n, dim, scale):
+    """Codes in pairs and triples: exact duplicates and rows one float32 ulp apart."""
+    base = (rng.normal(size=(n // 4, dim)) * scale).astype(np.float32)
+    up = np.nextafter(base, np.float32(np.inf))
+    one_coord = base.copy()
+    one_coord[:, 0] = np.nextafter(base[:, 0], np.float32(-np.inf))
+    return np.concatenate([base, base, up, one_coord])[rng.permutation(4 * (n // 4))]
+
+
+class TestNearestCodeIdsExact:
+    """The expanded-form quantizer picks exactly the brute-force ids."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_duplicate_and_one_ulp_codes(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 5)
+        codes = _ulp_codebook(rng, 48, 16, scale)
+        jitter = (rng.normal(size=codes.shape) * scale * 1e-7).astype(np.float32)
+        halfway = (codes[:-1] + codes[1:]) * np.float32(0.5)
+        latents = np.concatenate([codes, codes + jitter, halfway])
+        ids = nearest_code_ids(latents, codes)
+        assert ids.tolist() == [brute_force_nearest(row, codes) for row in latents]
+        assert np.array_equal(ids, _direct_nearest(latents, codes))
+
+    @pytest.mark.parametrize("latent_scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("code_scale", [1e-3, 1.0, 1e3])
+    def test_latent_norms_far_from_the_codes(self, latent_scale, code_scale):
+        rng = np.random.default_rng(7)
+        codes = _ulp_codebook(rng, 64, 32, code_scale)
+        latents = (rng.normal(size=(40, 32)) * latent_scale).astype(np.float32)
+        ids = nearest_code_ids(latents, codes)
+        assert ids.tolist() == [brute_force_nearest(row, codes) for row in latents]
+        assert np.array_equal(ids, _direct_nearest(latents, codes))
+
+    def test_all_equal_codes_tie_to_index_zero(self):
+        codes = np.ones((9, 4), dtype=np.float32)
+        latents = np.random.default_rng(3).normal(size=(5, 4)).astype(np.float32)
+        assert nearest_code_ids(latents, codes).tolist() == [0] * 5
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_direct_form_on_trained_size_codebooks(self, seed):
+        rng = np.random.default_rng(seed)
+        codes = _ulp_codebook(rng, 96, 64, 10.0 ** rng.uniform(-3, 3))
+        latents = codes[rng.integers(0, len(codes), size=8)] * np.float32(1.0 + 1e-7)
+        assert np.array_equal(nearest_code_ids(latents, codes), _direct_nearest(latents, codes))
+
+
+@pytest.mark.parametrize("frames", [8, 9, 10, 11])
+def test_padding_repeats_the_last_frame_like_np_pad(frames):
+    tok = PartTokenizer(Part.BODY, 3, TINY, np.random.default_rng(0))
+    motion = np.random.default_rng(frames).normal(size=(frames, 3)).astype(np.float32)
+    pad = (-frames) % TINY.downsample
+    expected = np.pad(motion, ((0, pad), (0, 0)), mode="edge")
+    padded = tok._padded(motion)
+    assert padded.dtype == expected.dtype
+    assert np.array_equal(padded, expected)

@@ -22,6 +22,7 @@ from soke.grad import (
     upsample_repeat,
 )
 
+from adam_reference import PerParameterAdam
 from gradcheck import check_gradients, finite_difference_grad, max_relative_error
 
 
@@ -357,3 +358,120 @@ def test_repeated_index_inside_a_tuple_key():
     expected[:, 0, 0] = 2.0
     expected[:, 2, 0] = 1.0
     assert np.array_equal(x.grad, expected)
+
+
+# -- bit-for-bit oracles of the training fast paths ----------------------------
+
+
+def _conv1d_add_at_grads(x, w, g, stride, padding):
+    """conv1d's input, weight and bias gradients, with col2im as one np.add.at."""
+    T, c_in = x.shape
+    c_out, _, k = w.shape
+    t_out = g.shape[0]
+    xp = np.zeros((T + 2 * padding, c_in), dtype=x.dtype)
+    xp[padding: padding + T] = x
+    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
+    cols = xp[idx].reshape(t_out, k * c_in)
+    w2 = w.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    gxp = np.zeros_like(xp)
+    np.add.at(gxp, idx, (g @ w2.T).reshape(t_out, k, c_in))
+    gw = (cols.T @ g).reshape(k, c_in, c_out).transpose(2, 1, 0)
+    gb = g.sum(axis=0, dtype=np.float64).astype(x.dtype)
+    return gxp[padding: padding + T], gw, gb
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv1d_gradients_equal_add_at_col2im(k, stride, padding):
+    rng = np.random.default_rng(100 * k + 10 * stride + padding)
+    x = Tensor(rng.normal(size=(11, 5)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 5, k)).astype(np.float32), requires_grad=True)
+    bias = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
+    out = conv1d(x, w, bias, stride=stride, padding=padding)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()  # the output's gradient is exactly g
+    gx, gw, gb = _conv1d_add_at_grads(x.data, w.data, g, stride, padding)
+    assert np.array_equal(x.grad, gx)
+    assert np.array_equal(w.grad, gw)
+    assert np.array_equal(bias.grad, gb)
+
+
+def test_adam_matches_a_per_parameter_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    shapes = [(3, 4), (4,), (), (2, 3, 2), (5,), (1, 7)]
+    never, dropped = 2, 4  # never has a gradient; loses it from step 10 on
+    start = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    fast = [Tensor(a.copy(), requires_grad=True) for a in start]
+    slow = [Tensor(a.copy(), requires_grad=True) for a in start]
+    opt, ref = Adam(fast, lr=0.03), PerParameterAdam(slow, lr=0.03)
+    for step in range(20):
+        for i, s in enumerate(shapes):
+            g = None
+            if i != never and not (i == dropped and step >= 10):
+                g = rng.normal(size=s).astype(np.float32) * 10.0 ** rng.integers(-4, 3)
+            fast[i].grad, slow[i].grad = g, None if g is None else g.copy()
+        if step == 13:  # replacing a parameter's data between steps is allowed
+            fast[0].data = fast[0].data * 0.5
+            slow[0].data = slow[0].data * 0.5
+        opt.step()
+        ref.step()
+        for i, (a, b) in enumerate(zip(fast, slow)):
+            assert np.array_equal(a.data, b.data), (step, i)
+    assert np.array_equal(fast[never].data, start[never])
+    moments = zip(opt.offsets, opt.offsets[1:], ref.m, ref.v)
+    for lo, hi, m, v in moments:
+        assert np.array_equal(opt.m[lo:hi], m.reshape(-1))
+        assert np.array_equal(opt.v[lo:hi], v.reshape(-1))
+
+
+def test_adam_rejects_mixed_dtypes():
+    a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
+    with default_dtype(np.float64):
+        b = Tensor(np.zeros(2), requires_grad=True)
+    with pytest.raises(ConfigError):
+        Adam([a, b])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("scale", [1.0 / 3.0, -2.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cross_entropy_over_columns_equals_a_full_width_support_mask(masked, scale, dtype):
+    # float64 keeps the last bits of the loss that float32 storage rounds away
+    rng = np.random.default_rng(41)
+    vocab = 193
+    columns = np.r_[2, np.arange(33, 65), np.arange(129, 150)]
+    logits = (rng.normal(size=(4, 6, vocab)) * 4).astype(dtype)
+    targets = rng.integers(0, len(columns), size=(4, 6))
+    weights = (rng.random((4, 6)) < 0.8).astype(np.float64)
+    weights[0, 0] = 1.0
+    narrow = np.ones((4, 6, len(columns)), dtype=bool)
+    if masked:  # a head serving two parts: even steps allow EOS and the
+        # first range, odd steps EOS and the second
+        narrow[:, ::2, 33:] = False
+        narrow[:, 1::2, 1:33] = False
+        targets = np.where(np.arange(6) % 2 == 0, targets % 33, np.maximum(targets, 33))
+    wide = np.zeros((4, 6, vocab), dtype=bool)
+    wide[..., columns] = narrow
+
+    def run(**kwargs):
+        with default_dtype(dtype):
+            x = Tensor(logits.copy(), requires_grad=True)
+            loss = cross_entropy(x, **kwargs, weights=weights)
+            (loss * scale).backward()
+        return loss.data, x.grad
+
+    loss, grad = run(targets=targets, support_mask=narrow if masked else None, columns=columns)
+    oracle_loss, oracle_grad = run(targets=columns[targets], support_mask=wide)
+    assert np.array_equal(loss, oracle_loss)
+    assert np.array_equal(grad, oracle_grad)
+    assert np.array_equal(np.signbit(grad), np.signbit(oracle_grad))
+
+
+def test_first_gradient_is_kept_fresh_and_views_are_copied():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    x.sum().backward()  # sum hands x a read-only broadcast view
+    assert x.grad.base is None and x.grad.flags.writeable
+    y = Tensor(np.ones(3), requires_grad=True)
+    (y * Tensor(np.full(3, 2.0))).sum().backward()
+    assert np.array_equal(y.grad, [2.0, 2.0, 2.0])
