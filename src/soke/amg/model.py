@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, InputError, ModeError
-from ..grad import Tensor, concat, gather_rows, layer_norm, softmax
+from ..grad import Tensor, attention, concat, gather_rows, layer_norm, linear
+from ..grad.tensor import weighted_sum
 from ..motion import PARTS, Part
 from .vocab import Vocabulary
 
@@ -90,7 +91,8 @@ def fuse_embeddings(e_body: Tensor, e_left: Tensor, e_right: Tensor, fuse_lambda
         raise ConfigError("fusion weight must lie in the open interval (0, 0.5)")
     if not (e_body.shape == e_left.shape == e_right.shape):
         raise ConfigError("fused embeddings must share a shape")
-    return e_body * (1.0 - 2.0 * fuse_lambda) + e_left * fuse_lambda + e_right * fuse_lambda
+    return weighted_sum([e_body, e_left, e_right],
+                        [1.0 - 2.0 * fuse_lambda, fuse_lambda, fuse_lambda])
 
 
 class GeneratorModel:
@@ -180,24 +182,23 @@ class GeneratorModel:
         """Queries (B, h, Tq, dh) against keys (B, h, dh, Tk) and values
         (B, h, Tk, dh), then the output projection: (B, Tq, d)."""
         b, h, tq, dh = q.shape
-        scores = (q @ k_t) * (1.0 / math.sqrt(dh))
-        probs = softmax(scores, mask=mask)
-        ctx = (probs @ v).transpose((0, 2, 1, 3)).reshape(b, tq, h * dh)
-        return ctx @ p["wo"] + p["bo"]
+        ctx = attention(q, k_t, v, 1.0 / math.sqrt(dh), mask)
+        ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, tq, h * dh)
+        return linear(ctx, p["wo"], p["bo"])
 
     def _mha(self, x_q: Tensor, x_kv: Tensor, p: dict, mask: np.ndarray | None) -> Tensor:
-        q = self._heads(x_q @ p["wq"] + p["bq"])
-        k = self._heads(x_kv @ p["wk"] + p["bk"])
-        v = self._heads(x_kv @ p["wv"] + p["bv"])
+        q = self._heads(linear(x_q, p["wq"], p["bq"]))
+        k = self._heads(linear(x_kv, p["wk"], p["bk"]))
+        v = self._heads(linear(x_kv, p["wv"], p["bv"]))
         return self._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
 
     def _cached_self_attention(self, x: Tensor, p: dict, layer: LayerCache,
-                               mask: np.ndarray) -> Tensor:
+                               mask: np.ndarray | None) -> Tensor:
         """Self-attention of the new positions x (B, n, d) over the cached
         keys and values plus their own, which join the cache."""
         b, n, d = x.shape
         h = self.config.num_heads
-        qkv = (x @ layer.w_qkv + layer.b_qkv).reshape(b, n, 3, h, d // h)
+        qkv = linear(x, layer.w_qkv, layer.b_qkv).reshape(b, n, 3, h, d // h)
         qkv = qkv.transpose((2, 0, 3, 1, 4))  # (3, B, h, n, dh)
         q, k, v = qkv[0], qkv[1], qkv[2]
         if layer.self_k is not None:
@@ -213,17 +214,16 @@ class GeneratorModel:
         return LayerCache(
             w_qkv=concat([sa["wq"], sa["wk"], sa["wv"]], axis=1),
             b_qkv=concat([sa["bq"], sa["bk"], sa["bv"]], axis=0),
-            cross_k=self._heads(h_en @ ca["wk"] + ca["bk"]).transpose((0, 1, 3, 2)),
-            cross_v=self._heads(h_en @ ca["wv"] + ca["bv"]),
+            cross_k=self._heads(linear(h_en, ca["wk"], ca["bk"])).transpose((0, 1, 3, 2)),
+            cross_v=self._heads(linear(h_en, ca["wv"], ca["bv"])),
         )
 
     def _ffn(self, x: Tensor, p: dict) -> Tensor:
-        return (x @ p["w1"] + p["b1"]).relu() @ p["w2"] + p["b2"]
+        return linear(linear(x, p["w1"], p["b1"]).relu(), p["w2"], p["b2"])
 
     def _embed(self, ids: np.ndarray, pos_table: Tensor) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        pos = gather_rows(pos_table, np.arange(ids.shape[1]))
-        return gather_rows(self.emb, ids) + pos
+        return gather_rows(self.emb, ids) + pos_table[: ids.shape[1]]
 
     def encode(self, prompt_ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
         """Prompt ids (B, S) -> (h_en (B, S, d), key mask (B, S)).
@@ -237,7 +237,7 @@ class GeneratorModel:
                 f"{self.config.enc_max_len}"
             )
         key_mask = prompt_ids != self.vocab.pad_id
-        attn_mask = key_mask[:, None, None, :]
+        attn_mask = None if key_mask.all() else key_mask[:, None, None, :]
         x = self._embed(prompt_ids, self.enc_pos)
         for layer in self.enc_layers:
             normed = layer_norm(x, layer["ln1_g"], layer["ln1_b"])
@@ -263,10 +263,11 @@ class GeneratorModel:
             )
         if cache is not None and not cache.layers:
             cache.layers = [self._layer_cache(layer, h_en) for layer in self.dec_layers]
-        causal = np.tri(k, offset + k, offset, dtype=bool)[None, None, :, :]
-        cross_mask = enc_key_mask[:, None, None, :]
-        pos = gather_rows(self.dec_pos, np.arange(offset, offset + k))
-        x = dec_emb + pos
+        # None for a mask that hides nothing: one new position sees the whole
+        # cache, and an unpadded prompt shows every key
+        causal = None if k == 1 else np.tri(k, offset + k, offset, dtype=bool)[None, None, :, :]
+        cross_mask = None if enc_key_mask.all() else enc_key_mask[:, None, None, :]
+        x = dec_emb + self.dec_pos[offset:offset + k]
         for i, layer in enumerate(self.dec_layers):
             normed = layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             if cache is None:
@@ -279,7 +280,7 @@ class GeneratorModel:
                 x = x + self._cached_self_attention(normed, layer["self"], lc, causal)
                 cross = layer["cross"]
                 normed = layer_norm(x, layer["lnc_g"], layer["lnc_b"])
-                q = self._heads(normed @ cross["wq"] + cross["bq"])
+                q = self._heads(linear(normed, cross["wq"], cross["bq"]))
                 x = x + self._attend(q, lc.cross_k, lc.cross_v, cross, cross_mask)
             x = x + self._ffn(layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["ffn"])
         if cache is not None:
@@ -288,7 +289,7 @@ class GeneratorModel:
 
     def head_logits(self, hidden: Tensor, part: Part) -> Tensor:
         p = self.heads[part]
-        return hidden @ p["w"] + p["b"]
+        return linear(hidden, p["w"], p["b"])
 
     def token_embeddings(self, ids: np.ndarray) -> Tensor:
         return gather_rows(self.emb, np.asarray(ids, dtype=np.int64))

@@ -5,16 +5,18 @@ from .optim import Adam, CosineSchedule
 from .tensor import (
     NEG_MASK,
     Tensor,
+    attention,
     concat,
     conv1d,
     cross_entropy,
     default_dtype,
     gather_rows,
     layer_norm,
+    linear,
     no_grad,
-    softmax,
     straight_through,
     upsample_repeat,
+    weighted_sum,
 )
 
 __all__ = [
@@ -22,17 +24,19 @@ __all__ = [
     "CosineSchedule",
     "NEG_MASK",
     "Tensor",
+    "attention",
     "concat",
     "conv1d",
     "cross_entropy",
     "default_dtype",
     "gather_rows",
     "layer_norm",
+    "linear",
     "load_checkpoint",
     "load_parameters",
     "no_grad",
     "save_checkpoint",
-    "softmax",
     "straight_through",
     "upsample_repeat",
+    "weighted_sum",
 ]

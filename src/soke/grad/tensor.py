@@ -3,10 +3,12 @@
 The operator set is deliberately closed: it holds only what the motion
 tokenizer CNN, the micro encoder-decoder generator and the pose-fitting
 losses run. The graph nodes those create are add, neg, mul, pow, sqrt, abs,
-relu, matmul, sum, reshape, transpose, slice, concat, gather, softmax,
-cross_entropy, layer_norm, conv1d, upsample, straight_through and detach on
-top of leaves, plus the pose fit's own `body_fk` node; subtraction and mean
-are composed from them. Default storage is float32 with float64 accumulation
+relu, matmul, sum, reshape, transpose, slice, concat, gather, cross_entropy,
+layer_norm, conv1d, upsample, straight_through and detach on top of leaves;
+the generator's fused nodes linear (x @ w + b), attention (masked softmax
+attention over head-split inputs) and weighted_sum (the fused embedding);
+and the pose fit's own `body_fk` node. Subtraction and mean are composed
+from them. Default storage is float32 with float64 accumulation
 in reductions. `default_dtype` switches newly created tensors to float64; its
 users are `posefit.fit_sequence` and the tests' finite-difference gradient
 checks, so central differences are not drowned by rounding noise.
@@ -14,13 +16,24 @@ checks, so central differences are not drowned by rounding noise.
 `requires_grad` and keep no parents, so forward-only callers (decoding,
 tokenizing, the dictionary build) leave no graph behind.
 Every op checks its output for NaN/inf so divergence surfaces at the op that
-produced it instead of three losses later.
+produced it instead of three losses later. A fused node checks its output
+and every intermediate the composed graph would have checked that can be
+non-finite while its inputs are finite: attention checks its raw scores,
+since the mask could hide a non-finite one, and needs no check between them
+and its output because scale <= 1 and a softmax of finite values is finite;
+linear and weighted_sum carry a non-finite intermediate into their output.
+The fused nodes run the arithmetic of their composed graphs, forward and
+backward, so they change no bit; their parents are ordered so the backward
+traversal visits the rest of the graph in the composed order.
 Backward closures only ever replace a tensor's `grad`, never update it in
 place, so `_accumulate` keeps a fresh first gradient as it is and copies
-only a view. Two backward passes are written for speed with the summation
-order of their plain form: conv1d's input gradient (col2im) is k strided
-adds in np.add.at's order, and cross_entropy over a subset of columns sums
-its normaliser at full width, so both are bit-identical to the plain form.
+only a view. Some passes are written for speed with the arithmetic of
+their plain form, so each is bit-identical to it: conv1d's input gradient
+(col2im) is k strided adds in np.add.at's order, and cross_entropy over a
+subset of columns sums its normaliser at full width and skips the exp of
+masked-out entries, which is +0.0. The row max of many short rows runs over
+a transposed copy, which can change only the sign of a zero maximum (see
+`_row_max`).
 """
 
 from __future__ import annotations
@@ -64,9 +77,45 @@ def no_grad():
         _grad_enabled = previous
 
 
+# attention's and cross_entropy's row max reduces over a transposed copy
+# when rows are at most this long and at least this many; elsewhere the
+# plain last-axis max is faster (measured on float32 and float64).
+_ROW_MAX_LENGTH = 48
+_ROW_MAX_ROWS = 64
+
+# float64 exp(x) is +0.0 for every x at or below this (the smallest
+# subnormal, 4.9e-324, is exp(-745.13))
+_EXP_ZERO_BELOW = -746.0
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+    # counting is cheaper than np.logical_and.reduce on small arrays (0.48
+    # against 0.80 us at 32 elements) and within 1 us of it at 86 000
+    if np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise NonFiniteError(f"non-finite values produced by op '{op}'")
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """z.max(axis=-1, keepdims=True) for finite z.
+
+    Many short rows reduce faster across a contiguous transposed copy (87 ->
+    19 us at (16, 4, 31, 31)). A max is exact in any order; only the sign of
+    a zero maximum can differ, and the callers subtract the maximum and
+    exponentiate, which maps both signs to the same probabilities; a
+    log-probability can then differ only as -0.0 against +0.0.
+    """
+    n = z.shape[-1]
+    if n > _ROW_MAX_LENGTH or z.size < _ROW_MAX_ROWS * n:
+        return z.max(axis=-1, keepdims=True)
+    rows = np.ascontiguousarray(z.reshape(-1, n).T)
+    return rows.max(axis=0).reshape(z.shape[:-1] + (1,))
+
+
+def _exp_masked(z: np.ndarray) -> np.ndarray:
+    """np.exp(z) for float64 z, bit for bit, computed only above -746, below
+    which exp rounds to +0.0: numpy's exp is slow on the NEG_MASK entries of
+    a masked softmax (211 -> 36 us at (16, 28, 161), most entries masked)."""
+    return np.exp(z, out=np.zeros_like(z), where=z > _EXP_ZERO_BELOW)
 
 
 def _sum_to_shape(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -432,26 +481,89 @@ def straight_through(encoder_out: Tensor, quantized: Tensor) -> Tensor:
     return out
 
 
-def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis, with an optional boolean support mask.
-
-    Masked-out entries (mask False) get probability exactly zero.
-    """
-    z = logits.data
-    if mask is not None:
-        z = np.where(mask, z, NEG_MASK)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    prob = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(z.dtype)
-    out = Tensor(prob, _parents=(logits,), _op="softmax")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node; forward and backward are those of the matmul
+    and add nodes it replaces, bit for bit (w's gradient is the batched
+    swap(x) @ g reduced to w's shape, as matmul takes it)."""
+    out = Tensor(x.data @ w.data + b.data, _parents=(x, w, b), _op="linear")
 
     def backward(g):
-        if logits.requires_grad:
-            dot = (g * prob).sum(axis=-1, keepdims=True, dtype=np.float64).astype(z.dtype)
-            grad = prob * (g - dot)
-            if mask is not None:
-                grad = np.where(mask, grad, 0.0)
-            logits._accumulate(grad)
+        if b.requires_grad:
+            b._accumulate(_sum_to_shape(g, b.shape))
+        if x.requires_grad:
+            x._accumulate(_sum_to_shape(g @ _swap_last(w.data), x.shape))
+        if w.requires_grad:
+            w._accumulate(_sum_to_shape(_swap_last(x.data) @ g, w.shape))
+
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
+def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float,
+              mask: np.ndarray | None = None) -> Tensor:
+    """softmax((q @ k_t) * scale, mask) @ v over the last axis, as one node.
+
+    q (B, h, Tq, dh), k_t (B or 1, h, dh, Tk), v (B or 1, h, Tk, dh); keys
+    and values with one row broadcast over the B query rows. mask: optional
+    boolean array broadcasting to the scores' shape; a False entry hides a
+    key from a query, whose probability is then exactly zero; pass None
+    rather than an all-True mask, which would cost an np.where for nothing.
+    scale must lie in (0, 1]. Forward and backward run the arithmetic of the
+    composed graph (matmul, mul by a scalar leaf, masked softmax, matmul)
+    bit for bit.
+    """
+    if not 0.0 < scale <= 1.0:
+        raise GraphError(f"attention scale must lie in (0, 1], got {scale}")
+    scores = q.data @ k_t.data
+    _check_finite(scores, "attention")  # a masked-out score is checked too
+    scale_arr = np.asarray(scale, dtype=_default_dtype)  # as a scalar leaf holds it
+    z = scores * scale_arr
+    if mask is not None:
+        z = np.where(mask, z, NEG_MASK)
+    e = np.exp(z - _row_max(z))
+    prob = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(e.dtype)
+    out = Tensor(prob @ v.data, _parents=(q, k_t, v), _op="attention")
+
+    def backward(g):
+        # v, then q, then k_t: the order in which the composed graph's
+        # backward reaches them, which matters when they share a tensor
+        if v.requires_grad:
+            v._accumulate(_sum_to_shape(_swap_last(prob) @ g, v.shape))
+        if not (q.requires_grad or k_t.requires_grad):
+            return
+        g_prob = g @ _swap_last(v.data)
+        dot = (g_prob * prob).sum(axis=-1, keepdims=True, dtype=np.float64).astype(prob.dtype)
+        g_z = prob * (g_prob - dot)
+        if mask is not None:
+            g_z = np.where(mask, g_z, 0.0)
+        g_scores = g_z * scale_arr
+        if q.requires_grad:
+            q._accumulate(_sum_to_shape(g_scores @ _swap_last(k_t.data), q.shape))
+        if k_t.requires_grad:
+            k_t._accumulate(_sum_to_shape(_swap_last(q.data) @ g_scores, k_t.shape))
+
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
+def weighted_sum(parts: list[Tensor], weights: list[float]) -> Tensor:
+    """parts[0] * weights[0] + parts[1] * weights[1] + ..., added left to
+    right, as one node over same-shape parts (the caller checks the shapes
+    and gives one weight per part). Each weight is rounded to the default
+    dtype as a scalar leaf would be, so forward and backward equal the
+    composed mul and add nodes bit for bit."""
+    scales = [np.asarray(weight, dtype=_default_dtype) for weight in weights]
+    value = parts[0].data * scales[0]
+    for part, scale in zip(parts[1:], scales[1:]):
+        value = value + part.data * scale
+    out = Tensor(value, _parents=tuple(parts), _op="weighted_sum")
+
+    def backward(g):
+        for part, scale in zip(parts, scales):
+            if part.requires_grad:
+                part._accumulate(g * scale)
 
     if out.requires_grad:
         out._backward = backward
@@ -476,17 +588,27 @@ def cross_entropy(
     gradient zero, and targets and support_mask index into `columns`. The
     normaliser is still summed at full width with zeros in the other classes,
     so loss and gradient equal, bit for bit, those of a support mask that
-    allows only `columns`; the narrow width saves the rest of the work.
+    allows only `columns`; the narrow width saves the rest of the work. The
+    columns are gathered and scattered as slices, one per contiguous run.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    z = (logits.data if columns is None else logits.data[..., columns]).astype(np.float64)
+    if columns is None:
+        z = logits.data.astype(np.float64)
+    else:
+        runs = _column_runs(columns)
+        z = np.empty(logits.shape[:-1] + (len(columns),), dtype=np.float64)
+        for lo, hi, start, stop in runs:
+            z[..., start:stop] = logits.data[..., lo:hi]
+    exp = np.exp
     if support_mask is not None:
         z = np.where(support_mask, z, NEG_MASK)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
+        exp = _exp_masked
+    z = z - _row_max(z)
+    e = exp(z)
     if columns is not None:
         wide = np.zeros(logits.shape, dtype=np.float64)
-        wide[..., columns] = e
+        for lo, hi, start, stop in runs:
+            wide[..., lo:hi] = e[..., start:stop]
         e = wide
     logp = z - np.log(e.sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
@@ -499,7 +621,7 @@ def cross_entropy(
         raise GraphError("cross_entropy needs at least one weighted position")
     value = -(picked * weights).sum() / total_weight
     out = Tensor(value, _parents=(logits,), _op="cross_entropy")
-    prob = np.exp(logp)
+    prob = exp(logp)
 
     def backward(g):
         if not logits.requires_grad:
@@ -514,12 +636,24 @@ def cross_entropy(
             logits._accumulate(scale * grad)
         else:
             wide = np.full(logits.shape, scale * 0.0, dtype=logits.data.dtype)
-            wide[..., columns] = scale * grad
+            grad = scale * grad
+            for lo, hi, start, stop in runs:
+                wide[..., lo:hi] = grad[..., start:stop]
             logits._accumulate(wide)
 
     if out.requires_grad:
         out._backward = backward
     return out
+
+
+def _column_runs(columns) -> list[tuple[int, int, int, int]]:
+    """(lo, hi, start, stop) per run of consecutive class ids: the classes
+    lo:hi sit at columns[start:stop]."""
+    columns = np.asarray(columns, dtype=np.int64)
+    cuts = np.flatnonzero(columns[1:] != columns[:-1] + 1) + 1
+    bounds = [0, *cuts.tolist(), len(columns)]
+    return [(int(columns[start]), int(columns[stop - 1]) + 1, start, stop)
+            for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

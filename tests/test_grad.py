@@ -17,12 +17,12 @@ from soke.grad import (
     load_checkpoint,
     no_grad,
     save_checkpoint,
-    softmax,
     straight_through,
     upsample_repeat,
 )
 
 from adam_reference import PerParameterAdam
+from composed_ops import softmax
 from gradcheck import check_gradients, finite_difference_grad, max_relative_error
 
 
