@@ -1,15 +1,13 @@
 """Autoregressive generator: integrated vocabulary, micro encoder-decoder,
-three decoding factorizations."""
+and one greedy decoder for its three factorizations (sequential, parallel,
+multi-head), chosen by the model's mode."""
 
 from .decoding import (
     DecodeResult,
     PartTokenTriple,
-    decode_multihead,
-    decode_parallel,
-    decode_sequential,
-    encode_prompt,
     flatten,
     generate_triples,
+    greedy_decode,
     unflatten,
 )
 from .model import MODES, AmgConfig, DecoderCache, GeneratorModel, fuse_embeddings
@@ -36,14 +34,11 @@ __all__ = [
     "PartTokenTriple",
     "TrainPair",
     "Vocabulary",
-    "decode_multihead",
-    "decode_parallel",
-    "decode_sequential",
-    "encode_prompt",
     "flatten",
     "fuse_embeddings",
     "generate_triples",
     "generator_loss",
+    "greedy_decode",
     "load_generator",
     "load_vocab",
     "save_generator",

@@ -1,7 +1,12 @@
 """Greedy decoding in three factorizations of one autoregressive generator.
 
-One greedy loop serves every mode and reads the mode's entry of
-`MODE_SPECS` (model.py). Each step is one decoder pass and one masked argmax
+`greedy_decode` is the one loop for every mode: it reads the entry of
+`MODE_SPECS` (model.py) for the model's own mode, so a model decodes only in
+the mode it was trained for. Sequential decoding runs one flat stream with
+3K passes for K triples; parallel decoding runs three streams seeded by
+<Lang_p> start tokens as the three rows of one batched pass; multi-head
+decoding feeds one trunk pass to three part heads and the fused embedding of
+their picks back in. Each step is one decoder pass and one masked argmax
 per slot, a (row, head, support part) triple. A pass runs one new position
 per row (one row per start token) against a per-prompt `DecoderCache`, which
 holds the cross-attention keys and values of the prompt and the
@@ -9,18 +14,17 @@ self-attention keys and values of the positions run so far. Decoding builds
 no autodiff graph (`no_grad`).
 Decoding stops at the first step where any slot picks EOS, and that step is
 excluded. The kept picks, in step and slot order, are the flat stream
-(B, LH, RH, B, ...): they are grouped in threes, and step_count is
-len(schedule) * K.
+(B, LH, RH, B, ...): they are grouped in threes, a trailing partial triple
+is dropped, and step_count is len(schedule) * K.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError, ModeError
+from ..errors import InputError
 from ..grad import Tensor, no_grad
 from ..motion import PARTS
 from .model import MODE_SPECS, DecoderCache, GeneratorModel, fuse_embeddings
@@ -41,7 +45,7 @@ class PartTokenTriple:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """One greedy decode of K triples.
+    """One greedy decode: K triples and the decoder passes they took.
 
     step_count: the decoder passes that produced kept output; 3K for
     sequential decoding, K for parallel and multi-head decoding.
@@ -55,15 +59,6 @@ class DecodeResult:
     triples: tuple[PartTokenTriple, ...]
     step_count: int
     forward_passes: int
-    wall_ms: float
-    # per kept step, per head log-probabilities (multi-head mode only)
-    step_logprobs: tuple[tuple[float, float, float], ...] | None = None
-
-    @property
-    def joint_logprob(self) -> float | None:
-        if self.step_logprobs is None:
-            return None
-        return float(sum(sum(s) for s in self.step_logprobs))
 
 
 def flatten(triples: list[PartTokenTriple], vocab: Vocabulary | None = None) -> list[int]:
@@ -98,32 +93,29 @@ def _check_slots(vocab: Vocabulary, token_ids) -> None:
             )
 
 
-def _masked_pick(logits_row: np.ndarray, support: np.ndarray) -> tuple[int, float]:
-    """Greedy argmax over a support mask; ties go to the lowest token id.
-
-    Returns (token id, log-probability under the masked softmax).
-    """
-    masked = np.where(support, logits_row.astype(np.float64), -np.inf)
-    token = int(np.argmax(masked))
-    # the masked log-softmax at its maximum, where z - max is 0
-    return token, -float(np.log(np.exp(masked - masked[token]).sum()))
+def _masked_pick(logits_row: np.ndarray, support: np.ndarray) -> int:
+    """Greedy argmax over a support mask; ties go to the lowest token id."""
+    return int(np.argmax(np.where(support, logits_row.astype(np.float64), -np.inf)))
 
 
-def _greedy(
+def greedy_decode(
     model: GeneratorModel,
     h_en: Tensor,
     enc_mask: np.ndarray,
-    lang: str | None,
-    k_max: int | None,
+    lang: str | None = None,
+    k_max: int | None = None,
 ) -> DecodeResult:
-    """Greedy decoding as MODE_SPECS[model.mode] lays it out, for at most
-    len(schedule) * k_max steps; a trailing partial triple is dropped."""
+    """Greedy decoding of an encoded prompt in the model's mode, for at most
+    k_max triples (default: the model's k_max).
+
+    `lang` picks the <Lang_p> start tokens of parallel decoding; the other
+    modes start from BOS and ignore it.
+    """
     spec = MODE_SPECS[model.mode]
     vocab = model.vocab
     k_max = model.config.k_max if k_max is None else k_max
-    start = time.perf_counter()
     supports = {part: vocab.part_support_mask(part) for part in PARTS}
-    picks: list[tuple[int, float]] = []
+    picks: list[int] = []
     max_steps = len(spec.schedule) * k_max
     passes = max_steps
     with no_grad():
@@ -136,76 +128,22 @@ def _greedy(
             for _, head, _ in slots:
                 if head not in logits:
                     logits[head] = model.head_logits(hidden, head).data[:, -1]
-            step = [_masked_pick(logits[head][row], supports[part]) for row, head, part in slots]
-            tokens = [token for token, _ in step]
+            tokens = [_masked_pick(logits[head][row], supports[part]) for row, head, part in slots]
             if vocab.eos_id in tokens:
                 passes = t + 1
                 break
-            picks.extend(step)
+            picks.extend(tokens)
             if spec.fuse:
                 embs = [model.token_embeddings(np.asarray([[token]])) for token in tokens]
                 dec_emb = fuse_embeddings(*embs, model.config.fuse_lambda)
             else:
                 dec_emb = model.token_embeddings(np.asarray(tokens)[:, None])
     k = len(picks) // 3
-    triples = tuple(unflatten([token for token, _ in picks[: 3 * k]], vocab))
-    logprobs = None
-    if model.mode == "multihead":  # one triple of head log-probabilities per step
-        logprobs = tuple(tuple(lp for _, lp in picks[i: i + 3]) for i in range(0, 3 * k, 3))
-    return DecodeResult(triples=triples, step_count=len(spec.schedule) * k,
-                        forward_passes=passes, wall_ms=(time.perf_counter() - start) * 1e3,
-                        step_logprobs=logprobs)
-
-
-def _check_mode(model: GeneratorModel, mode: str) -> None:
-    if model.mode != mode:
-        raise ModeError(f"model was trained for {model.mode!r}, not {mode} decoding")
-
-
-def encode_prompt(model: GeneratorModel, prompt_ids: list[int]) -> tuple[Tensor, np.ndarray]:
-    """Run the encoder over a single prompt; returns (h_en, key mask)."""
-    ids = np.asarray([prompt_ids], dtype=np.int64)
-    return model.encode(ids)
-
-
-def decode_sequential(
-    model: GeneratorModel, h_en: Tensor, enc_mask: np.ndarray, k_max: int | None = None
-) -> DecodeResult:
-    """Flat greedy decode over the single motion stream; 3K decoder passes
-    for K emitted triples. Position slots mask logits to the matching part
-    sub-vocabulary (plus EOS)."""
-    _check_mode(model, "sequential")
-    return _greedy(model, h_en, enc_mask, None, k_max)
-
-
-def decode_parallel(
-    model: GeneratorModel,
-    h_en: Tensor,
-    enc_mask: np.ndarray,
-    lang: str,
-    k_max: int | None = None,
-) -> DecodeResult:
-    """Three greedy streams seeded by <Lang_p> start tokens, decoded as the
-    three rows of one batched decoder pass per step.
-
-    All streams are truncated at the earliest EOS position; step_count is the
-    truncated length K."""
-    _check_mode(model, "parallel")
-    return _greedy(model, h_en, enc_mask, lang, k_max)
-
-
-def decode_multihead(
-    model: GeneratorModel, h_en: Tensor, enc_mask: np.ndarray, k_max: int | None = None
-) -> DecodeResult:
-    """One decoder pass per triple: the shared trunk feeds three part heads;
-    the next input embedding is the fused average of the three emitted token
-    embeddings. Terminates at the first step any head emits EOS (that step
-    excluded)."""
-    _check_mode(model, "multihead")
-    return _greedy(model, h_en, enc_mask, None, k_max)
+    return DecodeResult(triples=tuple(unflatten(picks[: 3 * k], vocab)),
+                        step_count=len(spec.schedule) * k, forward_passes=passes)
 
 
 def generate_triples(model: GeneratorModel, prompt_ids: list[int], lang: str) -> DecodeResult:
-    """Encode a prompt and decode with the model's trained strategy."""
+    """Encode a prompt and decode it greedily in the model's mode."""
     with no_grad():
-        return _greedy(model, *encode_prompt(model, prompt_ids), lang, None)
+        return greedy_decode(model, *model.encode([prompt_ids]), lang)

@@ -3,6 +3,8 @@
 Token id space (one bijection onto [0, |V|)):
   PAD, BOS, EOS, UNK, SEP | language ids | per-language-per-part start tokens
   | sorted text words | <B_i> | <LH_i> | <RH_i>
+No code emits SEP; it keeps its id so every later id, and with them saved
+vocabularies and checkpoint shapes, stay as they are.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ class Vocabulary:
     @property
     def unk_id(self) -> int:
         return self._ids[UNK]
-
-    @property
-    def sep_id(self) -> int:
-        return self._ids[SEP]
 
     # -- text ------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from .amg import AmgConfig, AmgTrainConfig
 from .artifacts import from_dict, read_json, write_json
 from .deto import DetoConfig, DetoTrainConfig
 from .errors import ConfigError
-from .motion import SynthConfig
+from .motion import SynthConfig, build_sign_chain
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,9 @@ class RunConfig:
     dict_instance_noise: float = 0.0
     eval_sentences: int = 16
     eval_seed_offset: int = 1000  # test-split sentence seed = seed + offset
+
+    def __post_init__(self):
+        build_sign_chain(self.synth.layout)  # fail before any stage on a layout it cannot build
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

@@ -54,8 +54,6 @@ def _train_one_part(
     )
     epoch_len = len(motions)
     used = np.zeros(tok.codebook.num_codes, dtype=bool)
-    with no_grad():
-        latent_pool = tok.encode_latents(motions[0].frames).data
     epoch_losses: list[tuple[float, float, float, float]] = []
     order = rng.permutation(epoch_len)
 
@@ -74,13 +72,12 @@ def _train_one_part(
         with no_grad():  # the updated encoder's codes, for dead-code detection
             latents = tok.encode_latents(motion.frames).data
         used[nearest_code_ids(latents, tok.codebook.codes.data)] = True
-        latent_pool = latents
         epoch_losses.append((total.item(), rec.item(), emb.item(), com.item()))
 
         if (step + 1) % epoch_len == 0 or step + 1 == train_cfg.steps:
             dead = np.flatnonzero(~used)
             for code_idx in dead:
-                row = latent_pool[rng.integers(0, latent_pool.shape[0])]
+                row = latents[rng.integers(0, latents.shape[0])]
                 tok.codebook.codes.data[code_idx] = row + rng.normal(0.0, 0.01, size=row.shape)
             arr = np.asarray(epoch_losses)
             log.append(

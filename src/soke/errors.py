@@ -30,7 +30,7 @@ class VocabularyError(SokeError):
 
 
 class ModeError(SokeError):
-    """A model was asked to decode in a mode it was not trained for."""
+    """Unknown decoding mode."""
 
 
 class DegenerateAlignmentError(SokeError):

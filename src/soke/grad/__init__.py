@@ -16,7 +16,6 @@ from .tensor import (
     no_grad,
     straight_through,
     upsample_repeat,
-    weighted_sum,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "save_checkpoint",
     "straight_through",
     "upsample_repeat",
-    "weighted_sum",
 ]

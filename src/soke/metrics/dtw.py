@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,27 +18,21 @@ class DtwResult:
     normalized: float
 
 
-def dtw(
-    gen: Sequence, ref: Sequence, cost: Callable[[object, object], float] | np.ndarray
-) -> DtwResult:
+def dtw(gen: Sequence, ref: Sequence, cost: np.ndarray) -> DtwResult:
     """Minimal-cost monotone alignment between two sequences.
 
-    `cost` is either a per-pair function cost(gen[i], ref[j]) or the
-    precomputed (len(gen), len(ref)) matrix of those costs; costs must be
-    finite. Ties between predecessors are broken preferring diagonal, then
-    vertical (advance in `gen`), so results are deterministic. `normalized`
-    is total / len(path).
+    `cost` is the (len(gen), len(ref)) matrix whose cost[i, j] is the cost
+    of pairing gen[i] with ref[j]; costs must be finite. Ties between
+    predecessors are broken preferring diagonal, then vertical (advance in
+    `gen`), so results are deterministic. `normalized` is total / len(path).
     """
     n, m = len(gen), len(ref)
     if n == 0 or m == 0:
         raise InputError("dtw requires two nonempty sequences")
 
-    if callable(cost):
-        local = np.array([[cost(g, r) for r in ref] for g in gen], dtype=np.float64)
-    else:
-        local = np.asarray(cost, dtype=np.float64)
-        if local.shape != (n, m):
-            raise InputError(f"cost matrix is {local.shape}, sequences need {(n, m)}")
+    local = np.asarray(cost, dtype=np.float64)
+    if local.shape != (n, m):
+        raise InputError(f"cost matrix is {local.shape}, sequences need {(n, m)}")
     if not np.isfinite(local).all():
         raise InputError("dtw costs contain NaN or infinity")
 

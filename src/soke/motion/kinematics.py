@@ -2,8 +2,8 @@
 
 The chain is a stand-in upper-body skeleton: an 11-joint torso/arm tree plus
 two 15-joint hands (5 fingers x 3 segments) attached at the wrists. Bone
-offsets are scaled so the mean bone length is 100 mm, which keeps reported
-joint-position errors in a familiar millimeter range.
+offsets are scaled so the mean bone length is MEAN_BONE_MM (100 mm), which
+keeps reported joint-position errors in a familiar millimeter range.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 
 from ..errors import LayoutError
 from .layout import ROTATION_DIMS, PartLayout
+
+MEAN_BONE_MM = 100.0
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,7 @@ def _hand_topo(side: str, wrist: int, start: int, sign: float):
     return names, parents, offsets
 
 
-def build_sign_chain(layout: PartLayout | None = None, mean_bone_mm: float = 100.0) -> KinematicChain:
+def build_sign_chain(layout: PartLayout | None = None) -> KinematicChain:
     """The default toy signer skeleton matching a PartLayout.
 
     Only the default joint counts (11 body, 15 per hand) are supported; the
@@ -247,7 +249,7 @@ def build_sign_chain(layout: PartLayout | None = None, mean_bone_mm: float = 100
 
     offsets = np.asarray(offsets, dtype=np.float64)
     lengths = np.linalg.norm(offsets[1:], axis=1)  # root bone excluded
-    offsets *= mean_bone_mm / lengths.mean()
+    offsets *= MEAN_BONE_MM / lengths.mean()
 
     # Parameter order in a flat frame: body rotations, expression, LH, RH.
     body = layout.body_joints

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from .amg import Vocabulary
 from .artifacts import read_json, write_json
@@ -88,7 +87,6 @@ def build_dictionary(
     instances: list[tuple[str, MotionSequence]],
     deto: DecoupledTokenizer,
     chain: KinematicChain,
-    lemmatizer: Callable[[str], str] = lemmatize,
 ) -> tuple[SignDictionary, list[dict]]:
     """Tokenize word-level recordings and keep the best instance per word.
 
@@ -108,7 +106,7 @@ def build_dictionary(
         recon = deto.decode_tokens(tokens, num_frames=seq.num_frames, fps=seq.fps,
                                    language_tag=seq.language_tag)
         error = reconstruction_pa_mpjpe(recon, seq, chain)
-        entry = DictionaryEntry(word=lemmatizer(word), tokens=tokens, recon_error=error)
+        entry = DictionaryEntry(word=lemmatize(word), tokens=tokens, recon_error=error)
         dictionary.offer(seq.language_tag, entry)
     return dictionary, warnings
 
@@ -118,26 +116,20 @@ def build_prompt(
     lang: str,
     dictionary: SignDictionary | None,
     vocab: Vocabulary,
-    lemmatizer: Callable[[str], str] = lemmatize,
-    block_separator: bool = False,
 ) -> list[int]:
     """[lang token] ++ text tokens ++ matched words' motion-token blocks.
 
-    Each matched word contributes its B, LH, RH token ids contiguously, in
-    sentence order; unmatched words contribute nothing. block_separator
-    inserts a <SEP> between word blocks (off by default; ablation flag).
+    Words are matched by their `lemmatize` form. Each matched word
+    contributes its B, LH, RH token ids contiguously, in sentence order, with
+    no separator between words; unmatched words contribute nothing.
     """
     prompt = [vocab.lang_id(lang)] + vocab.encode_text(text)
     if dictionary is None:
         return prompt
-    first_block = True
     for word in tokenize_words(text):
-        entry = dictionary.lookup(lang, lemmatizer(word))
+        entry = dictionary.lookup(lang, lemmatize(word))
         if entry is None:
             continue
-        if block_separator and not first_block:
-            prompt.append(vocab.sep_id)
-        first_block = False
         for part in PARTS:
             prompt.extend(vocab.motion_ids(part, entry.tokens[part].ids))
     return prompt

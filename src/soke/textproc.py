@@ -12,8 +12,8 @@ def tokenize_words(text: str) -> list[str]:
 def lemmatize(word: str) -> str:
     """Lowercase plus a small English-style suffix stripper (-s, -ing, -ed).
 
-    Real lexicons can plug in their own lemmatizer wherever this is accepted
-    as a callable.
+    The one word normalization: the synthetic lexicon, the sign dictionary
+    and prompt lookup all key words by it.
     """
     w = word.lower().strip()
     for suffix in ("ing", "ed", "s"):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from soke.errors import ConfigError, InputError, ModeError, SokeError, VocabularyError
+from soke.errors import ConfigError, InputError, SokeError, VocabularyError
 from soke.amg import (
     MODES,
     AmgConfig,
@@ -13,21 +13,18 @@ from soke.amg import (
     PartTokenTriple,
     TrainPair,
     Vocabulary,
-    decode_multihead,
-    decode_parallel,
-    decode_sequential,
-    encode_prompt,
     flatten,
     fuse_embeddings,
     generate_triples,
     generator_loss,
+    greedy_decode,
     load_generator,
     save_generator,
     train_generator,
     unflatten,
 )
 from soke.amg.model import MODE_SPECS, tile_rows
-from soke.grad import NEG_MASK, Tensor, concat, cross_entropy, no_grad
+from soke.grad import Tensor, concat, cross_entropy, no_grad
 from soke.motion import PARTS, Part
 
 SIZES = (6, 8, 8)
@@ -43,13 +40,6 @@ def vocab():
 
 def token_string(vocab: Vocabulary, token_id: int) -> str:
     return vocab._tokens[token_id]
-
-
-def log_softmax_array(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Masked log-softmax over the last axis, in float64."""
-    z = np.where(mask, np.asarray(logits, dtype=np.float64), NEG_MASK)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 class TestVocabulary:
@@ -231,7 +221,7 @@ class TestScriptedDecoding:
         plan = flatten(make_triples(vocab, [(1, 2, 3), (4, 5, 6), (0, 7, 1)]), vocab)
         model = ScriptedModel(vocab, "sequential", plan)
         h, m = dummy_state()
-        result = decode_sequential(model, h, m)
+        result = greedy_decode(model, h, m)
         assert len(result.triples) == 3
         assert result.step_count == 9
         assert result.forward_passes == 10  # EOS pass excluded from step_count
@@ -240,13 +230,13 @@ class TestScriptedDecoding:
         plan = flatten(make_triples(vocab, [(1, 2, 3), (4, 5, 6)]), vocab)
         plan += [vocab.motion_id(Part.BODY, 2)]  # partial third triple before EOS
         model = ScriptedModel(vocab, "sequential", plan)
-        result = decode_sequential(model, *dummy_state())
+        result = greedy_decode(model, *dummy_state())
         assert len(result.triples) == 2
         assert result.step_count == 6
 
     def test_sequential_k_max_zero(self, vocab):
         model = ScriptedModel(vocab, "sequential", [])
-        result = decode_sequential(model, *dummy_state(), k_max=0)
+        result = greedy_decode(model, *dummy_state(), k_max=0)
         assert result.triples == ()
         assert result.step_count == 0
         assert result.forward_passes == 0
@@ -258,7 +248,7 @@ class TestScriptedDecoding:
             Part.RIGHT_HAND: [vocab.motion_id(Part.RIGHT_HAND, i % 8) for i in range(7)],
         }
         model = ScriptedModel(vocab, "parallel", plan)
-        result = decode_parallel(model, *dummy_state(), lang="ASL")
+        result = greedy_decode(model, *dummy_state(), lang="ASL")
         assert len(result.triples) == 4
         assert result.step_count == 4
 
@@ -269,16 +259,16 @@ class TestScriptedDecoding:
             Part.RIGHT_HAND: [vocab.motion_id(Part.RIGHT_HAND, i % 8) for i in range(7)],
         }
         model = ScriptedModel(vocab, "parallel", plan)
-        on_eos = decode_parallel(model, *dummy_state(), lang="ASL")
+        on_eos = greedy_decode(model, *dummy_state(), lang="ASL")
         assert on_eos.forward_passes == len(on_eos.triples) + 1 == 5
-        at_limit = decode_parallel(model, *dummy_state(), lang="ASL", k_max=3)
+        at_limit = greedy_decode(model, *dummy_state(), lang="ASL", k_max=3)
         assert at_limit.forward_passes == len(at_limit.triples) == 3
 
     def test_parallel_unknown_language(self, vocab):
         model = ScriptedModel(vocab, "parallel", {p: [] for p in
                                                   (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)})
         with pytest.raises(VocabularyError):
-            decode_parallel(model, *dummy_state(), lang="XXX")
+            greedy_decode(model, *dummy_state(), lang="XXX")
 
     def test_multihead_stops_when_any_head_emits_eos(self, vocab):
         plan = {
@@ -287,7 +277,7 @@ class TestScriptedDecoding:
             Part.RIGHT_HAND: [vocab.motion_id(Part.RIGHT_HAND, i) for i in range(5)],
         }
         model = ScriptedModel(vocab, "multihead", plan)
-        result = decode_multihead(model, *dummy_state())
+        result = greedy_decode(model, *dummy_state())
         # head B runs out after 2 tokens -> EOS at step 3, which is excluded
         assert len(result.triples) == 2
         assert result.step_count == 2
@@ -297,7 +287,7 @@ class TestScriptedDecoding:
         plan = {p: [vocab.motion_id(p, i % 6) for i in range(4)]
                 for p in (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)}
         model = ScriptedModel(vocab, "multihead", plan)
-        result = decode_multihead(model, *dummy_state())
+        result = greedy_decode(model, *dummy_state())
         assert result.step_count == len(result.triples) == 4
 
     def test_step_count_law_sequential_is_triple_multihead(self, vocab):
@@ -309,18 +299,10 @@ class TestScriptedDecoding:
             Part.RIGHT_HAND: [vocab.motion_id(Part.RIGHT_HAND, c[2]) for c in codes],
         }
         mh_model = ScriptedModel(vocab, "multihead", mh_plan)
-        seq = decode_sequential(seq_model, *dummy_state())
-        mh = decode_multihead(mh_model, *dummy_state())
+        seq = greedy_decode(seq_model, *dummy_state())
+        mh = greedy_decode(mh_model, *dummy_state())
         assert seq.triples == mh.triples
         assert seq.step_count == 3 * mh.step_count
-
-    def test_mode_mismatch_raises(self, vocab):
-        model = ScriptedModel(vocab, "multihead", {p: [] for p in
-                                                   (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)})
-        with pytest.raises(ModeError):
-            decode_sequential(model, *dummy_state())
-        with pytest.raises(ModeError):
-            decode_parallel(model, *dummy_state(), lang="ASL")
 
 
 class TestPartMaskingProperty:
@@ -328,7 +310,7 @@ class TestPartMaskingProperty:
         # adversarial plan: every step shouts for a wrong-part token
         wrong = [vocab.motion_id(Part.RIGHT_HAND, 0)] * 9
         model = ScriptedModel(vocab, "sequential", wrong)
-        result = decode_sequential(model, *dummy_state())
+        result = greedy_decode(model, *dummy_state())
         for triple in result.triples:
             assert vocab.part_of(triple.body) is Part.BODY
             assert vocab.part_of(triple.left) is Part.LEFT_HAND
@@ -386,9 +368,9 @@ class TestRealModel:
         train_generator(pairs, model, AmgTrainConfig(epochs=40))
         lengths = []
         for pair in pairs:
-            h_en, enc_mask = encode_prompt(model, list(pair.prompt_ids))
+            h_en, enc_mask = model.encode([pair.prompt_ids])
             for k_max in (TINY_CFG.k_max, 2):
-                result = decode_parallel(model, h_en, enc_mask, "ASL", k_max=k_max)
+                result = greedy_decode(model, h_en, enc_mask, "ASL", k_max=k_max)
                 assert result.triples == parallel_oracle(model, h_en, enc_mask, "ASL", k_max)
                 assert result.step_count == len(result.triples)
                 lengths.append(len(result.triples))
@@ -443,27 +425,6 @@ class TestRealModel:
         b = generate_triples(model, prompt, "ASL")
         assert a.triples == b.triples
 
-    def test_multihead_joint_logprob_is_sum_of_head_logprobs(self, vocab):
-        model = GeneratorModel(vocab, TINY_CFG, "multihead", seed=3)
-        pairs = make_pairs(vocab, n=4, k=2, seed=11)
-        train_generator(pairs, model, AmgTrainConfig(epochs=30))
-        prompt = list(pairs[0].prompt_ids)
-        h_en, enc_mask = encode_prompt(model, prompt)
-        result = decode_multihead(model, h_en, enc_mask)
-        assert result.step_logprobs is not None and len(result.step_logprobs) > 0
-        assert result.joint_logprob == pytest.approx(
-            sum(sum(step) for step in result.step_logprobs)
-        )
-        # re-derive the first step's head log-probs straight from the model
-        first = result.step_logprobs[0]
-        emb = model.token_embeddings(np.asarray([[vocab.bos_id]]))
-        hidden = model.decode_hidden(emb, h_en, enc_mask)
-        for lp, part in zip(first, (Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND)):
-            logits = model.head_logits(hidden, part).data[0, -1]
-            support = model.vocab.part_support_mask(part)
-            token = int(np.argmax(np.where(support, logits.astype(np.float64), -np.inf)))
-            assert lp == pytest.approx(float(log_softmax_array(logits, support)[token]))
-
     def test_prompt_truncation_recorded(self, vocab):
         model = GeneratorModel(vocab, TINY_CFG, "multihead", seed=0)
         long_prompt = tuple([vocab.lang_id("ASL")] + [6] * 40)
@@ -494,8 +455,7 @@ class TestRealModel:
 def full_prefix_greedy(model, h_en, enc_mask, lang, k_max):
     """Greedy decoding without the decoder cache: every pass re-runs the
     decoder over each row's whole prefix. Returns (triples, step_count,
-    forward_passes, multi-head step log-probabilities, the last-position
-    hidden states of every pass)."""
+    forward_passes, the last-position hidden states of every pass)."""
     spec = MODE_SPECS[model.mode]
     vocab = model.vocab
     h_en, enc_mask = tile_rows(h_en, enc_mask, len(spec.starts))
@@ -506,33 +466,23 @@ def full_prefix_greedy(model, h_en, enc_mask, lang, k_max):
     for t in range(max_steps):
         hidden = model.decode_hidden(concat(inputs, axis=1), h_en, enc_mask)
         hiddens.append(hidden.data[:, -1])
-        step = []
+        tokens = []
         for row, head, part in spec.schedule[t % len(spec.schedule)]:
             logits = model.head_logits(hidden, head).data[row, -1]
             support = vocab.part_support_mask(part)
-            token = int(np.argmax(np.where(support, logits.astype(np.float64), -np.inf)))
-            step.append((token, float(log_softmax_array(logits, support)[token])))
-        tokens = [token for token, _ in step]
+            tokens.append(int(np.argmax(np.where(support, logits.astype(np.float64), -np.inf))))
         if vocab.eos_id in tokens:
             passes = t + 1
             break
-        picks.extend(step)
+        picks.extend(tokens)
         if spec.fuse:
             embs = [model.token_embeddings(np.asarray([[token]])) for token in tokens]
             inputs.append(fuse_embeddings(*embs, model.config.fuse_lambda))
         else:
             inputs.append(model.token_embeddings(np.asarray(tokens)[:, None]))
     k = len(picks) // 3
-    triples = tuple(unflatten([token for token, _ in picks[: 3 * k]], vocab))
-    logprobs = [[lp for _, lp in picks[i: i + 3]] for i in range(0, 3 * k, 3)]
-    return triples, len(spec.schedule) * k, passes, logprobs, hiddens
-
-
-DECODERS = {
-    "sequential": lambda model, h_en, mask, k_max: decode_sequential(model, h_en, mask, k_max),
-    "parallel": lambda model, h_en, mask, k_max: decode_parallel(model, h_en, mask, "ASL", k_max),
-    "multihead": lambda model, h_en, mask, k_max: decode_multihead(model, h_en, mask, k_max),
-}
+    triples = tuple(unflatten(picks[: 3 * k], vocab))
+    return triples, len(spec.schedule) * k, passes, hiddens
 
 
 class TestIncrementalDecoding:
@@ -551,28 +501,26 @@ class TestIncrementalDecoding:
 
         lengths = []
         for pair in pairs:
-            h_en, enc_mask = encode_prompt(model, list(pair.prompt_ids))
+            h_en, enc_mask = model.encode([pair.prompt_ids])
             for k_max in (TINY_CFG.k_max, 2):
-                triples, steps, passes, logprobs, hiddens = full_prefix_greedy(
+                triples, steps, passes, hiddens = full_prefix_greedy(
                     model, h_en, enc_mask, "ASL", k_max)
                 cached_hiddens.clear()
                 model.decode_hidden = recording_trunk
-                result = DECODERS[mode](model, h_en, enc_mask, k_max)
+                result = greedy_decode(model, h_en, enc_mask, "ASL", k_max)
                 del model.decode_hidden
                 assert result.triples == triples
                 assert (result.step_count, result.forward_passes) == (steps, passes)
                 assert len(cached_hiddens) == len(hiddens) == passes
                 for cached, full in zip(cached_hiddens, hiddens):
                     assert np.abs(cached - full).max() <= 1e-5 * np.abs(full).max()
-                if mode == "multihead":
-                    assert np.allclose(result.step_logprobs, logprobs, rtol=0, atol=1e-5)
                 lengths.append(len(triples))
         assert max(lengths) > 0
 
     def test_one_pass_over_several_positions_matches_the_full_prefix(self, vocab):
         model = GeneratorModel(vocab, TINY_CFG, "parallel", seed=2)
         train_generator(make_pairs(vocab, n=4, k=2, seed=1), model, AmgTrainConfig(epochs=20))
-        h_en, enc_mask = tile_rows(*encode_prompt(model, [vocab.lang_id("ASL"), 6, 7]), 3)
+        h_en, enc_mask = tile_rows(*model.encode([[vocab.lang_id("ASL"), 6, 7]]), 3)
         ids = np.asarray([[vocab.lang_part_id("ASL", part), vocab.motion_id(part, 1),
                            vocab.motion_id(part, 2), vocab.motion_id(part, 3)] for part in PARTS])
         full = model.decode_hidden(model.token_embeddings(ids), h_en, enc_mask).data
@@ -586,7 +534,7 @@ class TestIncrementalDecoding:
 
     def test_cached_pass_beyond_decoder_positions_raises(self, vocab):
         model = GeneratorModel(vocab, TINY_CFG, "multihead", seed=0)
-        h_en, enc_mask = encode_prompt(model, [vocab.lang_id("ASL"), 6])
+        h_en, enc_mask = model.encode([[vocab.lang_id("ASL"), 6]])
         bos = model.token_embeddings(np.asarray([[vocab.bos_id]]))
         too_long = model.token_embeddings(np.full((1, model.dec_max_len + 1), vocab.bos_id))
         with pytest.raises(InputError) as uncached:

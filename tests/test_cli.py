@@ -1,8 +1,16 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
 from soke.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
     "synth": {"lexicon_size": 4, "num_sentences": 3, "sentence_words": [1, 2]},
@@ -37,6 +45,26 @@ def test_run_then_verify_then_tamper(tmp_path, config_path, capsys):
 def test_package_error_exits_2(tmp_path, config_path, capsys):
     assert main(["run", str(config_path), str(tmp_path / "run"), "--set", "amg.dropout=0.1"]) == 2
     assert "dropout" in capsys.readouterr().err
+
+
+def test_unbuildable_layout_exits_2_before_any_stage(tmp_path, config_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", str(config_path), str(out), "--set", "synth.layout.body_joints=5"]) == 2
+    assert "11 body" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_declared_console_scripts_resolve_and_run():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert "soke" in scripts
+    for target in scripts.values():
+        module, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-m", "soke.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "verify" in done.stdout
 
 
 def test_missing_manifest_exits_2(tmp_path, capsys):

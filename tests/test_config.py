@@ -5,7 +5,7 @@ import pytest
 from soke.amg import AmgConfig
 from soke.config import RunConfig, load_run_config, run_config_from_dict, run_config_to_dict
 from soke.deto import DetoConfig
-from soke.errors import ConfigError
+from soke.errors import ConfigError, LayoutError
 from soke.motion import PartLayout, SynthConfig
 
 
@@ -37,13 +37,18 @@ class TestStrictTypes:
             load_run_config(path, ["retrieval=no"])
 
 
+def test_layout_the_sign_chain_cannot_build_is_rejected():
+    with pytest.raises(LayoutError):
+        RunConfig(synth=SynthConfig(layout=PartLayout(body_joints=5)))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("config", [
         RunConfig(),
         RunConfig(
             seed=7, mode="parallel", retrieval=False,
             synth=SynthConfig(num_sentences=9, motif_frames=(6, 9), noise_std=0.01,
-                              layout=PartLayout(body_joints=5, hand_joints_per_hand=4)),
+                              layout=PartLayout(expression_dims=4)),
             deto=DetoConfig(code_dim=16, codebook_sizes=(8, 12, 12)),
             amg=AmgConfig(d_model=16, num_heads=2, k_max=5),
             dict_instance_noise=0.5,

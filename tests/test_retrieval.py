@@ -184,15 +184,6 @@ class TestBuildPrompt:
         d.offer("ASL", entry_for("cold", n=2))
         assert build_prompt("cold", "ASL", d, vocab) == build_prompt("cold", "ASL", d, vocab)
 
-    def test_separator_flag(self, vocab):
-        d = SignDictionary()
-        d.offer("ASL", entry_for("cold", n=1))
-        d.offer("ASL", entry_for("water", n=1))
-        with_sep = build_prompt("cold water", "ASL", d, vocab, block_separator=True)
-        without = build_prompt("cold water", "ASL", d, vocab)
-        assert len(with_sep) == len(without) + 1
-        assert with_sep.count(vocab.sep_id) == 1
-
 
 class TestPersistence:
     def test_json_round_trip(self, tmp_path, deto, chain):
