@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, InputError, ModeError
-from ..grad import Tensor, attention, concat, gather_rows, layer_norm, linear
+from ..grad import Tensor, attention, concat, layer_norm, linear
 from ..grad.tensor import weighted_sum
 from ..motion import PARTS, Part
 from .vocab import Vocabulary
@@ -223,7 +223,7 @@ class GeneratorModel:
 
     def _embed(self, ids: np.ndarray, pos_table: Tensor) -> Tensor:
         ids = np.asarray(ids, dtype=np.int64)
-        return gather_rows(self.emb, ids) + pos_table[: ids.shape[1]]
+        return self.emb[ids] + pos_table[: ids.shape[1]]
 
     def encode(self, prompt_ids: np.ndarray) -> tuple[Tensor, np.ndarray]:
         """Prompt ids (B, S) -> (h_en (B, S, d), key mask (B, S)).
@@ -292,7 +292,7 @@ class GeneratorModel:
         return linear(hidden, p["w"], p["b"])
 
     def token_embeddings(self, ids: np.ndarray) -> Tensor:
-        return gather_rows(self.emb, np.asarray(ids, dtype=np.int64))
+        return self.emb[np.asarray(ids, dtype=np.int64)]
 
 
 @dataclass

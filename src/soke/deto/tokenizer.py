@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, InputError
-from ..grad import Tensor, conv1d, gather_rows, no_grad, straight_through, upsample_repeat
+from ..grad import Tensor, conv1d, no_grad, straight_through, upsample_repeat
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, merge_parts, split_parts
 from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
 
@@ -120,7 +120,7 @@ class PartTokenizer:
                 f"token id out of range [0, {self.codebook.num_codes}) for part {self.part.value}"
             )
         with no_grad():
-            codes = gather_rows(self.codebook.codes, ids)
+            codes = self.codebook.codes[ids]
             frames = self.decode_latents(codes).data.astype(np.float32)
         if num_frames is not None:
             if frames.shape[0] >= num_frames:
@@ -137,7 +137,7 @@ class PartTokenizer:
         x = motion.frames
         latents = self.encode_latents(x)
         ids = nearest_code_ids(latents.data, self.codebook.codes.data)
-        codes = gather_rows(self.codebook.codes, ids)
+        codes = self.codebook.codes[ids]
         recon = self.decode_latents(straight_through(latents, codes))[: x.shape[0]]
         return vq_loss_terms(latents, codes, recon, x, self.config.w_emb, self.config.w_com)
 

@@ -10,7 +10,6 @@ from .tensor import (
     conv1d,
     cross_entropy,
     default_dtype,
-    gather_rows,
     layer_norm,
     linear,
     no_grad,
@@ -28,7 +27,6 @@ __all__ = [
     "conv1d",
     "cross_entropy",
     "default_dtype",
-    "gather_rows",
     "layer_norm",
     "linear",
     "load_checkpoint",

@@ -36,8 +36,8 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     """Parameters from a checkpoint file; raises InputError for a bad magic, a
-    size that runs past the end of the file, or bytes left after the last
-    parameter."""
+    size that runs past the end of the file, a non-finite value, or bytes
+    left after the last parameter."""
     path = Path(path)
     blob = memoryview(path.read_bytes())
     if blob[: len(MAGIC)] != MAGIC:
@@ -67,6 +67,8 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         size = math.prod(shape)
         data = take(4 * size, f"{name} payload")
         params[name] = np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(params[name]).all():
+            raise InputError(f"{path}: non-finite value in parameter {name}")
     if offset != len(blob):
         raise InputError(f"{path}: {len(blob) - offset} trailing bytes after the last parameter")
     return params

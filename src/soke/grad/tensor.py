@@ -3,18 +3,21 @@
 The operator set is deliberately closed: it holds only what the motion
 tokenizer CNN, the micro encoder-decoder generator and the pose-fitting
 losses run. The graph nodes those create are add, neg, mul, pow, sqrt, abs,
-relu, matmul, sum, reshape, transpose, slice, concat, gather, cross_entropy,
-layer_norm, conv1d, upsample, straight_through and detach on top of leaves;
-the generator's fused nodes linear (x @ w + b), attention (masked softmax
-attention over head-split inputs) and weighted_sum (the fused embedding);
-and the pose fit's own `body_fk` node. Subtraction and mean are composed
+relu, matmul, sum, reshape, transpose, slice (which also indexes by integer
+arrays, the embedding lookup), concat, cross_entropy, layer_norm, conv1d,
+upsample, straight_through and detach on top of leaves; the generator's
+fused nodes linear (x @ w + b), attention (masked softmax attention over
+head-split inputs) and weighted_sum (the fused embedding); and the pose
+fit's own `body_fk` node. Subtraction and mean are composed
 from them. Default storage is float32 with float64 accumulation
 in reductions. `default_dtype` switches newly created tensors to float64; its
 users are `posefit.fit_sequence` and the tests' finite-difference gradient
 checks, so central differences are not drowned by rounding noise.
-`no_grad` switches graph building off: inside it, op outputs inherit no
-`requires_grad` and keep no parents, so forward-only callers (decoding,
-tokenizing, the dictionary build) leave no graph behind.
+Every op hands its output value, parents and backward closure to the
+`Tensor` constructor, which alone decides what the node keeps (see
+`Tensor.__init__`). `no_grad` switches graph building off: inside it, op
+outputs inherit no `requires_grad` and keep no parents, so forward-only
+callers (decoding, tokenizing, the dictionary build) leave no graph behind.
 Every op checks its output for NaN/inf so divergence surfaces at the op that
 produced it instead of three losses later. A fused node checks its output
 and every intermediate the composed graph would have checked that can be
@@ -139,7 +142,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False, _parents: tuple = (), _op: str = "leaf"):
+    def __init__(self, data, requires_grad: bool = False, _parents: tuple = (), _op: str = "leaf",
+                 _backward=None):
+        """The one place that decides what a node keeps: it requires a
+        gradient if asked to or, outside `no_grad`, if a parent does, and
+        only then keeps its parents and its backward closure. An op's
+        closure therefore runs only when some parent requires a gradient;
+        a one-parent op's closure needs no test of its own."""
         self.data = np.asarray(data, dtype=_default_dtype)
         _check_finite(self.data, _op)
         self.grad: np.ndarray | None = None
@@ -149,8 +158,8 @@ class Tensor:
                     requires_grad = True
                     break
         self.requires_grad = requires_grad
-        self._parents = _parents if self.requires_grad else ()
-        self._backward = None
+        self._parents = _parents if requires_grad else ()
+        self._backward = _backward if requires_grad else None
         self._op = _op
         self._consumed = False
 
@@ -194,7 +203,6 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data + other.data, _parents=(self, other), _op="add")
 
         def backward(g):
             if self.requires_grad:
@@ -202,22 +210,15 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_sum_to_shape(g, other.shape))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(self.data + other.data, _parents=(self, other), _op="add", _backward=backward)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        out = Tensor(-self.data, _parents=(self,), _op="neg")
-
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g)
+            self._accumulate(-g)
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(-self.data, _parents=(self,), _op="neg", _backward=backward)
 
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -228,7 +229,6 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data * other.data, _parents=(self, other), _op="mul")
 
         def backward(g):
             if self.requires_grad:
@@ -236,30 +236,23 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_sum_to_shape(g * self.data, other.shape))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(self.data * other.data, _parents=(self, other), _op="mul", _backward=backward)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: float) -> "Tensor":
         if isinstance(exponent, Tensor):
             raise GraphError("pow supports scalar exponents only")
-        out = Tensor(self.data ** exponent, _parents=(self,), _op="pow")
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1))
+            self._accumulate(g * exponent * self.data ** (exponent - 1))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(self.data ** exponent, _parents=(self,), _op="pow", _backward=backward)
 
     # -- matmul ------------------------------------------------------------------
 
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data @ other.data, _parents=(self, other), _op="matmul")
 
         def backward(g):
             if self.requires_grad:
@@ -267,28 +260,21 @@ class Tensor:
             if other.requires_grad:
                 other._accumulate(_sum_to_shape(_swap_last(self.data) @ g, other.shape))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(self.data @ other.data, _parents=(self, other), _op="matmul",
+                      _backward=backward)
 
     # -- reductions -----------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        value = self.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64)
-        out = Tensor(value, _parents=(self,), _op="sum")
-
         def backward(g):
-            if not self.requires_grad:
-                return
             if axis is None:
                 self._accumulate(np.broadcast_to(np.asarray(g).reshape(()), self.shape))
             else:
                 gg = g if keepdims else np.expand_dims(g, axis)
                 self._accumulate(np.broadcast_to(gg, self.shape))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64),
+                      _parents=(self,), _op="sum", _backward=backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -303,82 +289,57 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), _parents=(self,), _op="reshape")
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(np.asarray(g).reshape(self.shape))
+            self._accumulate(np.asarray(g).reshape(self.shape))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(self.data.reshape(shape), _parents=(self,), _op="reshape", _backward=backward)
 
     def transpose(self, axes: tuple[int, ...]) -> "Tensor":
-        out = Tensor(np.transpose(self.data, axes), _parents=(self,), _op="transpose")
-
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(np.transpose(g, np.argsort(axes)))
+            self._accumulate(np.transpose(g, np.argsort(axes)))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(np.transpose(self.data, axes), _parents=(self,), _op="transpose",
+                      _backward=backward)
 
     def __getitem__(self, key) -> "Tensor":
-        out = Tensor(self.data[key], _parents=(self,), _op="slice")
-        # an index array may repeat an element, whose gradients then add up;
-        # basic slices select each element at most once and assign
-        fancy = any(isinstance(k, (np.ndarray, list)) for k in
-                    (key if isinstance(key, tuple) else (key,)))
-
+        """Basic slicing, or indexing by integer arrays: `table[ids]` with
+        ids of any shape is an embedding lookup over the first axis."""
         def backward(g):
-            if self.requires_grad:
-                full = np.zeros(self.shape, dtype=self.data.dtype)
-                if fancy:
-                    np.add.at(full, key, g)
-                else:
-                    full[key] = g
-                self._accumulate(full)
+            full = np.zeros(self.shape, dtype=self.data.dtype)
+            # an index array may repeat an element, whose gradients then add
+            # up (np.add.at adds them in the index's C order); basic slices
+            # select each element at most once and assign
+            if any(isinstance(k, (np.ndarray, list)) for k in
+                   (key if isinstance(key, tuple) else (key,))):
+                np.add.at(full, key, g)
+            else:
+                full[key] = g
+            self._accumulate(full)
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(self.data[key], _parents=(self,), _op="slice", _backward=backward)
 
     # -- nonlinearities -------------------------------------------------------------------
 
     def relu(self) -> "Tensor":
-        out = Tensor(np.maximum(self.data, 0.0), _parents=(self,), _op="relu")
-
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > 0.0))
+            self._accumulate(g * (self.data > 0.0))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _op="relu", _backward=backward)
 
     def abs(self) -> "Tensor":
-        out = Tensor(np.abs(self.data), _parents=(self,), _op="abs")
-
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * np.sign(self.data))
+            self._accumulate(g * np.sign(self.data))
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(np.abs(self.data), _parents=(self,), _op="abs", _backward=backward)
 
     def sqrt(self) -> "Tensor":
         value = np.sqrt(self.data)
-        out = Tensor(value, _parents=(self,), _op="sqrt")
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * 0.5 / value)
+            self._accumulate(g * 0.5 / value)
 
-        if out.requires_grad:
-            out._backward = backward
-        return out
+        return Tensor(value, _parents=(self,), _op="sqrt", _backward=backward)
 
     # -- graph traversal -------------------------------------------------------------------
 
@@ -427,9 +388,6 @@ def _swap_last(arr: np.ndarray) -> np.ndarray:
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), _parents=tuple(parts),
-                 _op="concat")
-
     def backward(g):
         stop = 0
         for part in parts:
@@ -439,25 +397,8 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
                 index[axis] = slice(start, stop)
                 part._accumulate(g[tuple(index)])
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
-
-
-def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Embedding lookup: ids of any shape index the first axis of `table`."""
-    ids = np.asarray(ids, dtype=np.int64)
-    out = Tensor(table.data[ids], _parents=(table,), _op="gather")
-
-    def backward(g):
-        if table.requires_grad:
-            full = np.zeros(table.shape, dtype=table.data.dtype)
-            np.add.at(full, ids.reshape(-1), np.asarray(g).reshape(-1, table.shape[-1]))
-            table._accumulate(full)
-
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis), _parents=tuple(parts),
+                  _op="concat", _backward=backward)
 
 
 def straight_through(encoder_out: Tensor, quantized: Tensor) -> Tensor:
@@ -470,22 +411,18 @@ def straight_through(encoder_out: Tensor, quantized: Tensor) -> Tensor:
         raise GraphError(
             f"straight_through shape mismatch: {encoder_out.shape} vs {quantized.shape}"
         )
-    out = Tensor(quantized.data, _parents=(encoder_out,), _op="straight_through")
 
     def backward(g):
-        if encoder_out.requires_grad:
-            encoder_out._accumulate(g)
+        encoder_out._accumulate(g)
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(quantized.data, _parents=(encoder_out,), _op="straight_through",
+                  _backward=backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node; forward and backward are those of the matmul
     and add nodes it replaces, bit for bit (w's gradient is the batched
     swap(x) @ g reduced to w's shape, as matmul takes it)."""
-    out = Tensor(x.data @ w.data + b.data, _parents=(x, w, b), _op="linear")
 
     def backward(g):
         if b.requires_grad:
@@ -495,9 +432,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if w.requires_grad:
             w._accumulate(_sum_to_shape(_swap_last(x.data) @ g, w.shape))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(x.data @ w.data + b.data, _parents=(x, w, b), _op="linear", _backward=backward)
 
 
 def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float,
@@ -523,7 +458,6 @@ def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float,
         z = np.where(mask, z, NEG_MASK)
     e = np.exp(z - _row_max(z))
     prob = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(e.dtype)
-    out = Tensor(prob @ v.data, _parents=(q, k_t, v), _op="attention")
 
     def backward(g):
         # v, then q, then k_t: the order in which the composed graph's
@@ -543,9 +477,7 @@ def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float,
         if k_t.requires_grad:
             k_t._accumulate(_sum_to_shape(_swap_last(q.data) @ g_scores, k_t.shape))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(prob @ v.data, _parents=(q, k_t, v), _op="attention", _backward=backward)
 
 
 def weighted_sum(parts: list[Tensor], weights: list[float]) -> Tensor:
@@ -558,16 +490,13 @@ def weighted_sum(parts: list[Tensor], weights: list[float]) -> Tensor:
     value = parts[0].data * scales[0]
     for part, scale in zip(parts[1:], scales[1:]):
         value = value + part.data * scale
-    out = Tensor(value, _parents=tuple(parts), _op="weighted_sum")
 
     def backward(g):
         for part, scale in zip(parts, scales):
             if part.requires_grad:
                 part._accumulate(g * scale)
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(value, _parents=tuple(parts), _op="weighted_sum", _backward=backward)
 
 
 def cross_entropy(
@@ -575,7 +504,7 @@ def cross_entropy(
     targets: np.ndarray,
     support_mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
+    columns: np.ndarray | slice = slice(None),
 ) -> Tensor:
     """Mean negative log-likelihood over the last axis of `logits`.
 
@@ -583,34 +512,31 @@ def cross_entropy(
     support_mask: optional boolean mask of allowed classes per position.
     weights: optional per-position weights (0 excludes a position, e.g.
     padding); the mean is taken over the total weight.
-    columns: optional sorted class ids. The softmax then runs over
-    logits[..., columns] only, every other class gets probability zero and
-    gradient zero, and targets and support_mask index into `columns`. The
-    normaliser is still summed at full width with zeros in the other classes,
-    so loss and gradient equal, bit for bit, those of a support mask that
-    allows only `columns`; the narrow width saves the rest of the work. The
-    columns are gathered and scattered as slices, one per contiguous run.
+    columns: sorted class ids, all classes by default. The softmax
+    then runs over logits[..., columns] only, every other class gets
+    probability zero and gradient zero, and targets and support_mask index
+    into `columns`. The normaliser is still summed at full width with zeros
+    in the other classes, so loss and gradient equal, bit for bit, those of
+    a support mask that allows only `columns`; the narrow width saves the
+    rest of the work. The columns are gathered and scattered as slices, one
+    per contiguous run (all classes are one run).
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if columns is None:
-        z = logits.data.astype(np.float64)
-    else:
-        runs = _column_runs(columns)
-        z = np.empty(logits.shape[:-1] + (len(columns),), dtype=np.float64)
-        for lo, hi, start, stop in runs:
-            z[..., start:stop] = logits.data[..., lo:hi]
+    columns = np.arange(logits.shape[-1])[columns]
+    runs = _column_runs(columns)
+    z = np.empty(logits.shape[:-1] + (len(columns),), dtype=np.float64)
+    for lo, hi, start, stop in runs:
+        z[..., start:stop] = logits.data[..., lo:hi]
     exp = np.exp
     if support_mask is not None:
         z = np.where(support_mask, z, NEG_MASK)
         exp = _exp_masked
     z = z - _row_max(z)
     e = exp(z)
-    if columns is not None:
-        wide = np.zeros(logits.shape, dtype=np.float64)
-        for lo, hi, start, stop in runs:
-            wide[..., lo:hi] = e[..., start:stop]
-        e = wide
-    logp = z - np.log(e.sum(axis=-1, keepdims=True))
+    wide = np.zeros(logits.shape, dtype=np.float64)
+    for lo, hi, start, stop in runs:
+        wide[..., lo:hi] = e[..., start:stop]
+    logp = z - np.log(wide.sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     if weights is None:
         weights = np.ones(targets.shape, dtype=np.float64)
@@ -620,36 +546,27 @@ def cross_entropy(
     if total_weight <= 0:
         raise GraphError("cross_entropy needs at least one weighted position")
     value = -(picked * weights).sum() / total_weight
-    out = Tensor(value, _parents=(logits,), _op="cross_entropy")
     prob = exp(logp)
 
     def backward(g):
-        if not logits.requires_grad:
-            return
         onehot = np.zeros(prob.shape, dtype=np.float64)
         np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
         grad = (prob - onehot) * (weights[..., None] / total_weight)
         if support_mask is not None:
             grad = np.where(support_mask, grad, 0.0)
         scale = float(np.asarray(g).reshape(()))
-        if columns is None:
-            logits._accumulate(scale * grad)
-        else:
-            wide = np.full(logits.shape, scale * 0.0, dtype=logits.data.dtype)
-            grad = scale * grad
-            for lo, hi, start, stop in runs:
-                wide[..., lo:hi] = grad[..., start:stop]
-            logits._accumulate(wide)
+        wide = np.full(logits.shape, scale * 0.0, dtype=logits.data.dtype)
+        grad = scale * grad
+        for lo, hi, start, stop in runs:
+            wide[..., lo:hi] = grad[..., start:stop]
+        logits._accumulate(wide)
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(value, _parents=(logits,), _op="cross_entropy", _backward=backward)
 
 
-def _column_runs(columns) -> list[tuple[int, int, int, int]]:
+def _column_runs(columns: np.ndarray) -> list[tuple[int, int, int, int]]:
     """(lo, hi, start, stop) per run of consecutive class ids: the classes
     lo:hi sit at columns[start:stop]."""
-    columns = np.asarray(columns, dtype=np.int64)
     cuts = np.flatnonzero(columns[1:] != columns[:-1] + 1) + 1
     bounds = [0, *cuts.tolist(), len(columns)]
     return [(int(columns[start]), int(columns[stop - 1]) + 1, start, stop)
@@ -666,7 +583,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
     inv = (1.0 / np.sqrt(var + eps)).astype(dt)
     xhat = (centered * inv).astype(dt)
-    out = Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias), _op="layer_norm")
 
     def backward(g):
         if bias.requires_grad:
@@ -679,9 +595,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             mean_gx = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
             x._accumulate(inv * (gx - mean_g - xhat * mean_gx))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias), _op="layer_norm",
+                  _backward=backward)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -703,7 +618,6 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
     cols = xp[idx].reshape(t_out, k * c_in)  # im2col
     w2 = weight.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
-    out = Tensor(cols @ w2 + bias.data, _parents=(x, weight, bias), _op="conv1d")
 
     def backward(g):
         if bias.requires_grad:
@@ -720,19 +634,15 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                 gxp[j: j + stride * (t_out - 1) + 1: stride] += gcols[:, j]
             x._accumulate(gxp[padding: padding + T] if padding else gxp)
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(cols @ w2 + bias.data, _parents=(x, weight, bias), _op="conv1d",
+                  _backward=backward)
 
 
 def upsample_repeat(x: Tensor, factor: int) -> Tensor:
     """Nearest-neighbor upsampling along the first axis: (T, C) -> (T*factor, C)."""
-    out = Tensor(np.repeat(x.data, factor, axis=0), _parents=(x,), _op="upsample")
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.shape[0], factor, -1).sum(axis=1, dtype=np.float64))
+        x._accumulate(g.reshape(x.shape[0], factor, -1).sum(axis=1, dtype=np.float64))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(np.repeat(x.data, factor, axis=0), _parents=(x,), _op="upsample",
+                  _backward=backward)

@@ -35,6 +35,12 @@ from .motion import (
 
 _EPS = 1e-24  # inside sqrt: keeps norms differentiable at zero
 
+# backtracking step control of fit_sequence
+INIT_STEP = 0.05  # directions are preconditioned to O(1) coordinates
+STEP_GROW = 1.3
+STEP_SHRINK = 0.5
+MAX_BACKTRACKS = 30
+
 
 @dataclass(frozen=True)
 class Observation2D:
@@ -76,10 +82,6 @@ class FitConfig:
     w_reg: float = 1e-3
     max_iters: int = 200
     tol: float = 1e-8  # relative improvement below this terminates
-    init_step: float = 0.05  # directions are preconditioned to O(1) coordinates
-    step_grow: float = 1.3
-    step_shrink: float = 0.5
-    max_backtracks: int = 30
     optimize_camera: bool = True
     observed_joints: tuple[int, ...] = (5, 6, 7, 8, 9, 10)  # shoulders, elbows, wrists
     # Charbonnier width (mm) of the reprojection term the OPTIMIZER minimizes.
@@ -116,15 +118,11 @@ def body_fk(theta: Tensor, chain: KinematicChain) -> Tensor:
     One graph node: the motion-core FK forward, its hand-written VJP backward.
     """
     pos, rot, local = forward_kinematics_pass(theta.data, chain)
-    out = Tensor(pos, _parents=(theta,), _op="body_fk")
 
     def backward(g):
-        if theta.requires_grad:
-            theta._accumulate(forward_kinematics_vjp(g, theta.data, rot, local, chain))
+        theta._accumulate(forward_kinematics_vjp(g, theta.data, rot, local, chain))
 
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    return Tensor(pos, _parents=(theta,), _op="body_fk", _backward=backward)
 
 
 # -- loss terms --------------------------------------------------------------
@@ -301,7 +299,7 @@ def fit_sequence(
     terms_prev = evaluate(theta_value, cam_value)
     log.append(log_entry(0, terms_prev, 0.0))
     objective_prev = terms_prev["objective"]
-    step = config.init_step
+    step = INIT_STEP
 
     # diagonal preconditioning (second-moment EMA) tames the very different
     # lever arms of spine vs distal joints; still first-order + backtracking
@@ -318,7 +316,7 @@ def fit_sequence(
         d_cam = g_cam / (np.sqrt(v_cam / correction) + 1e-8)
         accepted = False
         terms = None
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand_theta = theta_value - step * d_theta
             cand_cam = cam_value.copy()
             if config.optimize_camera:
@@ -328,14 +326,14 @@ def fit_sequence(
             if terms["objective"] <= objective_prev:
                 accepted = True
                 break
-            step *= config.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             break
         theta_value, cam_value = cand_theta, cand_cam
         log.append(log_entry(it, terms, step))
         improvement = objective_prev - terms["objective"]
         objective_prev = terms["objective"]
-        step *= config.step_grow
+        step *= STEP_GROW
         if improvement < config.tol * max(1.0, abs(objective_prev)):
             break
 

@@ -20,7 +20,7 @@ from soke.deto import (
     train_tokenizer,
     vq_loss_terms,
 )
-from soke.grad import Tensor, default_dtype, gather_rows
+from soke.grad import Tensor, default_dtype
 from soke.motion import (
     MotionSequence,
     Part,
@@ -74,7 +74,7 @@ def frozen_vq_loss_fn(tok: PartTokenizer, motion: PartMotion):
         quantized = latents + Tensor(delta0)
         recon = tok.decode_latents(quantized)[:T]
         rec = ((recon - Tensor(motion.frames)) ** 2).mean()
-        codes = gather_rows(tok.codebook.codes, ids0)
+        codes = tok.codebook.codes[ids0]
         emb = ((codes - Tensor(latents0)) ** 2).mean() * cfg.w_emb
         com = ((latents - Tensor(codes0)) ** 2).mean() * cfg.w_com
         return rec + emb + com

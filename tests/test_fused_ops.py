@@ -194,8 +194,9 @@ def test_masked_exp_equals_exp_across_the_underflow_edge():
 
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_adam_ignores_the_sign_of_a_zero_gradient(dtype):
-    # the positional tables are sliced, whose backward keeps a -0.0 that
-    # gather's np.add.at into zeros made +0.0; the parameters must not see it
+    # the positional tables take a basic slice, whose backward keeps a -0.0
+    # that an id array's np.add.at into zeros made +0.0; the parameters must
+    # not see it
     rng = np.random.default_rng(16)
     table = rng.normal(size=(6, 4)).astype(dtype)
     grads = [rng.normal(size=table.shape).astype(dtype) for _ in range(3)]

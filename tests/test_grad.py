@@ -8,18 +8,23 @@ from soke.grad import (
     Adam,
     CosineSchedule,
     Tensor,
+    attention,
     concat,
     conv1d,
     cross_entropy,
     default_dtype,
-    gather_rows,
     layer_norm,
+    linear,
     load_checkpoint,
+    load_parameters,
     no_grad,
     save_checkpoint,
     straight_through,
     upsample_repeat,
 )
+from soke.grad.tensor import weighted_sum
+from soke.motion import build_sign_chain
+from soke.posefit import body_fk
 
 from adam_reference import PerParameterAdam
 from composed_ops import softmax
@@ -68,6 +73,62 @@ def test_no_grad_outputs_keep_no_parents_or_closures():
     assert (x * x).sum()._parents != ()  # graph building is back on
 
 
+BODY = build_sign_chain().body_subchain(11)
+
+# every graph node the engine and the pose fit build, from leaves made by
+# `leaf(shape)`; the first leaf each one makes is its gradient input
+NODE_BUILDERS = {
+    "add": lambda leaf: leaf((2, 3)) + leaf((2, 3)),
+    "neg": lambda leaf: -leaf((2, 3)),
+    "mul": lambda leaf: leaf((2, 3)) * leaf((2, 3)),
+    "pow": lambda leaf: leaf((2, 3)) ** 2,
+    "matmul": lambda leaf: leaf((2, 3)) @ leaf((3, 4)),
+    "sum": lambda leaf: leaf((2, 3)).sum(),
+    "reshape": lambda leaf: leaf((2, 3)).reshape(3, 2),
+    "transpose": lambda leaf: leaf((2, 3)).transpose((1, 0)),
+    "slice": lambda leaf: leaf((2, 3))[:, 1:],
+    "gather": lambda leaf: leaf((4, 3))[np.array([[0, 2], [2, 1]])],
+    "relu": lambda leaf: leaf((2, 3)).relu(),
+    "abs": lambda leaf: leaf((2, 3)).abs(),
+    "sqrt": lambda leaf: leaf((2, 3)).sqrt(),
+    "concat": lambda leaf: concat([leaf((2, 3)), leaf((2, 3))], axis=1),
+    "straight_through": lambda leaf: straight_through(leaf((2, 3)), leaf((2, 3))),
+    "linear": lambda leaf: linear(leaf((2, 3)), leaf((3, 4)), leaf((4,))),
+    "attention": lambda leaf: attention(leaf((1, 2, 3, 4)), leaf((1, 2, 4, 5)),
+                                        leaf((1, 2, 5, 4)), 0.5),
+    "weighted_sum": lambda leaf: weighted_sum([leaf((2, 3)), leaf((2, 3))], [0.25, 0.75]),
+    "cross_entropy": lambda leaf: cross_entropy(leaf((2, 5)), np.array([1, 4])),
+    "layer_norm": lambda leaf: layer_norm(leaf((2, 6)), leaf((6,)), leaf((6,))),
+    "conv1d": lambda leaf: conv1d(leaf((8, 3)), leaf((4, 3, 3)), leaf((4,)), stride=2, padding=1),
+    "upsample": lambda leaf: upsample_repeat(leaf((3, 2)), 2),
+    "body_fk": lambda leaf: body_fk(leaf((2, 11, 3)), BODY),
+}
+
+
+@pytest.mark.parametrize("case", ["gradient_input", "constant_inputs", "no_grad"])
+@pytest.mark.parametrize("op", sorted(NODE_BUILDERS))
+def test_a_node_keeps_parents_and_closure_only_when_it_requires_a_gradient(op, case):
+    rng = np.random.default_rng(zlib.crc32(op.encode()))
+    made = []
+
+    def leaf(shape):
+        wants_grad = case != "constant_inputs" and not made
+        made.append(Tensor(rng.uniform(0.5, 1.5, size=shape), requires_grad=wants_grad))
+        return made[-1]
+
+    with default_dtype(np.float64):
+        if case == "no_grad":
+            with no_grad():
+                out = NODE_BUILDERS[op](leaf)
+        else:
+            out = NODE_BUILDERS[op](leaf)
+    assert out._op == ("slice" if op == "gather" else op)
+    if case == "gradient_input":
+        assert out.requires_grad and out._parents != () and out._backward is not None
+    else:
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+
 def test_no_grad_nests():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with no_grad():
@@ -114,7 +175,7 @@ def test_composite_graph_matches_finite_differences(seed):
 @pytest.mark.parametrize(
     "op_name",
     ["add", "mul", "matmul", "relu", "sqrt", "pow", "sum_axis", "mean", "reshape",
-     "transpose", "slice", "concat"],
+     "transpose", "slice", "gather", "concat"],
 )
 def test_each_op_matches_finite_differences(op_name):
     rng = np.random.default_rng(zlib.crc32(op_name.encode()))
@@ -137,6 +198,7 @@ def test_each_op_matches_finite_differences(op_name):
             "reshape": lambda: (a.reshape(4, 3) @ k31).sum(),
             "transpose": lambda: (a.transpose((1, 0)) @ k31).sum(),
             "slice": lambda: (a[1:, :2] * b[:2, 2:]).sum(),
+            "gather": lambda: (a[np.array([[0, 2], [2, 1]])] ** 2).sum(),  # an id repeats
             "concat": lambda: (concat([a, b], axis=1) ** 2).sum(),
         }
         check_gradients(builders[op_name], [("a", a), ("b", b), ("c", c)], eps=1e-5, tol=1e-4)
@@ -188,15 +250,6 @@ def test_cross_entropy_matches_finite_differences():
             lambda: cross_entropy(logits, targets, support_mask=support, weights=weights),
             [("logits", logits)], eps=1e-5, tol=1e-4,
         )
-
-
-def test_gather_rows_matches_finite_differences():
-    rng = np.random.default_rng(13)
-    with default_dtype(np.float64):
-        table = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        ids = np.array([[0, 2], [2, 5]])
-        check_gradients(lambda: (gather_rows(table, ids) ** 2).sum(), [("table", table)],
-                        eps=1e-5, tol=1e-4)
 
 
 def test_straight_through_forward_is_quantized():
@@ -329,6 +382,15 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(InputError, match="trailing"):
         load_checkpoint(path)
+
+
+def test_non_finite_checkpoint_value_raises_naming_file_and_parameter(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(2, dtype=np.float32),
+                           "enc.b": np.array([1.0, np.nan], dtype=np.float32)})
+    params = [("w", Tensor(np.zeros(2))), ("enc.b", Tensor(np.zeros(2)))]
+    with pytest.raises(InputError, match=r"model\.ckpt.*non-finite.*enc\.b"):
+        load_parameters(path, params)
 
 
 def test_max_relative_error_helper():
