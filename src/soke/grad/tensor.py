@@ -1,15 +1,16 @@
 """Reverse-mode autodiff on dense numpy arrays.
 
 The operator set is deliberately closed: it holds only what the motion
-tokenizer CNN, the micro encoder-decoder generator and the pose-fitting
-losses run. The graph nodes those create are add, neg, mul, pow, sqrt, abs,
-relu, matmul, sum, reshape, transpose, slice (which also indexes by integer
-arrays, the embedding lookup), concat, cross_entropy, layer_norm, conv1d,
-upsample, straight_through and detach on top of leaves; the generator's
-fused nodes linear (x @ w + b), attention (masked softmax attention over
-head-split inputs) and weighted_sum (the fused embedding); and the pose
-fit's own `body_fk` node. Subtraction and mean are composed
-from them. Default storage is float32 with float64 accumulation
+tokenizer CNN, the micro encoder-decoder generator and the pose fit run.
+The graph nodes those create are add, neg, mul, pow, relu, matmul, sum,
+reshape, transpose, slice (which also indexes by integer arrays, the
+embedding lookup), concat, cross_entropy, layer_norm, conv1d, upsample,
+straight_through and detach on top of leaves; the generator's fused nodes
+linear (x @ w + b), attention (masked softmax attention over head-split
+inputs) and weighted_sum (the fused embedding, and the pose fit's weighted
+total); and the pose fit's own nodes in `posefit`: `body_fk` and the loss
+terms `loss_rec`, `loss_temp` and `loss_reg`. Subtraction and mean are
+composed from them. Default storage is float32 with float64 accumulation
 in reductions. `default_dtype` switches newly created tensors to float64; its
 users are `posefit.fit_sequence` and the tests' finite-difference gradient
 checks, so central differences are not drowned by rounding noise.
@@ -24,7 +25,8 @@ and every intermediate the composed graph would have checked that can be
 non-finite while its inputs are finite: attention checks its raw scores,
 since the mask could hide a non-finite one, and needs no check between them
 and its output because scale <= 1 and a softmax of finite values is finite;
-linear and weighted_sum carry a non-finite intermediate into their output.
+linear, weighted_sum and the pose fit's loss nodes carry a non-finite
+intermediate into their output.
 The fused nodes run the arithmetic of their composed graphs, forward and
 backward, so they change no bit; their parents are ordered so the backward
 traversal visits the rest of the graph in the composed order.
@@ -326,20 +328,6 @@ class Tensor:
             self._accumulate(g * (self.data > 0.0))
 
         return Tensor(np.maximum(self.data, 0.0), _parents=(self,), _op="relu", _backward=backward)
-
-    def abs(self) -> "Tensor":
-        def backward(g):
-            self._accumulate(g * np.sign(self.data))
-
-        return Tensor(np.abs(self.data), _parents=(self,), _op="abs", _backward=backward)
-
-    def sqrt(self) -> "Tensor":
-        value = np.sqrt(self.data)
-
-        def backward(g):
-            self._accumulate(g * 0.5 / value)
-
-        return Tensor(value, _parents=(self,), _op="sqrt", _backward=backward)
 
     # -- graph traversal -------------------------------------------------------------------
 

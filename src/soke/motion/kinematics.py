@@ -72,21 +72,20 @@ class KinematicChain:
 def _skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices K with K @ u = v x u, shape (..., 3, 3)."""
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zero = np.zeros_like(x)
-    return np.stack(
-        [
-            np.stack([zero, -z, y], axis=-1),
-            np.stack([z, zero, -x], axis=-1),
-            np.stack([-y, x, zero], axis=-1),
-        ],
-        axis=-2,
-    )
+    k = np.zeros(v.shape + (3,), dtype=v.dtype)
+    k[..., 0, 1], k[..., 0, 2] = -z, y
+    k[..., 1, 0], k[..., 1, 2] = z, -x
+    k[..., 2, 0], k[..., 2, 1] = -y, x
+    return k
 
 
 def _vee(m: np.ndarray) -> np.ndarray:
     """<m, skew(e_i)> for i = x, y, z: the cotangent of _skew, shape (..., 3)."""
-    return np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
-                     m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+    out = np.empty(m.shape[:-1], dtype=m.dtype)
+    np.subtract(m[..., 2, 1], m[..., 1, 2], out=out[..., 0])
+    np.subtract(m[..., 0, 2], m[..., 2, 0], out=out[..., 1])
+    np.subtract(m[..., 1, 0], m[..., 0, 1], out=out[..., 2])
+    return out
 
 
 def _rodrigues_coefficients(t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,11 +7,14 @@ temporal-coherence loss, and an L2 pose regularizer. The optimizer is plain
 gradient descent with a backtracking step control, so accepted steps never
 increase the total loss.
 
-The joint positions come from the motion-core forward kinematics
-(`motion.forward_kinematics_pass`), entered into the autodiff graph as one
-node whose backward is the FK's hand-written VJP. Mesh vertices in the
-temporal term are proxied by these FK joint positions; no mesh exists at
-this scale.
+The objective is a small float64 autodiff graph of four nodes and their
+weighted sum (`weighted_sum`). `body_fk` enters the motion-core forward
+kinematics (`motion.forward_kinematics_pass`) with the FK's hand-written
+VJP as its backward. `loss_rec`, `loss_temp` and `loss_reg` each fuse one
+loss term into a node with a numpy forward and a hand-written backward, bit
+for bit equal to the composed graph of elementary nodes they replace (the
+tests keep that graph as the oracle). Mesh vertices in the temporal term
+are proxied by the FK joint positions; no mesh exists at this scale.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from .artifacts import write_jsonl
 from .errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
 from .grad import Tensor, default_dtype
+from .grad.tensor import _sum_to_shape, weighted_sum
 from .motion import (
     KinematicChain,
     MotionSequence,
@@ -60,7 +64,7 @@ class Observation2D:
             raise InputError("observation needs at least one joint")
         if not np.all(np.isfinite(points)):
             raise InputError("observation coordinates must be finite")
-        if conf.min() < 0.0 or conf.max() > 1.0:
+        if not np.all((conf >= 0.0) & (conf <= 1.0)):  # NaN fails both comparisons
             raise InputError("confidences must lie in [0, 1]")
 
 
@@ -71,6 +75,8 @@ class CameraWeakPerspective:
     ty: float = 0.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.scale, self.tx, self.ty])):
+            raise ConfigError("weak-perspective camera fields must be finite")
         if self.scale <= 0.0:
             raise ConfigError("weak-perspective scale must be positive")
 
@@ -93,6 +99,9 @@ class FitConfig:
     rec_smooth_mm: float = 2.0
 
     def __post_init__(self):
+        for name in ("w_rec", "w_temp", "w_reg", "tol", "rec_smooth_mm"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.w_rec <= 0.0 or min(self.w_temp, self.w_reg) < 0.0:
             raise ConfigError("w_rec must be positive; other weights non-negative")
         if self.max_iters < 1:
@@ -126,6 +135,9 @@ def body_fk(theta: Tensor, chain: KinematicChain) -> Tensor:
 
 
 # -- loss terms --------------------------------------------------------------
+# Each node replays its composed graph's arithmetic, including the order in
+# which a tensor's gradient contributions are added. Only the output is
+# checked for non-finite values: a non-finite intermediate reaches the sum.
 
 
 def loss_rec(
@@ -138,18 +150,39 @@ def loss_rec(
     smooth > 0 replaces |r| with sqrt(r^2 + smooth^2), used only when a
     well-behaved descent direction is needed; the default is the exact L1.
     """
-    idx = np.asarray(observed_joints)
-    obs_points = np.stack([o.points for o in observations])  # (T, M, 2)
-    conf = np.stack([o.confidence for o in observations])[..., None]  # (T, M, 1)
-    xy = joints[:, idx, 0:2]
-    scale = cam_params[0:1].reshape(1, 1, 1)
-    shift = cam_params[1:3].reshape(1, 1, 2)
-    residual = xy * scale + shift - Tensor(obs_points)
+    key = (slice(None), np.asarray(observed_joints), slice(0, 2))
+    dtype = joints.data.dtype  # rounded as the constant leaves they stand for would be
+    obs_points = np.array([o.points for o in observations], dtype=dtype)  # (T, M, 2)
+    conf = np.array([o.confidence for o in observations], dtype=dtype)[..., None]  # (T, M, 1)
+    xy = joints.data[key]
+    scale = cam_params.data[0:1].reshape(1, 1, 1)
+    shift = cam_params.data[1:3].reshape(1, 1, 2)
+    residual = xy * scale + shift - obs_points
     if smooth > 0.0:
-        magnitude = (residual * residual + smooth * smooth).sqrt()
+        magnitude = np.sqrt(residual * residual + smooth * smooth)
     else:
-        magnitude = residual.abs()
-    return (magnitude * Tensor(conf)).sum()
+        magnitude = np.abs(residual)
+
+    def backward(g):
+        g_magnitude = g * conf
+        if smooth > 0.0:
+            g_square = g_magnitude * 0.5 / magnitude
+            g_residual = g_square * residual + g_square * residual  # r * r
+        else:
+            g_residual = g_magnitude * np.sign(residual)
+        if joints.requires_grad:
+            full = np.zeros(joints.shape, dtype=joints.data.dtype)
+            np.add.at(full, key, g_residual * scale)  # observed_joints may repeat
+            joints._accumulate(full)
+        if cam_params.requires_grad:
+            for part, g_part in ((slice(0, 1), _sum_to_shape(g_residual * xy, scale.shape)),
+                                 (slice(1, 3), _sum_to_shape(g_residual, shift.shape))):
+                full = np.zeros(cam_params.shape, dtype=cam_params.data.dtype)
+                full[part] = g_part.reshape(-1)
+                cam_params._accumulate(full)
+
+    return Tensor((magnitude * conf).sum(dtype=np.float64), _parents=(joints, cam_params),
+                  _op="loss_rec", _backward=backward)
 
 
 def loss_temp(joints: Tensor) -> Tensor:
@@ -159,17 +192,34 @@ def loss_temp(joints: Tensor) -> Tensor:
     point set and the term is twice the joint displacement sum.
     T < 2 contributes zero.
     """
-    T = joints.shape[0]
-    if T < 2:
+    if joints.shape[0] < 2:
         return Tensor(0.0)
-    diff = joints[1:] - joints[:-1]
-    norms = ((diff * diff).sum(axis=(1, 2)) + _EPS).sqrt()
-    return norms.sum() * 2.0
+    diff = joints.data[1:] - joints.data[:-1]
+    norms = np.sqrt((diff * diff).sum(axis=(1, 2), dtype=np.float64) + _EPS)
+
+    def backward(g):
+        g_square = (g * 2.0 * 0.5 / norms)[:, None, None]
+        g_diff = g_square * diff + g_square * diff  # diff * diff
+        # joints[1:] receives its gradient before joints[:-1]
+        for part, g_part in ((slice(1, None), g_diff), (slice(None, -1), -g_diff)):
+            full = np.zeros(joints.shape, dtype=joints.data.dtype)
+            full[part] = g_part
+            joints._accumulate(full)
+
+    return Tensor(norms.sum(dtype=np.float64) * 2.0, _parents=(joints,), _op="loss_temp",
+                  _backward=backward)
 
 
 def loss_reg(theta: Tensor) -> Tensor:
     """Euclidean norm of the packed refined rotation parameters."""
-    return ((theta * theta).sum() + _EPS).sqrt()
+    value = np.sqrt((theta.data * theta.data).sum(dtype=np.float64) + _EPS)
+
+    def backward(g):
+        g_square = g * 0.5 / value
+        theta._accumulate(g_square * theta.data)  # theta * theta: one product per operand
+        theta._accumulate(g_square * theta.data)
+
+    return Tensor(value, _parents=(theta,), _op="loss_reg", _backward=backward)
 
 
 def _objective(
@@ -186,7 +236,7 @@ def _objective(
     rec = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
     temp = loss_temp(joints)
     reg = loss_reg(theta)
-    total = rec * config.w_rec + temp * config.w_temp + reg * config.w_reg
+    total = weighted_sum([rec, temp, reg], [config.w_rec, config.w_temp, config.w_reg])
     return joints, total, rec, temp, reg
 
 

@@ -12,6 +12,8 @@ from soke.posefit import (
     CameraWeakPerspective,
     FitConfig,
     Observation2D,
+    _float64_graph,
+    _objective,
     body_fk,
     fit_sequence,
     load_observations,
@@ -24,6 +26,7 @@ from soke.posefit import (
     total_loss,
 )
 
+import composed_ops
 from gradcheck import check_gradients
 
 CHAIN = build_sign_chain()
@@ -50,9 +53,11 @@ class TestProjection:
         b = project_weak(np.array([1.0, 2.0, -40.0]), cam)
         assert np.allclose(a, b)
 
-    def test_invalid_scale_rejected(self):
+    @pytest.mark.parametrize("field, value", [("scale", 0.0), ("scale", np.nan),
+                                              ("scale", np.inf), ("tx", np.inf), ("ty", np.nan)])
+    def test_invalid_camera_rejected(self, field, value):
         with pytest.raises(ConfigError):
-            CameraWeakPerspective(scale=0.0)
+            CameraWeakPerspective(**{field: value})
 
 
 class TestBodyFk:
@@ -135,6 +140,39 @@ class TestGradients:
         assert max(errors.values()) < 1e-3
 
 
+class TestFusedObjective:
+    @pytest.mark.parametrize("observed", [FitConfig.observed_joints, (5, 5, 6)])
+    @pytest.mark.parametrize("optimize_camera", [True, False])
+    @pytest.mark.parametrize("frames", [1, 2, 4])
+    @pytest.mark.parametrize("smooth", [0.0, 2.0])
+    def test_objective_equals_the_composed_graph(self, smooth, frames, optimize_camera, observed):
+        # value, theta.grad and cam.grad bit for bit, with each loss node
+        # replaced by the graph of sqrt, abs, mul, add and slice nodes it fuses
+        rng = np.random.default_rng(frames)
+        cfg = FitConfig(optimize_camera=optimize_camera, observed_joints=observed)
+        truth = MotionSequence(rng.normal(0.0, 0.3, size=(frames, 133)).astype(np.float32))
+        obs = [Observation2D(o.points, rng.uniform(0.0, 1.0, size=len(observed)))
+               for o in observe_sequence(truth, CameraWeakPerspective(), CHAIN,
+                                         observed_joints=observed, noise_std=2.0, seed=frames)]
+        theta0 = (truth.frames[:, :33].reshape(frames, 11, 3)
+                  + rng.normal(0.0, 0.1, size=(frames, 11, 3)))
+        results = []
+        for build in (lambda *args: _objective(*args)[1], composed_ops.objective):
+            with _float64_graph():
+                theta = Tensor(theta0, requires_grad=True)
+                cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=optimize_camera)
+                total = build(theta, cam, obs, BODY, cfg, smooth)
+                total.backward()
+            results.append((total.data, theta.grad, cam.grad))
+        (value, g_theta, g_cam), (value_ref, g_theta_ref, g_cam_ref) = results
+        assert np.array_equal(value, value_ref)
+        assert np.array_equal(g_theta, g_theta_ref)
+        if optimize_camera:
+            assert np.array_equal(g_cam, g_cam_ref)
+        else:
+            assert g_cam is None and g_cam_ref is None
+
+
 class TestFitSequence:
     def test_already_optimal_stays_fixed(self):
         seq = constant_pose_sequence(np.full((11, 3), 0.15), frames=4)
@@ -209,29 +247,26 @@ class TestFitSequence:
         fitted = result.motion.frames[:, 3 * joint + axis].mean()
 
         grid = np.arange(-np.pi, np.pi, 1e-3)
-        best_angle, best_value = None, np.inf
-        for angle in grid:
-            theta = np.zeros((4, 11, 3))
-            theta[:, joint, axis] = angle
-            value = _numpy_total_loss(theta, obs, cam, cfg)
-            if value < best_value:
-                best_angle, best_value = angle, value
+        theta = np.zeros((len(grid), 4, 11, 3))
+        theta[:, :, joint, axis] = grid[:, None]
+        best_angle = grid[np.argmin(_numpy_total_loss(theta, obs, cam, cfg))]
         assert abs(fitted - best_angle) < 1e-2
 
 
-def _numpy_total_loss(theta: np.ndarray, obs, cam: CameraWeakPerspective, cfg: FitConfig) -> float:
-    """Grid-search oracle: plain-numpy total loss via the motion-core FK."""
-    T = theta.shape[0]
-    joints = forward_kinematics_sequence(theta.reshape(T, -1), BODY)
-    idx = list(cfg.observed_joints)
-    rec = 0.0
-    for f in range(T):
-        proj = project_weak(joints[f, idx], cam)
-        rec += float((np.abs(proj - obs[f].points) * obs[f].confidence[:, None]).sum())
-    temp = 0.0
-    for f in range(1, T):
-        temp += 2.0 * float(np.linalg.norm(joints[f] - joints[f - 1]))
-    reg = float(np.linalg.norm(theta))
+def _numpy_total_loss(theta: np.ndarray, obs, cam: CameraWeakPerspective,
+                      cfg: FitConfig) -> np.ndarray:
+    """Grid-search oracle: plain-numpy total loss via the motion-core FK, for
+    a batch of pose sequences theta (..., T, J, 3)."""
+    batch = theta.shape[:-3]
+    frames = theta.reshape(-1, theta.shape[-2] * theta.shape[-1])
+    joints = forward_kinematics_sequence(frames, BODY).reshape(theta.shape)
+    points = np.stack([o.points for o in obs])
+    conf = np.stack([o.confidence for o in obs])
+    proj = project_weak(joints[..., list(cfg.observed_joints), :], cam)
+    rec = (np.abs(proj - points) * conf[..., None]).sum(axis=(-3, -2, -1))
+    temp = 2.0 * np.linalg.norm(joints[..., 1:, :, :] - joints[..., :-1, :, :],
+                                axis=(-2, -1)).sum(axis=-1)
+    reg = np.linalg.norm(theta.reshape(batch + (-1,)), axis=-1)
     return cfg.w_rec * rec + cfg.w_temp * temp + cfg.w_reg * reg
 
 
@@ -247,13 +282,22 @@ class TestObservationIO:
             assert np.allclose(a.points, b.points)
             assert np.allclose(a.confidence, b.confidence)
 
-    def test_bad_confidence_rejected(self):
-        with pytest.raises(InputError):
-            Observation2D(np.zeros((2, 2)), np.array([0.5, 1.5]))
+    @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
+    def test_bad_confidence_rejected(self, bad):
+        with pytest.raises(InputError, match="confidences"):
+            Observation2D(np.zeros((2, 2)), np.array([0.5, bad]))
 
     def test_zero_joints_rejected(self):
         with pytest.raises(InputError, match="at least one joint"):
             Observation2D(np.zeros((0, 2)), np.zeros(0))
+
+
+class TestFitConfig:
+    @pytest.mark.parametrize("field", ["w_rec", "w_temp", "w_reg", "tol", "rec_smooth_mm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_setting_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            FitConfig(**{field: value})
 
 
 class TestObservedJoints:
