@@ -8,10 +8,11 @@ the mode it was trained for. Sequential decoding runs one flat stream with
 decoding feeds one trunk pass to three part heads and the fused embedding of
 their picks back in. Each step is one decoder pass and one masked argmax
 per slot, a (row, head, support part) triple. A pass runs one new position
-per row (one row per start token) against a per-prompt `DecoderCache`, which
-holds the cross-attention keys and values of the prompt and the
-self-attention keys and values of the positions run so far. Decoding builds
-no autodiff graph (`no_grad`).
+per row (one row per start token) through `decode_hidden`, the trunk that
+teacher-forced training runs over its whole prefix, against a per-prompt
+`DecoderCache`. The cache holds the cross-attention keys and values of the
+prompt and the self-attention keys and values of the positions run so far.
+Decoding builds no autodiff graph (`no_grad`).
 Decoding stops at the first step where any slot picks EOS, and that step is
 excluded. The kept picks, in step and slot order, are the flat stream
 (B, LH, RH, B, ...): they are grouped in threes, a trailing partial triple

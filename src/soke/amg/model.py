@@ -3,6 +3,10 @@
 Pre-LN transformer, learned absolute positions, three affine heads sharing
 the decoder trunk. Heads are zero-initialized so the masked softmax starts
 exactly uniform over each part's support.
+
+Teacher-forced training and greedy decoding share the trunk `decode_hidden`:
+training runs its whole prefix as one pass from an empty DecoderCache, and
+decoding runs one new position per pass against the prompt's cache.
 """
 
 from __future__ import annotations
@@ -186,34 +190,25 @@ class GeneratorModel:
         ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, tq, h * dh)
         return linear(ctx, p["wo"], p["bo"])
 
-    def _mha(self, x_q: Tensor, x_kv: Tensor, p: dict, mask: np.ndarray | None) -> Tensor:
-        q = self._heads(linear(x_q, p["wq"], p["bq"]))
-        k = self._heads(linear(x_kv, p["wk"], p["bk"]))
-        v = self._heads(linear(x_kv, p["wv"], p["bv"]))
-        return self._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
-
-    def _cached_self_attention(self, x: Tensor, p: dict, layer: LayerCache,
-                               mask: np.ndarray | None) -> Tensor:
-        """Self-attention of the new positions x (B, n, d) over the cached
-        keys and values plus their own, which join the cache."""
-        b, n, d = x.shape
-        h = self.config.num_heads
-        qkv = linear(x, layer.w_qkv, layer.b_qkv).reshape(b, n, 3, h, d // h)
-        qkv = qkv.transpose((2, 0, 3, 1, 4))  # (3, B, h, n, dh)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        if layer.self_k is not None:
-            k = concat([layer.self_k, k], axis=2)
-            v = concat([layer.self_v, v], axis=2)
-        layer.self_k, layer.self_v = k, v
+    def _self_attention(self, x: Tensor, p: dict, mask: np.ndarray | None,
+                        layer: LayerCache | None = None) -> Tensor:
+        """Self-attention of the positions x (B, n, d). With a layer cache,
+        they also attend to its keys and values, and their own join it."""
+        q = self._heads(linear(x, p["wq"], p["bq"]))
+        k = self._heads(linear(x, p["wk"], p["bk"]))
+        v = self._heads(linear(x, p["wv"], p["bv"]))
+        if layer is not None:
+            if layer.self_k is not None:
+                k = concat([layer.self_k, k], axis=2)
+                v = concat([layer.self_v, v], axis=2)
+            layer.self_k, layer.self_v = k, v
         return self._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
 
     def _layer_cache(self, layer: dict, h_en: Tensor) -> LayerCache:
         """A decoder layer's cache for the encoder state h_en (R, S, d); with
         R = 1 its keys and values broadcast over every decoder row."""
-        sa, ca = layer["self"], layer["cross"]
+        ca = layer["cross"]
         return LayerCache(
-            w_qkv=concat([sa["wq"], sa["wk"], sa["wv"]], axis=1),
-            b_qkv=concat([sa["bq"], sa["bk"], sa["bv"]], axis=0),
             cross_k=self._heads(linear(h_en, ca["wk"], ca["bk"])).transpose((0, 1, 3, 2)),
             cross_v=self._heads(linear(h_en, ca["wv"], ca["bv"])),
         )
@@ -241,50 +236,41 @@ class GeneratorModel:
         x = self._embed(prompt_ids, self.enc_pos)
         for layer in self.enc_layers:
             normed = layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            x = x + self._mha(normed, normed, layer["attn"], attn_mask)
+            x = x + self._self_attention(normed, layer["attn"], attn_mask)
             x = x + self._ffn(layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["ffn"])
         return layer_norm(x, self.enc_ln_g, self.enc_ln_b), key_mask
 
     def decode_hidden(self, dec_emb: Tensor, h_en: Tensor, enc_key_mask: np.ndarray,
                       cache: DecoderCache | None = None) -> Tensor:
-        """Decoder trunk over already-embedded inputs (B, K, d).
+        """Decoder trunk over already-embedded inputs (B, K, d), the positions
+        after those in `cache` (teacher forcing passes none: a fresh, empty one).
 
-        Without a cache, dec_emb is the whole teacher-forced prefix. With one,
-        dec_emb holds only the new positions, which attend to the cached ones;
-        the first cached pass projects h_en to the cross-attention keys and
-        values, and every pass appends its self-attention keys and values.
+        The first pass over a cache projects h_en to the cross-attention keys
+        and values, and every pass appends its self-attention keys and values.
         """
-        b, k, _ = dec_emb.shape
-        offset = 0 if cache is None else cache.length
+        cache = cache or DecoderCache()
+        k, offset = dec_emb.shape[1], cache.length
         if offset + k > self.dec_max_len:
             raise InputError(
                 f"decoder input has {offset + k} positions but the model has {self.dec_max_len} "
                 f"decoder positions (k_max {self.config.k_max}, mode {self.mode})"
             )
-        if cache is not None and not cache.layers:
+        if not cache.layers:
             cache.layers = [self._layer_cache(layer, h_en) for layer in self.dec_layers]
         # None for a mask that hides nothing: one new position sees the whole
         # cache, and an unpadded prompt shows every key
         causal = None if k == 1 else np.tri(k, offset + k, offset, dtype=bool)[None, None, :, :]
         cross_mask = None if enc_key_mask.all() else enc_key_mask[:, None, None, :]
         x = dec_emb + self.dec_pos[offset:offset + k]
-        for i, layer in enumerate(self.dec_layers):
+        for layer, lc in zip(self.dec_layers, cache.layers):
             normed = layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            if cache is None:
-                x = x + self._mha(normed, normed, layer["self"], causal)
-                x = x + self._mha(
-                    layer_norm(x, layer["lnc_g"], layer["lnc_b"]), h_en, layer["cross"], cross_mask
-                )
-            else:
-                lc = cache.layers[i]
-                x = x + self._cached_self_attention(normed, layer["self"], lc, causal)
-                cross = layer["cross"]
-                normed = layer_norm(x, layer["lnc_g"], layer["lnc_b"])
-                q = self._heads(linear(normed, cross["wq"], cross["bq"]))
-                x = x + self._attend(q, lc.cross_k, lc.cross_v, cross, cross_mask)
+            x = x + self._self_attention(normed, layer["self"], causal, lc)
+            cross = layer["cross"]
+            normed = layer_norm(x, layer["lnc_g"], layer["lnc_b"])
+            q = self._heads(linear(normed, cross["wq"], cross["bq"]))
+            x = x + self._attend(q, lc.cross_k, lc.cross_v, cross, cross_mask)
             x = x + self._ffn(layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["ffn"])
-        if cache is not None:
-            cache.length += k
+        cache.length += k
         return layer_norm(x, self.dec_ln_g, self.dec_ln_b)
 
     def head_logits(self, hidden: Tensor, part: Part) -> Tensor:
@@ -299,8 +285,6 @@ class GeneratorModel:
 class LayerCache:
     """One decoder layer's state in a DecoderCache."""
 
-    w_qkv: Tensor  # self-attention Q|K|V weights side by side, (d, 3d)
-    b_qkv: Tensor  # (3d,)
     cross_k: Tensor  # cross-attention keys, pre-transposed: (R or 1, h, dh, S)
     cross_v: Tensor  # (R or 1, h, S, dh)
     self_k: Tensor | None = None  # self-attention keys so far, (R, h, length, dh)
@@ -309,10 +293,11 @@ class LayerCache:
 
 @dataclass
 class DecoderCache:
-    """Per-prompt state of incremental decoding (decode_hidden with a cache).
+    """The positions one prompt has run through `decode_hidden`: a whole
+    teacher-forced prefix, or greedy decoding's passes so far.
 
-    Empty when made; the first cached pass fills one LayerCache per decoder
-    layer, and every pass advances `length` by the positions it ran. It holds
+    Empty when made; the first pass fills one LayerCache per decoder layer,
+    and every pass advances `length` by the positions it ran. It holds
     projections of the parameters, so it is valid only while they stay fixed.
     """
 

@@ -25,6 +25,9 @@ class Vocabulary:
                  languages: tuple[str, ...] = LANGUAGES):
         self.languages = tuple(languages)
         self.codebook_sizes = tuple(codebook_sizes)
+        if len(self.codebook_sizes) != 3 or not all(type(n) is int and n > 0
+                                                     for n in self.codebook_sizes):
+            raise VocabularyError(f"codebook sizes {self.codebook_sizes!r} are not 3 positive ints")
         tokens: list[str] = [PAD, BOS, EOS, UNK, SEP]
         tokens += [f"<{lang}>" for lang in self.languages]
         tokens += [f"<{lang}_{part.value}>" for lang in self.languages for part in PARTS]

@@ -21,6 +21,8 @@ class TokenSeq:
     def __post_init__(self):
         if len(self.ids) == 0:
             raise InputError("token sequence must be nonempty")
+        if not all(type(i) is int for i in self.ids):
+            raise InputError(f"token ids must be integers, got {self.ids!r}")
 
     def __len__(self) -> int:
         return len(self.ids)

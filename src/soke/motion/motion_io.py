@@ -40,6 +40,7 @@ def load_motions(path: str | Path, layout: PartLayout | None = None) -> list[tup
                 continue
             try:
                 record = json.loads(line)
+                text = str(record["text"])
                 seq = MotionSequence(
                     np.asarray(record["frames"], dtype=np.float32),
                     fps=float(record["fps"]),
@@ -48,5 +49,5 @@ def load_motions(path: str | Path, layout: PartLayout | None = None) -> list[tup
                 )
             except (KeyError, ValueError, TypeError) as exc:
                 raise InputError(f"{path}:{line_no}: malformed motion record: {exc}") from exc
-            pairs.append((str(record["text"]), seq))
+            pairs.append((text, seq))
     return pairs

@@ -9,6 +9,7 @@ order as contiguous per-part blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,8 +32,9 @@ class DictionaryEntry:
         lengths = {len(self.tokens[p]) for p in PARTS}
         if len(lengths) != 1:
             raise InputError(f"entry {self.word!r}: part token sequences differ in length")
-        if self.recon_error < 0:
-            raise InputError(f"entry {self.word!r}: negative reconstruction error")
+        if not 0 <= self.recon_error < math.inf:
+            raise InputError(f"entry {self.word!r}: reconstruction error {self.recon_error} "
+                             "is negative or not finite")
 
 
 class SignDictionary:

@@ -27,6 +27,8 @@ from soke.amg.model import MODE_SPECS, tile_rows
 from soke.grad import Tensor, concat, cross_entropy, no_grad
 from soke.motion import PARTS, Part
 
+import trunk_oracle
+
 SIZES = (6, 8, 8)
 WORDS = ["alpha", "beta", "gamma", "delta"]
 TINY_CFG = AmgConfig(d_model=32, num_heads=2, enc_layers=1, dec_layers=1, ffn_dim=64,
@@ -75,6 +77,12 @@ class TestVocabulary:
             vocab.lang_id("KSL")
         with pytest.raises(VocabularyError):
             vocab.lang_part_id("KSL", Part.BODY)
+
+    @pytest.mark.parametrize("sizes", [(4, 4), (4, -2, 4), (4, 0, 4), (4, 4, 4, 4), (4, 2.5, 4),
+                                       (4, True, 4)])
+    def test_codebook_sizes_must_be_three_positive_ints(self, sizes):
+        with pytest.raises(VocabularyError):
+            Vocabulary(WORDS, sizes)
 
     def test_support_mask(self, vocab):
         mask = vocab.part_support_mask(Part.LEFT_HAND)
@@ -599,6 +607,12 @@ class TestCorruptSidecar:
         with pytest.raises(SokeError, match="vocab.json"):
             load_generator(saved)
 
+    @pytest.mark.parametrize("sizes", [[6, 8], [6, -2, 8]])
+    def test_vocab_with_bad_codebook_sizes_names_the_file(self, saved, sizes):
+        _edit_json(saved / "vocab.json", lambda p: p.update(codebook_sizes=sizes))
+        with pytest.raises(InputError, match="vocab.json"):
+            load_generator(saved)
+
     def test_sidecar_is_the_config_dataclass(self, saved):
         payload = json.loads((saved / "amg.json").read_text())
         assert payload == {"mode": "sequential", "config": {
@@ -832,3 +846,53 @@ class TestFullVocabularyOracle:
         assert [entry["loss"] for entry in log] == [losses[e["epoch"]] for e in log]
         for (name, p), (_, q) in zip(model.parameters(), oracle.parameters()):
             assert np.array_equal(p.data, q.data), name
+
+
+# -- the trunk against its two-branch form (trunk_oracle.py) ---------------------
+
+TRUNK_CFG = AmgConfig(d_model=32, num_heads=2, enc_layers=2, dec_layers=2, ffn_dim=64,
+                      k_max=6, enc_max_len=24)
+
+
+class TestTwoBranchTrunkOracle:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_loss_and_every_gradient_are_bit_identical(self, vocab, mode, monkeypatch):
+        pairs = _mixed_pairs(vocab, 11)  # prompts of several lengths, so some are padded
+        model = GeneratorModel(vocab, TRUNK_CFG, mode, seed=6)
+        train_generator(pairs, model, AmgTrainConfig(epochs=4))  # heads away from zero
+
+        def loss_and_grads():
+            for _, p in model.parameters():
+                p.zero_grad()
+            loss = generator_loss(model, pairs)
+            loss.backward()
+            return loss.data.copy(), {name: None if p.grad is None else p.grad.copy()
+                                      for name, p in model.parameters()}
+
+        loss, grads = loss_and_grads()
+        trunk_oracle.install(monkeypatch, model)
+        oracle_loss, oracle_grads = loss_and_grads()
+        assert np.array_equal(loss, oracle_loss)
+        assert grads.keys() == oracle_grads.keys()
+        for name, grad in grads.items():
+            assert (grad is None) == (oracle_grads[name] is None), name
+            assert grad is None or np.array_equal(grad, oracle_grads[name]), name
+        assert np.abs(grads["dec1.self.wq"]).max() > 0  # the last layer's self-attention is live
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_greedy_decode_is_the_same(self, vocab, mode, monkeypatch):
+        pairs = _mixed_pairs(vocab, 12)
+        model = GeneratorModel(vocab, TRUNK_CFG, mode, seed=7)
+        train_generator(pairs, model, AmgTrainConfig(epochs=40, lr=4e-3))
+        prompts = [(list(pair.prompt_ids), pair.lang) for pair in pairs]
+        prompts.append(([vocab.lang_id("ASL")] + vocab.encode_text("gamma alpha delta"), "ASL"))
+
+        def decode_all():
+            return [(generate_triples(model, prompt, lang),
+                     greedy_decode(model, *model.encode([prompt]), lang, k_max=2))
+                    for prompt, lang in prompts]
+
+        results = decode_all()
+        trunk_oracle.install(monkeypatch, model)
+        assert decode_all() == results
+        assert any(result.triples for result, _ in results)

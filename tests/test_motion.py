@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,4 +320,12 @@ class TestMotionIO:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"text": "hi", "lang": "ASL"}\n')
         with pytest.raises(InputError):
+            load_motions(path)
+
+    def test_record_without_text_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        record = {"frames": np.zeros((2, PartLayout().total_dims)).tolist(), "fps": 25.0,
+                  "lang": "ASL"}
+        path.write_text(json.dumps({"text": "hi", **record}) + "\n\n" + json.dumps(record) + "\n")
+        with pytest.raises(InputError, match=r"bad\.jsonl:3"):
             load_motions(path)

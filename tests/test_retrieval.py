@@ -199,7 +199,15 @@ class TestPersistence:
         lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": [0]}}}),
         lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": [0], "err": "x"}}}),
         lambda text: json.dumps(["ASL"]),
-    ], ids=["truncated", "missing-err", "string-err", "not-an-object"])
+        lambda text: json.dumps({"ASL": {"cold": {"B": [1.7], "LH": [0], "RH": [0], "err": 0.5}}}),
+        lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [True], "RH": [0], "err": 0.5}}}),
+        lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": ["1"], "err": 0.5}}}),
+        lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": [0],
+                                                  "err": float("nan")}}}),
+        lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": [0],
+                                                  "err": float("inf")}}}),
+    ], ids=["truncated", "missing-err", "string-err", "not-an-object", "float-id", "bool-id",
+            "string-id", "nan-err", "inf-err"])
     def test_corrupt_dictionary_names_the_file(self, tmp_path, corrupt):
         d = SignDictionary()
         d.offer("ASL", entry_for("cold", n=2))
