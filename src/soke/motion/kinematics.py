@@ -18,6 +18,8 @@ from .layout import ROTATION_DIMS, PartLayout
 
 MEAN_BONE_MM = 100.0
 
+_EYE3 = np.eye(3)
+
 
 @dataclass(frozen=True)
 class KinematicChain:
@@ -46,8 +48,9 @@ class KinematicChain:
         return len(self.parents)
 
     @cached_property
-    def levels(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(joints, their parents) for each tree depth from 1 down."""
+    def levels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(joints, their parents, their bone offsets as (n, 3, 1) columns) for
+        each tree depth from 1 down."""
         parent_of = np.asarray(self.parents)
         depth = np.zeros(self.num_joints, dtype=np.int64)
         for j in range(1, self.num_joints):
@@ -55,7 +58,7 @@ class KinematicChain:
         levels = []
         for level in range(1, int(depth.max()) + 1):
             joints = np.flatnonzero(depth == level)
-            levels.append((joints, parent_of[joints]))
+            levels.append((joints, parent_of[joints], self.offsets[joints][..., None]))
         return tuple(levels)
 
     def body_subchain(self, body_joints: int) -> "KinematicChain":
@@ -92,9 +95,10 @@ def _rodrigues_coefficients(t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A = sin(t)/t and B = (1-cos(t))/t^2 at t^2 = t2, smooth through t = 0."""
     t = np.sqrt(t2)
     small = t < 1e-6
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / np.where(small, 1.0, t))
-        b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / np.where(small, 1.0, t2))
+    # small t is replaced by 1.0 before dividing, and callers pass finite
+    # angles (MotionSequence and Tensor reject non-finite values)
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(t) / np.where(small, 1.0, t))
+    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / np.where(small, 1.0, t2))
     return a, b
 
 
@@ -108,8 +112,7 @@ def axis_angle_matrices(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     a, b = _rodrigues_coefficients((v * v).sum(axis=-1))
     k = _skew(v)
-    eye = np.broadcast_to(np.eye(3), k.shape)
-    return eye + a[..., None, None] * k + b[..., None, None] * (k @ k)
+    return _EYE3 + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
 def axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -155,10 +158,10 @@ def forward_kinematics_pass(
     rot = np.empty((T, J, 3, 3))
     rot[:, 0] = local[:, 0]
     pos[:, 0] = chain.root_position
-    for joints, parents in chain.levels:
+    for joints, parents, offsets in chain.levels:
         parent_rot = rot[:, parents]
         rot[:, joints] = parent_rot @ local[:, joints]
-        pos[:, joints] = pos[:, parents] + (parent_rot @ chain.offsets[joints][..., None])[..., 0]
+        pos[:, joints] = pos[:, parents] + (parent_rot @ offsets)[..., 0]
     return pos, rot, local
 
 
@@ -176,13 +179,13 @@ def forward_kinematics_vjp(
     grad_pos = np.array(grad_pos, dtype=np.float64)
     grad_rot = np.zeros_like(rot)
     grad_local = np.empty_like(local)
-    for joints, parents in reversed(chain.levels):
+    for joints, parents, offsets in reversed(chain.levels):
         g_rot = grad_rot[:, joints]
         parent_rot = rot[:, parents]
         # R_j = R_p L_j and x_j = x_p + R_p o_j
         grad_local[:, joints] = np.swapaxes(parent_rot, -1, -2) @ g_rot
         to_parent = (g_rot @ np.swapaxes(local[:, joints], -1, -2)
-                     + grad_pos[:, joints, :, None] * chain.offsets[joints][:, None, :])
+                     + grad_pos[:, joints, :, None] * np.swapaxes(offsets, -1, -2))
         np.add.at(grad_rot, (slice(None), parents), to_parent)
         np.add.at(grad_pos, (slice(None), parents), grad_pos[:, joints])
     grad_local[:, 0] = grad_rot[:, 0]

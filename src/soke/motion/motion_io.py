@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..artifacts import write_jsonl
-from ..errors import InputError
+from ..errors import InputError, LayoutError
 from .layout import MotionSequence, PartLayout
 
 
@@ -47,7 +47,7 @@ def load_motions(path: str | Path, layout: PartLayout | None = None) -> list[tup
                     layout=layout,
                     language_tag=str(record["lang"]),
                 )
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, LayoutError) as exc:
                 raise InputError(f"{path}:{line_no}: malformed motion record: {exc}") from exc
             pairs.append((text, seq))
     return pairs

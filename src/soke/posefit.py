@@ -15,6 +15,13 @@ loss term into a node with a numpy forward and a hand-written backward, bit
 for bit equal to the composed graph of elementary nodes they replace (the
 tests keep that graph as the oracle). Mesh vertices in the temporal term
 are proxied by the FK joint positions; no mesh exists at this scale.
+
+The fit evaluates each point once: it builds one graph per candidate, with
+the gradient tracked, and an accepted candidate's graph gives the next
+iteration's gradient by one backward pass. The optimizer minimizes a
+smoothed reprojection term; the exact L1 term that the log reports comes
+from the residual the smoothed term already computed (`RecLoss.exact`).
+The observations are packed into arrays once per fit.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,6 +120,18 @@ class FitConfig:
             raise ConfigError("observed_joints must name at least one joint")
 
 
+class ObservationArrays(NamedTuple):
+    """A sequence's observations packed into arrays."""
+
+    points: np.ndarray  # (T, M, 2)
+    confidence: np.ndarray  # (T, M, 1)
+
+
+def pack_observations(observations: list[Observation2D]) -> ObservationArrays:
+    return ObservationArrays(np.array([o.points for o in observations]),
+                             np.array([o.confidence for o in observations])[..., None])
+
+
 def project_weak(joints3d: np.ndarray, cam: CameraWeakPerspective) -> np.ndarray:
     """(x, y) = s * (X, Y) + (tx, ty); depth dropped."""
     joints3d = np.asarray(joints3d, dtype=np.float64)
@@ -140,20 +160,30 @@ def body_fk(theta: Tensor, chain: KinematicChain) -> Tensor:
 # checked for non-finite values: a non-finite intermediate reaches the sum.
 
 
+class RecLoss(Tensor):
+    """loss_rec's node. `exact` is the exact L1 of the node's residual: its
+    own value when unsmoothed, so the log needs no second node."""
+
+    __slots__ = ("exact",)
+
+
 def loss_rec(
-    joints: Tensor, observations: list[Observation2D], cam_params: Tensor,
+    joints: Tensor, observations: list[Observation2D] | ObservationArrays, cam_params: Tensor,
     observed_joints: tuple[int, ...], smooth: float = 0.0,
-) -> Tensor:
+) -> RecLoss:
     """Confidence-weighted L1 distance between observed and projected joints,
     summed over frames.
 
     smooth > 0 replaces |r| with sqrt(r^2 + smooth^2), used only when a
     well-behaved descent direction is needed; the default is the exact L1.
+    A fit passes its observations packed once (`pack_observations`).
     """
+    if not isinstance(observations, ObservationArrays):
+        observations = pack_observations(observations)
     key = (slice(None), np.asarray(observed_joints), slice(0, 2))
     dtype = joints.data.dtype  # rounded as the constant leaves they stand for would be
-    obs_points = np.array([o.points for o in observations], dtype=dtype)  # (T, M, 2)
-    conf = np.array([o.confidence for o in observations], dtype=dtype)[..., None]  # (T, M, 1)
+    obs_points = observations.points.astype(dtype, copy=False)
+    conf = observations.confidence.astype(dtype, copy=False)
     xy = joints.data[key]
     scale = cam_params.data[0:1].reshape(1, 1, 1)
     shift = cam_params.data[1:3].reshape(1, 1, 2)
@@ -181,8 +211,10 @@ def loss_rec(
                 full[part] = g_part.reshape(-1)
                 cam_params._accumulate(full)
 
-    return Tensor((magnitude * conf).sum(dtype=np.float64), _parents=(joints, cam_params),
-                  _op="loss_rec", _backward=backward)
+    value = (magnitude * conf).sum(dtype=np.float64)
+    node = RecLoss(value, _parents=(joints, cam_params), _op="loss_rec", _backward=backward)
+    node.exact = float((np.abs(residual) * conf).sum(dtype=np.float64) if smooth > 0.0 else value)
+    return node
 
 
 def loss_temp(joints: Tensor) -> Tensor:
@@ -225,7 +257,7 @@ def loss_reg(theta: Tensor) -> Tensor:
 def _objective(
     theta: Tensor,
     cam_params: Tensor,
-    observations: list[Observation2D],
+    observations: list[Observation2D] | ObservationArrays,
     chain: KinematicChain,
     config: FitConfig,
     smooth: float,
@@ -243,21 +275,22 @@ def _objective(
 def total_loss(
     theta: Tensor,
     cam_params: Tensor,
-    observations: list[Observation2D],
+    observations: list[Observation2D] | ObservationArrays,
     chain: KinematicChain,
     config: FitConfig,
     smooth: float = 0.0,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """(total, rec, temp, reg) with one FK pass.
+    """(total, rec, temp, reg) from one graph: one FK pass, one loss_rec.
 
     total is the weighted objective the optimizer minimizes; its
     reprojection term is smoothed by `smooth` (see loss_rec). rec, temp and
-    reg are the exact terms, so rec is the exact L1 even when smooth > 0.
+    reg are the exact terms. rec is the exact L1 even when smooth > 0: it
+    comes from the residual the smoothed term computed (`RecLoss.exact`),
+    as a constant; with smooth = 0 it is the term in total's graph.
     """
-    joints, total, rec, temp, reg = _objective(theta, cam_params, observations, chain, config,
-                                               smooth)
+    _, total, rec, temp, reg = _objective(theta, cam_params, observations, chain, config, smooth)
     if smooth > 0.0:
-        rec = loss_rec(joints, observations, cam_params, config.observed_joints)
+        rec = Tensor(rec.exact)
     return total, rec, temp, reg
 
 
@@ -294,6 +327,12 @@ def fit_sequence(
     Hands and expression parameters of the output are bit-identical to the
     input. The log records per-iteration loss terms; accepted total losses
     are non-increasing.
+
+    Each point is evaluated once, by one graph of the smoothed objective
+    with theta (and, with `optimize_camera`, the camera) tracking a
+    gradient; an accepted point's graph gives the next iteration's gradient
+    by one backward pass. The logged exact rec comes from the residual of
+    that graph's smoothed term (see total_loss).
     """
     from .motion import build_sign_chain
 
@@ -313,13 +352,17 @@ def fit_sequence(
 
     theta_value = init.frames[:, : 3 * j].astype(np.float64).reshape(T, j, 3)
     cam_value = np.array([cam.scale, cam.tx, cam.ty], dtype=np.float64)
+    packed = pack_observations(observations)
 
-    def evaluate(theta_arr, cam_arr) -> dict[str, float]:
-        # `objective` is the smoothed total the optimizer minimizes; the
-        # logged rec/temp/reg/total values are the exact L1 quantities.
+    def evaluate(theta_arr, cam_arr) -> tuple[dict[str, float], tuple[Tensor, Tensor, Tensor]]:
+        """The terms at a point and its graph (objective, theta, cam).
+        `objective` is the smoothed total the optimizer minimizes; the
+        logged rec/temp/reg/total values are the exact L1 quantities."""
         with _float64_graph():
-            objective, rec, temp, reg = total_loss(Tensor(theta_arr), Tensor(cam_arr), observations,
-                                                   body_chain, config, smooth=config.rec_smooth_mm)
+            theta_t = Tensor(theta_arr, requires_grad=True)
+            cam_t = Tensor(cam_arr, requires_grad=config.optimize_camera)
+            objective, rec, temp, reg = total_loss(theta_t, cam_t, packed, body_chain, config,
+                                                   smooth=config.rec_smooth_mm)
         terms = {
             "objective": objective.item(),
             "rec": rec.item(),
@@ -328,15 +371,13 @@ def fit_sequence(
         }
         terms["total"] = (config.w_rec * terms["rec"] + config.w_temp * terms["temp"]
                           + config.w_reg * terms["reg"])
-        return terms
+        return terms, (objective, theta_t, cam_t)
 
-    def gradient(theta_arr, cam_arr) -> tuple[np.ndarray, np.ndarray]:
-        """The gradient of the smoothed objective; builds none of the logged terms."""
+    def gradient(graph) -> tuple[np.ndarray, np.ndarray]:
+        """The smoothed objective's gradient at an evaluated point."""
+        objective, theta_t, cam_t = graph
         with _float64_graph():
-            theta_t = Tensor(theta_arr, requires_grad=True)
-            cam_t = Tensor(cam_arr, requires_grad=config.optimize_camera)
-            _objective(theta_t, cam_t, observations, body_chain, config,
-                       config.rec_smooth_mm)[1].backward()
+            objective.backward()
         g_cam = cam_t.grad if cam_t.grad is not None else np.zeros(3)
         return theta_t.grad, g_cam
 
@@ -346,7 +387,7 @@ def fit_sequence(
                 "step": step, "accepted": True}
 
     log: list[dict] = []
-    terms_prev = evaluate(theta_value, cam_value)
+    terms_prev, graph = evaluate(theta_value, cam_value)
     log.append(log_entry(0, terms_prev, 0.0))
     objective_prev = terms_prev["objective"]
     step = INIT_STEP
@@ -358,7 +399,7 @@ def fit_sequence(
     beta = 0.9
 
     for it in range(1, config.max_iters + 1):
-        g_theta, g_cam = gradient(theta_value, cam_value)
+        g_theta, g_cam = gradient(graph)
         v_theta = beta * v_theta + (1.0 - beta) * g_theta * g_theta
         v_cam = beta * v_cam + (1.0 - beta) * g_cam * g_cam
         correction = 1.0 - beta ** it
@@ -372,14 +413,14 @@ def fit_sequence(
             if config.optimize_camera:
                 cand_cam = cam_value - step * d_cam
                 cand_cam[0] = max(cand_cam[0], 1e-4)
-            terms = evaluate(cand_theta, cand_cam)
+            terms, cand_graph = evaluate(cand_theta, cand_cam)
             if terms["objective"] <= objective_prev:
                 accepted = True
                 break
             step *= STEP_SHRINK
         if not accepted:
             break
-        theta_value, cam_value = cand_theta, cand_cam
+        theta_value, cam_value, graph = cand_theta, cand_cam, cand_graph
         log.append(log_entry(it, terms, step))
         improvement = objective_prev - terms["objective"]
         objective_prev = terms["objective"]

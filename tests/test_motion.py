@@ -329,3 +329,23 @@ class TestMotionIO:
         path.write_text(json.dumps({"text": "hi", **record}) + "\n\n" + json.dumps(record) + "\n")
         with pytest.raises(InputError, match=r"bad\.jsonl:3"):
             load_motions(path)
+
+    def _write_second_frames(self, tmp_path, frames: str):
+        path = tmp_path / "bad.jsonl"
+        good = {"text": "hi", "lang": "ASL", "fps": 25.0,
+                "frames": np.zeros((2, PartLayout().total_dims)).tolist()}
+        path.write_text(json.dumps(good) + "\n"
+                        + '{"text": "hi", "lang": "ASL", "fps": 25.0, "frames": ' + frames + "}\n")
+        return path
+
+    def test_frame_width_off_the_layout_names_the_line(self, tmp_path):
+        path = self._write_second_frames(tmp_path, "[[0.0]]")
+        with pytest.raises(InputError, match=r"bad\.jsonl:2: .*frame width 1"):
+            load_motions(path)
+
+    def test_non_finite_frame_names_the_line(self, tmp_path):
+        row = ["0.0"] * PartLayout().total_dims
+        row[4] = "NaN"
+        path = self._write_second_frames(tmp_path, "[[" + ", ".join(row) + "]]")
+        with pytest.raises(InputError, match=r"bad\.jsonl:2: .*non-finite"):
+            load_motions(path)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from soke.grad import Tensor, default_dtype
 from soke.motion import (
     MotionSequence,
     build_sign_chain,
+    forward_kinematics_pass,
     forward_kinematics_sequence,
+    forward_kinematics_vjp,
 )
 from soke.posefit import (
     CameraWeakPerspective,
@@ -27,6 +31,7 @@ from soke.posefit import (
 )
 
 import composed_ops
+import fit_oracle
 from gradcheck import check_gradients
 
 CHAIN = build_sign_chain()
@@ -202,31 +207,51 @@ class TestFitSequence:
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert result.log[-1]["total"] < result.log[0]["total"]
 
-    def test_gradient_evaluation_builds_only_the_smoothed_objective(self, monkeypatch):
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # one FK pass and one loss_rec per evaluated point, no point twice, and
+        # one FK VJP per iteration, on the graph of the last accepted point
         import soke.posefit as posefit
 
-        evaluations = []  # per FK pass: is it a gradient evaluation?
-        rec_calls = {True: [], False: []}  # loss_rec smoothing widths, by evaluation kind
+        events = []  # ("pass" | "rec" | "vjp", angles or None), in call order
 
-        def counting_fk(theta, chain):
-            evaluations.append(theta.requires_grad)
-            return body_fk(theta, chain)
+        def counting_pass(angles, chain):
+            events.append(("pass", angles.copy()))
+            return forward_kinematics_pass(angles, chain)
 
-        def counting_rec(*args, smooth=0.0):
-            rec_calls[evaluations[-1]].append(smooth)
-            return loss_rec(*args, smooth=smooth)
+        def counting_vjp(grad, angles, rot, local, chain):
+            events.append(("vjp", angles.copy()))
+            return forward_kinematics_vjp(grad, angles, rot, local, chain)
 
-        monkeypatch.setattr(posefit, "body_fk", counting_fk)
+        def counting_rec(*args, **kwargs):
+            events.append(("rec", None))
+            return loss_rec(*args, **kwargs)
+
+        monkeypatch.setattr(posefit, "forward_kinematics_pass", counting_pass)
+        monkeypatch.setattr(posefit, "forward_kinematics_vjp", counting_vjp)
         monkeypatch.setattr(posefit, "loss_rec", counting_rec)
         seq = constant_pose_sequence(np.full((11, 3), 0.1), frames=3)
         obs = observe_sequence(seq, CameraWeakPerspective(), CHAIN, noise_std=2.0, seed=4)
         cfg = FitConfig(max_iters=4)
-        fit_sequence(seq, obs, CameraWeakPerspective(), cfg, CHAIN)
-        gradients = sum(evaluations)
-        assert gradients >= 1
-        assert rec_calls[True] == [cfg.rec_smooth_mm] * gradients
-        # a value-only evaluation builds the smoothed and the exact L1 term
-        assert rec_calls[False] == [cfg.rec_smooth_mm, 0.0] * (len(evaluations) - gradients)
+        result = fit_sequence(seq, obs, CameraWeakPerspective(), cfg, CHAIN)
+        assert len(result.log) == cfg.max_iters + 1  # four iterations, none stopped early
+
+        kinds = [kind for kind, _ in events]
+        passes = [angles for kind, angles in events if kind == "pass"]
+        assert len(passes) > len(result.log)  # some candidates were rejected
+        assert len({angles.tobytes() for angles in passes}) == len(passes)
+        for i, kind in enumerate(kinds):
+            if kind == "pass":
+                assert kinds[i + 1] == "rec"
+        assert kinds.count("rec") == len(passes)
+        assert kinds.count("vjp") == cfg.max_iters
+        last_pass = None
+        for kind, angles in events:
+            if kind == "pass":
+                last_pass = angles
+            elif kind == "vjp":
+                assert np.array_equal(angles, last_pass)
+        refined = result.motion.frames[:, :33].reshape(3, 11, 3)
+        assert np.array_equal(refined, last_pass.astype(np.float32))
 
     def test_frame_mismatch_rejected(self):
         seq = constant_pose_sequence(np.zeros((11, 3)), frames=4)
@@ -355,3 +380,66 @@ class TestMalformedObservationFile:
         path = self._write(tmp_path, ['{"frame_idx": 0, "joints": [[0, 0, 1]]}', second])
         with pytest.raises(InputError, match="obs.jsonl:2"):
             load_observations(path)
+
+
+# -- the fit against the parent's loop (fit_oracle.py) ----------------------------
+
+
+def _stop_reason(log: list[dict], cfg: FitConfig) -> str:
+    if len(log) == cfg.max_iters + 1:
+        return "budget"
+    if len(log) >= 2:
+        last = log[-1]["objective"]
+        if log[-2]["objective"] - last < cfg.tol * max(1.0, abs(last)):
+            return "tol"
+    return "backtracks"  # the last iteration accepted no candidate
+
+
+def _noisy_case(frames: int, observed: tuple[int, ...], seed: int):
+    rng = np.random.default_rng(seed)
+    truth = MotionSequence(rng.normal(0.0, 0.3, size=(frames, 133)).astype(np.float32))
+    obs = [Observation2D(o.points, rng.uniform(0.2, 1.0, size=len(observed)))
+           for o in observe_sequence(truth, CameraWeakPerspective(), CHAIN,
+                                     observed_joints=observed, noise_std=2.0, seed=seed)]
+    frames_init = truth.frames.copy()
+    frames_init[:, :33] += rng.normal(0.0, 0.1, size=(frames, 33)).astype(np.float32)
+    return MotionSequence(frames_init), obs
+
+
+class TestParentLoopOracle:
+    def _assert_same_fit(self, init, obs, cam, cfg):
+        result = fit_sequence(init, obs, cam, cfg, CHAIN)
+        oracle = fit_oracle.fit_sequence(init, obs, cam, cfg, CHAIN)
+        assert json.dumps(result.log) == json.dumps(oracle.log)
+        assert result.motion.frames.tobytes() == oracle.motion.frames.tobytes()
+        assert result.camera == oracle.camera
+        return result
+
+    @pytest.mark.parametrize("observed", [FitConfig.observed_joints, (5, 5, 6, 9)])
+    @pytest.mark.parametrize("smooth", [0.0, 2.0])
+    @pytest.mark.parametrize("optimize_camera", [True, False])
+    @pytest.mark.parametrize("frames", [1, 3, 4])
+    def test_log_frames_and_camera_are_identical(self, frames, optimize_camera, smooth,
+                                                 observed):
+        init, obs = _noisy_case(frames, observed, seed=frames)
+        cfg = FitConfig(max_iters=12, optimize_camera=optimize_camera, rec_smooth_mm=smooth,
+                        observed_joints=observed)
+        cam = CameraWeakPerspective(scale=1.05, tx=0.5, ty=-0.3)
+        result = self._assert_same_fit(init, obs, cam, cfg)
+        assert _stop_reason(result.log, cfg) == "budget"
+
+    def test_fit_stopping_on_tol(self):
+        init, obs = _noisy_case(3, FitConfig.observed_joints, seed=1)
+        cfg = FitConfig(max_iters=60, tol=1e-3)
+        result = self._assert_same_fit(init, obs, CameraWeakPerspective(), cfg)
+        assert _stop_reason(result.log, cfg) == "tol"
+        assert len(result.log) > 2
+
+    def test_fit_exhausting_the_backtracks(self):
+        # at the exact optimum of the unsmoothed L1 every step toward a smaller
+        # prior raises the reprojection term
+        truth = constant_pose_sequence(np.full((11, 3), 0.15), frames=3)
+        obs = observe_sequence(truth, CameraWeakPerspective(), CHAIN)
+        cfg = FitConfig(max_iters=30, rec_smooth_mm=0.0, optimize_camera=False)
+        result = self._assert_same_fit(truth, obs, CameraWeakPerspective(), cfg)
+        assert _stop_reason(result.log, cfg) == "backtracks"
