@@ -47,6 +47,7 @@ class AmgTrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("training needs at least one epoch")
+        CosineSchedule(self.lr, self.epochs, self.min_lr)  # rejects bad rates
 
 
 def triples_from_tokens(tokens: dict[Part, TokenSeq], vocab: Vocabulary) -> tuple[PartTokenTriple, ...]:

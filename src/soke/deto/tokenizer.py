@@ -7,6 +7,7 @@ a multiple of F so the encoder emits exactly ceil(T / F) latents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class DetoConfig:
             raise ConfigError("codebook sizes must be positive")
         if self.code_dim < 1 or self.hidden_channels < 1:
             raise ConfigError("channel widths must be positive")
+        if not all(math.isfinite(w) and w >= 0.0 for w in (self.w_emb, self.w_com)):
+            raise ConfigError(f"w_emb and w_com must be finite and non-negative; got "
+                              f"{self.w_emb}, {self.w_com}")
 
     def size_for(self, part: Part) -> int:
         return self.codebook_sizes[PARTS.index(part)]
@@ -99,14 +103,17 @@ class PartTokenizer:
         h = conv1d(upsample_repeat(latents, 2), self.dec_w1, self.dec_b1, padding=1).relu()
         return conv1d(upsample_repeat(h, 2), self.dec_w2, self.dec_b2, padding=1)
 
-    def encode(self, motion: PartMotion) -> TokenSeq:
+    def _check_motion(self, motion: PartMotion) -> None:
         if motion.part is not self.part:
             raise InputError(f"tokenizer for {self.part.value} got a {motion.part.value} motion")
         if motion.num_frames < self.config.downsample:
             raise InputError(
-                f"motion of {motion.num_frames} frames is shorter than one "
+                f"{self.part.value} motion of {motion.num_frames} frames is shorter than one "
                 f"downsample window ({self.config.downsample})"
             )
+
+    def encode(self, motion: PartMotion) -> TokenSeq:
+        self._check_motion(motion)
         with no_grad():
             latents = self.encode_latents(motion.frames)
         return quantize(latents.data, self.codebook)
@@ -130,10 +137,9 @@ class PartTokenizer:
                 frames = np.concatenate([frames, np.repeat(frames[-1:], pad, axis=0)])
         return PartMotion(self.part, frames)
 
-    def vq_loss(self, motion: PartMotion) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    def vq_loss(self, motion: PartMotion) -> tuple[Tensor, np.floating, np.floating, np.floating]:
         """(total, rec, emb, com) for one part motion; see vq_loss_terms."""
-        if motion.num_frames < self.config.downsample:
-            raise InputError("motion shorter than one downsample window")
+        self._check_motion(motion)
         x = motion.frames
         latents = self.encode_latents(x)
         ids = nearest_code_ids(latents.data, self.codebook.codes.data)
@@ -149,18 +155,43 @@ def vq_loss_terms(
     target: np.ndarray,
     w_emb: float,
     w_com: float,
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """The VQ training objective split into its three reported components.
+) -> tuple[Tensor, np.floating, np.floating, np.floating]:
+    """The VQ-VAE objective (van den Oord et al. 2017) as one graph node.
 
     rec: MSE between reconstruction and target.
-    emb: w_emb * MSE pulling codes toward detached latents.
-    com: w_com * MSE pulling latents toward detached codes.
-    total = rec + emb + com.
+    emb: w_emb * MSE pulling codes toward the latents, held constant.
+    com: w_com * MSE pulling latents toward the codes, held constant.
+    total = rec + emb + com is the node, over (latents, codes, recon); the
+    three terms come back as numpy scalars for the log.
+
+    Forward and backward run the arithmetic of the composed graph bit for
+    bit: a + (-b), squared, a float64 sum rounded to the tensors' dtype,
+    * (1 / n), * w, the terms added left to right. rec has weight 1.0, and a
+    product with 1.0 changes no bit. latents receive the commitment term
+    only (straight_through adds the reconstruction's gradient, and a sum of
+    two terms does not depend on their order), codes the embedding term only.
     """
-    rec = ((recon - Tensor(np.asarray(target))) ** 2).mean()
-    emb = ((codes - latents.detach()) ** 2).mean() * w_emb
-    com = ((latents - codes.detach()) ** 2).mean() * w_com
-    total = rec + emb + com
+    dt = recon.data.dtype
+    terms = []  # (operand, a - b, 1 / n, weight, weighted mean) per term
+    for a, b, weight in ((recon, np.asarray(target, dtype=dt), 1.0),
+                         (codes, latents.data, w_emb), (latents, codes.data, w_com)):
+        d = a.data + (-b)
+        # scalars are rounded to dt as scalar leaves would be
+        scale, weight = np.asarray(1.0 / d.size, dtype=dt), np.asarray(weight, dtype=dt)
+        mean = np.asarray((d ** 2).sum(dtype=np.float64), dtype=dt) * scale
+        terms.append((a, d, scale, weight, mean * weight))
+    rec, emb, com = (term[-1] for term in terms)
+
+    def backward(g):
+        for a, d, scale, weight, _ in terms:
+            if a.requires_grad:
+                # the composed graph broadcasts g * w * (1/n), then times 2
+                # and times d ** 1 == d; doubling is exact, so the scalar
+                # product gives the same bits
+                a._accumulate(g * weight * scale * 2 * d)
+
+    total = Tensor(rec + emb + com, _parents=(latents, codes, recon), _op="vq_loss",
+                   _backward=backward)
     return total, rec, emb, com
 
 

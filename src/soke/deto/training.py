@@ -28,6 +28,7 @@ class DetoTrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("training needs at least one step")
+        CosineSchedule(self.lr, self.steps, self.min_lr)  # rejects bad rates
 
 
 def _warm_start_codebook(tok: PartTokenizer, motions: list[PartMotion], rng: np.random.Generator):

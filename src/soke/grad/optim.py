@@ -23,6 +23,12 @@ class CosineSchedule:
     total_steps: int
     min_lr: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0.0
+                and math.isfinite(self.min_lr) and 0.0 <= self.min_lr <= self.base_lr):
+            raise ConfigError(f"lr must be finite and positive and min_lr in [0, lr]; got "
+                              f"lr={self.base_lr}, min_lr={self.min_lr}")
+
     def lr(self, step: int) -> float:
         if self.total_steps <= 0:
             return self.base_lr

@@ -2,16 +2,16 @@
 
 The operator set is deliberately closed: it holds only what the motion
 tokenizer CNN, the micro encoder-decoder generator and the pose fit run.
-The graph nodes those create are add, neg, mul, pow, relu, matmul, sum,
-reshape, transpose, slice (which also indexes by integer arrays, the
-embedding lookup), concat, cross_entropy, layer_norm, conv1d, upsample,
-straight_through and detach on top of leaves; the generator's fused nodes
-linear (x @ w + b), attention (masked softmax attention over head-split
-inputs) and weighted_sum (the fused embedding, and the pose fit's weighted
-total); and the pose fit's own nodes in `posefit`: `body_fk` and the loss
-terms `loss_rec`, `loss_temp` and `loss_reg`. Subtraction and mean are
-composed from them. Default storage is float32 with float64 accumulation
-in reductions. `default_dtype` switches newly created tensors to float64; its
+The graph nodes those create are add, mul, relu, reshape, transpose, slice
+(which also indexes by integer arrays, the embedding lookup), concat,
+cross_entropy, layer_norm, conv1d, upsample and straight_through on top of
+leaves; the generator's fused nodes linear (x @ w + b), attention (masked
+softmax attention over head-split inputs) and weighted_sum (the fused
+embedding, and the pose fit's weighted total); the pose fit's own nodes in
+`posefit`: `body_fk` and the loss terms `loss_rec`, `loss_temp` and
+`loss_reg`; and the tokenizer's VQ objective, `vq_loss` in `deto.tokenizer`.
+matmul is kept for the benchmark's tracer, which times it. Default storage
+is float32 with float64 accumulation in reductions. `default_dtype` switches newly created tensors to float64; its
 users are `posefit.fit_sequence` and the tests' finite-difference gradient
 checks, so central differences are not drowned by rounding noise.
 Every op hands its output value, parents and backward closure to the
@@ -25,8 +25,8 @@ and every intermediate the composed graph would have checked that can be
 non-finite while its inputs are finite: attention checks its raw scores,
 since the mask could hide a non-finite one, and needs no check between them
 and its output because scale <= 1 and a softmax of finite values is finite;
-linear, weighted_sum and the pose fit's loss nodes carry a non-finite
-intermediate into their output.
+linear, weighted_sum, vq_loss and the pose fit's loss nodes carry a
+non-finite intermediate into their output.
 The fused nodes run the arithmetic of their composed graphs, forward and
 backward, so they change no bit; their parents are ordered so the backward
 traversal visits the rest of the graph in the composed order.
@@ -193,9 +193,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, _op="detach")
-
     def item(self) -> float:
         if self.data.size != 1:
             raise GraphError("item() requires a single-element tensor")
@@ -216,19 +213,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def backward(g):
-            self._accumulate(-g)
-
-        return Tensor(-self.data, _parents=(self,), _op="neg", _backward=backward)
-
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
 
@@ -241,15 +225,6 @@ class Tensor:
         return Tensor(self.data * other.data, _parents=(self, other), _op="mul", _backward=backward)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise GraphError("pow supports scalar exponents only")
-
-        def backward(g):
-            self._accumulate(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor(self.data ** exponent, _parents=(self,), _op="pow", _backward=backward)
 
     # -- matmul ------------------------------------------------------------------
 
@@ -264,27 +239,6 @@ class Tensor:
 
         return Tensor(self.data @ other.data, _parents=(self, other), _op="matmul",
                       _backward=backward)
-
-    # -- reductions -----------------------------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        def backward(g):
-            if axis is None:
-                self._accumulate(np.broadcast_to(np.asarray(g).reshape(()), self.shape))
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gg, self.shape))
-
-        return Tensor(self.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64),
-                      _parents=(self,), _op="sum", _backward=backward)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     # -- shape manipulation -------------------------------------------------------------
 

@@ -1,11 +1,19 @@
-"""Fused graph nodes written as the composed graphs they replace; each
-fused node must equal its composed form bit for bit, forward and backward.
+"""Graph nodes the package no longer builds, kept as test oracles.
+
+The elementwise operators `neg`, `sub`, `power`, `reduce_sum`, `mean` and
+`detach`, with the arithmetic `Tensor` had for `-x`, `a - b`, `x ** p`,
+`x.sum()`, `x.mean()` and `x.detach()`. Tests build losses and composed
+graphs from them.
+
+Fused graph nodes written as the composed graphs they replace; each fused
+node must equal its composed form bit for bit, forward and backward:
 
 - The generator's `linear`, `attention` and `weighted_sum`. `softmax` is
   the masked softmax node that attention folds in.
 - The pose fit's `loss_rec`, `loss_temp` and `loss_reg`, and `objective`,
   the weighted total `posefit._objective` builds from them. `sqrt` and
   `absolute` are the nodes those losses fold in.
+- The tokenizer's `vq_loss_terms`.
 """
 
 from __future__ import annotations
@@ -14,6 +22,54 @@ import numpy as np
 
 from soke.grad import NEG_MASK, Tensor
 from soke.posefit import _EPS, body_fk
+
+
+def neg(x: Tensor) -> Tensor:
+    def backward(g):
+        x._accumulate(-g)
+
+    return Tensor(-x.data, _parents=(x,), _op="neg", _backward=backward)
+
+
+def sub(a, b) -> Tensor:
+    """a - b for tensors or constants, as a + (-b)."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(b)
+    return a + neg(b)
+
+
+def power(x: Tensor, exponent: float) -> Tensor:
+    def backward(g):
+        x._accumulate(g * exponent * x.data ** (exponent - 1))
+
+    return Tensor(x.data ** exponent, _parents=(x,), _op="pow", _backward=backward)
+
+
+def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Sum in float64, stored in the default dtype."""
+    def backward(g):
+        if axis is None:
+            x._accumulate(np.broadcast_to(np.asarray(g).reshape(()), x.shape))
+        else:
+            gg = g if keepdims else np.expand_dims(g, axis)
+            x._accumulate(np.broadcast_to(gg, x.shape))
+
+    return Tensor(x.data.sum(axis=axis, keepdims=keepdims, dtype=np.float64),
+                  _parents=(x,), _op="sum", _backward=backward)
+
+
+def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """reduce_sum times 1 / count, the count a scalar leaf."""
+    if axis is None:
+        count = x.data.size
+    else:
+        axes = (axis,) if isinstance(axis, int) else tuple(axis)
+        count = int(np.prod([x.shape[a] for a in axes]))
+    return reduce_sum(x, axis=axis, keepdims=keepdims) * (1.0 / float(count))
+
+
+def detach(x: Tensor) -> Tensor:
+    return Tensor(x.data, requires_grad=False, _op="detach")
 
 
 def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -82,23 +138,23 @@ def loss_rec(joints: Tensor, observations, cam_params: Tensor, observed_joints,
     xy = joints[:, idx, 0:2]
     scale = cam_params[0:1].reshape(1, 1, 1)
     shift = cam_params[1:3].reshape(1, 1, 2)
-    residual = xy * scale + shift - Tensor(obs_points)
+    residual = sub(xy * scale + shift, Tensor(obs_points))
     if smooth > 0.0:
         magnitude = sqrt(residual * residual + smooth * smooth)
     else:
         magnitude = absolute(residual)
-    return (magnitude * Tensor(conf)).sum()
+    return reduce_sum(magnitude * Tensor(conf))
 
 
 def loss_temp(joints: Tensor) -> Tensor:
     if joints.shape[0] < 2:
         return Tensor(0.0)
-    diff = joints[1:] - joints[:-1]
-    return sqrt((diff * diff).sum(axis=(1, 2)) + _EPS).sum() * 2.0
+    diff = sub(joints[1:], joints[:-1])
+    return reduce_sum(sqrt(reduce_sum(diff * diff, axis=(1, 2)) + _EPS)) * 2.0
 
 
 def loss_reg(theta: Tensor) -> Tensor:
-    return sqrt((theta * theta).sum() + _EPS)
+    return sqrt(reduce_sum(theta * theta) + _EPS)
 
 
 def objective(theta: Tensor, cam_params: Tensor, observations, chain, config,
@@ -107,3 +163,12 @@ def objective(theta: Tensor, cam_params: Tensor, observations, chain, config,
     rec = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
     return (rec * config.w_rec + loss_temp(joints) * config.w_temp
             + loss_reg(theta) * config.w_reg)
+
+
+def vq_loss_terms(latents: Tensor, codes: Tensor, recon: Tensor, target: np.ndarray,
+                  w_emb: float, w_com: float) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    rec = mean(power(sub(recon, Tensor(np.asarray(target))), 2))
+    emb = mean(power(sub(codes, detach(latents)), 2)) * w_emb
+    com = mean(power(sub(latents, detach(codes)), 2)) * w_com
+    total = rec + emb + com
+    return total, rec, emb, com

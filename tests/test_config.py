@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from soke.amg import AmgConfig
+from soke.amg import AmgConfig, AmgTrainConfig
 from soke.config import RunConfig, load_run_config, run_config_from_dict, run_config_to_dict
 from soke.deto import DetoConfig
 from soke.errors import ConfigError, LayoutError
@@ -57,3 +58,17 @@ class TestRoundTrip:
     def test_to_dict_then_from_dict_is_identity(self, config):
         data = run_config_to_dict(config)
         assert run_config_from_dict(json.loads(json.dumps(data))) == config
+
+
+@pytest.mark.parametrize("rates", [dict(lr=float("nan")), dict(lr=-1.0), dict(lr=0.0),
+                                   dict(min_lr=float("inf")), dict(min_lr=-1e-4),
+                                   dict(lr=1e-3, min_lr=2e-3)])
+def test_amg_bad_learning_rates_rejected(rates):
+    with pytest.raises(ConfigError, match="lr"):
+        AmgTrainConfig(**rates)
+
+
+@pytest.mark.parametrize("name", ["train.json", "text2sign.json"])
+def test_benchmark_configs_load(name):
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "configs" / name
+    assert isinstance(load_run_config(path), RunConfig)

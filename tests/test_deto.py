@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import soke.deto.tokenizer as tokenizer_module
 from soke.errors import ConfigError, InputError, SokeError
 from soke.deto import (
     Codebook,
@@ -30,6 +31,8 @@ from soke.motion import (
     synthesize_dataset,
 )
 
+import composed_ops
+from composed_ops import mean, power, sub
 from gradcheck import check_gradients
 
 TINY = DetoConfig(code_dim=6, codebook_sizes=(5, 7, 7), hidden_channels=4)
@@ -73,10 +76,10 @@ def frozen_vq_loss_fn(tok: PartTokenizer, motion: PartMotion):
         latents = tok.encode_latents(motion.frames)
         quantized = latents + Tensor(delta0)
         recon = tok.decode_latents(quantized)[:T]
-        rec = ((recon - Tensor(motion.frames)) ** 2).mean()
+        rec = mean(power(sub(recon, Tensor(motion.frames)), 2))
         codes = tok.codebook.codes[ids0]
-        emb = ((codes - Tensor(latents0)) ** 2).mean() * cfg.w_emb
-        com = ((latents - Tensor(codes0)) ** 2).mean() * cfg.w_com
+        emb = mean(power(sub(codes, Tensor(latents0)), 2)) * cfg.w_emb
+        com = mean(power(sub(latents, Tensor(codes0)), 2)) * cfg.w_com
         return rec + emb + com
 
     return loss_fn
@@ -203,6 +206,49 @@ class TestVqLoss:
         assert total.item() == pytest.approx(rec.item() + emb.item() + com.item(), abs=1e-6)
         assert min(rec.item(), emb.item(), com.item()) >= 0.0
 
+    def test_rejects_another_parts_motion(self):
+        # both hands are 45 wide, so only the part tag tells them apart
+        tok = PartTokenizer(Part.LEFT_HAND, width=45, config=TINY, rng=np.random.default_rng(7))
+        motion = PartMotion(Part.RIGHT_HAND, np.random.default_rng(8).normal(size=(9, 45)))
+        with pytest.raises(InputError, match="LH.*RH"):
+            tok.vq_loss(motion)
+
+    def test_too_short_motion_error_names_the_part_and_frame_count(self):
+        tok = PartTokenizer(Part.LEFT_HAND, width=45, config=TINY, rng=np.random.default_rng(7))
+        with pytest.raises(InputError, match=r"LH motion of 3 frames"):
+            tok.vq_loss(PartMotion(Part.LEFT_HAND, np.zeros((3, 45))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frames", [4, 5, 32, 37])
+    def test_node_equals_the_composed_graph(self, frames, dtype, monkeypatch):
+        def run():
+            with default_dtype(dtype):
+                # three codes for up to ten latents, so ids repeat and the
+                # codebook gradient adds up rows
+                tok = PartTokenizer(Part.BODY, width=3, config=DetoConfig(
+                    code_dim=4, codebook_sizes=(3, 3, 3), hidden_channels=3, w_emb=0.7,
+                    w_com=0.3), rng=np.random.default_rng(21))
+                motion = PartMotion(Part.BODY, np.random.default_rng(22).normal(size=(frames, 3)))
+                total, *terms = tok.vq_loss(motion)
+                # weights and an upstream gradient that are not powers of two
+                # make the order of the scalar products show
+                (total * (1.0 / 3.0)).backward()
+            return tok.encode(motion).ids, total, terms, tok.parameters()
+
+        ids, total, terms, params = run()
+        monkeypatch.setattr(tokenizer_module, "vq_loss_terms", composed_ops.vq_loss_terms)
+        oracle_ids, oracle_total, oracle_terms, oracle_params = run()
+        assert ids == oracle_ids
+        if frames >= 32:
+            assert len(set(ids)) < len(ids)
+        assert total._op == "vq_loss" and oracle_total._op == "add"
+        assert total.data.dtype == oracle_total.data.dtype == dtype
+        assert np.array_equal(total.data, oracle_total.data)
+        for term, oracle in zip(terms, oracle_terms):
+            assert term.dtype == dtype and np.array_equal(term, oracle.data)
+        for (name, p), (_, oracle) in zip(params, oracle_params):
+            assert p.grad.dtype == dtype and np.array_equal(p.grad, oracle.grad), name
+
     def test_gradients_match_finite_differences_of_frozen_surrogate(self):
         with default_dtype(np.float64):
             tok = PartTokenizer(Part.BODY, width=3, config=DetoConfig(
@@ -304,6 +350,25 @@ class TestConfig:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigError):
             DetoConfig(codebook_sizes=(0, 192, 192))
+
+    @pytest.mark.parametrize("weights", [dict(w_com=float("nan")), dict(w_emb=-1.0),
+                                         dict(w_emb=float("inf")), dict(w_com=-0.25)])
+    def test_bad_loss_weights_rejected(self, weights):
+        with pytest.raises(ConfigError, match="w_emb and w_com"):
+            DetoConfig(**weights)
+
+    def test_zero_loss_weights_accepted(self):
+        assert DetoConfig(w_emb=0.0, w_com=0.0).w_com == 0.0
+
+    @pytest.mark.parametrize("rates", [dict(lr=float("nan")), dict(lr=-1.0), dict(lr=0.0),
+                                       dict(lr=float("inf")), dict(min_lr=float("nan")),
+                                       dict(min_lr=-1e-4), dict(lr=1e-3, min_lr=2e-3)])
+    def test_bad_learning_rates_rejected(self, rates):
+        with pytest.raises(ConfigError, match="lr"):
+            DetoTrainConfig(**rates)
+
+    def test_constant_learning_rate_accepted(self):
+        assert DetoTrainConfig(lr=1e-3, min_lr=1e-3).min_lr == 1e-3
 
 
 def _holder(payload: dict, key: str) -> dict:

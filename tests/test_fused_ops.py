@@ -18,6 +18,7 @@ from soke.grad.tensor import (
     weighted_sum,
 )
 
+from composed_ops import power, reduce_sum
 from gradcheck import check_gradients
 from test_amg import TINY_CFG, WORDS, SIZES, make_pairs
 
@@ -37,7 +38,7 @@ def run_graph(build, arrays, dtype, upstream_seed=0):
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         out = build(*leaves)
         weight = np.random.default_rng(upstream_seed).normal(size=out.shape)
-        (out * Tensor(weight)).sum().backward()
+        reduce_sum(out * Tensor(weight)).backward()
     return out.data, [leaf.grad for leaf in leaves]
 
 
@@ -137,7 +138,7 @@ def test_linear_matches_finite_differences():
         x = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=(5,)), requires_grad=True)
-        check_gradients(lambda: (linear(x, w, b) ** 2).sum(), [("x", x), ("w", w), ("b", b)])
+        check_gradients(lambda: reduce_sum(power(linear(x, w, b), 2)), [("x", x), ("w", w), ("b", b)])
 
 
 @pytest.mark.parametrize("kv_rows", [2, 1])
@@ -147,7 +148,7 @@ def test_attention_matches_finite_differences(kv_rows):
     mask = padding_mask(2, 4, 5)
     with default_dtype(np.float64):
         q, k_t, v = (Tensor(a, requires_grad=True) for a in (q_data, k_data, v_data))
-        check_gradients(lambda: (attention(q, k_t, v, 0.7, mask) ** 2).sum(),
+        check_gradients(lambda: reduce_sum(power(attention(q, k_t, v, 0.7, mask), 2)),
                         [("q", q), ("k_t", k_t), ("v", v)])
 
 

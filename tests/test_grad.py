@@ -23,24 +23,25 @@ from soke.grad import (
     upsample_repeat,
 )
 from soke.grad.tensor import weighted_sum
+from soke.deto import vq_loss_terms
 from soke.motion import build_sign_chain
 from soke.posefit import Observation2D, body_fk, loss_rec, loss_reg, loss_temp
 
 from adam_reference import PerParameterAdam
-from composed_ops import softmax
+from composed_ops import mean, power, reduce_sum, softmax, sub
 from gradcheck import check_gradients, finite_difference_grad, max_relative_error
 
 
 def test_backward_sum_is_ones():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    x.sum().backward()
+    reduce_sum(x).backward()
     assert np.allclose(x.grad, [1.0, 1.0, 1.0])
 
 
 def test_backward_squared_norm():
     # loss = ||x||^2 at x=(1,2) -> gradient (2,4)
     x = Tensor([1.0, 2.0], requires_grad=True)
-    (x * x).sum().backward()
+    reduce_sum(x * x).backward()
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
@@ -52,7 +53,7 @@ def test_backward_rejects_nonscalar():
 
 def test_backward_twice_errors():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = (x * x).sum()
+    loss = reduce_sum(x * x)
     loss.backward()
     with pytest.raises(GraphError):
         loss.backward()
@@ -61,16 +62,16 @@ def test_backward_twice_errors():
 def test_nan_raises_at_the_op():
     x = Tensor([0.0, 1.0], requires_grad=True)
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
-        x ** -1.0
+        power(x, -1.0)
 
 
 def test_no_grad_outputs_keep_no_parents_or_closures():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with no_grad():
-        y = (x * x).sum()
+        y = reduce_sum(x * x)
     assert not y.requires_grad and y._parents == () and y._backward is None
     assert y.item() == 5.0
-    assert (x * x).sum()._parents != ()  # graph building is back on
+    assert reduce_sum(x * x)._parents != ()  # graph building is back on
 
 
 BODY = build_sign_chain().body_subchain(11)
@@ -80,11 +81,8 @@ OBSERVED = [Observation2D(np.zeros((3, 2)), np.ones(3))] * 2
 # `leaf(shape)`; the first leaf each one makes is its gradient input
 NODE_BUILDERS = {
     "add": lambda leaf: leaf((2, 3)) + leaf((2, 3)),
-    "neg": lambda leaf: -leaf((2, 3)),
     "mul": lambda leaf: leaf((2, 3)) * leaf((2, 3)),
-    "pow": lambda leaf: leaf((2, 3)) ** 2,
     "matmul": lambda leaf: leaf((2, 3)) @ leaf((3, 4)),
-    "sum": lambda leaf: leaf((2, 3)).sum(),
     "reshape": lambda leaf: leaf((2, 3)).reshape(3, 2),
     "transpose": lambda leaf: leaf((2, 3)).transpose((1, 0)),
     "slice": lambda leaf: leaf((2, 3))[:, 1:],
@@ -104,6 +102,8 @@ NODE_BUILDERS = {
     "loss_rec": lambda leaf: loss_rec(leaf((2, 11, 3)), OBSERVED, leaf((3,)), (5, 5, 6), 2.0),
     "loss_temp": lambda leaf: loss_temp(leaf((3, 4, 3))),
     "loss_reg": lambda leaf: loss_reg(leaf((2, 3))),
+    "vq_loss": lambda leaf: vq_loss_terms(leaf((2, 3)), leaf((2, 3)), leaf((4, 3)),
+                                          np.zeros((4, 3)), 1.0, 0.25)[0],
 }
 
 
@@ -144,7 +144,7 @@ def test_no_grad_nests():
 def test_no_grad_restores_after_an_exception():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(NonFiniteError), np.errstate(divide="ignore"), no_grad():
-        Tensor([0.0, 1.0]) ** -1.0
+        power(Tensor([0.0, 1.0]), -1.0)
     assert (x * 2.0).requires_grad
 
 
@@ -152,7 +152,7 @@ def test_no_grad_leaves_parameter_grads_untouched():
     p = Tensor([1.0, -2.0], requires_grad=True)
     p.grad = np.array([0.5, 0.25], dtype=np.float32)
     with no_grad():
-        loss = (p * p).sum()
+        loss = reduce_sum(p * p)
         loss.backward()
     assert np.array_equal(p.grad, [0.5, 0.25])
 
@@ -168,7 +168,7 @@ def test_composite_graph_matches_finite_differences(seed):
         def loss_fn():
             h = (x @ w + b).relu()
             p = softmax(h * Tensor(1.3))
-            return (p * p).sum() + (h ** 3).mean()
+            return reduce_sum(p * p) + mean(power(h, 3))
 
         errors = check_gradients(loss_fn, [("w", w), ("b", b)], eps=1e-4, tol=1e-4)
     assert max(errors.values()) < 1e-4
@@ -189,18 +189,18 @@ def test_each_op_matches_finite_differences(op_name):
         k31 = Tensor(rng.normal(size=(3, 1)))
 
         builders = {
-            "add": lambda: (a + b).sum(),
-            "mul": lambda: (a * b).sum(),
-            "matmul": lambda: (a @ c).sum(),
-            "relu": lambda: (a - Tensor(1.0)).relu().sum(),
-            "pow": lambda: (a ** 3).sum(),
-            "sum_axis": lambda: (a.sum(axis=0) * k4).sum(),
-            "mean": lambda: a.mean(axis=1).sum(),
-            "reshape": lambda: (a.reshape(4, 3) @ k31).sum(),
-            "transpose": lambda: (a.transpose((1, 0)) @ k31).sum(),
-            "slice": lambda: (a[1:, :2] * b[:2, 2:]).sum(),
-            "gather": lambda: (a[np.array([[0, 2], [2, 1]])] ** 2).sum(),  # an id repeats
-            "concat": lambda: (concat([a, b], axis=1) ** 2).sum(),
+            "add": lambda: reduce_sum(a + b),
+            "mul": lambda: reduce_sum(a * b),
+            "matmul": lambda: reduce_sum(a @ c),
+            "relu": lambda: reduce_sum(sub(a, Tensor(1.0)).relu()),
+            "pow": lambda: reduce_sum(power(a, 3)),
+            "sum_axis": lambda: reduce_sum(reduce_sum(a, axis=0) * k4),
+            "mean": lambda: reduce_sum(mean(a, axis=1)),
+            "reshape": lambda: reduce_sum(a.reshape(4, 3) @ k31),
+            "transpose": lambda: reduce_sum(a.transpose((1, 0)) @ k31),
+            "slice": lambda: reduce_sum(a[1:, :2] * b[:2, 2:]),
+            "gather": lambda: reduce_sum(power(a[np.array([[0, 2], [2, 1]])], 2)),  # an id repeats
+            "concat": lambda: reduce_sum(power(concat([a, b], axis=1), 2)),
         }
         check_gradients(builders[op_name], [("a", a), ("b", b), ("c", c)], eps=1e-5, tol=1e-4)
 
@@ -209,7 +209,7 @@ def test_broadcast_gradients():
     with default_dtype(np.float64):
         a = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
         v = Tensor(np.random.default_rng(1).normal(size=(4,)), requires_grad=True)
-        check_gradients(lambda: ((a + v) * v).sum(), [("a", a), ("v", v)], eps=1e-5, tol=1e-4)
+        check_gradients(lambda: reduce_sum((a + v) * v), [("a", a), ("v", v)], eps=1e-5, tol=1e-4)
 
 
 def test_conv1d_and_upsample_match_finite_differences():
@@ -221,7 +221,7 @@ def test_conv1d_and_upsample_match_finite_differences():
 
         def loss_fn():
             h = conv1d(x, w, bias, stride=2, padding=1).relu()
-            return (upsample_repeat(h, 2) ** 2).mean()
+            return mean(power(upsample_repeat(h, 2), 2))
 
         check_gradients(loss_fn, [("x", x), ("w", w), ("bias", bias)], eps=1e-5, tol=1e-4)
 
@@ -233,7 +233,7 @@ def test_layer_norm_matches_finite_differences():
         g = Tensor(np.ones(6) + rng.normal(size=6) * 0.1, requires_grad=True)
         b = Tensor(rng.normal(size=6) * 0.1, requires_grad=True)
         check_gradients(
-            lambda: (layer_norm(x, g, b) ** 2).mean(), [("x", x), ("g", g), ("b", b)],
+            lambda: mean(power(layer_norm(x, g, b), 2)), [("x", x), ("g", g), ("b", b)],
             eps=1e-5, tol=1e-4,
         )
 
@@ -264,7 +264,7 @@ def test_straight_through_gradient_passes_unchanged():
     e = Tensor(np.array([0.3, -0.2]), requires_grad=True)
     q = Tensor(np.array([1.0, 0.0]))
     g_weights = np.array([2.0, -3.0])
-    (straight_through(e, q) * Tensor(g_weights)).sum().backward()
+    reduce_sum(straight_through(e, q) * Tensor(g_weights)).backward()
     assert np.allclose(e.grad, g_weights)
 
 
@@ -279,7 +279,7 @@ def test_straight_through_gives_encoder_nonzero_gradient_through_reconstruction(
     enc = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     quantized = Tensor(np.round(enc.data))
     target = Tensor(rng.normal(size=(4, 2)))
-    rec = ((straight_through(enc, quantized) - target) ** 2).mean()
+    rec = mean(power(sub(straight_through(enc, quantized), target), 2))
     rec.backward()
     assert np.any(enc.grad != 0.0)
 
@@ -298,7 +298,7 @@ def test_optimizer_reduces_quadratic():
     opt = Adam([p], lr=0.05)
     for _ in range(400):
         opt.zero_grad()
-        loss = (p * p).sum()
+        loss = reduce_sum(p * p)
         loss.backward()
         opt.step()
     assert np.all(np.abs(p.data) < 1e-2)
@@ -326,7 +326,7 @@ def test_training_is_deterministic_given_seed():
         opt = Adam([w], lr=1e-2)
         for _ in range(50):
             opt.zero_grad()
-            ((x @ w - y) ** 2).mean().backward()
+            mean(power(sub(x @ w, y), 2)).backward()
             opt.step()
         return w.data.copy()
 
@@ -403,20 +403,20 @@ def test_finite_difference_restores_parameter():
     with default_dtype(np.float64):
         p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         before = p.data.copy()
-        finite_difference_grad(lambda: (p * p).sum(), p)
+        finite_difference_grad(lambda: reduce_sum(p * p), p)
         assert np.array_equal(p.data, before)
 
 
 @pytest.mark.parametrize("key", [np.array([1, 1, 2]), [1, 1, 2]])
 def test_repeated_index_gradients_add_up(key):
     x = Tensor(np.arange(4.0), requires_grad=True)
-    x[key].sum().backward()
+    reduce_sum(x[key]).backward()
     assert np.array_equal(x.grad, [0.0, 2.0, 1.0, 0.0])
 
 
 def test_repeated_index_inside_a_tuple_key():
     x = Tensor(np.ones((2, 3, 2)), requires_grad=True)
-    x[:, np.array([0, 0, 2]), 0:1].sum().backward()
+    reduce_sum(x[:, np.array([0, 0, 2]), 0:1]).backward()
     expected = np.zeros((2, 3, 2))
     expected[:, 0, 0] = 2.0
     expected[:, 2, 0] = 1.0
@@ -453,7 +453,7 @@ def test_conv1d_gradients_equal_add_at_col2im(k, stride, padding):
     bias = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
     out = conv1d(x, w, bias, stride=stride, padding=padding)
     g = rng.normal(size=out.shape).astype(np.float32)
-    (out * Tensor(g)).sum().backward()  # the output's gradient is exactly g
+    reduce_sum(out * Tensor(g)).backward()  # the output's gradient is exactly g
     gx, gw, gb = _conv1d_add_at_grads(x.data, w.data, g, stride, padding)
     assert np.array_equal(x.grad, gx)
     assert np.array_equal(w.grad, gw)
@@ -533,8 +533,8 @@ def test_cross_entropy_over_columns_equals_a_full_width_support_mask(masked, sca
 
 def test_first_gradient_is_kept_fresh_and_views_are_copied():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    x.sum().backward()  # sum hands x a read-only broadcast view
+    reduce_sum(x).backward()  # the sum hands x a read-only broadcast view
     assert x.grad.base is None and x.grad.flags.writeable
     y = Tensor(np.ones(3), requires_grad=True)
-    (y * Tensor(np.full(3, 2.0))).sum().backward()
+    reduce_sum(y * Tensor(np.full(3, 2.0))).backward()
     assert np.array_equal(y.grad, [2.0, 2.0, 2.0])

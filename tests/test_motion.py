@@ -25,6 +25,7 @@ from soke.motion import (
 from soke.motion.kinematics import axis_angle_vjp
 from soke.posefit import body_fk
 
+from composed_ops import reduce_sum
 from gradcheck import check_gradients
 
 
@@ -206,7 +207,7 @@ class TestBodyFkVjp:
             theta = Tensor(_angles(kind, rng), requires_grad=True)
 
             def loss_fn():
-                return (body_fk(theta, BODY) * Tensor(weights)).sum()
+                return reduce_sum(body_fk(theta, BODY) * Tensor(weights))
 
             errors = check_gradients(loss_fn, [("theta", theta)], eps=1e-6, tol=1e-6)
         assert errors["theta"] < 1e-6
