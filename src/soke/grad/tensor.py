@@ -11,9 +11,10 @@ embedding, and the pose fit's weighted total); the pose fit's own nodes in
 `posefit`: `body_fk` and the loss terms `loss_rec`, `loss_temp` and
 `loss_reg`; and the tokenizer's VQ objective, `vq_loss` in `deto.tokenizer`.
 matmul is kept for the benchmark's tracer, which times it. Default storage
-is float32 with float64 accumulation in reductions. `default_dtype` switches newly created tensors to float64; its
-users are `posefit.fit_sequence` and the tests' finite-difference gradient
-checks, so central differences are not drowned by rounding noise.
+is float32 with float64 accumulation in reductions. `default_dtype`
+switches newly created tensors to float64; its users are
+`posefit.fit_sequence` and the tests' finite-difference gradient checks, so
+central differences are not drowned by rounding noise.
 Every op hands its output value, parents and backward closure to the
 `Tensor` constructor, which alone decides what the node keeps (see
 `Tensor.__init__`). `no_grad` switches graph building off: inside it, op
