@@ -7,6 +7,8 @@ exactly uniform over each part's support.
 Teacher-forced training and greedy decoding share the trunk `decode_hidden`:
 training runs its whole prefix as one pass from an empty DecoderCache, and
 decoding runs one new position per pass against the prompt's cache.
+Attention splits and joins the heads itself, so the cache keeps keys and
+values as projected, (rows, positions, d_model).
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ class AmgConfig:
     def __post_init__(self):
         if not 0.0 < self.fuse_lambda < 0.5:
             raise ConfigError("fusion weight must lie in the open interval (0, 0.5)")
+        if min(self.d_model, self.num_heads, self.ffn_dim) < 1:
+            raise ConfigError("d_model, num_heads and ffn_dim must be positive")
+        if min(self.enc_layers, self.dec_layers) < 0:
+            raise ConfigError("layer counts must not be negative")
         if self.d_model % self.num_heads != 0:
             raise ConfigError("d_model must be divisible by num_heads")
         if self.k_max < 1 or self.enc_max_len < 1:
@@ -175,43 +181,32 @@ class GeneratorModel:
 
     # -- forward pieces ---------------------------------------------------------
 
-    def _heads(self, x: Tensor) -> Tensor:
-        """(B, T, d) -> (B, h, T, dh)."""
-        b, t, d = x.shape
-        h = self.config.num_heads
-        return x.reshape(b, t, h, d // h).transpose((0, 2, 1, 3))
-
-    def _attend(self, q: Tensor, k_t: Tensor, v: Tensor, p: dict,
+    def _attend(self, q: Tensor, k: Tensor, v: Tensor, p: dict,
                 mask: np.ndarray | None) -> Tensor:
-        """Queries (B, h, Tq, dh) against keys (B, h, dh, Tk) and values
-        (B, h, Tk, dh), then the output projection: (B, Tq, d)."""
-        b, h, tq, dh = q.shape
-        ctx = attention(q, k_t, v, 1.0 / math.sqrt(dh), mask)
-        ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, tq, h * dh)
-        return linear(ctx, p["wo"], p["bo"])
+        """Queries (B, Tq, d) against keys and values (B or 1, Tk, d) in
+        num_heads heads, then the output projection: (B, Tq, d)."""
+        return linear(attention(q, k, v, self.config.num_heads, mask), p["wo"], p["bo"])
 
     def _self_attention(self, x: Tensor, p: dict, mask: np.ndarray | None,
                         layer: LayerCache | None = None) -> Tensor:
         """Self-attention of the positions x (B, n, d). With a layer cache,
         they also attend to its keys and values, and their own join it."""
-        q = self._heads(linear(x, p["wq"], p["bq"]))
-        k = self._heads(linear(x, p["wk"], p["bk"]))
-        v = self._heads(linear(x, p["wv"], p["bv"]))
+        q = linear(x, p["wq"], p["bq"])
+        k = linear(x, p["wk"], p["bk"])
+        v = linear(x, p["wv"], p["bv"])
         if layer is not None:
             if layer.self_k is not None:
-                k = concat([layer.self_k, k], axis=2)
-                v = concat([layer.self_v, v], axis=2)
+                k = concat([layer.self_k, k], axis=1)
+                v = concat([layer.self_v, v], axis=1)
             layer.self_k, layer.self_v = k, v
-        return self._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
+        return self._attend(q, k, v, p, mask)
 
     def _layer_cache(self, layer: dict, h_en: Tensor) -> LayerCache:
         """A decoder layer's cache for the encoder state h_en (R, S, d); with
         R = 1 its keys and values broadcast over every decoder row."""
         ca = layer["cross"]
-        return LayerCache(
-            cross_k=self._heads(linear(h_en, ca["wk"], ca["bk"])).transpose((0, 1, 3, 2)),
-            cross_v=self._heads(linear(h_en, ca["wv"], ca["bv"])),
-        )
+        return LayerCache(cross_k=linear(h_en, ca["wk"], ca["bk"]),
+                          cross_v=linear(h_en, ca["wv"], ca["bv"]))
 
     def _ffn(self, x: Tensor, p: dict) -> Tensor:
         return linear(linear(x, p["w1"], p["b1"]).relu(), p["w2"], p["b2"])
@@ -232,7 +227,7 @@ class GeneratorModel:
                 f"{self.config.enc_max_len}"
             )
         key_mask = prompt_ids != self.vocab.pad_id
-        attn_mask = None if key_mask.all() else key_mask[:, None, None, :]
+        attn_mask = None if key_mask.all() else key_mask[:, None, :]
         x = self._embed(prompt_ids, self.enc_pos)
         for layer in self.enc_layers:
             normed = layer_norm(x, layer["ln1_g"], layer["ln1_b"])
@@ -259,15 +254,15 @@ class GeneratorModel:
             cache.layers = [self._layer_cache(layer, h_en) for layer in self.dec_layers]
         # None for a mask that hides nothing: one new position sees the whole
         # cache, and an unpadded prompt shows every key
-        causal = None if k == 1 else np.tri(k, offset + k, offset, dtype=bool)[None, None, :, :]
-        cross_mask = None if enc_key_mask.all() else enc_key_mask[:, None, None, :]
+        causal = None if k == 1 else np.tri(k, offset + k, offset, dtype=bool)
+        cross_mask = None if enc_key_mask.all() else enc_key_mask[:, None, :]
         x = dec_emb + self.dec_pos[offset:offset + k]
         for layer, lc in zip(self.dec_layers, cache.layers):
             normed = layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             x = x + self._self_attention(normed, layer["self"], causal, lc)
             cross = layer["cross"]
             normed = layer_norm(x, layer["lnc_g"], layer["lnc_b"])
-            q = self._heads(linear(normed, cross["wq"], cross["bq"]))
+            q = linear(normed, cross["wq"], cross["bq"])
             x = x + self._attend(q, lc.cross_k, lc.cross_v, cross, cross_mask)
             x = x + self._ffn(layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["ffn"])
         cache.length += k
@@ -285,10 +280,10 @@ class GeneratorModel:
 class LayerCache:
     """One decoder layer's state in a DecoderCache."""
 
-    cross_k: Tensor  # cross-attention keys, pre-transposed: (R or 1, h, dh, S)
-    cross_v: Tensor  # (R or 1, h, S, dh)
-    self_k: Tensor | None = None  # self-attention keys so far, (R, h, length, dh)
-    self_v: Tensor | None = None  # (R, h, length, dh)
+    cross_k: Tensor  # cross-attention keys, (R or 1, S, d)
+    cross_v: Tensor  # (R or 1, S, d)
+    self_k: Tensor | None = None  # self-attention keys so far, (R, length, d)
+    self_v: Tensor | None = None  # (R, length, d)
 
 
 @dataclass

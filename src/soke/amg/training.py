@@ -47,6 +47,8 @@ class AmgTrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError("training needs at least one epoch")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be at least 1, got {self.log_every}")
         CosineSchedule(self.lr, self.epochs, self.min_lr)  # rejects bad rates
 
 

@@ -2,17 +2,17 @@
 
 The operator set is deliberately closed: it holds only what the motion
 tokenizer CNN, the micro encoder-decoder generator and the pose fit run.
-The graph nodes those create are add, mul, relu, reshape, transpose, slice
-(which also indexes by integer arrays, the embedding lookup), concat,
-cross_entropy, layer_norm, conv1d, upsample and straight_through on top of
-leaves; the generator's fused nodes linear (x @ w + b), attention (masked
-softmax attention over head-split inputs) and weighted_sum (the fused
-embedding, and the pose fit's weighted total); the pose fit's own nodes in
-`posefit`: `body_fk` and the loss terms `loss_rec`, `loss_temp` and
-`loss_reg`; and the tokenizer's VQ objective, `vq_loss` in `deto.tokenizer`.
-matmul is kept for the benchmark's tracer, which times it. Default storage
-is float32 with float64 accumulation in reductions. `default_dtype`
-switches newly created tensors to float64; its users are
+The graph nodes the package builds, by `_op` name, are `add`, `mul`,
+`relu`, `slice` (which also indexes by integer arrays, the embedding
+lookup), `concat`, `cross_entropy`, `layer_norm`, `conv1d`, `upsample` and
+`straight_through`; the generator's fused nodes `linear` (x @ w + b),
+`attention` (multi-head masked softmax attention over (B, T, d) inputs)
+and `weighted_sum` (the fused embedding, and the pose fit's weighted
+total); the pose fit's own nodes `body_fk`, `loss_rec`, `loss_temp` and
+`loss_reg`; and the tokenizer's VQ objective, `vq_loss`. matmul is kept
+for the benchmark's tracer, which times it; no package code builds it.
+Default storage is float32 with float64 accumulation in reductions.
+`default_dtype` switches newly created tensors to float64; its users are
 `posefit.fit_sequence` and the tests' finite-difference gradient checks, so
 central differences are not drowned by rounding noise.
 Every op hands its output value, parents and backward closure to the
@@ -25,9 +25,9 @@ produced it instead of three losses later. A fused node checks its output
 and every intermediate the composed graph would have checked that can be
 non-finite while its inputs are finite: attention checks its raw scores,
 since the mask could hide a non-finite one, and needs no check between them
-and its output because scale <= 1 and a softmax of finite values is finite;
-linear, weighted_sum, vq_loss and the pose fit's loss nodes carry a
-non-finite intermediate into their output.
+and its output because its scale 1 / sqrt(dh) is at most 1 and a softmax
+of finite values is finite; linear, weighted_sum, vq_loss and the pose
+fit's loss nodes carry a non-finite intermediate into their output.
 The fused nodes run the arithmetic of their composed graphs, forward and
 backward, so they change no bit; their parents are ordered so the backward
 traversal visits the rest of the graph in the composed order.
@@ -241,23 +241,7 @@ class Tensor:
         return Tensor(self.data @ other.data, _parents=(self, other), _op="matmul",
                       _backward=backward)
 
-    # -- shape manipulation -------------------------------------------------------------
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-
-        def backward(g):
-            self._accumulate(np.asarray(g).reshape(self.shape))
-
-        return Tensor(self.data.reshape(shape), _parents=(self,), _op="reshape", _backward=backward)
-
-    def transpose(self, axes: tuple[int, ...]) -> "Tensor":
-        def backward(g):
-            self._accumulate(np.transpose(g, np.argsort(axes)))
-
-        return Tensor(np.transpose(self.data, axes), _parents=(self,), _op="transpose",
-                      _backward=backward)
+    # -- indexing ------------------------------------------------------------
 
     def __getitem__(self, key) -> "Tensor":
         """Basic slicing, or indexing by integer arrays: `table[ids]` with
@@ -378,49 +362,63 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(x.data @ w.data + b.data, _parents=(x, w, b), _op="linear", _backward=backward)
 
 
-def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float,
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
               mask: np.ndarray | None = None) -> Tensor:
-    """softmax((q @ k_t) * scale, mask) @ v over the last axis, as one node.
-
-    q (B, h, Tq, dh), k_t (B or 1, h, dh, Tk), v (B or 1, h, Tk, dh); keys
-    and values with one row broadcast over the B query rows. mask: optional
-    boolean array broadcasting to the scores' shape; a False entry hides a
-    key from a query, whose probability is then exactly zero; pass None
-    rather than an all-True mask, which would cost an np.where for nothing.
-    scale must lie in (0, 1]. Forward and backward run the arithmetic of the
-    composed graph (matmul, mul by a scalar leaf, masked softmax, matmul)
-    bit for bit.
+    """Multi-head scaled dot-product attention as one node: queries q
+    (B, Tq, d) against keys k and values v (B or 1, Tk, d; one row
+    broadcasts over the B query rows) in num_heads heads of dh = d /
+    num_heads channels, scaled by 1 / sqrt(dh); returns the joined heads,
+    (B, Tq, d). mask: optional boolean array broadcasting to (B, Tq, Tk); a
+    False entry hides a key from a query, whose probability is then exactly
+    zero; pass None rather than an all-True mask, which would cost an
+    np.where for nothing. Heads are split and joined as numpy views, not
+    nodes; forward and backward run the arithmetic of the composed graph
+    (split, matmul, mul by a scalar leaf, masked softmax, matmul, join) bit
+    for bit.
     """
-    if not 0.0 < scale <= 1.0:
-        raise GraphError(f"attention scale must lie in (0, 1], got {scale}")
-    scores = q.data @ k_t.data
+    if num_heads < 1 or q.shape[-1] % num_heads:
+        raise GraphError(f"attention cannot split width {q.shape[-1]} into {num_heads} heads")
+    qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
+    scores = qh @ _swap_last(kh)
     _check_finite(scores, "attention")  # a masked-out score is checked too
-    scale_arr = np.asarray(scale, dtype=_default_dtype)  # as a scalar leaf holds it
-    z = scores * scale_arr
+    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=_default_dtype)  # as a leaf holds it
+    z = scores * scale
     if mask is not None:
+        mask = np.expand_dims(mask, -3)  # one mask for every head
         z = np.where(mask, z, NEG_MASK)
     e = np.exp(z - _row_max(z))
     prob = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(e.dtype)
 
     def backward(g):
-        # v, then q, then k_t: the order in which the composed graph's
+        # q, then k, then v: the order in which the composed graph's
         # backward reaches them, which matters when they share a tensor
+        g = _split_heads(g, num_heads)
+        if q.requires_grad or k.requires_grad:
+            g_prob = g @ _swap_last(vh)
+            dot = (g_prob * prob).sum(axis=-1, keepdims=True, dtype=np.float64).astype(prob.dtype)
+            g_z = prob * (g_prob - dot)
+            if mask is not None:
+                g_z = np.where(mask, g_z, 0.0)
+            g_scores = g_z * scale
+            if q.requires_grad:
+                q._accumulate(_join_heads(g_scores @ kh))
+            if k.requires_grad:
+                g_k_t = _sum_to_shape(_swap_last(qh) @ g_scores, _swap_last(kh).shape)
+                k._accumulate(_join_heads(_swap_last(g_k_t)))
         if v.requires_grad:
-            v._accumulate(_sum_to_shape(_swap_last(prob) @ g, v.shape))
-        if not (q.requires_grad or k_t.requires_grad):
-            return
-        g_prob = g @ _swap_last(v.data)
-        dot = (g_prob * prob).sum(axis=-1, keepdims=True, dtype=np.float64).astype(prob.dtype)
-        g_z = prob * (g_prob - dot)
-        if mask is not None:
-            g_z = np.where(mask, g_z, 0.0)
-        g_scores = g_z * scale_arr
-        if q.requires_grad:
-            q._accumulate(_sum_to_shape(g_scores @ _swap_last(k_t.data), q.shape))
-        if k_t.requires_grad:
-            k_t._accumulate(_sum_to_shape(_swap_last(q.data) @ g_scores, k_t.shape))
+            v._accumulate(_join_heads(_sum_to_shape(_swap_last(prob) @ g, vh.shape)))
 
-    return Tensor(prob @ v.data, _parents=(q, k_t, v), _op="attention", _backward=backward)
+    return Tensor(_join_heads(prob @ vh), _parents=(q, k, v), _op="attention", _backward=backward)
+
+
+def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(B, T, d) -> (B, h, T, d / h), a view of a contiguous x."""
+    return x.reshape(*x.shape[:2], num_heads, -1).swapaxes(1, 2)
+
+
+def _join_heads(x: np.ndarray) -> np.ndarray:
+    """(B, h, T, dh) -> (B, T, h * dh), the inverse of _split_heads."""
+    return x.swapaxes(1, 2).reshape(x.shape[0], x.shape[2], -1)
 
 
 def weighted_sum(parts: list[Tensor], weights: list[float]) -> Tensor:

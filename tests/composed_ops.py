@@ -1,15 +1,18 @@
 """Graph nodes the package no longer builds, kept as test oracles.
 
 The elementwise operators `neg`, `sub`, `power`, `reduce_sum`, `mean` and
-`detach`, with the arithmetic `Tensor` had for `-x`, `a - b`, `x ** p`,
-`x.sum()`, `x.mean()` and `x.detach()`. Tests build losses and composed
-graphs from them.
+`detach`, and the shape operators `reshape` and `transpose`, with the
+arithmetic `Tensor` had for `-x`, `a - b`, `x ** p`, `x.sum()`, `x.mean()`,
+`x.detach()`, `x.reshape(shape)` and `x.transpose(axes)`. Tests build losses
+and composed graphs from them.
 
 Fused graph nodes written as the composed graphs they replace; each fused
 node must equal its composed form bit for bit, forward and backward:
 
-- The generator's `linear`, `attention` and `weighted_sum`. `softmax` is
-  the masked softmax node that attention folds in.
+- The generator's `linear`, `attention` and `weighted_sum`. `attention`
+  splits the heads into (B, h, T, dh) nodes (`split_heads`), runs
+  `head_attention`, the matmuls around `softmax`, the masked softmax node,
+  and joins the heads again (`join_heads`).
 - The pose fit's `loss_rec`, `loss_temp` and `loss_reg`, and `objective`,
   the weighted total `posefit._objective` builds from them. `sqrt` and
   `absolute` are the nodes those losses fold in.
@@ -17,6 +20,8 @@ node must equal its composed form bit for bit, forward and backward:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,6 +77,20 @@ def detach(x: Tensor) -> Tensor:
     return Tensor(x.data, requires_grad=False, _op="detach")
 
 
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    def backward(g):
+        x._accumulate(np.asarray(g).reshape(x.shape))
+
+    return Tensor(x.data.reshape(shape), _parents=(x,), _op="reshape", _backward=backward)
+
+
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    def backward(g):
+        x._accumulate(np.transpose(g, np.argsort(axes)))
+
+    return Tensor(np.transpose(x.data, axes), _parents=(x,), _op="transpose", _backward=backward)
+
+
 def softmax(logits: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis, with an optional boolean support mask.
 
@@ -102,9 +121,32 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return x @ w + b
 
 
-def attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float,
-              mask: np.ndarray | None = None) -> Tensor:
+def split_heads(x: Tensor, num_heads: int) -> Tensor:
+    """(B, T, d) -> (B, h, T, d / h)."""
+    b, t, d = x.shape
+    return transpose(reshape(x, (b, t, num_heads, d // num_heads)), (0, 2, 1, 3))
+
+
+def join_heads(x: Tensor) -> Tensor:
+    """(B, h, T, dh) -> (B, T, h * dh)."""
+    b, h, t, dh = x.shape
+    return reshape(transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
+
+
+def head_attention(q: Tensor, k_t: Tensor, v: Tensor, scale: float,
+                   mask: np.ndarray | None = None) -> Tensor:
+    """Attention over head-split q (B, h, Tq, dh), k_t (B or 1, h, dh, Tk)
+    and v (B or 1, h, Tk, dh); mask broadcasts to (B, h, Tq, Tk)."""
     return softmax((q @ k_t) * scale, mask=mask) @ v
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+              mask: np.ndarray | None = None) -> Tensor:
+    qh, kh, vh = (split_heads(x, num_heads) for x in (q, k, v))
+    if mask is not None:
+        mask = np.expand_dims(mask, -3)
+    scale = 1.0 / math.sqrt(q.shape[-1] // num_heads)
+    return join_heads(head_attention(qh, transpose(kh, (0, 1, 3, 2)), vh, scale, mask))
 
 
 def weighted_sum(parts: list[Tensor], weights: list[float]) -> Tensor:
@@ -136,8 +178,8 @@ def loss_rec(joints: Tensor, observations, cam_params: Tensor, observed_joints,
     obs_points = np.stack([o.points for o in observations])
     conf = np.stack([o.confidence for o in observations])[..., None]
     xy = joints[:, idx, 0:2]
-    scale = cam_params[0:1].reshape(1, 1, 1)
-    shift = cam_params[1:3].reshape(1, 1, 2)
+    scale = reshape(cam_params[0:1], (1, 1, 1))
+    shift = reshape(cam_params[1:3], (1, 1, 2))
     residual = sub(xy * scale + shift, Tensor(obs_points))
     if smooth > 0.0:
         magnitude = sqrt(residual * residual + smooth * smooth)

@@ -72,3 +72,21 @@ def test_amg_bad_learning_rates_rejected(rates):
 def test_benchmark_configs_load(name):
     path = Path(__file__).resolve().parent.parent / "benchmark" / "configs" / name
     assert isinstance(load_run_config(path), RunConfig)
+
+
+@pytest.mark.parametrize("log_every", [0, -1])
+def test_amg_log_interval_below_one_rejected(log_every):
+    with pytest.raises(ConfigError, match="log_every"):
+        AmgTrainConfig(log_every=log_every)
+
+
+@pytest.mark.parametrize("sizes", [dict(num_heads=0), dict(num_heads=-4), dict(d_model=0),
+                                   dict(d_model=-8, num_heads=2), dict(ffn_dim=0),
+                                   dict(ffn_dim=-1), dict(enc_layers=-1), dict(dec_layers=-2)])
+def test_amg_sizes_below_their_minimum_rejected(sizes):
+    with pytest.raises(ConfigError):
+        AmgConfig(**sizes)
+
+
+def test_amg_without_encoder_or_decoder_layers_accepted():
+    assert AmgConfig(enc_layers=0, dec_layers=0).enc_layers == 0

@@ -59,21 +59,21 @@ def test_linear_equals_matmul_then_add(dtype, x_shape):
     assert_graphs_equal(linear, composed_ops.linear, arrays, dtype)
 
 
-def attention_case(rng, dtype, rows=2, kv_rows=2, tq=4, tk=5, dh=3, h=2):
-    return [rng.normal(size=(rows, h, tq, dh)).astype(dtype),
-            rng.normal(size=(kv_rows, h, dh, tk)).astype(dtype),
-            rng.normal(size=(kv_rows, h, tk, dh)).astype(dtype)]
+def attention_case(rng, dtype, rows=2, kv_rows=2, tq=4, tk=5, d=6):
+    return [rng.normal(size=(rows, tq, d)).astype(dtype),
+            rng.normal(size=(kv_rows, tk, d)).astype(dtype),
+            rng.normal(size=(kv_rows, tk, d)).astype(dtype)]
 
 
 def padding_mask(rows, tq, tk):
     """Row r hides its last r + 1 keys."""
-    return (np.arange(tk) < tk - 1 - np.arange(rows)[:, None])[:, None, None]
+    return (np.arange(tk) < tk - 1 - np.arange(rows)[:, None])[:, None]
 
 
 MASKS = {
     "none": lambda rows, tq, tk: None,
-    "all_true": lambda rows, tq, tk: np.ones((1, 1, tq, tk), dtype=bool),
-    "causal": lambda rows, tq, tk: np.tri(tq, tk, tk - tq, dtype=bool)[None, None],
+    "all_true": lambda rows, tq, tk: np.ones((1, tq, tk), dtype=bool),
+    "causal": lambda rows, tq, tk: np.tri(tq, tk, tk - tq, dtype=bool),
     "padding": padding_mask,
 }
 
@@ -81,12 +81,13 @@ MASKS = {
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("mask_name", sorted(MASKS))
 @pytest.mark.parametrize("kv_rows", [3, 1])
-def test_attention_equals_the_composed_graph(dtype, mask_name, kv_rows):
+@pytest.mark.parametrize("num_heads", [1, 2, 3])
+def test_attention_equals_the_composed_graph(dtype, mask_name, kv_rows, num_heads):
     rng = np.random.default_rng(5)
     arrays = attention_case(rng, dtype, rows=3, kv_rows=kv_rows)
     mask = MASKS[mask_name](3, 4, 5)
-    assert_graphs_equal(lambda q, k_t, v: attention(q, k_t, v, 0.5, mask),
-                        lambda q, k_t, v: composed_ops.attention(q, k_t, v, 0.5, mask),
+    assert_graphs_equal(lambda q, k, v: attention(q, k, v, num_heads, mask),
+                        lambda q, k, v: composed_ops.attention(q, k, v, num_heads, mask),
                         arrays, dtype)
 
 
@@ -95,10 +96,10 @@ def test_attention_over_many_short_rows_equals_the_composed_graph(dtype):
     # enough rows for the transposed row max, as in the encoder's scores
     rng = np.random.default_rng(6)
     tk = _ROW_MAX_LENGTH // 2
-    arrays = attention_case(rng, dtype, rows=4, kv_rows=4, tq=_ROW_MAX_ROWS // 4, tk=tk, h=2)
+    arrays = attention_case(rng, dtype, rows=4, kv_rows=4, tq=_ROW_MAX_ROWS // 4, tk=tk)
     mask = padding_mask(4, _ROW_MAX_ROWS // 4, tk)
-    assert_graphs_equal(lambda q, k_t, v: attention(q, k_t, v, 0.25, mask),
-                        lambda q, k_t, v: composed_ops.attention(q, k_t, v, 0.25, mask),
+    assert_graphs_equal(lambda q, k, v: attention(q, k, v, 2, mask),
+                        lambda q, k, v: composed_ops.attention(q, k, v, 2, mask),
                         arrays, dtype)
 
 
@@ -107,12 +108,12 @@ def test_self_attention_of_one_tensor_accumulates_in_composed_order(dtype):
     # x feeds q, k and v, and a fourth use after them: its gradient is a sum
     # of four terms, which float rounding makes order-sensitive
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(2, 2, 5, 5)).astype(dtype)
+    x = rng.normal(size=(2, 5, 6)).astype(dtype)
     mask = MASKS["causal"](2, 5, 5)
 
     def build(op):
         def graph(x):
-            out = op(x, x.transpose((0, 1, 3, 2)), x, 0.5, mask)
+            out = op(x, x, x, 2, mask)
             return out + x * 0.3
         return graph
 
@@ -147,26 +148,27 @@ def test_attention_matches_finite_differences(kv_rows):
     q_data, k_data, v_data = attention_case(rng, np.float64, rows=2, kv_rows=kv_rows)
     mask = padding_mask(2, 4, 5)
     with default_dtype(np.float64):
-        q, k_t, v = (Tensor(a, requires_grad=True) for a in (q_data, k_data, v_data))
-        check_gradients(lambda: reduce_sum(power(attention(q, k_t, v, 0.7, mask), 2)),
-                        [("q", q), ("k_t", k_t), ("v", v)])
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q_data, k_data, v_data))
+        check_gradients(lambda: reduce_sum(power(attention(q, k, v, 2, mask), 2)),
+                        [("q", q), ("k", k), ("v", v)])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_score_under_the_mask_raises_naming_attention(bad):
     rng = np.random.default_rng(13)
-    q, k_t, v = (Tensor(a) for a in attention_case(rng, np.float32, rows=1, kv_rows=1))
-    mask = np.ones((1, 1, 4, 5), dtype=bool)
+    q, k, v = (Tensor(a) for a in attention_case(rng, np.float32, rows=1, kv_rows=1))
+    mask = np.ones((1, 4, 5), dtype=bool)
     mask[..., -1] = False
-    k_t.data[0, 0, :, -1] = bad  # every score of the last, masked-out key
+    k.data[0, -1, :] = bad  # every score of the last, masked-out key
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="attention"):
-        attention(q, k_t, v, 0.5, mask)
+        attention(q, k, v, 2, mask)
 
 
-def test_attention_rejects_a_scale_above_one():
-    q, k_t, v = (Tensor(a) for a in attention_case(np.random.default_rng(14), np.float32))
-    with pytest.raises(GraphError):
-        attention(q, k_t, v, 2.0)
+@pytest.mark.parametrize("num_heads", [0, -2, 4])
+def test_attention_rejects_a_head_count_that_does_not_split_the_width(num_heads):
+    q, k, v = (Tensor(a) for a in attention_case(np.random.default_rng(14), np.float32))
+    with pytest.raises(GraphError, match="heads"):
+        attention(q, k, v, num_heads)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

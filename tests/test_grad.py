@@ -28,7 +28,7 @@ from soke.motion import build_sign_chain
 from soke.posefit import Observation2D, body_fk, loss_rec, loss_reg, loss_temp
 
 from adam_reference import PerParameterAdam
-from composed_ops import mean, power, reduce_sum, softmax, sub
+from composed_ops import mean, power, reduce_sum, reshape, softmax, sub, transpose
 from gradcheck import check_gradients, finite_difference_grad, max_relative_error
 
 
@@ -83,16 +83,13 @@ NODE_BUILDERS = {
     "add": lambda leaf: leaf((2, 3)) + leaf((2, 3)),
     "mul": lambda leaf: leaf((2, 3)) * leaf((2, 3)),
     "matmul": lambda leaf: leaf((2, 3)) @ leaf((3, 4)),
-    "reshape": lambda leaf: leaf((2, 3)).reshape(3, 2),
-    "transpose": lambda leaf: leaf((2, 3)).transpose((1, 0)),
     "slice": lambda leaf: leaf((2, 3))[:, 1:],
     "gather": lambda leaf: leaf((4, 3))[np.array([[0, 2], [2, 1]])],
     "relu": lambda leaf: leaf((2, 3)).relu(),
     "concat": lambda leaf: concat([leaf((2, 3)), leaf((2, 3))], axis=1),
     "straight_through": lambda leaf: straight_through(leaf((2, 3)), leaf((2, 3))),
     "linear": lambda leaf: linear(leaf((2, 3)), leaf((3, 4)), leaf((4,))),
-    "attention": lambda leaf: attention(leaf((1, 2, 3, 4)), leaf((1, 2, 4, 5)),
-                                        leaf((1, 2, 5, 4)), 0.5),
+    "attention": lambda leaf: attention(leaf((1, 3, 4)), leaf((1, 5, 4)), leaf((1, 5, 4)), 2),
     "weighted_sum": lambda leaf: weighted_sum([leaf((2, 3)), leaf((2, 3))], [0.25, 0.75]),
     "cross_entropy": lambda leaf: cross_entropy(leaf((2, 5)), np.array([1, 4])),
     "layer_norm": lambda leaf: layer_norm(leaf((2, 6)), leaf((6,)), leaf((6,))),
@@ -196,8 +193,8 @@ def test_each_op_matches_finite_differences(op_name):
             "pow": lambda: reduce_sum(power(a, 3)),
             "sum_axis": lambda: reduce_sum(reduce_sum(a, axis=0) * k4),
             "mean": lambda: reduce_sum(mean(a, axis=1)),
-            "reshape": lambda: reduce_sum(a.reshape(4, 3) @ k31),
-            "transpose": lambda: reduce_sum(a.transpose((1, 0)) @ k31),
+            "reshape": lambda: reduce_sum(reshape(a, (4, 3)) @ k31),
+            "transpose": lambda: reduce_sum(transpose(a, (1, 0)) @ k31),
             "slice": lambda: reduce_sum(a[1:, :2] * b[:2, 2:]),
             "gather": lambda: reduce_sum(power(a[np.array([[0, 2], [2, 1]])], 2)),  # an id repeats
             "concat": lambda: reduce_sum(power(concat([a, b], axis=1), 2)),

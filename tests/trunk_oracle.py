@@ -8,17 +8,25 @@ self-attention projects them with one fused Q|K|V linear whose weights
 `layer_cache` concatenates per prompt, and the cross-attention reads keys
 and values projected once per prompt. `install` puts `encode` and
 `decode_hidden` on a model in place of its own methods.
+
+Attention runs on head-split (B, h, T, dh) nodes, as it did then: `heads`
+splits a projection with reshape and transpose nodes, keys are transposed
+to (B, h, dh, T), and `attend` runs the composed attention and joins the
+heads before the output projection.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from soke.errors import InputError
 from soke.grad import Tensor, concat, layer_norm, linear
+
+from composed_ops import head_attention, join_heads, reshape, split_heads, transpose
 
 
 @dataclass
@@ -31,25 +39,42 @@ class FusedLayerCache:
     self_v: Tensor | None = None
 
 
+def heads(model, x: Tensor) -> Tensor:
+    """(B, T, d) -> (B, h, T, dh)."""
+    return split_heads(x, model.config.num_heads)
+
+
+def keys(k: Tensor) -> Tensor:
+    """(B, h, T, dh) -> (B, h, dh, T)."""
+    return transpose(k, (0, 1, 3, 2))
+
+
+def attend(q: Tensor, k_t: Tensor, v: Tensor, p: dict, mask: np.ndarray | None) -> Tensor:
+    """Queries (B, h, Tq, dh) against keys (B, h, dh, Tk) and values
+    (B, h, Tk, dh), then the output projection: (B, Tq, d)."""
+    ctx = head_attention(q, k_t, v, 1.0 / math.sqrt(q.shape[-1]), mask)
+    return linear(join_heads(ctx), p["wo"], p["bo"])
+
+
 def mha(model, x_q: Tensor, x_kv: Tensor, p: dict, mask: np.ndarray | None) -> Tensor:
-    q = model._heads(linear(x_q, p["wq"], p["bq"]))
-    k = model._heads(linear(x_kv, p["wk"], p["bk"]))
-    v = model._heads(linear(x_kv, p["wv"], p["bv"]))
-    return model._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
+    q = heads(model, linear(x_q, p["wq"], p["bq"]))
+    k = heads(model, linear(x_kv, p["wk"], p["bk"]))
+    v = heads(model, linear(x_kv, p["wv"], p["bv"]))
+    return attend(q, keys(k), v, p, mask)
 
 
 def cached_self_attention(model, x: Tensor, p: dict, layer: FusedLayerCache,
                           mask: np.ndarray | None) -> Tensor:
     b, n, d = x.shape
     h = model.config.num_heads
-    qkv = linear(x, layer.w_qkv, layer.b_qkv).reshape(b, n, 3, h, d // h)
-    qkv = qkv.transpose((2, 0, 3, 1, 4))  # (3, B, h, n, dh)
+    qkv = reshape(linear(x, layer.w_qkv, layer.b_qkv), (b, n, 3, h, d // h))
+    qkv = transpose(qkv, (2, 0, 3, 1, 4))  # (3, B, h, n, dh)
     q, k, v = qkv[0], qkv[1], qkv[2]
     if layer.self_k is not None:
         k = concat([layer.self_k, k], axis=2)
         v = concat([layer.self_v, v], axis=2)
     layer.self_k, layer.self_v = k, v
-    return model._attend(q, k.transpose((0, 1, 3, 2)), v, p, mask)
+    return attend(q, keys(k), v, p, mask)
 
 
 def layer_cache(model, layer: dict, h_en: Tensor) -> FusedLayerCache:
@@ -57,8 +82,8 @@ def layer_cache(model, layer: dict, h_en: Tensor) -> FusedLayerCache:
     return FusedLayerCache(
         w_qkv=concat([sa["wq"], sa["wk"], sa["wv"]], axis=1),
         b_qkv=concat([sa["bq"], sa["bk"], sa["bv"]], axis=0),
-        cross_k=model._heads(linear(h_en, ca["wk"], ca["bk"])).transpose((0, 1, 3, 2)),
-        cross_v=model._heads(linear(h_en, ca["wv"], ca["bv"])),
+        cross_k=keys(heads(model, linear(h_en, ca["wk"], ca["bk"]))),
+        cross_v=heads(model, linear(h_en, ca["wv"], ca["bv"])),
     )
 
 
@@ -96,8 +121,8 @@ def decode_hidden(model, dec_emb: Tensor, h_en: Tensor, enc_key_mask: np.ndarray
             x = x + cached_self_attention(model, normed, layer["self"], lc, causal)
             cross = layer["cross"]
             normed = layer_norm(x, layer["lnc_g"], layer["lnc_b"])
-            q = model._heads(linear(normed, cross["wq"], cross["bq"]))
-            x = x + model._attend(q, lc.cross_k, lc.cross_v, cross, cross_mask)
+            q = heads(model, linear(normed, cross["wq"], cross["bq"]))
+            x = x + attend(q, lc.cross_k, lc.cross_v, cross, cross_mask)
         x = x + model._ffn(layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["ffn"])
     if cache is not None:
         cache.length += k
