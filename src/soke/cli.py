@@ -4,7 +4,8 @@
     soke verify OUT
 
 `run` executes the pipeline into the run directory OUT; `verify` exits 0
-when every artifact still matches the manifest and 1 when one does not.
+when every artifact still matches the manifest, and otherwise prints the
+path of each altered or missing artifact and exits 1.
 Package errors print to stderr and exit 2.
 """
 
@@ -15,7 +16,7 @@ import sys
 
 from .config import load_run_config
 from .errors import SokeError
-from .pipeline import run_pipeline, verify_manifest
+from .pipeline import changed_artifacts, run_pipeline
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -40,9 +41,11 @@ def main(argv: list[str] | None = None) -> int:
             manifest = run_pipeline(config, args.out, force=args.force)
             print(f"{args.out}: ran {', '.join(manifest['stages_run']) or 'no stages'}")
             return 0
-        ok = verify_manifest(args.out)
-        print(f"{args.out}: {'ok' if ok else 'artifacts differ from the manifest'}")
-        return 0 if ok else 1
+        changed = changed_artifacts(args.out)
+        print(f"{args.out}: {'artifacts differ from the manifest' if changed else 'ok'}")
+        for rel in changed:
+            print(f"  {rel}")
+        return 1 if changed else 0
     except (SokeError, OSError) as exc:
         print(f"soke: error: {exc}", file=sys.stderr)
         return 2

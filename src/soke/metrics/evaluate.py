@@ -6,6 +6,9 @@ numbers are read off along the chosen path. PA alignment is solved per frame
 pair on the union joint set (config tag `pa_scope = per_frame_pair_union`);
 all n*m frame pairs of a track pair are solved in one batched call, which
 holds the (n, m, J) per-joint residuals, so DTW-PA memory is O(n*m*J).
+Joint positions come from one forward-kinematics pass per track pair, over
+the generated and reference frames concatenated; FK treats frames
+independently, so this equals two passes bit for bit.
 Reported DTW values are path-length-normalized (`dtw_normalization = path`).
 """
 
@@ -87,8 +90,8 @@ def reconstruction_pa_mpjpe(
     must be frame-aligned (same T)."""
     if gen_seq.num_frames != ref_seq.num_frames:
         raise InputError("reconstruction PA-MPJPE requires equal frame counts")
-    gen_joints = forward_kinematics_sequence(gen_seq.frames, chain)
-    ref_joints = forward_kinematics_sequence(ref_seq.frames, chain)
+    joints = forward_kinematics_sequence(np.concatenate([gen_seq.frames, ref_seq.frames]), chain)
+    gen_joints, ref_joints = joints[: gen_seq.num_frames], joints[gen_seq.num_frames:]
     aligned, _ = procrustes_align(gen_joints, ref_joints)
     return float(np.linalg.norm(aligned - ref_joints, axis=-1).mean(axis=-1).mean())
 
@@ -148,9 +151,9 @@ def evaluate_split(
         start = time.perf_counter()
         gen_seq, steps = generate(text, ref.language_tag)
         wall_ms = (time.perf_counter() - start) * 1e3
-        gen_track = forward_kinematics_sequence(gen_seq.frames, chain)
-        ref_track = forward_kinematics_sequence(ref.frames, chain)
-        summary = dtw_joint_metrics(gen_track, ref_track, body_idx, hand_idx)
+        joints = forward_kinematics_sequence(np.concatenate([gen_seq.frames, ref.frames]), chain)
+        n = gen_seq.num_frames
+        summary = dtw_joint_metrics(joints[:n], joints[n:], body_idx, hand_idx)
         return SampleEval(
             index=index,
             text=text,

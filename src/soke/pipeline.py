@@ -229,12 +229,16 @@ def write_manifest(config: RunConfig, out_dir: Path, started: float, ran: list[s
     return manifest
 
 
-def verify_manifest(out_dir: str | Path) -> bool:
-    """Re-hash artifacts and compare against the stored manifest."""
+def changed_artifacts(out_dir: str | Path) -> list[str]:
+    """The manifest's artifact paths, in manifest order, whose file is
+    missing or hashes differently from the manifest."""
     out_dir = Path(out_dir)
     artifacts = read_json(out_dir / "manifest.json", lambda manifest: dict(manifest["artifacts"]))
-    for rel, digest in artifacts.items():
-        path = out_dir / rel
-        if not path.exists() or file_hash(path) != digest:
-            return False
-    return True
+    return [rel for rel, digest in artifacts.items()
+            if not (out_dir / rel).exists() or file_hash(out_dir / rel) != digest]
+
+
+def verify_manifest(out_dir: str | Path) -> bool:
+    """Re-hash artifacts and compare against the stored manifest: True when
+    `changed_artifacts` is empty."""
+    return not changed_artifacts(out_dir)

@@ -36,10 +36,25 @@ def test_run_then_verify_then_tamper(tmp_path, config_path, capsys):
     assert main(["verify", str(out)]) == 0
     with open(out / "report.json", "a") as fh:
         fh.write(" ")
+    capsys.readouterr()
     assert main(["verify", str(out)]) == 1
+    assert "report.json" in capsys.readouterr().out
     assert main(["run", str(config_path), str(out), "--set", "seed=3", "--force"]) == 0
     assert main(["verify", str(out)]) == 0
     assert "ran data, deto, dict, amg, eval" in capsys.readouterr().out
+
+
+def test_verify_names_each_altered_or_missing_artifact(tmp_path, config_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", str(config_path), str(out)]) == 0
+    (out / "dict.json").unlink()
+    with open(out / "amg" / "vocab.json", "a") as fh:
+        fh.write(" ")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    named = capsys.readouterr().out.splitlines()
+    assert "  amg/vocab.json" in named and "  dict.json" in named
+    assert not any("report.json" in line for line in named)
 
 
 def test_package_error_exits_2(tmp_path, config_path, capsys):

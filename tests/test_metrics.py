@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from soke.errors import DegenerateAlignmentError, InputError
 import soke.metrics.evaluate as evaluate
+import soke.metrics.procrustes as procrustes
 from soke.metrics import (
     dtw,
     dtw_joint_metrics,
@@ -23,6 +24,8 @@ from soke.motion import (
     hand_joint_indices,
     synthesize_dataset,
 )
+
+import procrustes_oracle
 
 
 def frame_jpe(gen_joints: np.ndarray, ref_joints: np.ndarray) -> float:
@@ -189,18 +192,21 @@ class TestProcrustes:
 
     def test_broadcast_matches_loop_of_plain_calls(self):
         rng = np.random.default_rng(7)
-        A = rng.normal(size=(5, 1, 9, 3))
-        B = 1.3 * rng.normal(size=(1, 4, 9, 3)) + rng.normal(size=(1, 4, 1, 3))
-        aligned, tf = procrustes_align(A, B)
-        assert aligned.shape == (5, 4, 9, 3)
-        assert tf.scale.shape == (5, 4)
-        for i, j in itertools.product(range(5), range(4)):
-            ref_aligned, ref_tf = procrustes_align(A[i, 0], B[0, j])
-            assert np.allclose(aligned[i, j], ref_aligned, rtol=1e-12, atol=1e-12)
-            assert np.allclose(tf.rotation[i, j], ref_tf.rotation, rtol=1e-12, atol=1e-12)
-            assert tf.scale[i, j] == pytest.approx(ref_tf.scale, rel=1e-12)
-            assert np.allclose(tf.translation[i, j], ref_tf.translation, rtol=1e-12, atol=1e-12)
-            assert np.allclose(tf.apply(A)[i, j], ref_tf.apply(A[i, 0]), rtol=1e-12, atol=1e-12)
+        # 5 x 4 pairs go to eigh, 12 x 11 to the closed form; a plain call is one pair, on eigh
+        for n, m in ((5, 4), (12, 11)):
+            A = rng.normal(size=(n, 1, 9, 3))
+            B = 1.3 * rng.normal(size=(1, m, 9, 3)) + rng.normal(size=(1, m, 1, 3))
+            aligned, tf = procrustes_align(A, B)
+            assert aligned.shape == (n, m, 9, 3)
+            assert tf.scale.shape == (n, m)
+            for i, j in itertools.product(range(n), range(m)):
+                ref_aligned, ref_tf = procrustes_align(A[i, 0], B[0, j])
+                assert np.allclose(aligned[i, j], ref_aligned, rtol=1e-12, atol=1e-12)
+                assert np.allclose(tf.rotation[i, j], ref_tf.rotation, rtol=1e-12, atol=1e-12)
+                assert tf.scale[i, j] == pytest.approx(ref_tf.scale, rel=1e-12)
+                assert np.allclose(tf.translation[i, j], ref_tf.translation, rtol=1e-12, atol=1e-12)
+                assert np.allclose(tf.apply(A)[i, j], ref_tf.apply(A[i, 0]), rtol=1e-12, atol=1e-12)
+        assert m * n >= procrustes.CLOSED_FORM_MIN_PAIRS > 5 * 4
 
     @pytest.mark.parametrize("degenerate", ["collinear", "coincident"])
     def test_one_degenerate_pair_in_batch_rejected(self, degenerate):
@@ -225,6 +231,125 @@ class TestProcrustes:
             procrustes_align(A, B)
         with pytest.raises(InputError, match="source"):
             procrustes_align(B, A)
+
+
+JOINTS = 41
+PAIR_KINDS = ("random", "mirror", "half_turn", "planar", "identical", "rest_pose",
+              "near_collinear_1e-3", "near_collinear_1e-6")
+# one batch on each side of the solver crossover
+BATCH_SIZES = (8, procrustes.CLOSED_FORM_MIN_PAIRS + 28)
+
+
+def similar_copy(rng, A):
+    """A under a random similarity transform."""
+    return rng.uniform(0.5, 2.0) * A @ random_rotation(rng).T + rng.normal(size=3)
+
+
+def point_set_pair(kind: str, rng, chain) -> tuple[np.ndarray, np.ndarray]:
+    """One (source, target) pair of JOINTS points of the named kind."""
+    if kind == "random":
+        return rng.normal(size=(JOINTS, 3)), rng.normal(size=(JOINTS, 3))
+    if kind == "mirror":  # det cov < 0: only a reflection would fit
+        A = rng.normal(size=(JOINTS, 3))
+        return A, similar_copy(rng, A * [-1.0, 1.0, 1.0]) + 0.01 * rng.normal(size=(JOINTS, 3))
+    if kind == "half_turn":  # the rotation's quaternion has a zero real part
+        A = rng.normal(size=(JOINTS, 3))
+        return A, A * [-1.0, -1.0, 1.0]
+    if kind == "planar":
+        A = rng.normal(size=(JOINTS, 3)) * [1.0, 1.0, 0.0]
+        B = similar_copy(rng, A + 0.1 * rng.normal(size=(JOINTS, 3)) * [1.0, 1.0, 0.0])
+        return A @ random_rotation(rng).T, B
+    if kind == "identical":
+        A = rng.normal(size=(JOINTS, 3))
+        return A, A.copy()
+    if kind == "rest_pose":
+        rest = forward_kinematics_sequence(np.zeros((1, 133)), chain)[0]
+        return rest, forward_kinematics_sequence(rng.normal(scale=0.4, size=(1, 133)), chain)[0]
+    ratio = float(kind.rsplit("_", 1)[1])  # near_collinear_<σ2/σ1>, roughly
+    A = rng.normal(size=(JOINTS, 3)) * [1.0, np.sqrt(ratio), np.sqrt(ratio) / 2]
+    A = A @ random_rotation(rng).T
+    return A, similar_copy(rng, A) + 1e-3 * np.sqrt(ratio) * rng.normal(size=(JOINTS, 3))
+
+
+def point_set_batch(kinds, size: int, rng, chain) -> tuple[np.ndarray, np.ndarray]:
+    pairs = [point_set_pair(kinds[i % len(kinds)], rng, chain) for i in range(size)]
+    return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+
+
+class TestProcrustesAgainstSvdOracle:
+    """The eigen solvers against the SVD solver in tests/procrustes_oracle.py."""
+
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    @pytest.mark.parametrize("kind", [*PAIR_KINDS, "mixed"])
+    def test_matches_the_svd_oracle(self, chain, kind, size):
+        rng = np.random.default_rng(size)
+        A, B = point_set_batch(PAIR_KINDS if kind == "mixed" else (kind,), size, rng, chain)
+        aligned, tf = procrustes_align(A, B)
+        expected, oracle = procrustes_oracle.procrustes_align(A, B)
+        assert np.abs(aligned - expected).max() <= 1e-9 * np.abs(B).max()
+        assert np.allclose(tf.scale, oracle.scale, rtol=1e-9, atol=0.0)
+        assert np.allclose(np.linalg.det(tf.rotation), 1.0, rtol=0.0, atol=1e-12)
+        # near-collinear rotations are ill-conditioned, so two correct solvers differ there
+        cov = np.swapaxes(B - B.mean(axis=1, keepdims=True), 1, 2) @ (A - A.mean(axis=1, keepdims=True))
+        sigma = np.linalg.svd(cov, compute_uv=False)
+        determined = sigma[:, 1] >= 1e-2 * sigma[:, 0]
+        assert determined.any() or kind.startswith("near_collinear")
+        assert np.allclose(tf.rotation[determined], oracle.rotation[determined], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("size", BATCH_SIZES)
+    @pytest.mark.parametrize("degenerate", ["collinear", "coincident_source", "coincident_target"])
+    def test_degenerate_pair_raises_like_the_oracle(self, degenerate, size):
+        rng = np.random.default_rng(11)
+        A = rng.normal(size=(size, JOINTS, 3))
+        B = rng.normal(size=(size, JOINTS, 3))
+        if degenerate == "collinear":
+            A[size // 2] = np.outer(rng.normal(size=JOINTS), rng.normal(size=3)) + rng.normal(size=3)
+        elif degenerate == "coincident_source":
+            A[size // 2] = rng.normal(size=3)
+        else:  # exactly representable, so the centred target is exactly zero
+            B[size // 2] = [1.5, -2.0, 0.25]
+        messages = []
+        for solve in (procrustes_align, procrustes_oracle.procrustes_align):
+            with pytest.raises(DegenerateAlignmentError) as raised:
+                solve(A, B)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+    def test_closed_form_leaves_only_screened_pairs_to_eigh(self, chain, monkeypatch):
+        rng = np.random.default_rng(12)
+        A, B = point_set_batch(("random", "rest_pose", "identical"), 40, rng, chain)
+        B[1] = [1.5, -2.0, 0.25]  # a zero covariance: this target centres to exact zeros
+        # σ2/σ1 = 3e-4 fails only the minor screen; σ2 ≈ σ3 with det cov < 0 puts λ
+        # 2e-4 from the next eigenvalue, which fails only the gap screen; σ2/σ1 = 1e-7 fails both
+        A[2], B[2] = spectrum_pair(rng, (1.0, 3e-4, 1e-4))
+        A[3], B[3] = spectrum_pair(rng, (1.0, 0.5, 0.4999), mirror=True)
+        A[4], B[4] = spectrum_pair(rng, (1.0, 1e-7, 0.0))
+        lam, quat, left = closed_form(A, B)
+        assert left.tolist() == [1, 2, 3, 4]
+        _, oracle = procrustes_oracle.procrustes_align(A[5:], B[5:])
+        var_a = ((A[5:] - A[5:].mean(axis=1, keepdims=True)) ** 2).sum(axis=(1, 2)) / JOINTS
+        assert np.allclose(lam[5:] / var_a, oracle.scale, rtol=1e-12, atol=0.0)
+        assert np.allclose(np.linalg.norm(quat[5:], axis=1), 1.0, rtol=0.0, atol=1e-14)
+        monkeypatch.setattr(procrustes, "_NEWTON_STEPS", 1)
+        assert set(range(0, 40, 3)) <= set(closed_form(A, B)[2].tolist())
+
+
+def spectrum_pair(rng, sigma, mirror=False) -> tuple[np.ndarray, np.ndarray]:
+    """A source and a similar copy of it, or of its mirror image, whose
+    covariance has singular values proportional to sigma."""
+    centred = rng.normal(size=(JOINTS, 3))
+    basis, _ = np.linalg.qr(centred - centred.mean(axis=0))
+    A = basis * np.sqrt(sigma) @ random_rotation(rng).T
+    return A, similar_copy(rng, A * [-1.0, 1.0, 1.0] if mirror else A)
+
+
+def closed_form(A, B):
+    """procrustes._closed_form on the (K, N, 3) pairs A, B."""
+    A0 = A - A.mean(axis=1, keepdims=True)
+    B0 = B - B.mean(axis=1, keepdims=True)
+    flat = (np.swapaxes(B0, 1, 2) @ A0 / A.shape[1]).reshape(-1, 9)
+    bound = np.sqrt((A0 * A0).sum(axis=(1, 2)) * (B0 * B0).sum(axis=(1, 2))) / A.shape[1]
+    return procrustes._closed_form(flat, (flat @ procrustes._HORN).reshape(-1, 4, 4), bound)
 
 
 class TestFrameJpe:
@@ -348,7 +473,7 @@ class TestDtwJointMetrics:
         track = forward_kinematics_sequence(seq.frames, chain)
         summary = dtw_joint_metrics(track, track, body_joint_indices(chain), hand_joint_indices(chain))
         assert summary.jpe_body == 0.0
-        assert summary.pa_jpe_hand < 1e-9  # SVD noise only
+        assert summary.pa_jpe_hand < 1e-9  # solver noise only
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_cell_oracle(self, chain, toy_pairs, seed, monkeypatch):
@@ -426,6 +551,18 @@ class TestEvaluateSplit:
     def test_reconstruction_pa_mpjpe_zero_for_identity(self, chain, toy_pairs):
         _, seq = toy_pairs[2]
         assert reconstruction_pa_mpjpe(seq, seq, chain) < 1e-9
+
+    def test_reconstruction_pa_mpjpe_matches_a_per_frame_oracle_loop(self, chain, toy_pairs):
+        _, ref = toy_pairs[2]
+        noise = np.random.default_rng(13).normal(0.0, 0.1, size=ref.frames.shape).astype(np.float32)
+        gen = MotionSequence(ref.frames + noise, fps=ref.fps, layout=ref.layout)
+        errors = []
+        for g, r in zip(forward_kinematics_sequence(gen.frames, chain),
+                        forward_kinematics_sequence(ref.frames, chain)):
+            aligned, _ = procrustes_oracle.procrustes_align(g, r)
+            errors.append(np.linalg.norm(aligned - r, axis=-1).mean())
+        assert np.mean(errors) > 1.0
+        assert reconstruction_pa_mpjpe(gen, ref, chain) == pytest.approx(np.mean(errors), rel=1e-12)
 
     def test_reconstruction_requires_equal_lengths(self, chain, toy_pairs):
         _, seq = toy_pairs[2]

@@ -160,6 +160,15 @@ class TestKinematics:
         frames = rng.normal(scale=0.5, size=(7, 133))
         assert np.array_equal(forward_kinematics_sequence(frames, chain), fk_per_joint(frames, chain))
 
+    @pytest.mark.parametrize("frames", [1, 9, 29])
+    def test_fk_of_concatenated_frames_equals_two_calls(self, frames):
+        chain = build_sign_chain()
+        rng = np.random.default_rng(frames)
+        a, b = rng.normal(scale=0.4, size=(2, frames, 133)).astype(np.float32)
+        both = forward_kinematics_sequence(np.concatenate([a, b]), chain)
+        assert np.array_equal(both[:frames], forward_kinematics_sequence(a, chain))
+        assert np.array_equal(both[frames:], forward_kinematics_sequence(b, chain))
+
     def test_mean_bone_length_is_100mm(self):
         chain = build_sign_chain()
         lengths = np.linalg.norm(chain.offsets[1:], axis=1)
