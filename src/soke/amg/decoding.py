@@ -62,25 +62,24 @@ class DecodeResult:
     forward_passes: int
 
 
-def flatten(triples: list[PartTokenTriple], vocab: Vocabulary | None = None) -> list[int]:
-    """(y_1^B, y_1^LH, y_1^RH, ..., y_K^RH) as one flat list; 3K tokens."""
+def flatten(triples: list[PartTokenTriple], vocab: Vocabulary) -> list[int]:
+    """(y_1^B, y_1^LH, y_1^RH, ..., y_K^RH) as one flat list; 3K tokens.
+    Rejects a token in the wrong part slot."""
     flat: list[int] = []
     for triple in triples:
-        if vocab is not None:
-            _check_slots(vocab, triple.as_tuple())
+        _check_slots(vocab, triple.as_tuple())
         flat.extend(triple.as_tuple())
     return flat
 
 
-def unflatten(flat: list[int], vocab: Vocabulary | None = None) -> list[PartTokenTriple]:
+def unflatten(flat: list[int], vocab: Vocabulary) -> list[PartTokenTriple]:
     """Inverse of flatten; rejects lengths not divisible by 3 and tokens in
     the wrong part slot."""
     if len(flat) % 3 != 0:
         raise InputError(f"flat token list of length {len(flat)} is not divisible by 3")
     triples = []
     for k in range(0, len(flat), 3):
-        if vocab is not None:
-            _check_slots(vocab, flat[k: k + 3])
+        _check_slots(vocab, flat[k: k + 3])
         triples.append(PartTokenTriple(*flat[k: k + 3]))
     return triples
 

@@ -1,8 +1,10 @@
 """Micro encoder-decoder sequence model with per-part output heads.
 
-Pre-LN transformer, learned absolute positions, three affine heads sharing
-the decoder trunk. Heads are zero-initialized so the masked softmax starts
-exactly uniform over each part's support.
+Pre-LN transformer, learned absolute positions, and affine output heads
+sharing the decoder trunk: one per part in multihead decoding, the body head
+alone in sequential and parallel decoding (ModeSpec.heads). Heads are
+zero-initialized so the masked softmax starts exactly uniform over each
+part's support.
 
 Teacher-forced training and greedy decoding share the trunk `decode_hidden`:
 training runs its whole prefix as one pass from an empty DecoderCache, and
@@ -159,8 +161,10 @@ class GeneratorModel:
         ]
         self.enc_ln_g, self.enc_ln_b = ones(d), zeros(d)
         self.dec_ln_g, self.dec_ln_b = ones(d), zeros(d)
-        # zero-init heads: the initial masked softmax is exactly uniform
-        self.heads = {part: {"w": zeros((d, v)), "b": zeros(v)} for part in PARTS}
+        # only the heads the mode reads; zero-init, so the initial masked
+        # softmax is exactly uniform
+        self.heads = {part: {"w": zeros((d, v)), "b": zeros(v)}
+                      for part in MODE_SPECS[mode].heads}
 
     # -- parameters --------------------------------------------------------
 
@@ -174,9 +178,9 @@ class GeneratorModel:
             named.extend(_layer_params(f"enc{i}", layer))
         for i, layer in enumerate(self.dec_layers):
             named.extend(_layer_params(f"dec{i}", layer))
-        for part in PARTS:
-            named.append((f"head_{part.value}.w", self.heads[part]["w"]))
-            named.append((f"head_{part.value}.b", self.heads[part]["b"]))
+        for part, head in self.heads.items():
+            named.append((f"head_{part.value}.w", head["w"]))
+            named.append((f"head_{part.value}.b", head["b"]))
         return named
 
     # -- forward pieces ---------------------------------------------------------
@@ -269,6 +273,7 @@ class GeneratorModel:
         return layer_norm(x, self.dec_ln_g, self.dec_ln_b)
 
     def head_logits(self, hidden: Tensor, part: Part) -> Tensor:
+        """Vocabulary logits of one of the mode's heads (ModeSpec.heads)."""
         p = self.heads[part]
         return linear(hidden, p["w"], p["b"])
 

@@ -165,18 +165,16 @@ def _teacher_batch(model: GeneratorModel, pairs: list[TrainPair], log: list[dict
                         tuple(head_targets), tuple(support))
 
 
-def generator_loss(model: GeneratorModel, pairs: list[TrainPair], log: list[dict] | None = None,
-                   batch: TeacherBatch | None = None) -> Tensor:
+def generator_loss(model: GeneratorModel, batch: TeacherBatch) -> Tensor:
     """Mean teacher-forced cross-entropy per position, averaged over the
-    mode's output heads; padded positions carry zero weight.
+    mode's output heads (one in sequential and parallel mode, three in
+    multihead); padded positions carry zero weight.
 
-    Each head's softmax runs over the columns it can emit (TeacherBatch);
-    the loss and gradients are bit for bit those of a full-vocabulary
-    softmax under the part support masks. `batch`, when given, must have
-    been built by _teacher_batch for this model's mode and these pairs.
+    `batch` is what _teacher_batch built for this model's mode. Each head's
+    softmax runs over the columns it can emit; the loss and gradients are
+    bit for bit those of a full-vocabulary softmax under the part support
+    masks.
     """
-    if batch is None:
-        batch = _teacher_batch(model, pairs, log if log is not None else [])
     spec = MODE_SPECS[model.mode]
     h_en, enc_mask = tile_rows(*model.encode(batch.prompts), len(spec.starts))
     inputs = batch.inputs
@@ -211,7 +209,7 @@ def train_generator(
     for epoch in range(train_config.epochs):
         try:
             opt.zero_grad()
-            loss = generator_loss(model, pairs, batch=batch)
+            loss = generator_loss(model, batch)
             loss.backward()
         except NonFiniteError as exc:
             raise TrainingDivergedError(f"generator diverged at epoch {epoch}: {exc}") from exc

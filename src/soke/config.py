@@ -6,6 +6,7 @@ Unknown keys are rejected; CLI flags override individual dotted keys.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,14 @@ class RunConfig:
     eval_seed_offset: int = 1000  # test-split sentence seed = seed + offset
 
     def __post_init__(self):
+        if self.eval_sentences < 1:
+            raise ConfigError(f"eval_sentences must be at least 1, got {self.eval_sentences}")
+        if self.dict_instances_per_word < 1:
+            raise ConfigError(f"dict_instances_per_word must be at least 1, got "
+                              f"{self.dict_instances_per_word}")
+        if not (math.isfinite(self.dict_instance_noise) and self.dict_instance_noise >= 0.0):
+            raise ConfigError(f"dict_instance_noise must be finite and non-negative, got "
+                              f"{self.dict_instance_noise}")
         build_sign_chain(self.synth.layout)  # fail before any stage on a layout it cannot build
 
 

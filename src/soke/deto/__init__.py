@@ -3,6 +3,7 @@
 from ..motion import PARTS
 from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
 from .tokenizer import (
+    DOWNSAMPLE,
     DecoupledTokenizer,
     DetoConfig,
     PartTokenizer,
@@ -20,6 +21,7 @@ from .training import (
 __all__ = [
     "CHECKPOINT_NAME",
     "Codebook",
+    "DOWNSAMPLE",
     "DecoupledTokenizer",
     "DetoConfig",
     "DetoTrainConfig",

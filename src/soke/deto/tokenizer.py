@@ -1,8 +1,9 @@
 """Per-part VQ autoencoders over motion slices.
 
 Each part tokenizer is a strided 1D-CNN encoder (temporal downsample factor
-F), a codebook, and a mirrored upsampling decoder. Inputs are edge-padded to
-a multiple of F so the encoder emits exactly ceil(T / F) latents.
+F = DOWNSAMPLE), a codebook, and a mirrored upsampling decoder. Inputs are
+edge-padded to a multiple of F so the encoder emits exactly ceil(T / F)
+latents.
 """
 
 from __future__ import annotations
@@ -17,19 +18,18 @@ from ..grad import Tensor, conv1d, no_grad, straight_through, upsample_repeat
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, merge_parts, split_parts
 from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
 
+DOWNSAMPLE = 4  # F: frames per latent, realized by the encoder's two stride-2 conv blocks
+
 
 @dataclass(frozen=True)
 class DetoConfig:
     code_dim: int = 512  # C
     codebook_sizes: tuple[int, int, int] = (96, 192, 192)  # N_Z for B / LH / RH
     hidden_channels: int = 128
-    downsample: int = 4  # F; two stride-2 conv blocks
     w_emb: float = 1.0
     w_com: float = 0.25
 
     def __post_init__(self):
-        if self.downsample != 4:
-            raise ConfigError("the encoder stack realizes a fixed downsample factor of 4")
         if any(n < 1 for n in self.codebook_sizes):
             raise ConfigError("codebook sizes must be positive")
         if self.code_dim < 1 or self.hidden_channels < 1:
@@ -85,9 +85,7 @@ class PartTokenizer:
     # -- forward passes ----------------------------------------------------------
 
     def _padded(self, frames: np.ndarray) -> np.ndarray:
-        f = self.config.downsample
-        T = frames.shape[0]
-        pad = (-T) % f
+        pad = (-frames.shape[0]) % DOWNSAMPLE
         if pad:  # edge padding: the last frame repeated (np.pad costs ~20x more)
             frames = np.concatenate([frames, np.repeat(frames[-1:], pad, axis=0)])
         return frames
@@ -106,10 +104,10 @@ class PartTokenizer:
     def _check_motion(self, motion: PartMotion) -> None:
         if motion.part is not self.part:
             raise InputError(f"tokenizer for {self.part.value} got a {motion.part.value} motion")
-        if motion.num_frames < self.config.downsample:
+        if motion.num_frames < DOWNSAMPLE:
             raise InputError(
                 f"{self.part.value} motion of {motion.num_frames} frames is shorter than one "
-                f"downsample window ({self.config.downsample})"
+                f"downsample window ({DOWNSAMPLE})"
             )
 
     def encode(self, motion: PartMotion) -> TokenSeq:
@@ -196,7 +194,7 @@ def vq_loss_terms(
 
 
 class DecoupledTokenizer:
-    """Three independent part tokenizers sharing a layout and downsample F."""
+    """Three independent part tokenizers sharing a layout."""
 
     def __init__(self, layout: PartLayout, config: DetoConfig, seed: int = 0):
         self.layout = layout
@@ -208,10 +206,6 @@ class DecoupledTokenizer:
 
     def __getitem__(self, part: Part) -> PartTokenizer:
         return self.parts[part]
-
-    @property
-    def downsample(self) -> int:
-        return self.config.downsample
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [pair for part in PARTS for pair in self.parts[part].parameters()]
@@ -227,11 +221,14 @@ class DecoupledTokenizer:
         fps: float = 25.0,
         language_tag: str = "ASL",
     ) -> MotionSequence:
+        """One token sequence per part, all of one length K, to a motion of
+        F * K frames, or of num_frames when given (cut, or the last frame
+        repeated)."""
+        lengths = {part.value: len(tokens[part]) for part in PARTS if part in tokens}
+        if len(lengths) != len(PARTS) or len(set(lengths.values())) != 1:
+            raise InputError(f"decoding needs one token sequence per part, all of one "
+                             f"length; got lengths {lengths}")
         decoded = {part: self.parts[part].decode(tokens[part], num_frames) for part in PARTS}
-        lengths = {pm.num_frames for pm in decoded.values()}
-        if len(lengths) > 1:
-            cut = min(lengths)
-            decoded = {p: PartMotion(p, pm.frames[:cut]) for p, pm in decoded.items()}
         return merge_parts(
             decoded[Part.BODY], decoded[Part.LEFT_HAND], decoded[Part.RIGHT_HAND],
             layout=self.layout, fps=fps, language_tag=language_tag,

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, GraphError
 from .tensor import Tensor
 
 BETA1, BETA2 = 0.9, 0.999  # moment decay rates
@@ -40,13 +39,13 @@ class Adam:
     """Adam over a fixed parameter list, with an optional cosine schedule.
 
     The first and second moments live in one flat buffer each, laid out in
-    parameter order. A step packs the gradients of each run of consecutive
-    parameters that have one with a single concatenate, runs the moment and
-    update arithmetic once over that run, and subtracts each parameter's
-    slice of the scaled update. The arithmetic is elementwise, so every
-    element sees the same operations as a per-parameter loop. A parameter
-    whose grad is None keeps its data and moments. Parameters are never
-    aliased into the buffers, so assigning `p.data` between steps is fine.
+    parameter order. A step packs every parameter's gradient with a single
+    concatenate, runs the moment and update arithmetic once over all of
+    them, and subtracts each parameter's slice of the scaled update. The
+    arithmetic is elementwise, so every element sees the same operations as
+    a per-parameter loop. Every parameter must have a gradient at each step;
+    one without raises GraphError naming it. Parameters are never aliased
+    into the buffers, so assigning `p.data` between steps is fine.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 2e-4,
@@ -70,30 +69,24 @@ class Adam:
         return self.lr
 
     def step(self) -> None:
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise GraphError(f"optimizer parameter {i} of {len(self.params)} "
+                                 f"(shape {p.shape}) has no gradient")
         lr = self.current_lr()
         self.steps_taken += 1
         t = self.steps_taken
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
-        runs = groupby(range(len(self.params)), key=lambda i: self.params[i].grad is not None)
-        for has_grad, run in runs:
-            if has_grad:
-                run = list(run)
-                self._update(run[0], run[-1] + 1, lr, bc1, bc2)
-
-    def _update(self, first: int, stop: int, lr: float, bc1: float, bc2: float) -> None:
-        """One Adam update of params[first:stop], which all have gradients."""
-        params, offsets = self.params[first:stop], self.offsets[first: stop + 1]
-        lo, hi = offsets[0], offsets[-1]
-        g = np.concatenate([p.grad.reshape(-1) for p in params])
-        m, v = self.m[lo:hi], self.v[lo:hi]
+        g = np.concatenate([p.grad.reshape(-1) for p in self.params])
+        m, v = self.m, self.v
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
         delta = lr * ((m / bc1) / (np.sqrt(v / bc2) + EPS))
-        for p, start, end in zip(params, offsets, offsets[1:]):
-            p.data = p.data - delta[start - lo: end - lo].reshape(p.shape)
+        for p, start, end in zip(self.params, self.offsets, self.offsets[1:]):
+            p.data = p.data - delta[start:end].reshape(p.shape)
 
     def zero_grad(self) -> None:
         for p in self.params:

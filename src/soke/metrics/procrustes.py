@@ -125,7 +125,8 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, Similari
     a smaller one with eigh. Returns (aligned A of shape (*S, N, 3),
     transform). Raises InputError for NaN or infinite points and
     DegenerateAlignmentError for fewer than 3 points, or if any pair has
-    coincident source points or a collinear point set (σ2 < 1e-12·σ1).
+    coincident source or target points (variance below 1e-18) or a collinear
+    point set (σ2 < 1e-12·σ1).
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -149,13 +150,15 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, Similari
     var_a = (A0 * A0).sum(axis=(-2, -1)) / n
     if (var_a < 1e-18).any():
         raise DegenerateAlignmentError("source points are coincident")
+    var_b = (B0 * B0).sum(axis=(-2, -1)) / n
+    if (var_b < 1e-18).any():
+        raise DegenerateAlignmentError("target points are coincident")
 
     cov = np.swapaxes(B0, -1, -2) @ A0 / n
     batch = cov.shape[:-2]
     flat = cov.reshape(-1, 9)
     horn = (flat @ _HORN).reshape(-1, 4, 4)
     if len(flat) >= CLOSED_FORM_MIN_PAIRS:
-        var_b = (B0 * B0).sum(axis=(-2, -1)) / n
         bound = np.sqrt(var_a * var_b).reshape(-1)
         lam, quat, left = _closed_form(flat, horn, bound)
     else:

@@ -236,9 +236,3 @@ def changed_artifacts(out_dir: str | Path) -> list[str]:
     artifacts = read_json(out_dir / "manifest.json", lambda manifest: dict(manifest["artifacts"]))
     return [rel for rel, digest in artifacts.items()
             if not (out_dir / rel).exists() or file_hash(out_dir / rel) != digest]
-
-
-def verify_manifest(out_dir: str | Path) -> bool:
-    """Re-hash artifacts and compare against the stored manifest: True when
-    `changed_artifacts` is empty."""
-    return not changed_artifacts(out_dir)

@@ -168,18 +168,15 @@ class RecLoss(Tensor):
 
 
 def loss_rec(
-    joints: Tensor, observations: list[Observation2D] | ObservationArrays, cam_params: Tensor,
+    joints: Tensor, observations: ObservationArrays, cam_params: Tensor,
     observed_joints: tuple[int, ...], smooth: float = 0.0,
 ) -> RecLoss:
     """Confidence-weighted L1 distance between observed and projected joints,
-    summed over frames.
+    summed over frames. The observations come packed (`pack_observations`).
 
     smooth > 0 replaces |r| with sqrt(r^2 + smooth^2), used only when a
     well-behaved descent direction is needed; the default is the exact L1.
-    A fit passes its observations packed once (`pack_observations`).
     """
-    if not isinstance(observations, ObservationArrays):
-        observations = pack_observations(observations)
     key = (slice(None), np.asarray(observed_joints), slice(0, 2))
     dtype = joints.data.dtype  # rounded as the constant leaves they stand for would be
     obs_points = observations.points.astype(dtype, copy=False)
@@ -254,33 +251,16 @@ def loss_reg(theta: Tensor) -> Tensor:
     return Tensor(value, _parents=(theta,), _op="loss_reg", _backward=backward)
 
 
-def _objective(
-    theta: Tensor,
-    cam_params: Tensor,
-    observations: list[Observation2D] | ObservationArrays,
-    chain: KinematicChain,
-    config: FitConfig,
-    smooth: float,
-) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-    """(joints, total, rec, temp, reg) with one FK pass, rec smoothed by
-    `smooth` (see loss_rec) and total the weighted sum of the three terms."""
-    joints = body_fk(theta, chain)
-    rec = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
-    temp = loss_temp(joints)
-    reg = loss_reg(theta)
-    total = weighted_sum([rec, temp, reg], [config.w_rec, config.w_temp, config.w_reg])
-    return joints, total, rec, temp, reg
-
-
 def total_loss(
     theta: Tensor,
     cam_params: Tensor,
-    observations: list[Observation2D] | ObservationArrays,
+    observations: ObservationArrays,
     chain: KinematicChain,
     config: FitConfig,
     smooth: float = 0.0,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """(total, rec, temp, reg) from one graph: one FK pass, one loss_rec.
+    """(total, rec, temp, reg) from one graph: one FK pass, one loss_rec,
+    over packed observations (`pack_observations`).
 
     total is the weighted objective the optimizer minimizes; its
     reprojection term is smoothed by `smooth` (see loss_rec). rec, temp and
@@ -288,7 +268,11 @@ def total_loss(
     comes from the residual the smoothed term computed (`RecLoss.exact`),
     as a constant; with smooth = 0 it is the term in total's graph.
     """
-    _, total, rec, temp, reg = _objective(theta, cam_params, observations, chain, config, smooth)
+    joints = body_fk(theta, chain)
+    rec = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
+    temp = loss_temp(joints)
+    reg = loss_reg(theta)
+    total = weighted_sum([rec, temp, reg], [config.w_rec, config.w_temp, config.w_reg])
     if smooth > 0.0:
         rec = Tensor(rec.exact)
     return total, rec, temp, reg

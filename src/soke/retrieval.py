@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .amg import Vocabulary
 from .artifacts import read_json, write_json
-from .deto import DecoupledTokenizer, TokenSeq
+from .deto import DOWNSAMPLE, DecoupledTokenizer, TokenSeq
 from .errors import InputError
 from .metrics import reconstruction_pa_mpjpe
 from .motion import PARTS, KinematicChain, MotionSequence
@@ -98,10 +98,10 @@ def build_dictionary(
     dictionary = SignDictionary()
     warnings: list[dict] = []
     for word, seq in instances:
-        if seq.num_frames < deto.downsample:
+        if seq.num_frames < DOWNSAMPLE:
             warnings.append({
                 "warning": "instance_too_short", "word": word,
-                "frames": seq.num_frames, "required": deto.downsample,
+                "frames": seq.num_frames, "required": DOWNSAMPLE,
             })
             continue
         tokens = deto.encode_sequence(seq)

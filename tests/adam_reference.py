@@ -24,8 +24,6 @@ class PerParameterAdam:
         bc1, bc2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            if g is None:
-                continue
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2

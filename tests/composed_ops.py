@@ -14,7 +14,7 @@ node must equal its composed form bit for bit, forward and backward:
   `head_attention`, the matmuls around `softmax`, the masked softmax node,
   and joins the heads again (`join_heads`).
 - The pose fit's `loss_rec`, `loss_temp` and `loss_reg`, and `objective`,
-  the weighted total `posefit._objective` builds from them. `sqrt` and
+  the weighted total `posefit.total_loss` builds from them. `sqrt` and
   `absolute` are the nodes those losses fold in.
 - The tokenizer's `vq_loss_terms`.
 """
@@ -175,8 +175,7 @@ def absolute(x: Tensor) -> Tensor:
 def loss_rec(joints: Tensor, observations, cam_params: Tensor, observed_joints,
              smooth: float = 0.0) -> Tensor:
     idx = np.asarray(observed_joints)
-    obs_points = np.stack([o.points for o in observations])
-    conf = np.stack([o.confidence for o in observations])[..., None]
+    obs_points, conf = observations  # posefit.ObservationArrays
     xy = joints[:, idx, 0:2]
     scale = reshape(cam_params[0:1], (1, 1, 1))
     shift = reshape(cam_params[1:3], (1, 1, 2))

@@ -3,8 +3,8 @@
 `fit_sequence` here evaluates every point in two separate passes. `evaluate`
 builds the smoothed objective without tracking a gradient, and a second,
 exact-L1 `loss_rec` for the log. `gradient` then rebuilds the FK and the
-smoothed objective at the accepted point to run the backward pass. Every
-`loss_rec` call packs the observation list itself. The nodes are the
+smoothed objective at the accepted point to run the backward pass. The
+observations are packed once, as `loss_rec` takes them. The nodes are the
 package's own; only the loop and the order in which it builds them differ.
 The caller passes valid input: the checks of `posefit.fit_sequence` are
 not repeated.
@@ -30,6 +30,7 @@ from soke.posefit import (
     loss_rec,
     loss_reg,
     loss_temp,
+    pack_observations,
 )
 
 
@@ -51,6 +52,7 @@ def fit_sequence(init: MotionSequence, observations, cam: CameraWeakPerspective,
     j = init.layout.body_joints
     theta_value = init.frames[:, : 3 * j].astype(np.float64).reshape(T, j, 3)
     cam_value = np.array([cam.scale, cam.tx, cam.ty], dtype=np.float64)
+    observations = pack_observations(observations)
 
     def evaluate(theta_arr, cam_arr):
         with _float64_graph():

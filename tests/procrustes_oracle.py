@@ -1,7 +1,9 @@
 """The Procrustes solver the package used before Horn's quaternion form:
 one LAPACK SVD, determinant and reflection fix-up per point-set pair, and
-the transform applied as a batched matmul. Kept verbatim as the reference
-that `tests/test_metrics.py` compares `soke.metrics.procrustes_align` with.
+the transform applied as a batched matmul. Kept as the reference that
+`tests/test_metrics.py` compares `soke.metrics.procrustes_align` with; the
+one addition to the old solver is the package's coincident-target check, so
+a degenerate pair raises the same message in both.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, Similari
     however many pairs it takes part in. Returns (aligned A of shape
     (*S, N, 3), transform). Raises InputError for NaN or infinite points and
     DegenerateAlignmentError for fewer than 3 points, or if any pair has
-    coincident source points or a collinear point set.
+    coincident source or target points or a collinear point set.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -63,6 +65,9 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, Similari
     var_a = (A0 * A0).sum(axis=(-2, -1)) / n
     if (var_a < 1e-18).any():
         raise DegenerateAlignmentError("source points are coincident")
+    var_b = (B0 * B0).sum(axis=(-2, -1)) / n
+    if (var_b < 1e-18).any():
+        raise DegenerateAlignmentError("target points are coincident")
 
     cov = np.swapaxes(B0, -1, -2) @ A0 / n
     U, S, Vt = np.linalg.svd(cov)

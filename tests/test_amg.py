@@ -24,6 +24,7 @@ from soke.amg import (
     unflatten,
 )
 from soke.amg.model import MODE_SPECS, tile_rows
+from soke.amg.training import _teacher_batch
 from soke.grad import Tensor, concat, cross_entropy, no_grad
 from soke.motion import PARTS, Part
 
@@ -95,6 +96,11 @@ class TestVocabulary:
         clone = Vocabulary.from_json(vocab.to_json())
         assert len(clone) == len(vocab)
         assert clone.motion_id(Part.RIGHT_HAND, 3) == vocab.motion_id(Part.RIGHT_HAND, 3)
+
+
+def teacher_forced_loss(model, pairs):
+    """generator_loss on the batch train_generator would build from pairs."""
+    return generator_loss(model, _teacher_batch(model, pairs, []))
 
 
 def make_triples(vocab, codes):
@@ -388,7 +394,7 @@ class TestRealModel:
     def test_initial_loss_is_log_support_size(self, vocab, mode):
         model = GeneratorModel(vocab, TINY_CFG, mode, seed=0)
         pairs = make_pairs(vocab, n=4, k=3)
-        loss = generator_loss(model, pairs).item()
+        loss = teacher_forced_loss(model, pairs).item()
         ln = np.log
         if mode == "multihead":
             expected = (ln(SIZES[0] + 1) + ln(SIZES[1] + 1) + ln(SIZES[2] + 1)) / 3.0
@@ -438,7 +444,7 @@ class TestRealModel:
         long_prompt = tuple([vocab.lang_id("ASL")] + [6] * 40)
         pair = TrainPair(long_prompt, tuple(make_triples(vocab, [(0, 0, 0)])), "ASL")
         log: list[dict] = []
-        generator_loss(model, [pair], log)
+        _teacher_batch(model, [pair], log)
         assert any(e.get("warning") == "prompt_truncated" for e in log)
 
     @pytest.mark.parametrize("mode", ["sequential", "parallel", "multihead"])
@@ -458,6 +464,17 @@ class TestRealModel:
         prompt = list(pairs[0].prompt_ids)
         assert generate_triples(model, prompt, "ASL").triples == \
             generate_triples(loaded, prompt, "ASL").triples
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_backward_reaches_every_parameter_the_optimizer_holds(self, vocab, mode):
+        # the model holds only the heads its mode reads, so Adam never sees a
+        # parameter without a gradient
+        model = GeneratorModel(vocab, TINY_CFG, mode, seed=0)
+        teacher_forced_loss(model, make_pairs(vocab, n=3, k=2)).backward()
+        assert [name for name, p in model.parameters() if p.grad is None] == []
+        heads = {name for name, _ in model.parameters() if name.startswith("head_")}
+        assert heads == {f"head_{part.value}.{key}" for part in MODE_SPECS[mode].heads
+                         for key in ("w", "b")}
 
 
 def full_prefix_greedy(model, h_en, enc_mask, lang, k_max):
@@ -733,20 +750,14 @@ class TestTeacherForcingOracle:
                 p.zero_grad()
             loss = loss_fn(model, pairs)
             loss.backward()
-            # None: a head the mode does not train
-            return loss.data.copy(), {name: None if p.grad is None else p.grad.copy()
-                                      for name, p in model.parameters()}
+            return loss.data.copy(), {name: p.grad.copy() for name, p in model.parameters()}
 
-        loss, grads = loss_and_grads(generator_loss)
+        loss, grads = loss_and_grads(teacher_forced_loss)
         oracle_loss, oracle_grads = loss_and_grads(_oracle_generator_loss)
         assert np.array_equal(loss, oracle_loss)
         assert grads.keys() == oracle_grads.keys()
-        assert sum(grad is not None for grad in grads.values()) > 0
         for name, grad in grads.items():
-            if grad is None:
-                assert oracle_grads[name] is None, name
-            else:
-                assert np.array_equal(grad, oracle_grads[name]), name
+            assert np.array_equal(grad, oracle_grads[name]), name
 
 
 # -- generator_loss against a full-vocabulary masked loss ------------------------
@@ -814,15 +825,13 @@ class TestFullVocabularyOracle:
                 p.zero_grad()
             loss = loss_fn(model, pairs)
             loss.backward()
-            return loss.data.copy(), [None if p.grad is None else p.grad.copy()
-                                      for _, p in model.parameters()]
+            return loss.data.copy(), [p.grad.copy() for _, p in model.parameters()]
 
-        loss, grads = loss_and_grads(generator_loss)
+        loss, grads = loss_and_grads(teacher_forced_loss)
         oracle_loss, oracle_grads = loss_and_grads(_full_vocabulary_loss)
         assert np.array_equal(loss, oracle_loss)
         for (name, _), grad, oracle in zip(model.parameters(), grads, oracle_grads):
-            assert (grad is None) == (oracle is None), name
-            assert grad is None or np.array_equal(grad, oracle), name
+            assert np.array_equal(grad, oracle), name
 
     @pytest.mark.parametrize("mode", MODES)
     def test_training_run_is_bit_identical(self, vocab, mode):
@@ -864,10 +873,9 @@ class TestTwoBranchTrunkOracle:
         def loss_and_grads():
             for _, p in model.parameters():
                 p.zero_grad()
-            loss = generator_loss(model, pairs)
+            loss = teacher_forced_loss(model, pairs)
             loss.backward()
-            return loss.data.copy(), {name: None if p.grad is None else p.grad.copy()
-                                      for name, p in model.parameters()}
+            return loss.data.copy(), {name: p.grad.copy() for name, p in model.parameters()}
 
         loss, grads = loss_and_grads()
         trunk_oracle.install(monkeypatch, model)
@@ -875,8 +883,7 @@ class TestTwoBranchTrunkOracle:
         assert np.array_equal(loss, oracle_loss)
         assert grads.keys() == oracle_grads.keys()
         for name, grad in grads.items():
-            assert (grad is None) == (oracle_grads[name] is None), name
-            assert grad is None or np.array_equal(grad, oracle_grads[name]), name
+            assert np.array_equal(grad, oracle_grads[name]), name
         assert np.abs(grads["dec1.self.wq"]).max() > 0  # the last layer's self-attention is live
 
     @pytest.mark.parametrize("mode", MODES)

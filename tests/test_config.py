@@ -90,3 +90,15 @@ def test_amg_sizes_below_their_minimum_rejected(sizes):
 
 def test_amg_without_encoder_or_decoder_layers_accepted():
     assert AmgConfig(enc_layers=0, dec_layers=0).enc_layers == 0
+
+
+@pytest.mark.parametrize("setting", [dict(eval_sentences=0), dict(eval_sentences=-3),
+                                     dict(dict_instances_per_word=0),
+                                     dict(dict_instances_per_word=-1),
+                                     dict(dict_instance_noise=-0.1),
+                                     dict(dict_instance_noise=float("nan")),
+                                     dict(dict_instance_noise=float("inf"))],
+                         ids=lambda setting: "{}={}".format(*next(iter(setting.items()))))
+def test_evaluation_and_dictionary_settings_out_of_range_rejected(setting):
+    with pytest.raises(ConfigError, match=next(iter(setting))):
+        RunConfig(**setting)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import soke.deto.tokenizer as tokenizer_module
 from soke.errors import ConfigError, InputError, SokeError
 from soke.deto import (
+    DOWNSAMPLE,
     Codebook,
     DecoupledTokenizer,
     DetoConfig,
@@ -28,6 +29,7 @@ from soke.motion import (
     PartLayout,
     PartMotion,
     SynthConfig,
+    split_parts,
     synthesize_dataset,
 )
 
@@ -180,6 +182,21 @@ class TestEncodeDecode:
         out = round_trip(deto, seq)
         assert out.num_frames == seq.num_frames
 
+    def test_decode_tokens_needs_one_sequence_per_part(self):
+        deto = DecoupledTokenizer(PartLayout(), TINY, seed=3)
+        tokens = {part: TokenSeq(part, (0, 1, 2)) for part in (Part.BODY, Part.LEFT_HAND)}
+        with pytest.raises(InputError, match=r"lengths \{'B': 3, 'LH': 3\}"):
+            deto.decode_tokens(tokens)
+
+    @pytest.mark.parametrize("num_frames", [None, 12])
+    def test_decode_tokens_rejects_parts_of_different_lengths(self, num_frames):
+        deto = DecoupledTokenizer(PartLayout(), TINY, seed=3)
+        tokens = {Part.BODY: TokenSeq(Part.BODY, (0, 1, 2)),
+                  Part.LEFT_HAND: TokenSeq(Part.LEFT_HAND, (0, 1)),
+                  Part.RIGHT_HAND: TokenSeq(Part.RIGHT_HAND, (0, 1))}
+        with pytest.raises(InputError, match=r"lengths \{'B': 3, 'LH': 2, 'RH': 2\}"):
+            deto.decode_tokens(tokens, num_frames=num_frames)
+
 
 class TestVqLoss:
     def test_all_terms_vanish_when_everything_matches(self):
@@ -212,6 +229,14 @@ class TestVqLoss:
         motion = PartMotion(Part.RIGHT_HAND, np.random.default_rng(8).normal(size=(9, 45)))
         with pytest.raises(InputError, match="LH.*RH"):
             tok.vq_loss(motion)
+
+    @pytest.mark.parametrize("part", list(Part))
+    def test_one_backward_reaches_every_parameter_the_optimizer_holds(self, part):
+        deto = DecoupledTokenizer(PartLayout(), TINY, seed=2)
+        seq = MotionSequence(np.random.default_rng(4).normal(size=(9, 133)).astype(np.float32))
+        motion = next(pm for pm in split_parts(seq) if pm.part is part)
+        deto[part].vq_loss(motion)[0].backward()
+        assert [name for name, p in deto[part].parameters() if p.grad is None] == []
 
     def test_too_short_motion_error_names_the_part_and_frame_count(self):
         tok = PartTokenizer(Part.LEFT_HAND, width=45, config=TINY, rng=np.random.default_rng(7))
@@ -420,10 +445,19 @@ class TestCorruptSidecar:
         assert payload == {
             "layout": {"body_joints": 11, "hand_joints_per_hand": 15, "expression_dims": 10},
             "config": {"code_dim": 6, "codebook_sizes": [5, 7, 7], "hidden_channels": 4,
-                       "downsample": 4, "w_emb": 1.0, "w_com": 0.25},
+                       "w_emb": 1.0, "w_com": 0.25},
         }
         loaded = load_deto(saved)
         assert loaded.layout == PartLayout() and loaded.config == TINY
+
+    def test_sidecar_with_the_dropped_downsample_field_names_the_file(self, saved):
+        # deto.json files written while the factor was a config field hold it
+        sidecar = saved / "deto.json"
+        payload = json.loads(sidecar.read_text())
+        payload["config"]["downsample"] = 4
+        sidecar.write_text(json.dumps(payload))
+        with pytest.raises(InputError, match="deto.json"):
+            load_deto(saved)
 
 
 def _direct_nearest(latents: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -483,7 +517,7 @@ class TestNearestCodeIdsExact:
 def test_padding_repeats_the_last_frame_like_np_pad(frames):
     tok = PartTokenizer(Part.BODY, 3, TINY, np.random.default_rng(0))
     motion = np.random.default_rng(frames).normal(size=(frames, 3)).astype(np.float32)
-    pad = (-frames) % TINY.downsample
+    pad = (-frames) % DOWNSAMPLE
     expected = np.pad(motion, ((0, pad), (0, 0)), mode="edge")
     padded = tok._padded(motion)
     assert padded.dtype == expected.dtype

@@ -1,8 +1,9 @@
 """Golden digests of a small run directory, one run per decoding mode.
 
 Each test runs `benchmark/configs/train.json` with `eval_sentences=4` in one
-decoding mode and compares the SHA-256 of every trained artifact and log,
-and of `report.json` without its timings, with `tests/golden_run.json`. A
+decoding mode and compares the SHA-256 of every trained artifact, its
+sidecar and log, and of `report.json` without its timings, with
+`tests/golden_run.json`. A
 change that claims to keep every bit must leave them equal; a change that
 alters bits on purpose regenerates the file and states the old and new
 digests:
@@ -34,8 +35,9 @@ REPO = Path(__file__).resolve().parent.parent
 CONFIG = REPO / "benchmark" / "configs" / "train.json"
 GOLDEN = Path(__file__).with_name("golden_run.json")
 OVERRIDES = ["eval_sentences=4"]
-ARTIFACTS = ("deto/deto.ckpt", "deto/train_log.jsonl", "dict.json", "dict_warnings.jsonl",
-             "amg/vocab.json", "amg/amg.ckpt", "amg/train_log.jsonl")
+ARTIFACTS = ("deto/deto.ckpt", "deto/deto.json", "deto/train_log.jsonl", "dict.json",
+             "dict_warnings.jsonl", "amg/vocab.json", "amg/amg.ckpt", "amg/amg.json",
+             "amg/train_log.jsonl")
 
 
 def software_stack() -> dict:

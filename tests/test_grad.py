@@ -25,7 +25,8 @@ from soke.grad import (
 from soke.grad.tensor import weighted_sum
 from soke.deto import vq_loss_terms
 from soke.motion import build_sign_chain
-from soke.posefit import Observation2D, body_fk, loss_rec, loss_reg, loss_temp
+from soke.posefit import (Observation2D, body_fk, loss_rec, loss_reg, loss_temp,
+                          pack_observations)
 
 from adam_reference import PerParameterAdam
 from composed_ops import mean, power, reduce_sum, reshape, softmax, sub, transpose
@@ -75,7 +76,7 @@ def test_no_grad_outputs_keep_no_parents_or_closures():
 
 
 BODY = build_sign_chain().body_subchain(11)
-OBSERVED = [Observation2D(np.zeros((3, 2)), np.ones(3))] * 2
+OBSERVED = pack_observations([Observation2D(np.zeros((3, 2)), np.ones(3))] * 2)
 
 # every graph node the engine and the pose fit build, from leaves made by
 # `leaf(shape)`; the first leaf each one makes is its gradient input
@@ -460,17 +461,14 @@ def test_conv1d_gradients_equal_add_at_col2im(k, stride, padding):
 def test_adam_matches_a_per_parameter_reference_bit_for_bit():
     rng = np.random.default_rng(31)
     shapes = [(3, 4), (4,), (), (2, 3, 2), (5,), (1, 7)]
-    never, dropped = 2, 4  # never has a gradient; loses it from step 10 on
     start = [rng.normal(size=s).astype(np.float32) for s in shapes]
     fast = [Tensor(a.copy(), requires_grad=True) for a in start]
     slow = [Tensor(a.copy(), requires_grad=True) for a in start]
     opt, ref = Adam(fast, lr=0.03), PerParameterAdam(slow, lr=0.03)
     for step in range(20):
         for i, s in enumerate(shapes):
-            g = None
-            if i != never and not (i == dropped and step >= 10):
-                g = rng.normal(size=s).astype(np.float32) * 10.0 ** rng.integers(-4, 3)
-            fast[i].grad, slow[i].grad = g, None if g is None else g.copy()
+            g = rng.normal(size=s).astype(np.float32) * 10.0 ** rng.integers(-4, 3)
+            fast[i].grad, slow[i].grad = g, g.copy()
         if step == 13:  # replacing a parameter's data between steps is allowed
             fast[0].data = fast[0].data * 0.5
             slow[0].data = slow[0].data * 0.5
@@ -478,11 +476,20 @@ def test_adam_matches_a_per_parameter_reference_bit_for_bit():
         ref.step()
         for i, (a, b) in enumerate(zip(fast, slow)):
             assert np.array_equal(a.data, b.data), (step, i)
-    assert np.array_equal(fast[never].data, start[never])
     moments = zip(opt.offsets, opt.offsets[1:], ref.m, ref.v)
     for lo, hi, m, v in moments:
         assert np.array_equal(opt.m[lo:hi], m.reshape(-1))
         assert np.array_equal(opt.v[lo:hi], v.reshape(-1))
+
+
+def test_adam_step_without_a_gradient_names_the_parameter_and_changes_nothing():
+    params = [Tensor(np.ones(s, dtype=np.float32), requires_grad=True) for s in [(2,), (3, 4)]]
+    opt = Adam(params, lr=0.1)
+    params[0].grad = np.ones(2, dtype=np.float32)
+    with pytest.raises(GraphError, match=r"parameter 1 of 2 \(shape \(3, 4\)\)"):
+        opt.step()
+    assert opt.steps_taken == 0 and not opt.m.any() and not opt.v.any()
+    assert all(np.array_equal(p.data, np.ones(p.shape)) for p in params)
 
 
 def test_adam_rejects_mixed_dtypes():

@@ -296,8 +296,9 @@ class TestProcrustesAgainstSvdOracle:
         assert determined.any() or kind.startswith("near_collinear")
         assert np.allclose(tf.rotation[determined], oracle.rotation[determined], rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("size", BATCH_SIZES)
-    @pytest.mark.parametrize("degenerate", ["collinear", "coincident_source", "coincident_target"])
+    @pytest.mark.parametrize("size", [1, *BATCH_SIZES])
+    @pytest.mark.parametrize("degenerate", ["collinear", "coincident_source", "coincident_target",
+                                            "coincident_target_inexact"])
     def test_degenerate_pair_raises_like_the_oracle(self, degenerate, size):
         rng = np.random.default_rng(11)
         A = rng.normal(size=(size, JOINTS, 3))
@@ -306,14 +307,20 @@ class TestProcrustesAgainstSvdOracle:
             A[size // 2] = np.outer(rng.normal(size=JOINTS), rng.normal(size=3)) + rng.normal(size=3)
         elif degenerate == "coincident_source":
             A[size // 2] = rng.normal(size=3)
-        else:  # exactly representable, so the centred target is exactly zero
+        elif degenerate == "coincident_target":  # exactly representable: centres to exact zeros
             B[size // 2] = [1.5, -2.0, 0.25]
+        else:  # centring leaves equal rounding residues (~1e-16), so the covariance is
+            # ~1e-32 with σ2/σ1 of order one and passes the collinearity rule
+            B[size // 2] = rng.normal(size=3)
+            assert np.abs(B[size // 2] - B[size // 2].mean(axis=0)).max() > 0.0
         messages = []
         for solve in (procrustes_align, procrustes_oracle.procrustes_align):
             with pytest.raises(DegenerateAlignmentError) as raised:
                 solve(A, B)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+        if degenerate.startswith("coincident_target"):
+            assert messages[0] == "target points are coincident"
 
     def test_closed_form_leaves_only_screened_pairs_to_eigh(self, chain, monkeypatch):
         rng = np.random.default_rng(12)

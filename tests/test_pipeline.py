@@ -5,7 +5,7 @@ from soke.config import RunConfig
 from soke.deto import DetoConfig, DetoTrainConfig
 from soke.errors import InputError
 from soke.motion import SynthConfig
-from soke.pipeline import StageError, run_pipeline, verify_manifest
+from soke.pipeline import StageError, changed_artifacts, run_pipeline
 
 
 TINY = RunConfig(
@@ -53,7 +53,7 @@ def test_training_logs_and_dictionary_warnings_are_manifest_artifacts(tmp_path):
     for rel in ("deto/train_log.jsonl", "amg/train_log.jsonl", "dict_warnings.jsonl"):
         assert rel in manifest["artifacts"], rel
     (tmp_path / "amg" / "train_log.jsonl").unlink()
-    assert not verify_manifest(tmp_path)
+    assert changed_artifacts(tmp_path) == ["amg/train_log.jsonl"]
     rerun = run_pipeline(TINY, tmp_path)
     assert rerun["stages_run"] == ["amg"]
-    assert verify_manifest(tmp_path)
+    assert not changed_artifacts(tmp_path)

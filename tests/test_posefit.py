@@ -17,7 +17,6 @@ from soke.posefit import (
     FitConfig,
     Observation2D,
     _float64_graph,
-    _objective,
     body_fk,
     fit_sequence,
     load_observations,
@@ -25,6 +24,7 @@ from soke.posefit import (
     loss_reg,
     loss_temp,
     observe_sequence,
+    pack_observations,
     project_weak,
     save_observations,
     total_loss,
@@ -84,7 +84,7 @@ class TestLossTerms:
     def test_rec_zero_on_perfect_reprojection(self):
         seq = constant_pose_sequence(np.zeros((11, 3)), frames=3)
         cam = CameraWeakPerspective()
-        obs = observe_sequence(seq, cam, CHAIN)
+        obs = pack_observations(observe_sequence(seq, cam, CHAIN))
         joints = body_fk(Tensor(seq.frames[:, :33].reshape(3, 11, 3).astype(np.float64)), BODY)
         value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])),
                          FitConfig().observed_joints)
@@ -93,13 +93,13 @@ class TestLossTerms:
     def test_rec_l1_arithmetic(self):
         # one observed joint off by (1, -2) with confidence 1 -> 3
         joints = Tensor(np.zeros((1, 2, 3)))
-        obs = [Observation2D(np.array([[1.0, -2.0]]), np.array([1.0]))]
+        obs = pack_observations([Observation2D(np.array([[1.0, -2.0]]), np.array([1.0]))])
         value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])), (1,))
         assert value.item() == pytest.approx(3.0)
 
     def test_rec_zero_confidence_contributes_nothing(self):
         joints = Tensor(np.zeros((1, 2, 3)))
-        obs = [Observation2D(np.array([[100.0, 50.0]]), np.array([0.0]))]
+        obs = pack_observations([Observation2D(np.array([[100.0, 50.0]]), np.array([0.0]))])
         value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])), (1,))
         assert value.item() == 0.0
 
@@ -132,7 +132,8 @@ class TestGradients:
         rng = np.random.default_rng(3)
         cfg = FitConfig()
         seq_truth = constant_pose_sequence(rng.uniform(0.2, 0.6, size=(11, 3)), frames=2)
-        obs = observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN, noise_std=1.0, seed=1)
+        obs = pack_observations(observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN,
+                                                 noise_std=1.0, seed=1))
         with default_dtype(np.float64):
             theta = Tensor(rng.uniform(0.2, 0.7, size=(2, 11, 3)), requires_grad=True)
             cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=True)
@@ -156,13 +157,14 @@ class TestFusedObjective:
         rng = np.random.default_rng(frames)
         cfg = FitConfig(optimize_camera=optimize_camera, observed_joints=observed)
         truth = MotionSequence(rng.normal(0.0, 0.3, size=(frames, 133)).astype(np.float32))
-        obs = [Observation2D(o.points, rng.uniform(0.0, 1.0, size=len(observed)))
-               for o in observe_sequence(truth, CameraWeakPerspective(), CHAIN,
-                                         observed_joints=observed, noise_std=2.0, seed=frames)]
+        obs = pack_observations([
+            Observation2D(o.points, rng.uniform(0.0, 1.0, size=len(observed)))
+            for o in observe_sequence(truth, CameraWeakPerspective(), CHAIN,
+                                      observed_joints=observed, noise_std=2.0, seed=frames)])
         theta0 = (truth.frames[:, :33].reshape(frames, 11, 3)
                   + rng.normal(0.0, 0.1, size=(frames, 11, 3)))
         results = []
-        for build in (lambda *args: _objective(*args)[1], composed_ops.objective):
+        for build in (lambda *args: total_loss(*args)[0], composed_ops.objective):
             with _float64_graph():
                 theta = Tensor(theta0, requires_grad=True)
                 cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=optimize_camera)
@@ -330,8 +332,9 @@ class TestObservedJoints:
         rng = np.random.default_rng(4)
         cfg = FitConfig(observed_joints=(5, 5, 6))
         seq_truth = constant_pose_sequence(rng.uniform(0.2, 0.6, size=(11, 3)), frames=1)
-        obs = observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN,
-                               observed_joints=cfg.observed_joints, noise_std=1.0, seed=1)
+        obs = pack_observations(observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN,
+                                                 observed_joints=cfg.observed_joints,
+                                                 noise_std=1.0, seed=1))
         with default_dtype(np.float64):
             theta = Tensor(rng.uniform(0.2, 0.7, size=(1, 11, 3)), requires_grad=True)
             cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=True)
