@@ -89,8 +89,11 @@ class AmgConfig:
             raise ConfigError("fusion weight must lie in the open interval (0, 0.5)")
         if min(self.d_model, self.num_heads, self.ffn_dim) < 1:
             raise ConfigError("d_model, num_heads and ffn_dim must be positive")
-        if min(self.enc_layers, self.dec_layers) < 0:
-            raise ConfigError("layer counts must not be negative")
+        if self.enc_layers < 0:
+            raise ConfigError(f"enc_layers must not be negative, got {self.enc_layers}")
+        if self.dec_layers < 1:
+            # only the decoder's cross-attention reads the prompt
+            raise ConfigError(f"dec_layers must be at least 1, got {self.dec_layers}")
         if self.d_model % self.num_heads != 0:
             raise ConfigError("d_model must be divisible by num_heads")
         if self.k_max < 1 or self.enc_max_len < 1:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -465,11 +466,14 @@ class TestRealModel:
         assert generate_triples(model, prompt, "ASL").triples == \
             generate_triples(loaded, prompt, "ASL").triples
 
+    @pytest.mark.parametrize("layers", [(1, 1), (0, 1), (2, 2)], ids=lambda l: "enc%d-dec%d" % l)
     @pytest.mark.parametrize("mode", MODES)
-    def test_one_backward_reaches_every_parameter_the_optimizer_holds(self, vocab, mode):
-        # the model holds only the heads its mode reads, so Adam never sees a
+    def test_one_backward_reaches_every_parameter_the_optimizer_holds(self, vocab, mode, layers):
+        # the model holds only the heads its mode reads, and every accepted
+        # layer count has a decoder reading the prompt, so Adam never sees a
         # parameter without a gradient
-        model = GeneratorModel(vocab, TINY_CFG, mode, seed=0)
+        config = dataclasses.replace(TINY_CFG, enc_layers=layers[0], dec_layers=layers[1])
+        model = GeneratorModel(vocab, config, mode, seed=0)
         teacher_forced_loss(model, make_pairs(vocab, n=3, k=2)).backward()
         assert [name for name, p in model.parameters() if p.grad is None] == []
         heads = {name for name, _ in model.parameters() if name.startswith("head_")}

@@ -88,8 +88,16 @@ def test_amg_sizes_below_their_minimum_rejected(sizes):
         AmgConfig(**sizes)
 
 
-def test_amg_without_encoder_or_decoder_layers_accepted():
-    assert AmgConfig(enc_layers=0, dec_layers=0).enc_layers == 0
+def test_amg_without_encoder_layers_accepted():
+    assert AmgConfig(enc_layers=0).enc_layers == 0
+
+
+@pytest.mark.parametrize("dec_layers", [0, -1])
+def test_amg_without_decoder_layers_rejected(dec_layers):
+    # with no decoder layer nothing reads the prompt, so the encoder would
+    # get no gradient
+    with pytest.raises(ConfigError, match="dec_layers"):
+        AmgConfig(enc_layers=1, dec_layers=dec_layers)
 
 
 @pytest.mark.parametrize("setting", [dict(eval_sentences=0), dict(eval_sentences=-3),

@@ -1,11 +1,14 @@
+import json
+from dataclasses import replace
+
 import pytest
 
-from soke.amg import AmgConfig, AmgTrainConfig
+from soke.amg import MODES, AmgConfig, AmgTrainConfig
 from soke.config import RunConfig
 from soke.deto import DetoConfig, DetoTrainConfig
 from soke.errors import InputError
 from soke.motion import SynthConfig
-from soke.pipeline import StageError, changed_artifacts, run_pipeline
+from soke.pipeline import STAGES, StageError, changed_artifacts, run_pipeline
 
 
 TINY = RunConfig(
@@ -57,3 +60,14 @@ def test_training_logs_and_dictionary_warnings_are_manifest_artifacts(tmp_path):
     rerun = run_pipeline(TINY, tmp_path)
     assert rerun["stages_run"] == ["amg"]
     assert not changed_artifacts(tmp_path)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_generator_without_encoder_layers_trains_in_every_mode(tmp_path, mode):
+    # the fewest layers AmgConfig accepts; Adam would raise on a parameter
+    # that the loss never reaches
+    config = replace(TINY, mode=mode, amg=replace(TINY.amg, enc_layers=0))
+    manifest = run_pipeline(config, tmp_path)
+    assert manifest["stages_run"] == [name for name, _, _ in STAGES]
+    sidecar = json.loads((tmp_path / "amg" / "amg.json").read_text())
+    assert (sidecar["mode"], sidecar["config"]["enc_layers"]) == (mode, 0)
