@@ -93,9 +93,10 @@ def _check_slots(vocab: Vocabulary, token_ids) -> None:
             )
 
 
-def _masked_pick(logits_row: np.ndarray, support: np.ndarray) -> int:
-    """Greedy argmax over a support mask; ties go to the lowest token id."""
-    return int(np.argmax(np.where(support, logits_row.astype(np.float64), -np.inf)))
+def _masked_pick(logits_row: np.ndarray, support: np.ndarray, columns: np.ndarray) -> int:
+    """Greedy argmax of a head's logits over its sorted columns under a
+    support mask, as a token id; ties go to the lowest one."""
+    return int(columns[np.argmax(np.where(support, logits_row.astype(np.float64), -np.inf))])
 
 
 def greedy_decode(
@@ -112,9 +113,10 @@ def greedy_decode(
     modes start from BOS and ignore it.
     """
     spec = MODE_SPECS[model.mode]
-    vocab = model.vocab
+    vocab, columns = model.vocab, model.head_columns
     k_max = model.config.k_max if k_max is None else k_max
-    supports = {part: vocab.part_support_mask(part) for part in PARTS}
+    supports = {(head, part): vocab.part_support(part, columns[head])
+                for slots in spec.schedule for _, head, part in slots}
     picks: list[int] = []
     max_steps = len(spec.schedule) * k_max
     passes = max_steps
@@ -128,7 +130,8 @@ def greedy_decode(
             for _, head, _ in slots:
                 if head not in logits:
                     logits[head] = model.head_logits(hidden, head).data[:, -1]
-            tokens = [_masked_pick(logits[head][row], supports[part]) for row, head, part in slots]
+            tokens = [_masked_pick(logits[head][row], supports[head, part], columns[head])
+                      for row, head, part in slots]
             if vocab.eos_id in tokens:
                 passes = t + 1
                 break

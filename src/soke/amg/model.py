@@ -2,9 +2,11 @@
 
 Pre-LN transformer, learned absolute positions, and affine output heads
 sharing the decoder trunk: one per part in multihead decoding, the body head
-alone in sequential and parallel decoding (ModeSpec.heads). Heads are
-zero-initialized so the masked softmax starts exactly uniform over each
-part's support.
+alone in sequential and parallel decoding (ModeSpec.heads). A head spans only
+the vocabulary ids its slots can emit, `GeneratorModel.head_columns[head]`:
+its own part's tokens and EOS in multihead decoding, every part's tokens and
+EOS for the body head of the other modes. Heads are zero-initialized so the
+masked softmax starts exactly uniform over each part's support.
 
 Teacher-forced training and greedy decoding share the trunk `decode_hidden`:
 training runs its whole prefix as one pass from an empty DecoderCache, and
@@ -50,6 +52,14 @@ class ModeSpec:
     def heads(self) -> tuple[Part, ...]:
         """The output heads the slots read, in slot order."""
         return tuple(dict.fromkeys(head for slots in self.schedule for _, head, _ in slots))
+
+    def head_columns(self, vocab: Vocabulary) -> dict[Part, np.ndarray]:
+        """Per head, the sorted vocabulary ids its slots can emit: the motion
+        tokens of every part its slots support, and EOS."""
+        slots = [slot for step in self.schedule for slot in step]
+        return {head: np.flatnonzero(np.any([vocab.part_support_mask(part) for _, slot_head, part
+                                             in slots if slot_head == head], axis=0))
+                for head in self.heads}
 
     def start_ids(self, vocab: Vocabulary, lang: str | None) -> list[int]:
         return [vocab.bos_id if part is None else vocab.lang_part_id(lang, part)
@@ -121,7 +131,7 @@ class GeneratorModel:
         self.mode = mode
         self.dec_max_len = len(MODE_SPECS[mode].schedule) * config.k_max + 2
         rng = np.random.default_rng(seed)
-        d, ffn, v = config.d_model, config.ffn_dim, len(vocab)
+        d, ffn = config.d_model, config.ffn_dim
 
         def init(shape, scale):
             return Tensor((rng.standard_normal(shape) * scale).astype(np.float32),
@@ -148,7 +158,7 @@ class GeneratorModel:
                 "w2": init((ffn, d), 1.0 / math.sqrt(ffn)), "b2": zeros(d),
             }
 
-        self.emb = init((v, d), 0.1)
+        self.emb = init((len(vocab), d), 0.1)
         self.enc_pos = init((config.enc_max_len, d), 0.1)
         self.dec_pos = init((self.dec_max_len, d), 0.1)
         self.enc_layers = [
@@ -164,10 +174,11 @@ class GeneratorModel:
         ]
         self.enc_ln_g, self.enc_ln_b = ones(d), zeros(d)
         self.dec_ln_g, self.dec_ln_b = ones(d), zeros(d)
-        # only the heads the mode reads; zero-init, so the initial masked
-        # softmax is exactly uniform
-        self.heads = {part: {"w": zeros((d, v)), "b": zeros(v)}
-                      for part in MODE_SPECS[mode].heads}
+        # only the heads the mode reads, each over the columns it can emit;
+        # zero-init, so the initial masked softmax is exactly uniform
+        self.head_columns = MODE_SPECS[mode].head_columns(vocab)
+        self.heads = {part: {"w": zeros((d, len(cols))), "b": zeros(len(cols))}
+                      for part, cols in self.head_columns.items()}
 
     # -- parameters --------------------------------------------------------
 
@@ -276,7 +287,8 @@ class GeneratorModel:
         return layer_norm(x, self.dec_ln_g, self.dec_ln_b)
 
     def head_logits(self, hidden: Tensor, part: Part) -> Tensor:
-        """Vocabulary logits of one of the mode's heads (ModeSpec.heads)."""
+        """Logits of one of the mode's heads (ModeSpec.heads) over its own
+        columns, head_columns[part]."""
         p = self.heads[part]
         return linear(hidden, p["w"], p["b"])
 

@@ -98,17 +98,16 @@ class TeacherBatch:
 
     prompts: (pairs, width) padded encoder ids. inputs: (decoder rows, steps,
     heads) decoder input ids. weights: (decoder rows, steps), shared by the
-    heads. Per head, in spec.heads order: `columns`, the sorted vocabulary
-    ids the head can emit (its slots' part supports plus EOS); `targets`,
-    (decoder rows, steps) positions in those columns; and `support`, a mask
-    over (decoder rows, steps, columns), or None when the head serves a
-    single part and so may emit every one of its columns.
+    heads. Per head, in spec.heads order and over the head's own columns
+    (GeneratorModel.head_columns): `targets`, (decoder rows, steps) positions
+    in those columns; and `support`, a mask over (decoder rows, steps,
+    columns), or None when every slot may emit every column (a head that
+    serves a single part).
     """
 
     prompts: np.ndarray
     inputs: np.ndarray
     weights: np.ndarray
-    columns: tuple[np.ndarray, ...]
     targets: tuple[np.ndarray, ...]
     support: tuple[np.ndarray | None, ...]
 
@@ -150,19 +149,15 @@ def _teacher_batch(model: GeneratorModel, pairs: list[TrainPair], log: list[dict
     shifted = targets[:, :-1]
     inputs[:, 1:] = np.where(shifted == vocab.eos_id, vocab.pad_id, shifted)
 
-    masks = np.stack([vocab.part_support_mask(part) for part in PARTS])
-    columns, head_targets, support = [], [], []
+    head_targets, support = [], []
     for h, head in enumerate(heads):
-        served = sorted({PARTS.index(part) for slots in spec.schedule
-                         for _, slot_head, part in slots if slot_head == head})
-        cols = np.flatnonzero(masks[served].any(axis=0))
-        columns.append(cols)
+        cols = model.head_columns[head]
         head_targets.append(np.searchsorted(cols, targets[..., h]))
-        # (rows, steps, columns) per slot, then one copy per pair, row-major
-        support.append(np.repeat(masks[:, cols][part_at[h]], b, axis=0)
-                       if len(served) > 1 else None)
-    return TeacherBatch(prompts, inputs, np.tile(weights, (rows, 1)), tuple(columns),
-                        tuple(head_targets), tuple(support))
+        # (rows, steps, columns), then one copy per pair, row-major
+        masks = np.stack([vocab.part_support(part, cols) for part in PARTS])[part_at[h]]
+        support.append(None if masks.all() else np.repeat(masks, b, axis=0))
+    return TeacherBatch(prompts, inputs, np.tile(weights, (rows, 1)), tuple(head_targets),
+                        tuple(support))
 
 
 def generator_loss(model: GeneratorModel, batch: TeacherBatch) -> Tensor:
@@ -171,9 +166,9 @@ def generator_loss(model: GeneratorModel, batch: TeacherBatch) -> Tensor:
     multihead); padded positions carry zero weight.
 
     `batch` is what _teacher_batch built for this model's mode. Each head's
-    softmax runs over the columns it can emit; the loss and gradients are
-    bit for bit those of a full-vocabulary softmax under the part support
-    masks.
+    softmax runs over its own columns, the vocabulary ids it can emit; a
+    full-vocabulary head under the part support masks would give every
+    other id probability and gradient zero.
     """
     spec = MODE_SPECS[model.mode]
     h_en, enc_mask = tile_rows(*model.encode(batch.prompts), len(spec.starts))
@@ -187,8 +182,7 @@ def generator_loss(model: GeneratorModel, batch: TeacherBatch) -> Tensor:
     hidden = model.decode_hidden(dec_emb, h_en, enc_mask)
     losses = [
         cross_entropy(model.head_logits(hidden, head), batch.targets[j],
-                      support_mask=batch.support[j], weights=batch.weights,
-                      columns=batch.columns[j])
+                      support_mask=batch.support[j], weights=batch.weights)
         for j, head in enumerate(spec.heads)
     ]
     return sum(losses[1:], losses[0]) * (1.0 / len(losses))

@@ -110,13 +110,15 @@ class Vocabulary:
             raise VocabularyError(f"token {token_id} is not a motion token")
         return part, token_id - self._part_start[part]
 
+    def part_support(self, part: Part, ids: np.ndarray) -> np.ndarray:
+        """Which of the token ids `ids` a slot of this part may emit: the
+        part's motion tokens and EOS."""
+        lo, hi = self.part_range(part)
+        return ((ids >= lo) & (ids < hi)) | (ids == self.eos_id)
+
     def part_support_mask(self, part: Part) -> np.ndarray:
         """Boolean mask over the vocabulary: this part's motion tokens plus EOS."""
-        mask = np.zeros(len(self), dtype=bool)
-        lo, hi = self.part_range(part)
-        mask[lo:hi] = True
-        mask[self.eos_id] = True
-        return mask
+        return self.part_support(part, np.arange(len(self)))
 
     # -- persistence ------------------------------------------------------------------------
 

@@ -33,6 +33,12 @@ class RunConfig:
     eval_seed_offset: int = 1000  # test-split sentence seed = seed + offset
 
     def __post_init__(self):
+        # the data stage seeds numpy with both, and numpy takes no negative seed
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
+        if self.seed + self.eval_seed_offset < 0:
+            raise ConfigError(f"seed + eval_seed_offset must not be negative, got "
+                              f"{self.seed} + {self.eval_seed_offset}")
         if self.eval_sentences < 1:
             raise ConfigError(f"eval_sentences must be at least 1, got {self.eval_sentences}")
         if self.dict_instances_per_word < 1:

@@ -75,9 +75,14 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def load_parameters(path: str | Path, named_params: list[tuple[str, Tensor]]) -> None:
-    """Overwrite each named tensor with its checkpoint value; a parameter the
-    checkpoint lacks or holds in another shape raises InputError."""
+    """Overwrite each named tensor with its checkpoint value. The checkpoint
+    must hold exactly these names in these shapes: a tensor the model lacks,
+    or a parameter the checkpoint lacks or holds in another shape, raises
+    InputError."""
     params = load_checkpoint(path)
+    unexpected = params.keys() - {name for name, _ in named_params}
+    if unexpected:
+        raise InputError(f"{path}: checkpoint holds unexpected tensors {sorted(unexpected)}")
     for name, tensor in named_params:
         if name not in params or params[name].shape != tensor.shape:
             raise InputError(f"{path}: checkpoint missing or mismatched parameter {name}")

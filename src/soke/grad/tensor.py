@@ -35,11 +35,10 @@ Backward closures only ever replace a tensor's `grad`, never update it in
 place, so `_accumulate` keeps a fresh first gradient as it is and copies
 only a view. Some passes are written for speed with the arithmetic of
 their plain form, so each is bit-identical to it: conv1d's input gradient
-(col2im) is k strided adds in np.add.at's order, and cross_entropy over a
-subset of columns sums its normaliser at full width and skips the exp of
-masked-out entries, which is +0.0. The row max of many short rows runs over
-a transposed copy, which can change only the sign of a zero maximum (see
-`_row_max`).
+(col2im) is k strided adds in np.add.at's order, and cross_entropy skips
+the exp of masked-out entries, which is +0.0. The row max of many short
+rows runs over a transposed copy, which can change only the sign of a zero
+maximum (see `_row_max`).
 """
 
 from __future__ import annotations
@@ -445,7 +444,6 @@ def cross_entropy(
     targets: np.ndarray,
     support_mask: np.ndarray | None = None,
     weights: np.ndarray | None = None,
-    columns: np.ndarray | slice = slice(None),
 ) -> Tensor:
     """Mean negative log-likelihood over the last axis of `logits`.
 
@@ -453,31 +451,15 @@ def cross_entropy(
     support_mask: optional boolean mask of allowed classes per position.
     weights: optional per-position weights (0 excludes a position, e.g.
     padding); the mean is taken over the total weight.
-    columns: sorted class ids, all classes by default. The softmax
-    then runs over logits[..., columns] only, every other class gets
-    probability zero and gradient zero, and targets and support_mask index
-    into `columns`. The normaliser is still summed at full width with zeros
-    in the other classes, so loss and gradient equal, bit for bit, those of
-    a support mask that allows only `columns`; the narrow width saves the
-    rest of the work. The columns are gathered and scattered as slices, one
-    per contiguous run (all classes are one run).
     """
     targets = np.asarray(targets, dtype=np.int64)
-    columns = np.arange(logits.shape[-1])[columns]
-    runs = _column_runs(columns)
-    z = np.empty(logits.shape[:-1] + (len(columns),), dtype=np.float64)
-    for lo, hi, start, stop in runs:
-        z[..., start:stop] = logits.data[..., lo:hi]
+    z = logits.data.astype(np.float64)
     exp = np.exp
     if support_mask is not None:
         z = np.where(support_mask, z, NEG_MASK)
         exp = _exp_masked
     z = z - _row_max(z)
-    e = exp(z)
-    wide = np.zeros(logits.shape, dtype=np.float64)
-    for lo, hi, start, stop in runs:
-        wide[..., lo:hi] = e[..., start:stop]
-    logp = z - np.log(wide.sum(axis=-1, keepdims=True))
+    logp = z - np.log(exp(z).sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     if weights is None:
         weights = np.ones(targets.shape, dtype=np.float64)
@@ -495,23 +477,9 @@ def cross_entropy(
         grad = (prob - onehot) * (weights[..., None] / total_weight)
         if support_mask is not None:
             grad = np.where(support_mask, grad, 0.0)
-        scale = float(np.asarray(g).reshape(()))
-        wide = np.full(logits.shape, scale * 0.0, dtype=logits.data.dtype)
-        grad = scale * grad
-        for lo, hi, start, stop in runs:
-            wide[..., lo:hi] = grad[..., start:stop]
-        logits._accumulate(wide)
+        logits._accumulate(float(np.asarray(g).reshape(())) * grad)
 
     return Tensor(value, _parents=(logits,), _op="cross_entropy", _backward=backward)
-
-
-def _column_runs(columns: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """(lo, hi, start, stop) per run of consecutive class ids: the classes
-    lo:hi sit at columns[start:stop]."""
-    cuts = np.flatnonzero(columns[1:] != columns[:-1] + 1) + 1
-    bounds = [0, *cuts.tolist(), len(columns)]
-    return [(int(columns[start]), int(columns[stop - 1]) + 1, start, stop)
-            for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -69,6 +69,13 @@ def test_unbuildable_layout_exits_2_before_any_stage(tmp_path, config_path, caps
     assert not out.exists()
 
 
+def test_negative_seed_exits_2_before_any_stage(tmp_path, config_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", str(config_path), str(out), "--set", "seed=-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_declared_console_scripts_resolve_and_run():
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     assert "soke" in scripts

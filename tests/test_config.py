@@ -110,3 +110,19 @@ def test_amg_without_decoder_layers_rejected(dec_layers):
 def test_evaluation_and_dictionary_settings_out_of_range_rejected(setting):
     with pytest.raises(ConfigError, match=next(iter(setting))):
         RunConfig(**setting)
+
+
+@pytest.mark.parametrize("setting, field", [
+    (dict(seed=-1), "seed"),
+    (dict(eval_seed_offset=-5), "eval_seed_offset"),
+    (dict(seed=3, eval_seed_offset=-4), "eval_seed_offset"),
+])
+def test_seeds_numpy_cannot_take_rejected(setting, field):
+    # the data stage seeds np.random.default_rng with seed and with
+    # seed + eval_seed_offset, and numpy takes only non-negative seeds
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(**setting)
+
+
+def test_negative_offset_that_keeps_the_test_seed_valid_accepted():
+    assert RunConfig(seed=5, eval_seed_offset=-5).eval_seed_offset == -5
