@@ -196,9 +196,8 @@ def train_generator(
     """Full-batch Adam training; deterministic given the model's init seed."""
     train_config = train_config or AmgTrainConfig()
     log: list[dict] = []
-    params = [p for _, p in model.parameters()]
-    opt = Adam(params, schedule=CosineSchedule(train_config.lr, train_config.epochs,
-                                               train_config.min_lr))
+    opt = Adam(model.parameters(), schedule=CosineSchedule(
+        train_config.lr, train_config.epochs, train_config.min_lr))
     batch = _teacher_batch(model, pairs, log)
     for epoch in range(train_config.epochs):
         try:

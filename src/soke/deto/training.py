@@ -50,7 +50,7 @@ def _train_one_part(
 ) -> None:
     _warm_start_codebook(tok, motions[: max(1, min(train_cfg.warmup_sequences, len(motions)))], rng)
     opt = Adam(
-        [p for _, p in tok.parameters()],
+        tok.parameters(),
         schedule=CosineSchedule(train_cfg.lr, train_cfg.steps, train_cfg.min_lr),
     )
     epoch_len = len(motions)

@@ -43,15 +43,18 @@ class Adam:
     concatenate, runs the moment and update arithmetic once over all of
     them, and subtracts each parameter's slice of the scaled update. The
     arithmetic is elementwise, so every element sees the same operations as
-    a per-parameter loop. Every parameter must have a gradient at each step;
-    one without raises GraphError naming it. Parameters are never aliased
-    into the buffers, so assigning `p.data` between steps is fine.
+    a per-parameter loop. Parameters come as the (name, tensor) pairs a
+    model's `parameters()` returns. Every parameter must have a gradient at
+    each step; one without raises GraphError naming it. Parameters are never
+    aliased into the buffers, so assigning `p.data` between steps is fine.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 2e-4,
+    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 2e-4,
                  schedule: CosineSchedule | None = None):
-        if not params:
+        if not named_params:
             raise ConfigError("optimizer needs at least one parameter")
+        self.names = [name for name, _ in named_params]
+        params = [p for _, p in named_params]
         dtype = params[0].data.dtype
         if any(p.data.dtype != dtype for p in params):
             raise ConfigError("optimizer parameters must share one dtype")
@@ -69,10 +72,9 @@ class Adam:
         return self.lr
 
     def step(self) -> None:
-        for i, p in enumerate(self.params):
+        for name, p in zip(self.names, self.params):
             if p.grad is None:
-                raise GraphError(f"optimizer parameter {i} of {len(self.params)} "
-                                 f"(shape {p.shape}) has no gradient")
+                raise GraphError(f"optimizer parameter {name} (shape {p.shape}) has no gradient")
         lr = self.current_lr()
         self.steps_taken += 1
         t = self.steps_taken

@@ -4,12 +4,25 @@ The chain is a stand-in upper-body skeleton: an 11-joint torso/arm tree plus
 two 15-joint hands (5 fingers x 3 segments) attached at the wrists. Bone
 offsets are scaled so the mean bone length is MEAN_BONE_MM (100 mm), which
 keeps reported joint-position errors in a familiar millimeter range.
+
+Forward kinematics follows one plan per chain, `KinematicChain.placement`:
+the inner joints (the root and every joint with a child) by tree depth,
+then the leaves. Only inner rotations move other joints, so Rodrigues and
+the rotation products run for inner joints only, and the leaves (head and
+fingertips on the sign chain) are placed in one step after the last inner
+level. Working arrays are joint-major, (joints, T, ...), so each level is a
+contiguous slice. Every 3x3 product is the numpy `@` the level-by-level
+pass over all joints ran, on the same operands, so positions and
+gradients keep their bits. Positions come back C-contiguous in joint
+order: the Procrustes means and sums downstream reduce in memory order, so
+a transposed view of the same values would change their bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +34,56 @@ MEAN_BONE_MM = 100.0
 _EYE3 = np.eye(3)
 
 
+Index = slice | np.ndarray
+
+
+class Level(NamedTuple):
+    """Joints `start:stop` of a plan, the plan slots of their parents, their
+    bone offsets as (n, 1, 3, 1) columns, and the joints grouped by sibling
+    rank: (joints relative to `start`, their parents' slots) for the first
+    child of each parent, then the second, and so on. Each group has
+    distinct parents, so the VJP passes a group's shares with one indexed
+    add, and a parent sums its children's shares in their index order.
+    """
+
+    start: int
+    stop: int
+    parents: Index
+    offsets: np.ndarray
+    ranks: tuple[tuple[Index, Index], ...]
+
+
+class Placement(NamedTuple):
+    """Joint indices in plan order, the inner joints' depth levels from 1
+    down, and the leaves."""
+
+    order: np.ndarray
+    levels: tuple[Level, ...]
+    leaves: Level
+
+    @property
+    def inner(self) -> np.ndarray:
+        """The inner joints' indices, in plan order."""
+        return self.order[:self.leaves.start]
+
+
+def _index(slots: np.ndarray) -> Index:
+    """`slots` as a slice when they are one ascending run: numpy reads a
+    slice as a view and adds into it in place."""
+    if len(slots) and np.array_equal(slots, np.arange(slots[0], slots[0] + len(slots))):
+        return slice(int(slots[0]), int(slots[0]) + len(slots))
+    return slots
+
+
 @dataclass(frozen=True)
 class KinematicChain:
     """Topologically-ordered joint tree.
 
     parents[j] < j (root has parent -1); offsets[j] is the bone vector from
     parent to joint j in the rest pose; param_offsets[j] is the index of
-    joint j's axis-angle triple inside a flat motion frame.
+    joint j's axis-angle triple inside a flat motion frame. `placement`
+    caches the plan that forward kinematics runs (see the module
+    docstring).
     """
 
     parents: tuple[int, ...]
@@ -48,18 +104,42 @@ class KinematicChain:
         return len(self.parents)
 
     @cached_property
-    def levels(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """(joints, their parents, their bone offsets as (n, 3, 1) columns) for
-        each tree depth from 1 down."""
+    def placement(self) -> Placement:
+        """The plan of forward kinematics: inner joints by depth, then leaves.
+
+        An inner joint is the root or a joint with a child; only inner
+        rotations move other joints. Within a level and among the leaves,
+        joints keep their index order. The VJP passes the leaves' shares
+        first, so a parent sums its children's shares in their index order
+        unless it has both a leaf and an inner child, which no joint of the
+        sign chain or its body subchain has.
+        """
         parent_of = np.asarray(self.parents)
         depth = np.zeros(self.num_joints, dtype=np.int64)
         for j in range(1, self.num_joints):
             depth[j] = depth[parent_of[j]] + 1
-        levels = []
-        for level in range(1, int(depth.max()) + 1):
-            joints = np.flatnonzero(depth == level)
-            levels.append((joints, parent_of[joints], self.offsets[joints][..., None]))
-        return tuple(levels)
+        has_child = np.zeros(self.num_joints, dtype=bool)
+        has_child[parent_of[1:]] = True
+        has_child[0] = True
+        inner = np.flatnonzero(has_child)
+        order = np.concatenate([inner[np.argsort(depth[inner], kind="stable")],
+                                np.flatnonzero(~has_child)])
+        slot = np.empty_like(order)
+        slot[order] = np.arange(self.num_joints)
+        bounds = np.cumsum(np.bincount(depth[inner]))
+
+        def level(start: int, stop: int) -> Level:
+            joints = order[start:stop]
+            parents = slot[parent_of[joints]]
+            rank = np.array([np.count_nonzero(parents[:i] == p) for i, p in enumerate(parents)],
+                            dtype=np.int64)
+            ranks = tuple((_index(np.flatnonzero(rank == r)), _index(parents[rank == r]))
+                          for r in range(int(rank.max(initial=-1)) + 1))
+            return Level(start, stop, _index(parents), self.offsets[joints][:, None, :, None],
+                         ranks)
+
+        levels = tuple(level(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
+        return Placement(order, levels, level(len(inner), self.num_joints))
 
     def body_subchain(self, body_joints: int) -> "KinematicChain":
         """The first `body_joints` joints as a standalone chain."""
@@ -91,6 +171,13 @@ def _vee(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """|v|^2 over the last axis of v (..., 3): (v * v).sum(axis=-1) with its
+    adds in the same order, without the reduction's overhead."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return x * x + y * y + z * z
+
+
 def _rodrigues_coefficients(t2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A = sin(t)/t and B = (1-cos(t))/t^2 at t^2 = t2, smooth through t = 0."""
     t = np.sqrt(t2)
@@ -110,9 +197,14 @@ def axis_angle_matrices(v: np.ndarray) -> np.ndarray:
     and B smooth through t = 0.
     """
     v = np.asarray(v, dtype=np.float64)
-    a, b = _rodrigues_coefficients((v * v).sum(axis=-1))
+    a, b = _rodrigues_coefficients(_squared_norms(v))
     k = _skew(v)
-    return _EYE3 + a[..., None, None] * k + b[..., None, None] * (k @ k)
+    r = a[..., None, None] * k
+    r += _EYE3
+    k2 = k @ k
+    k2 *= b[..., None, None]
+    r += k2
+    return r
 
 
 def axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -125,7 +217,7 @@ def axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    t2 = (v * v).sum(axis=-1)
+    t2 = _squared_norms(v)
     a, b = _rodrigues_coefficients(t2)
     t = np.sqrt(t2)
     small = t < 1e-2
@@ -146,23 +238,36 @@ def axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def forward_kinematics_pass(
     angles: np.ndarray, chain: KinematicChain,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions (T, J, 3), global and local rotations (T, J, 3, 3) for
-    per-joint axis-angle vectors angles (T, J, 3).
+    """Positions (T, J, 3) for per-joint axis-angle vectors angles (T, J, 3),
+    with the rotations of the chain's n inner joints, joint-major in plan
+    order: global R_j (n, T, 3, 3), the product of the local rotations from
+    the root down to j, and local L_j (n, T, 3, 3), the Rodrigues matrix of
+    j's own angles. Leaves get no rotation: none of theirs moves a joint.
 
-    Joints are composed one tree depth at a time: every joint of a level
-    hangs off a parent of the level before, which is already placed.
+    Inner joints are composed one tree depth at a time: every joint of a
+    level hangs off a parent of the level before, which is already placed.
+    The leaves are placed last, in one step.
     """
-    local = axis_angle_matrices(angles)
-    T, J = local.shape[:2]
-    pos = np.empty((T, J, 3))
-    rot = np.empty((T, J, 3, 3))
-    rot[:, 0] = local[:, 0]
-    pos[:, 0] = chain.root_position
-    for joints, parents, offsets in chain.levels:
-        parent_rot = rot[:, parents]
-        rot[:, joints] = parent_rot @ local[:, joints]
-        pos[:, joints] = pos[:, parents] + (parent_rot @ offsets)[..., 0]
-    return pos, rot, local
+    plan = chain.placement
+    local = axis_angle_matrices(np.swapaxes(angles, 0, 1)[plan.inner])
+    rot = np.empty_like(local)
+    rot[0] = local[0]
+    pos = np.empty((chain.num_joints,) + local.shape[1:-1])
+    pos[0] = chain.root_position
+    for level in plan.levels:
+        parent_rot = rot[level.parents]
+        np.matmul(parent_rot, local[level.start:level.stop], out=rot[level.start:level.stop])
+        _place(pos, level, parent_rot)
+    _place(pos, plan.leaves, rot[plan.leaves.parents])
+    positions = np.empty(angles.shape)
+    positions[:, plan.order] = np.swapaxes(pos, 0, 1)
+    return positions, rot, local
+
+
+def _place(pos: np.ndarray, level: Level, parent_rot: np.ndarray) -> None:
+    """x_j = x_p + R_p o_j for the joints of `level`."""
+    np.add(pos[level.parents], (parent_rot @ level.offsets)[..., 0],
+           out=pos[level.start:level.stop])
 
 
 def forward_kinematics_vjp(
@@ -170,32 +275,54 @@ def forward_kinematics_vjp(
     chain: KinematicChain,
 ) -> np.ndarray:
     """Cotangent (T, J, 3) on the angles of forward_kinematics_pass, given a
-    cotangent (T, J, 3) on its positions and the rotations it returned.
+    cotangent (T, J, 3) on its positions and the inner joints' global and
+    local rotations it returned, (n, T, 3, 3) each in plan order.
 
-    Runs the levels in reverse: a level's rotation cotangents are complete
-    once every deeper level has passed its share to its parents. Siblings
-    share a parent, so shares are summed with np.add.at.
+    The leaves pass their position cotangents to their parents first: a
+    leaf's rotation moves no joint, so its angles get a zero cotangent. The
+    inner levels then run in reverse: a level's rotation cotangents are
+    complete once every deeper level has passed its share to its parents.
     """
-    grad_pos = np.array(grad_pos, dtype=np.float64)
+    plan = chain.placement
+    grad_pos = np.swapaxes(np.asarray(grad_pos, dtype=np.float64), 0, 1)[plan.order]
     grad_rot = np.zeros_like(rot)
     grad_local = np.empty_like(local)
-    for joints, parents, offsets in reversed(chain.levels):
-        g_rot = grad_rot[:, joints]
-        parent_rot = rot[:, parents]
-        # R_j = R_p L_j and x_j = x_p + R_p o_j
-        grad_local[:, joints] = np.swapaxes(parent_rot, -1, -2) @ g_rot
-        to_parent = (g_rot @ np.swapaxes(local[:, joints], -1, -2)
-                     + grad_pos[:, joints, :, None] * np.swapaxes(offsets, -1, -2))
-        np.add.at(grad_rot, (slice(None), parents), to_parent)
-        np.add.at(grad_pos, (slice(None), parents), grad_pos[:, joints])
-    grad_local[:, 0] = grad_rot[:, 0]
-    return axis_angle_vjp(angles, grad_local)
+    # R_j = R_p L_j and x_j = x_p + R_p o_j
+    leaves = plan.leaves
+    _pass_shares(grad_rot, grad_pos, leaves, grad_pos[leaves.start:leaves.stop, :, :, None]
+                 * np.swapaxes(leaves.offsets, -1, -2))
+    for level in reversed(plan.levels):
+        g_rot = grad_rot[level.start:level.stop]
+        grad_local[level.start:level.stop] = np.swapaxes(rot[level.parents], -1, -2) @ g_rot
+        _pass_shares(grad_rot, grad_pos, level,
+                     g_rot @ np.swapaxes(local[level.start:level.stop], -1, -2)
+                     + grad_pos[level.start:level.stop, :, :, None]
+                     * np.swapaxes(level.offsets, -1, -2))
+    grad_local[0] = grad_rot[0]
+    grad = np.zeros(angles.shape)
+    grad[:, plan.inner] = np.swapaxes(
+        axis_angle_vjp(np.swapaxes(angles, 0, 1)[plan.inner], grad_local), 0, 1)
+    return grad
+
+
+def _pass_shares(grad_rot: np.ndarray, grad_pos: np.ndarray, level: Level,
+                 to_parent: np.ndarray) -> None:
+    """Add the rotation shares `to_parent` and the position cotangents of the
+    joints of `level` to their parents', one sibling rank at a time."""
+    own = grad_pos[level.start:level.stop]
+    for joints, parents in level.ranks:
+        grad_rot[parents] += to_parent[joints]
+        grad_pos[parents] += own[joints]
 
 
 def forward_kinematics_sequence(frames: np.ndarray, chain: KinematicChain) -> np.ndarray:
     """3D joint positions (T, J, 3) for a T x d parameter array."""
     frames = np.asarray(frames, dtype=np.float64)
     columns = np.asarray(chain.param_offsets)[:, None] + np.arange(ROTATION_DIMS)
+    width = int(columns.max()) + 1
+    if frames.ndim != 2 or frames.shape[1] < width:
+        raise LayoutError(f"frames must be (T, d) with d >= {width} for this chain's "
+                          f"rotations, got shape {frames.shape}")
     return forward_kinematics_pass(frames[:, columns], chain)[0]
 
 

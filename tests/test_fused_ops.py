@@ -209,7 +209,7 @@ def test_adam_ignores_the_sign_of_a_zero_gradient(dtype):
     for zero in (0.0, -0.0):
         with default_dtype(dtype):
             param = Tensor(table.copy(), requires_grad=True)
-        opt = Adam([param], lr=1e-2)
+        opt = Adam([("table", param)], lr=1e-2)
         for g in grads:
             param.grad = np.where(g == 0.0, dtype(zero), g)
             opt.step()

@@ -3,10 +3,10 @@
 Each test runs `benchmark/configs/train.json` with `eval_sentences=4` in one
 decoding mode and compares the SHA-256 of every trained artifact, its
 sidecar and log, and of `report.json` without its timings, with
-`tests/golden_run.json`. A
-change that claims to keep every bit must leave them equal; a change that
-alters bits on purpose regenerates the file and states the old and new
-digests:
+`tests/golden_run.json`. The file also pins a few seeded pose fits, built
+here: the SHA-256 of each fit's log, frames and camera. A change that claims
+to keep every bit must leave them equal; a change that alters bits on
+purpose regenerates the file and states the old and new digests:
 
     PYTHONPATH=src python tests/test_golden_run.py --write
 
@@ -29,7 +29,10 @@ import pytest
 
 from soke.amg import MODES
 from soke.config import load_run_config
+from soke.motion import MotionSequence, build_sign_chain
 from soke.pipeline import file_hash, run_pipeline
+from soke.posefit import (CameraWeakPerspective, FitConfig, Observation2D, fit_sequence,
+                          observe_sequence)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG = REPO / "benchmark" / "configs" / "train.json"
@@ -62,15 +65,52 @@ def run_digests(mode: str, out_dir: Path) -> dict[str, str]:
     return digests
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_run_directory_matches_the_golden_digests(mode, tmp_path):
+# seed -> (frames, fit config): both camera settings, the exact and the
+# smoothed L1, and a repeated observed joint
+POSE_FITS = {
+    1: (4, FitConfig(max_iters=20)),
+    2: (3, FitConfig(max_iters=20, optimize_camera=False, rec_smooth_mm=0.0)),
+    3: (5, FitConfig(max_iters=20, observed_joints=(5, 5, 6, 9, 10))),
+}
+
+
+def pose_fit_digests(seed: int) -> dict[str, str]:
+    """A fit from a perturbed start to noisy, partly confident observations."""
+    frames, cfg = POSE_FITS[seed]
+    rng = np.random.default_rng(seed)
+    chain = build_sign_chain()
+    truth = MotionSequence(rng.normal(0.0, 0.4, size=(frames, 133)).astype(np.float32))
+    obs = [Observation2D(o.points, rng.uniform(0.2, 1.0, size=len(cfg.observed_joints)))
+           for o in observe_sequence(truth, CameraWeakPerspective(), chain,
+                                     observed_joints=cfg.observed_joints, noise_std=2.0,
+                                     seed=seed)]
+    init = truth.frames.copy()
+    init[:, :33] += rng.normal(0.0, 0.1, size=(frames, 33)).astype(np.float32)
+    cam = CameraWeakPerspective(scale=1.05, tx=0.5, ty=-0.3)
+    result = fit_sequence(MotionSequence(init), obs, cam, cfg, chain)
+    camera = [result.camera.scale, result.camera.tx, result.camera.ty]
+    return {name: hashlib.sha256(data).hexdigest() for name, data in
+            [("log", json.dumps(result.log).encode()), ("frames", result.motion.frames.tobytes()),
+             ("camera", json.dumps(camera).encode())]}
+
+
+def _golden_on_this_stack() -> dict:
     golden = json.loads(GOLDEN.read_text())
-    stack = software_stack()
     differs = [f"{key} {golden['stack'][key]!r} != {value!r}"
-               for key, value in stack.items() if golden["stack"][key] != value]
+               for key, value in software_stack().items() if golden["stack"][key] != value]
     if differs:
         pytest.skip("golden digests were made on another stack: " + "; ".join(differs))
-    assert run_digests(mode, tmp_path) == golden["digests"][mode]
+    return golden
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_directory_matches_the_golden_digests(mode, tmp_path):
+    assert run_digests(mode, tmp_path) == _golden_on_this_stack()["digests"][mode]
+
+
+@pytest.mark.parametrize("seed", sorted(POSE_FITS))
+def test_pose_fit_matches_the_golden_digests(seed):
+    assert pose_fit_digests(seed) == _golden_on_this_stack()["pose_fits"][str(seed)]
 
 
 def write_golden() -> None:
@@ -79,7 +119,8 @@ def write_golden() -> None:
         with tempfile.TemporaryDirectory() as out_dir:
             digests[mode] = run_digests(mode, Path(out_dir))
     payload = {"config": CONFIG.relative_to(REPO).as_posix(), "overrides": OVERRIDES,
-               "stack": software_stack(), "digests": digests}
+               "stack": software_stack(), "digests": digests,
+               "pose_fits": {str(seed): pose_fit_digests(seed) for seed in POSE_FITS}}
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

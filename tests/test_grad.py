@@ -284,7 +284,7 @@ def test_straight_through_gives_encoder_nonzero_gradient_through_reconstruction(
 
 def test_optimizer_zero_gradient_is_noop():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = Adam([p], lr=0.1)
+    opt = Adam([("p", p)], lr=0.1)
     before = p.data.copy()
     p.grad = np.zeros_like(p.data)
     opt.step()
@@ -293,7 +293,7 @@ def test_optimizer_zero_gradient_is_noop():
 
 def test_optimizer_reduces_quadratic():
     p = Tensor(np.array([3.0, -1.5]), requires_grad=True)
-    opt = Adam([p], lr=0.05)
+    opt = Adam([("p", p)], lr=0.05)
     for _ in range(400):
         opt.zero_grad()
         loss = reduce_sum(p * p)
@@ -321,7 +321,7 @@ def test_training_is_deterministic_given_seed():
         w = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)
         x = Tensor(rng.normal(size=(5, 3)).astype(np.float32))
         y = Tensor(rng.normal(size=(5, 2)).astype(np.float32))
-        opt = Adam([w], lr=1e-2)
+        opt = Adam([("w", w)], lr=1e-2)
         for _ in range(50):
             opt.zero_grad()
             mean(power(sub(x @ w, y), 2)).backward()
@@ -474,7 +474,8 @@ def test_adam_matches_a_per_parameter_reference_bit_for_bit():
     start = [rng.normal(size=s).astype(np.float32) for s in shapes]
     fast = [Tensor(a.copy(), requires_grad=True) for a in start]
     slow = [Tensor(a.copy(), requires_grad=True) for a in start]
-    opt, ref = Adam(fast, lr=0.03), PerParameterAdam(slow, lr=0.03)
+    opt = Adam([(f"p{i}", p) for i, p in enumerate(fast)], lr=0.03)
+    ref = PerParameterAdam(slow, lr=0.03)
     for step in range(20):
         for i, s in enumerate(shapes):
             g = rng.normal(size=s).astype(np.float32) * 10.0 ** rng.integers(-4, 3)
@@ -494,9 +495,9 @@ def test_adam_matches_a_per_parameter_reference_bit_for_bit():
 
 def test_adam_step_without_a_gradient_names_the_parameter_and_changes_nothing():
     params = [Tensor(np.ones(s, dtype=np.float32), requires_grad=True) for s in [(2,), (3, 4)]]
-    opt = Adam(params, lr=0.1)
+    opt = Adam(list(zip(["tok_emb", "enc_pos"], params)), lr=0.1)
     params[0].grad = np.ones(2, dtype=np.float32)
-    with pytest.raises(GraphError, match=r"parameter 1 of 2 \(shape \(3, 4\)\)"):
+    with pytest.raises(GraphError, match=r"parameter enc_pos \(shape \(3, 4\)\) has no"):
         opt.step()
     assert opt.steps_taken == 0 and not opt.m.any() and not opt.v.any()
     assert all(np.array_equal(p.data, np.ones(p.shape)) for p in params)
@@ -507,7 +508,7 @@ def test_adam_rejects_mixed_dtypes():
     with default_dtype(np.float64):
         b = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ConfigError):
-        Adam([a, b])
+        Adam([("a", a), ("b", b)])
 
 
 def test_first_gradient_is_kept_fresh_and_views_are_copied():

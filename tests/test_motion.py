@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,16 +16,19 @@ from soke.motion import (
     axis_angle_matrices,
     build_lexicon,
     build_sign_chain,
+    forward_kinematics_pass,
     forward_kinematics_sequence,
+    forward_kinematics_vjp,
     load_motions,
     merge_parts,
     save_motions,
     split_parts,
     synthesize_dataset,
 )
-from soke.motion.kinematics import axis_angle_vjp
+from soke.motion.kinematics import KinematicChain, axis_angle_vjp
 from soke.posefit import body_fk
 
+import fk_oracle
 from composed_ops import reduce_sum
 from gradcheck import check_gradients
 
@@ -104,8 +108,6 @@ class TestKinematics:
     def test_root_rotation_by_pi_flips_child(self):
         # 2-joint chain: child offset (1,0,0); rotating the root by pi about z
         # sends the child to (-1,0,0) relative to the root.
-        from soke.motion.kinematics import KinematicChain
-
         chain = KinematicChain(
             parents=(-1, 0),
             offsets=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
@@ -243,6 +245,161 @@ class TestBodyFkVjp:
         with default_dtype(np.float64):
             joints = body_fk(Tensor(theta), BODY).data
         assert np.array_equal(joints, forward_kinematics_sequence(theta.reshape(4, 33), BODY))
+
+
+FULL = build_sign_chain()
+CHAINS = {"full": FULL, "body": BODY}
+
+
+def _leaves(chain) -> list[int]:
+    return sorted(set(range(chain.num_joints)) - set(chain.parents))
+
+
+class TestFkAgainstOracle:
+    """The pass and its VJP against the level-by-level oracle (fk_oracle.py)."""
+
+    @pytest.mark.parametrize("frames", [1, 4, 29, 60])
+    @pytest.mark.parametrize("name", ["full", "body"])
+    def test_positions_are_the_oracle_bytes(self, name, frames):
+        rng = np.random.default_rng(frames)
+        x = rng.normal(scale=0.6, size=(frames, 133)).astype(np.float32)
+        got = forward_kinematics_sequence(x, CHAINS[name])
+        want = fk_oracle.forward_kinematics_sequence(x, CHAINS[name])
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _assert_vjp_is_the_oracle(angles, grad, chain):
+        pos, rot, local = forward_kinematics_pass(angles, chain)
+        got = forward_kinematics_vjp(grad, angles, rot, local, chain)
+        want_pos, want_rot, want_local = fk_oracle.forward_kinematics_pass(angles, chain)
+        want = fk_oracle.forward_kinematics_vjp(grad, angles, want_rot, want_local, chain)
+        assert pos.flags.c_contiguous and pos.tobytes() == want_pos.tobytes()
+        # the inner joints' rotations, joint-major in plan order
+        inner = chain.placement.inner
+        assert rot.tobytes() == np.swapaxes(want_rot, 0, 1)[inner].tobytes()
+        assert local.tobytes() == np.swapaxes(want_local, 0, 1)[inner].tobytes()
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert np.array_equal(got, want)
+        # a leaf's rotation moves no joint: its angles' cotangent is zero, and
+        # only the sign of that zero may differ
+        differs = got.view(np.uint64) != want.view(np.uint64)
+        assert set(np.nonzero(differs)[1]) <= set(_leaves(chain))
+        assert not got[differs].any()
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "taylor", "mixed"])
+    @pytest.mark.parametrize("weighted", ["all", "chest_children"])
+    def test_body_vjp_equals_the_oracle(self, kind, weighted):
+        rng = np.random.default_rng(21)
+        angles = _angles(kind, rng, frames=4)
+        grad = rng.normal(size=(4, 11, 3))
+        if weighted == "chest_children":
+            mask = np.zeros((1, 11, 1))
+            mask[:, CHEST_CHILDREN] = 1.0
+            grad = grad * mask
+        self._assert_vjp_is_the_oracle(angles, grad, BODY)
+
+    @pytest.mark.parametrize("scale", [0.6, 2.5])
+    @pytest.mark.parametrize("frames", [1, 29])
+    def test_full_chain_vjp_equals_the_oracle(self, frames, scale):
+        rng = np.random.default_rng(frames)
+        angles = rng.normal(scale=scale, size=(frames, FULL.num_joints, 3))
+        angles[:, ::7] = 0.0
+        grad = rng.normal(size=(frames, FULL.num_joints, 3))
+        self._assert_vjp_is_the_oracle(angles, grad, FULL)
+
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-8, 3e-3, 0.6, 2.5, 40.0])
+    def test_rodrigues_and_its_vjp_are_the_oracle_bytes(self, scale):
+        rng = np.random.default_rng(7)
+        v = rng.normal(scale=scale, size=(5, 9, 3))
+        v[0, 0] = -0.0
+        grad = rng.normal(size=(5, 9, 3, 3))
+        assert axis_angle_matrices(v).tobytes() == fk_oracle.axis_angle_matrices(v).tobytes()
+        assert axis_angle_vjp(v, grad).tobytes() == fk_oracle.axis_angle_vjp(v, grad).tobytes()
+
+    def test_mixed_siblings_match_the_oracle_to_rounding(self):
+        # a joint with both a leaf and an inner child gets its leaf's shares
+        # first, out of index order, so only rounding may differ
+        chain = KinematicChain(
+            parents=(-1, 0, 1, 1, 3, 0), offsets=np.arange(18.0).reshape(6, 3) - 8.0,
+            param_offsets=tuple(range(0, 18, 3)), root_position=np.ones(3),
+            joint_names=tuple("abcdef"))
+        rng = np.random.default_rng(8)
+        angles = rng.normal(size=(4, 6, 3))
+        grad = rng.normal(size=(4, 6, 3))
+        pos, rot, local = forward_kinematics_pass(angles, chain)
+        want_pos, want_rot, want_local = fk_oracle.forward_kinematics_pass(angles, chain)
+        assert pos.tobytes() == want_pos.tobytes()
+        np.testing.assert_allclose(
+            forward_kinematics_vjp(grad, angles, rot, local, chain),
+            fk_oracle.forward_kinematics_vjp(grad, angles, want_rot, want_local, chain),
+            rtol=1e-12, atol=1e-12)
+
+    def test_a_lone_root_is_placed(self):
+        chain = KinematicChain(parents=(-1,), offsets=np.zeros((1, 3)), param_offsets=(0,),
+                               root_position=np.array([1.0, 2.0, 3.0]), joint_names=("root",))
+        angles = np.full((2, 1, 3), 0.3)
+        pos, rot, local = forward_kinematics_pass(angles, chain)
+        assert np.array_equal(pos, np.tile([1.0, 2.0, 3.0], (2, 1, 1)))
+        assert not forward_kinematics_vjp(np.ones((2, 1, 3)), angles, rot, local, chain).any()
+
+
+class TestPlacement:
+    @pytest.mark.parametrize("name", ["full", "body"])
+    def test_plan_places_each_joint_once_after_its_parent(self, name):
+        chain = CHAINS[name]
+        plan = chain.placement
+        order = plan.order.tolist()
+        assert sorted(order) == list(range(chain.num_joints))
+        slot = {joint: i for i, joint in enumerate(order)}
+        assert all(slot[p] < slot[j] for j, p in enumerate(chain.parents) if p >= 0)
+        assert order[0] == 0
+        leaves = order[plan.leaves.start:]
+        assert leaves == _leaves(chain)
+
+    @pytest.mark.parametrize("name", ["full", "body"])
+    def test_levels_are_the_inner_depths_in_index_order(self, name):
+        chain = CHAINS[name]
+        plan = chain.placement
+        depth = [0] * chain.num_joints
+        for j, p in enumerate(chain.parents[1:], start=1):
+            depth[j] = depth[p] + 1
+        bounds = [(level.start, level.stop) for level in plan.levels]
+        assert bounds[0][0] == 1 and bounds[-1][1] == plan.leaves.start
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        order = plan.order.tolist()
+        for d, level in enumerate(plan.levels, start=1):
+            joints = order[level.start:level.stop]
+            assert joints == sorted(joints) and {depth[j] for j in joints} == {d}
+        for level in (*plan.levels, plan.leaves):
+            joints = order[level.start:level.stop]
+            parents = np.arange(chain.num_joints)[level.parents].tolist()
+            assert [order[p] for p in parents] == [chain.parents[j] for j in joints]
+            ranked = []
+            for members, rank_parents in level.ranks:
+                rank_parents = np.arange(chain.num_joints)[rank_parents].tolist()
+                assert len(set(rank_parents)) == len(rank_parents)
+                ranked += [(parents[i], i) for i in np.arange(len(joints))[members].tolist()]
+            assert sorted(ranked) == sorted(zip(parents, range(len(joints))))
+
+    @pytest.mark.parametrize("name", ["full", "body"])
+    def test_no_joint_has_both_a_leaf_and_an_inner_child(self, name):
+        # the VJP passes the leaves' shares first; on these chains that keeps
+        # every parent's sum in its children's index order
+        chain = CHAINS[name]
+        leaves = set(_leaves(chain))
+        for p in set(chain.parents) - {-1}:
+            kinds = {j in leaves for j, q in enumerate(chain.parents) if q == p}
+            assert len(kinds) == 1, chain.joint_names[p]
+
+
+class TestFkLayoutErrors:
+    @pytest.mark.parametrize("shape", [(3,), (3, 120), (2, 3, 133), (4, 32)])
+    def test_frames_off_the_chain_name_their_shape(self, shape):
+        chain = BODY if shape == (4, 32) else FULL
+        with pytest.raises(LayoutError, match=re.escape(str(shape))):
+            forward_kinematics_sequence(np.zeros(shape), chain)
 
 
 def fk_per_joint(frames: np.ndarray, chain) -> np.ndarray:
