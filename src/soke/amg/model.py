@@ -13,6 +13,16 @@ training runs its whole prefix as one pass from an empty DecoderCache, and
 decoding runs one new position per pass against the prompt's cache.
 Attention splits and joins the heads itself, so the cache keeps keys and
 values as projected, (rows, positions, d_model).
+
+Key projections take no bias (Namazifar et al., "Role of Bias Terms in
+Dot-Product Attention", ICASSP 2023): a key bias adds the same q . b_k to
+every score of a query, which the softmax cancels, so its exact gradient is
+zero. Trained on benchmark/configs/train.json, such biases got float32
+noise of 0.85-15e-9 of the largest parameter gradient, which Adam still
+turned into steps of the learning rate's size. Value biases stay: attention
+rows sum to one, so b_v @ w_o is just another output bias as a function,
+but not in training; dropping them too made the text2sign benchmark's
+seed-0 DTW-PA-JPE worse (63.960 -> 65.066 mm).
 """
 
 from __future__ import annotations
@@ -147,7 +157,7 @@ class GeneratorModel:
             s = 1.0 / math.sqrt(d)
             return {
                 "wq": init((d, d), s), "bq": zeros(d),
-                "wk": init((d, d), s), "bk": zeros(d),
+                "wk": init((d, d), s),
                 "wv": init((d, d), s), "bv": zeros(d),
                 "wo": init((d, d), s), "bo": zeros(d),
             }
@@ -210,7 +220,7 @@ class GeneratorModel:
         """Self-attention of the positions x (B, n, d). With a layer cache,
         they also attend to its keys and values, and their own join it."""
         q = linear(x, p["wq"], p["bq"])
-        k = linear(x, p["wk"], p["bk"])
+        k = x @ p["wk"]
         v = linear(x, p["wv"], p["bv"])
         if layer is not None:
             if layer.self_k is not None:
@@ -223,7 +233,7 @@ class GeneratorModel:
         """A decoder layer's cache for the encoder state h_en (R, S, d); with
         R = 1 its keys and values broadcast over every decoder row."""
         ca = layer["cross"]
-        return LayerCache(cross_k=linear(h_en, ca["wk"], ca["bk"]),
+        return LayerCache(cross_k=h_en @ ca["wk"],
                           cross_v=linear(h_en, ca["wv"], ca["bv"]))
 
     def _ffn(self, x: Tensor, p: dict) -> Tensor:

@@ -5,12 +5,12 @@ tokenizer CNN, the micro encoder-decoder generator and the pose fit run.
 The graph nodes the package builds, by `_op` name, are `add`, `mul`,
 `relu`, `slice` (which also indexes by integer arrays, the embedding
 lookup), `concat`, `cross_entropy`, `layer_norm`, `conv1d`, `upsample` and
-`straight_through`; the generator's fused nodes `linear` (x @ w + b),
-`attention` (multi-head masked softmax attention over (B, T, d) inputs)
-and `weighted_sum` (the fused embedding, and the pose fit's weighted
-total); the pose fit's own nodes `body_fk`, `loss_rec`, `loss_temp` and
-`loss_reg`; and the tokenizer's VQ objective, `vq_loss`. matmul is kept
-for the benchmark's tracer, which times it; no package code builds it.
+`straight_through`; `matmul`, the generator's bias-free key projections;
+the generator's fused nodes `linear` (x @ w + b), `attention` (multi-head
+masked softmax attention over (B, T, d) inputs) and `weighted_sum` (the
+fused embedding, and the pose fit's weighted total); the pose fit's own
+nodes `body_fk`, `loss_rec`, `loss_temp` and `loss_reg`; and the
+tokenizer's VQ objective, `vq_loss`.
 Default storage is float32 with float64 accumulation in reductions.
 `default_dtype` switches newly created tensors to float64; its users are
 `posefit.fit_sequence` and the tests' finite-difference gradient checks, so

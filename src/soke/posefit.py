@@ -26,15 +26,12 @@ The observations are packed into arrays once per fit.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .artifacts import write_jsonl
 from .errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
 from .grad import Tensor, default_dtype
 from .grad.tensor import _sum_to_shape, weighted_sum
@@ -419,40 +416,6 @@ def fit_sequence(
     camera = CameraWeakPerspective(scale=float(cam_value[0]), tx=float(cam_value[1]),
                                    ty=float(cam_value[2]))
     return FitResult(motion=refined, log=log, camera=camera)
-
-
-# -- observation IO (JSON lines: {"frame_idx": i, "joints": [[x, y, conf]]}) ---
-
-
-def save_observations(path: str | Path, observations: list[Observation2D]) -> None:
-    write_jsonl(path, (
-        {"frame_idx": i,
-         "joints": [[float(x), float(y), float(c)] for (x, y), c in zip(obs.points, obs.confidence)]}
-        for i, obs in enumerate(observations)
-    ))
-
-
-def load_observations(path: str | Path) -> list[Observation2D]:
-    records = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                joints = np.asarray(rec["joints"], dtype=np.float64)
-                frame_idx = int(rec["frame_idx"])
-                if joints.ndim != 2 or joints.shape[1] != 3:
-                    raise InputError("joints must be [[x, y, conf], ...]")
-                if frame_idx in records:
-                    raise InputError(f"frame_idx {frame_idx} repeats")
-                records[frame_idx] = Observation2D(joints[:, :2], joints[:, 2])
-            except (KeyError, ValueError, TypeError, InputError) as exc:
-                raise InputError(f"{path}:{line_no}: malformed observation record: {exc}") from exc
-    if sorted(records) != list(range(len(records))):
-        raise InputError(f"{path}: frame_idx values must cover 0..T-1")
-    return [records[i] for i in range(len(records))]
 
 
 def observe_sequence(

@@ -653,6 +653,17 @@ class TestCorruptSidecar:
         with pytest.raises(InputError, match=r"amg\.ckpt.*head_B\.w"):
             load_generator(saved)
 
+    def test_checkpoint_with_key_biases_names_the_file_and_biases(self, saved):
+        # the checkpoint format of generators whose key projections had a bias
+        params = load_checkpoint(saved / "amg.ckpt")
+        key_biases = ["dec0.cross.bk", "dec0.self.bk", "enc0.attn.bk"]
+        for name in key_biases:
+            params[name] = np.zeros(TINY_CFG.d_model, dtype=np.float32)
+        save_checkpoint(saved / "amg.ckpt", params)
+        with pytest.raises(InputError, match=r"amg\.ckpt.*unexpected") as raised:
+            load_generator(saved)
+        assert all(name in str(raised.value) for name in key_biases)
+
     def test_sidecar_is_the_config_dataclass(self, saved):
         payload = json.loads((saved / "amg.json").read_text())
         assert payload == {"mode": "sequential", "config": {
@@ -854,12 +865,7 @@ def _assert_close(actual, expected, name, rel):
     """Within `rel` of the largest expected entry. The narrow normaliser sums
     fewer float64 terms than the full-width one, so the two differ in their
     last bits; float32 storage turns that into an ulp here and there, which
-    backward passes and Adam steps carry into every tensor. Key biases are
-    skipped: adding one vector to every key leaves a softmax unchanged, so
-    their exact gradient is zero and both runs hold only rounding noise
-    (~1e-11), which Adam turns into steps of the learning rate's size."""
-    if name.endswith(".bk"):
-        return
+    backward passes and Adam steps carry into every tensor."""
     assert np.abs(actual - expected).max() <= rel * np.abs(expected).max(), name
 
 

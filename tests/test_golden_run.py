@@ -58,8 +58,11 @@ def _report_digest(path: Path) -> str:
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
-def run_digests(mode: str, out_dir: Path) -> dict[str, str]:
+def run_train_config(mode: str, out_dir: Path) -> None:
     run_pipeline(load_run_config(CONFIG, [*OVERRIDES, f"mode={mode}"]), out_dir)
+
+
+def run_directory_digests(out_dir: Path) -> dict[str, str]:
     digests = {rel: file_hash(out_dir / rel) for rel in ARTIFACTS}
     digests["report.json"] = _report_digest(out_dir / "report.json")
     return digests
@@ -104,8 +107,8 @@ def _golden_on_this_stack() -> dict:
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_run_directory_matches_the_golden_digests(mode, tmp_path):
-    assert run_digests(mode, tmp_path) == _golden_on_this_stack()["digests"][mode]
+def test_run_directory_matches_the_golden_digests(mode, train_runs):
+    assert run_directory_digests(train_runs(mode)) == _golden_on_this_stack()["digests"][mode]
 
 
 @pytest.mark.parametrize("seed", sorted(POSE_FITS))
@@ -117,7 +120,8 @@ def write_golden() -> None:
     digests = {}
     for mode in MODES:
         with tempfile.TemporaryDirectory() as out_dir:
-            digests[mode] = run_digests(mode, Path(out_dir))
+            run_train_config(mode, Path(out_dir))
+            digests[mode] = run_directory_digests(Path(out_dir))
     payload = {"config": CONFIG.relative_to(REPO).as_posix(), "overrides": OVERRIDES,
                "stack": software_stack(), "digests": digests,
                "pose_fits": {str(seed): pose_fit_digests(seed) for seed in POSE_FITS}}

@@ -20,7 +20,7 @@ from test_pipeline import TINY
 
 def documented_ops() -> set[str]:
     """The backquoted names in the docstring's list of nodes by `_op` name."""
-    section = tensor_module.__doc__.split("by `_op` name,")[1].split("matmul is kept")[0]
+    section = tensor_module.__doc__.split("by `_op` name,")[1].split("Default storage")[0]
     return set(re.findall(r"`(\w+)`", section))
 
 
@@ -41,12 +41,9 @@ def test_the_package_builds_exactly_the_documented_operators(monkeypatch, tmp_pa
     observations = observe_sequence(init_motion, CameraWeakPerspective(), chain, noise_std=2.0,
                                     seed=1)
     fit_sequence(init_motion, observations, config=FitConfig(max_iters=2), chain=chain)
-    documented = documented_ops()
-    assert "matmul" not in documented  # kept for the benchmark's tracer only
-    assert built - {"leaf"} == documented
+    assert built - {"leaf"} == documented_ops()
 
 
 def test_the_node_policy_test_covers_every_documented_operator():
-    # "gather" is a `slice` node by an integer array; matmul is the one
-    # operator the package keeps without building it
-    assert set(NODE_BUILDERS) - {"gather"} == documented_ops() | {"matmul"}
+    # "gather" is a `slice` node by an integer array
+    assert set(NODE_BUILDERS) - {"gather"} == documented_ops()

@@ -19,14 +19,12 @@ from soke.posefit import (
     _float64_graph,
     body_fk,
     fit_sequence,
-    load_observations,
     loss_rec,
     loss_reg,
     loss_temp,
     observe_sequence,
     pack_observations,
     project_weak,
-    save_observations,
     total_loss,
 )
 
@@ -297,18 +295,7 @@ def _numpy_total_loss(theta: np.ndarray, obs, cam: CameraWeakPerspective,
     return cfg.w_rec * rec + cfg.w_temp * temp + cfg.w_reg * reg
 
 
-class TestObservationIO:
-    def test_round_trip(self, tmp_path):
-        seq = constant_pose_sequence(np.full((11, 3), 0.1), frames=3)
-        obs = observe_sequence(seq, CameraWeakPerspective(), CHAIN, noise_std=0.5, seed=3)
-        path = tmp_path / "obs.jsonl"
-        save_observations(path, obs)
-        loaded = load_observations(path)
-        assert len(loaded) == len(obs)
-        for a, b in zip(obs, loaded):
-            assert np.allclose(a.points, b.points)
-            assert np.allclose(a.confidence, b.confidence)
-
+class TestObservation2D:
     @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
     def test_bad_confidence_rejected(self, bad):
         with pytest.raises(InputError, match="confidences"):
@@ -356,33 +343,6 @@ class TestObservedJoints:
         obs = [Observation2D(np.zeros((1, 2)), np.ones(1)) for _ in range(2)]
         with pytest.raises(InputError, match="observed_joints"):
             fit_sequence(seq, obs, config=FitConfig(observed_joints=joints), chain=CHAIN)
-
-
-class TestMalformedObservationFile:
-    def _write(self, tmp_path, lines):
-        path = tmp_path / "obs.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        return path
-
-    def test_truncated_line_names_file_and_line(self, tmp_path):
-        path = self._write(tmp_path, ['{"frame_idx": 0, "joints": [[0, 0, 1]]}',
-                                      '{"frame_idx": 1, "joints": [[0, 0'])
-        with pytest.raises(InputError, match="obs.jsonl:2"):
-            load_observations(path)
-
-    @pytest.mark.parametrize("record", ['{"frame_idx": 0}', '{"joints": [[0, 0, 1]]}'])
-    def test_missing_key_names_file_and_line(self, tmp_path, record):
-        path = self._write(tmp_path, [record])
-        with pytest.raises(InputError, match="obs.jsonl:1"):
-            load_observations(path)
-
-    @pytest.mark.parametrize("second", ['{"frame_idx": 0, "joints": [[5, 5, 1]]}',
-                                        '{"frame_idx": 1, "joints": [[0, 0, 2]]}'])
-    def test_invalid_record_names_file_and_line(self, tmp_path, second):
-        # a repeated frame_idx, then a confidence outside [0, 1]
-        path = self._write(tmp_path, ['{"frame_idx": 0, "joints": [[0, 0, 1]]}', second])
-        with pytest.raises(InputError, match="obs.jsonl:2"):
-            load_observations(path)
 
 
 # -- the fit against the parent's loop (fit_oracle.py) ----------------------------

@@ -58,7 +58,7 @@ def attend(q: Tensor, k_t: Tensor, v: Tensor, p: dict, mask: np.ndarray | None) 
 
 def mha(model, x_q: Tensor, x_kv: Tensor, p: dict, mask: np.ndarray | None) -> Tensor:
     q = heads(model, linear(x_q, p["wq"], p["bq"]))
-    k = heads(model, linear(x_kv, p["wk"], p["bk"]))
+    k = heads(model, x_kv @ p["wk"])
     v = heads(model, linear(x_kv, p["wv"], p["bv"]))
     return attend(q, keys(k), v, p, mask)
 
@@ -81,8 +81,9 @@ def layer_cache(model, layer: dict, h_en: Tensor) -> FusedLayerCache:
     sa, ca = layer["self"], layer["cross"]
     return FusedLayerCache(
         w_qkv=concat([sa["wq"], sa["wk"], sa["wv"]], axis=1),
-        b_qkv=concat([sa["bq"], sa["bk"], sa["bv"]], axis=0),
-        cross_k=keys(heads(model, linear(h_en, ca["wk"], ca["bk"]))),
+        # keys take no bias: a zero block adds +0.0, so the keys equal x @ wk
+        b_qkv=concat([sa["bq"], Tensor(np.zeros_like(sa["bq"].data)), sa["bv"]], axis=0),
+        cross_k=keys(heads(model, h_en @ ca["wk"])),
         cross_v=heads(model, linear(h_en, ca["wv"], ca["bv"])),
     )
 
