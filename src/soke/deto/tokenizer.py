@@ -43,28 +43,36 @@ class DetoConfig:
 
 
 class PartTokenizer:
-    """Encoder, decoder, and codebook for one body part."""
+    """Encoder, decoder, and codebook for one body part.
+
+    Each conv weight is held as conv1d's (K * C_in, C_out) filter matrix,
+    the GEMM operand of the im2col product, so no step copies it into or
+    out of another layout. It is drawn as a (C_out, C_in, K) filter bank,
+    the layout deto.ckpt keeps (see `filter_bank`), and permuted once.
+    """
+
+    # kernel size K of each conv weight: the encoder's two stride-2 blocks
+    # and the decoder's two convs after each 2x upsampling
+    KERNEL_SIZES = {"enc_w1": 4, "enc_w2": 4, "dec_w1": 3, "dec_w2": 3}
 
     def __init__(self, part: Part, width: int, config: DetoConfig, rng: np.random.Generator):
         self.part = part
         self.width = width
         self.config = config
         h, c = config.hidden_channels, config.code_dim
-        k_down, k_up = 4, 3
 
-        def init(shape, fan_in):
-            return Tensor(
-                (rng.standard_normal(shape) * np.sqrt(1.0 / fan_in)).astype(np.float32),
-                requires_grad=True,
-            )
+        def conv(name, c_out, c_in):
+            k = self.KERNEL_SIZES[name]
+            bank = rng.standard_normal((c_out, c_in, k)) * np.sqrt(1.0 / (c_in * k))
+            return Tensor(filter_matrix(bank.astype(np.float32)), requires_grad=True)
 
-        self.enc_w1 = init((h, width, k_down), width * k_down)
+        self.enc_w1 = conv("enc_w1", h, width)
         self.enc_b1 = Tensor(np.zeros(h, dtype=np.float32), requires_grad=True)
-        self.enc_w2 = init((c, h, k_down), h * k_down)
+        self.enc_w2 = conv("enc_w2", c, h)
         self.enc_b2 = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
-        self.dec_w1 = init((h, c, k_up), c * k_up)
+        self.dec_w1 = conv("dec_w1", h, c)
         self.dec_b1 = Tensor(np.zeros(h, dtype=np.float32), requires_grad=True)
-        self.dec_w2 = init((width, h, k_up), h * k_up)
+        self.dec_w2 = conv("dec_w2", width, h)
         self.dec_b2 = Tensor(np.zeros(width, dtype=np.float32), requires_grad=True)
         self.codebook = Codebook(
             part, (rng.standard_normal((config.size_for(part), c)) * 0.5).astype(np.float32)
@@ -191,6 +199,17 @@ def vq_loss_terms(
     total = Tensor(rec + emb + com, _parents=(latents, codes, recon), _op="vq_loss",
                    _backward=backward)
     return total, rec, emb, com
+
+
+def filter_matrix(bank: np.ndarray) -> np.ndarray:
+    """A (C_out, C_in, K) filter bank as conv1d's (K * C_in, C_out) weight."""
+    return np.ascontiguousarray(bank.transpose(2, 1, 0)).reshape(-1, bank.shape[0])
+
+
+def filter_bank(weight: np.ndarray, k: int) -> np.ndarray:
+    """conv1d's (K * C_in, C_out) weight as its (C_out, C_in, K) filter bank,
+    a view."""
+    return weight.reshape(k, -1, weight.shape[1]).transpose(2, 1, 0)
 
 
 class DecoupledTokenizer:

@@ -12,7 +12,7 @@ from ..errors import ConfigError, InputError, NonFiniteError, TrainingDivergedEr
 from ..grad import Adam, CosineSchedule, load_parameters, no_grad, save_checkpoint
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, split_parts
 from .codebook import nearest_code_ids
-from .tokenizer import DecoupledTokenizer, DetoConfig, PartTokenizer
+from .tokenizer import DecoupledTokenizer, DetoConfig, PartTokenizer, filter_bank, filter_matrix
 
 SIDECAR_NAME = "deto.json"
 CHECKPOINT_NAME = "deto.ckpt"
@@ -28,6 +28,8 @@ class DetoTrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("training needs at least one step")
+        if self.warmup_sequences < 1:
+            raise ConfigError(f"warmup_sequences must be at least 1; got {self.warmup_sequences}")
         CosineSchedule(self.lr, self.steps, self.min_lr)  # rejects bad rates
 
 
@@ -48,7 +50,7 @@ def _train_one_part(
     rng: np.random.Generator,
     log: list[dict],
 ) -> None:
-    _warm_start_codebook(tok, motions[: max(1, min(train_cfg.warmup_sequences, len(motions)))], rng)
+    _warm_start_codebook(tok, motions[: train_cfg.warmup_sequences], rng)
     opt = Adam(
         tok.parameters(),
         schedule=CosineSchedule(train_cfg.lr, train_cfg.steps, train_cfg.min_lr),
@@ -138,9 +140,23 @@ class DetoSidecar:
     config: DetoConfig
 
 
+# the kernel size of every conv weight, by parameter name
+_KERNEL_SIZES = {f"{part.value}.{name}": k for part in PARTS
+                 for name, k in PartTokenizer.KERNEL_SIZES.items()}
+
+
+def _checkpoint_arrays(deto: DecoupledTokenizer) -> dict[str, np.ndarray]:
+    """Every parameter as deto.ckpt stores it: a conv weight as its
+    (C_out, C_in, K) filter bank, the layout of checkpoints written before
+    conv1d took the filter matrix, so run directories stay byte-comparable;
+    the rest as they are."""
+    return {name: filter_bank(p.data, _KERNEL_SIZES[name]) if name in _KERNEL_SIZES else p.data
+            for name, p in deto.parameters()}
+
+
 def save_deto(out_dir: str | Path, deto: DecoupledTokenizer, log: list[dict] | None = None) -> None:
     out_dir = Path(out_dir)
-    save_checkpoint(out_dir / CHECKPOINT_NAME, {name: p.data for name, p in deto.parameters()})
+    save_checkpoint(out_dir / CHECKPOINT_NAME, _checkpoint_arrays(deto))
     write_json(out_dir / SIDECAR_NAME, asdict(DetoSidecar(deto.layout, deto.config)))
     if log is not None:
         write_jsonl(out_dir / "train_log.jsonl", log)
@@ -151,5 +167,12 @@ def load_deto(out_dir: str | Path) -> DecoupledTokenizer:
     sidecar = read_json(out_dir / SIDECAR_NAME,
                         lambda payload: from_dict(DetoSidecar, payload, complete=True))
     deto = DecoupledTokenizer(sidecar.layout, sidecar.config, seed=0)
-    load_parameters(out_dir / CHECKPOINT_NAME, deto.parameters())
+    named = deto.parameters()
+    # shapes are checked, and values read, in the checkpoint's layout
+    for (_, p), stored in zip(named, _checkpoint_arrays(deto).values()):
+        p.data = stored
+    load_parameters(out_dir / CHECKPOINT_NAME, named)
+    for name, p in named:
+        if name in _KERNEL_SIZES:
+            p.data = filter_matrix(p.data)
     return deto

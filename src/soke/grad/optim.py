@@ -43,10 +43,15 @@ class Adam:
     concatenate, runs the moment and update arithmetic once over all of
     them, and subtracts each parameter's slice of the scaled update. The
     arithmetic is elementwise, so every element sees the same operations as
-    a per-parameter loop. Parameters come as the (name, tensor) pairs a
-    model's `parameters()` returns. Every parameter must have a gradient at
-    each step; one without raises GraphError naming it. Parameters are never
-    aliased into the buffers, so assigning `p.data` between steps is fine.
+    a per-parameter loop. A step allocates no array the size of the
+    parameters but their new values: the packing and every intermediate
+    write, with `out=`, into two scratch buffers per dtype that the
+    optimizer owns. The packed gradient and its products with the moment
+    rates take the gradients' dtype; the update takes the parameters'.
+    Parameters come as the (name, tensor) pairs a model's `parameters()`
+    returns. Every parameter must have a gradient at each step; one without
+    raises GraphError naming it. Parameters are never aliased into the
+    buffers, so assigning `p.data` between steps is fine.
     """
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 2e-4,
@@ -64,6 +69,7 @@ class Adam:
         self.offsets = np.cumsum([0] + [p.data.size for p in params]).tolist()
         self.m = np.zeros(self.offsets[-1], dtype=dtype)
         self.v = np.zeros(self.offsets[-1], dtype=dtype)
+        self.scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         self.steps_taken = 0
 
     def current_lr(self) -> float:
@@ -80,15 +86,31 @@ class Adam:
         t = self.steps_taken
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
-        g = np.concatenate([p.grad.reshape(-1) for p in self.params])
         m, v = self.m, self.v
+        grads = [p.grad for p in self.params]
+        g, tmp = self._buffers(np.result_type(*grads))
+        np.concatenate(grads, axis=None, out=g)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(1.0 - BETA1, g, out=tmp)
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        delta = lr * ((m / bc1) / (np.sqrt(v / bc2) + EPS))
+        np.multiply(g, g, out=tmp)
+        v += np.multiply(1.0 - BETA2, tmp, out=tmp)
+        # lr * ((m / bc1) / (sqrt(v / bc2) + EPS)); when the gradients share
+        # the parameters' dtype, this reuses the buffers g and tmp
+        delta, root = self._buffers(m.dtype)
+        np.divide(m, bc1, out=delta)
+        np.sqrt(np.divide(v, bc2, out=root), out=root)
+        delta /= np.add(root, EPS, out=root)
+        delta *= lr
         for p, start, end in zip(self.params, self.offsets, self.offsets[1:]):
             p.data = p.data - delta[start:end].reshape(p.shape)
+
+    def _buffers(self, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Two scratch arrays the size of the moments, made once per dtype."""
+        if dtype not in self.scratch:
+            self.scratch[dtype] = (np.empty_like(self.m, dtype=dtype),
+                                   np.empty_like(self.m, dtype=dtype))
+        return self.scratch[dtype]
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -35,10 +35,19 @@ Backward closures only ever replace a tensor's `grad`, never update it in
 place, so `_accumulate` keeps a fresh first gradient as it is and copies
 only a view. Some passes are written for speed with the arithmetic of
 their plain form, so each is bit-identical to it: conv1d's input gradient
-(col2im) is k strided adds in np.add.at's order, and cross_entropy skips
-the exp of masked-out entries, which is +0.0. The row max of many short
-rows runs over a transposed copy, which can change only the sign of a zero
-maximum (see `_row_max`).
+(col2im) is k strided adds in np.add.at's order; an integer-array index
+scatters its gradient with one element-wise np.add.at over the flattened
+table, which adds each element's terms in the order np.add.at(table, key,
+g) does, without that call's slow path for whole rows; and cross_entropy
+skips the exp of masked-out entries, which is +0.0. conv1d's weight is the
+(K * C_in, C_out) filter matrix of the im2col product (Chellapilla, Puri &
+Simard, 2006), so neither pass copies it into another layout and its
+gradient is the fresh cols.T @ g. Where an op computes a chain of
+elementwise steps into an array it made itself (attention's softmax,
+cross_entropy's log-softmax and gradient, layer_norm's input gradient), it
+writes each step into that array instead of a new one. The row max of many
+short rows runs over a transposed copy, which can change only the sign of a
+zero maximum (see `_row_max`).
 """
 
 from __future__ import annotations
@@ -248,11 +257,14 @@ class Tensor:
         def backward(g):
             full = np.zeros(self.shape, dtype=self.data.dtype)
             # an index array may repeat an element, whose gradients then add
-            # up (np.add.at adds them in the index's C order); basic slices
+            # up; the element-wise scatter over the flat table adds each
+            # element's terms in the order np.add.at(full, key, g) does (the
+            # index's C order) and skips its slow path for rows. Basic slices
             # select each element at most once and assign
             if any(isinstance(k, (np.ndarray, list)) for k in
                    (key if isinstance(key, tuple) else (key,))):
-                np.add.at(full, key, g)
+                flat = np.arange(full.size).reshape(full.shape)[key]
+                np.add.at(full.reshape(-1), flat.reshape(-1), g.reshape(-1))
             else:
                 full[key] = g
             self._accumulate(full)
@@ -385,8 +397,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     if mask is not None:
         mask = np.expand_dims(mask, -3)  # one mask for every head
         z = np.where(mask, z, NEG_MASK)
-    e = np.exp(z - _row_max(z))
-    prob = e / e.sum(axis=-1, keepdims=True, dtype=np.float64).astype(e.dtype)
+    # the softmax, in z, a fresh array
+    z -= _row_max(z)
+    np.exp(z, out=z)
+    prob = np.divide(z, z.sum(axis=-1, keepdims=True, dtype=np.float64).astype(z.dtype), out=z)
 
     def backward(g):
         # q, then k, then v: the order in which the composed graph's
@@ -458,8 +472,9 @@ def cross_entropy(
     if support_mask is not None:
         z = np.where(support_mask, z, NEG_MASK)
         exp = _exp_masked
-    z = z - _row_max(z)
-    logp = z - np.log(exp(z).sum(axis=-1, keepdims=True))
+    # the log-softmax, in z, a fresh array
+    z -= _row_max(z)
+    logp = np.subtract(z, np.log(exp(z).sum(axis=-1, keepdims=True)), out=z)
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
     if weights is None:
         weights = np.ones(targets.shape, dtype=np.float64)
@@ -474,10 +489,12 @@ def cross_entropy(
     def backward(g):
         onehot = np.zeros(prob.shape, dtype=np.float64)
         np.put_along_axis(onehot, targets[..., None], 1.0, axis=-1)
-        grad = (prob - onehot) * (weights[..., None] / total_weight)
+        grad = prob - onehot  # float64, like every factor below
+        grad *= weights[..., None] / total_weight
         if support_mask is not None:
-            grad = np.where(support_mask, grad, 0.0)
-        logits._accumulate(float(np.asarray(g).reshape(())) * grad)
+            np.copyto(grad, 0.0, where=~support_mask)
+        grad *= float(np.asarray(g).reshape(()))
+        logits._accumulate(grad)
 
     return Tensor(value, _parents=(logits,), _op="cross_entropy", _backward=backward)
 
@@ -502,21 +519,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gx = g * gain.data
             mean_g = gx.mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
             mean_gx = (gx * xhat).mean(axis=-1, keepdims=True, dtype=np.float64).astype(dt)
-            x._accumulate(inv * (gx - mean_g - xhat * mean_gx))
+            # inv * (gx - mean_g - xhat * mean_gx), in gx, a fresh array
+            gx -= mean_g
+            gx -= xhat * mean_gx
+            gx *= inv
+            x._accumulate(gx)
 
     return Tensor(xhat * gain.data + bias.data, _parents=(x, gain, bias), _op="layer_norm",
                   _backward=backward)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """1D convolution over time. x: (T, C_in); weight: (C_out, C_in, K).
+    """1D convolution over time. x: (T, C_in); weight: (K * C_in, C_out),
+    the filter matrix of the im2col product, whose row j * C_in + c holds
+    tap j of input channel c (a (C_out, C_in, K) filter bank w is
+    w.transpose(2, 1, 0).reshape(K * C_in, C_out)).
 
     Output: (T_out, C_out) with T_out = (T + 2*padding - K) // stride + 1.
     """
     T, c_in = x.shape
-    c_out, c_in_w, k = weight.shape
-    if c_in != c_in_w:
-        raise GraphError(f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
+    rows, c_out = weight.shape
+    if rows % c_in:
+        raise GraphError(f"conv1d channel mismatch: input {c_in}, weight rows {rows}")
+    k = rows // c_in
     t_out = (T + 2 * padding - k) // stride + 1
     if t_out < 1:
         raise GraphError(f"conv1d: input length {T} too short for kernel {k} stride {stride}")
@@ -525,17 +550,18 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         xp = np.zeros((T + 2 * padding, c_in), dtype=x.data.dtype)
         xp[padding: padding + T] = x.data
     idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
-    cols = xp[idx].reshape(t_out, k * c_in)  # im2col
-    w2 = weight.data.transpose(2, 1, 0).reshape(k * c_in, c_out)
+    cols = xp[idx].reshape(t_out, rows)  # im2col
+    w = weight.data
+    out = cols @ w
+    out += bias.data
 
     def backward(g):
         if bias.requires_grad:
             bias._accumulate(g.sum(axis=0, dtype=np.float64))
         if weight.requires_grad:
-            gw2 = cols.T @ g
-            weight._accumulate(gw2.reshape(k, c_in, c_out).transpose(2, 1, 0))
+            weight._accumulate(cols.T @ g)
         if x.requires_grad:
-            gcols = (g @ w2.T).reshape(t_out, k, c_in)
+            gcols = (g @ w.T).reshape(t_out, k, c_in)
             gxp = np.zeros_like(xp)
             # col2im as k strided adds; taps run last to first so each row
             # sums its terms in np.add.at(gxp, idx, gcols)'s order
@@ -543,8 +569,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
                 gxp[j: j + stride * (t_out - 1) + 1: stride] += gcols[:, j]
             x._accumulate(gxp[padding: padding + T] if padding else gxp)
 
-    return Tensor(cols @ w2 + bias.data, _parents=(x, weight, bias), _op="conv1d",
-                  _backward=backward)
+    return Tensor(out, _parents=(x, weight, bias), _op="conv1d", _backward=backward)
 
 
 def upsample_repeat(x: Tensor, factor: int) -> Tensor:

@@ -126,3 +126,11 @@ def test_seeds_numpy_cannot_take_rejected(setting, field):
 
 def test_negative_offset_that_keeps_the_test_seed_valid_accepted():
     assert RunConfig(seed=5, eval_seed_offset=-5).eval_seed_offset == -5
+
+
+def test_deto_warm_start_override_below_one_rejected(tmp_path):
+    # before, the run config recorded 0 while the warm start used one sequence
+    path = tmp_path / "run.json"
+    path.write_text("{}")
+    with pytest.raises(ConfigError, match="warmup_sequences"):
+        load_run_config(path, ["deto_train.warmup_sequences=0"])

@@ -22,7 +22,7 @@ from soke.deto import (
     train_tokenizer,
     vq_loss_terms,
 )
-from soke.grad import Tensor, default_dtype
+from soke.grad import Tensor, default_dtype, load_checkpoint, save_checkpoint
 from soke.motion import (
     MotionSequence,
     Part,
@@ -395,6 +395,13 @@ class TestConfig:
     def test_constant_learning_rate_accepted(self):
         assert DetoTrainConfig(lr=1e-3, min_lr=1e-3).min_lr == 1e-3
 
+    @pytest.mark.parametrize("warmup", [0, -2])
+    def test_warm_start_without_a_sequence_rejected(self, warmup):
+        # the codebook's warm start needs encoder outputs of at least one
+        # sequence; the run config must not record a count it did not use
+        with pytest.raises(ConfigError, match="warmup_sequences"):
+            DetoTrainConfig(warmup_sequences=warmup)
+
 
 def _holder(payload: dict, key: str) -> dict:
     """The object of a sidecar that holds `key`: the top level or one level down."""
@@ -458,6 +465,61 @@ class TestCorruptSidecar:
         sidecar.write_text(json.dumps(payload))
         with pytest.raises(InputError, match="deto.json"):
             load_deto(saved)
+
+
+class TestCheckpointLayout:
+    """deto.ckpt keeps each conv weight as a (C_out, C_in, K) filter bank, the
+    layout of checkpoints written before conv1d took its (K * C_in, C_out)
+    filter matrix."""
+
+    CONV = {"enc_w1": 4, "enc_w2": 4, "dec_w1": 3, "dec_w2": 3}
+
+    @pytest.fixture()
+    def banks(self, tmp_path):
+        """A deto directory whose checkpoint holds random filter banks."""
+        deto = DecoupledTokenizer(PartLayout(), TINY, seed=0)
+        save_deto(tmp_path, deto)
+        rng = np.random.default_rng(3)
+        stored = load_checkpoint(tmp_path / "deto.ckpt")
+        for name, value in stored.items():
+            stored[name] = rng.normal(size=value.shape).astype(np.float32)
+        save_checkpoint(tmp_path / "deto.ckpt", stored)
+        return tmp_path, stored
+
+    def test_filter_banks_are_stored_channels_out_in_then_taps(self, banks):
+        _, stored = banks
+        tok = DecoupledTokenizer(PartLayout(), TINY, seed=0)[Part.LEFT_HAND]
+        c_in = {"enc_w1": tok.width, "enc_w2": 4, "dec_w1": 6, "dec_w2": 4}
+        c_out = {"enc_w1": 4, "enc_w2": 6, "dec_w1": 4, "dec_w2": tok.width}
+        for name, k in self.CONV.items():
+            assert stored[f"LH.{name}"].shape == (c_out[name], c_in[name], k)
+
+    def test_a_bank_checkpoint_loads_as_filter_matrices_exactly(self, banks):
+        out_dir, stored = banks
+        for name, p in load_deto(out_dir).parameters():
+            bank = stored[name]
+            expected = (bank.transpose(2, 1, 0).reshape(-1, bank.shape[0])
+                        if name.split(".")[1] in self.CONV else bank)
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, expected), name
+
+    def test_save_writes_the_banks_it_loaded(self, banks, tmp_path_factory):
+        out_dir, stored = banks
+        again = tmp_path_factory.mktemp("again")
+        save_deto(again, load_deto(out_dir))
+        assert (again / "deto.ckpt").read_bytes() == (out_dir / "deto.ckpt").read_bytes()
+        assert load_checkpoint(again / "deto.ckpt").keys() == stored.keys()
+
+    @pytest.mark.parametrize("reshape", [
+        lambda bank: bank.transpose(2, 1, 0).reshape(-1, bank.shape[0]),  # a filter matrix
+        lambda bank: bank.reshape(bank.shape[0], bank.shape[2], bank.shape[1]),
+        lambda bank: bank[..., :-1],
+    ], ids=["filter-matrix", "in-and-taps-swapped", "one-tap-short"])
+    def test_a_misshaped_conv_tensor_names_the_parameter(self, banks, reshape):
+        out_dir, stored = banks
+        stored["RH.dec_w1"] = np.ascontiguousarray(reshape(stored["RH.dec_w1"]))
+        save_checkpoint(out_dir / "deto.ckpt", stored)
+        with pytest.raises(InputError, match=r"RH\.dec_w1"):
+            load_deto(out_dir)
 
 
 def _direct_nearest(latents: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -11,16 +11,19 @@ purpose regenerates the file and states the old and new digests:
     PYTHONPATH=src python tests/test_golden_run.py --write
 
 Bits are promised on one software and hardware stack only, so the file also
-records numpy's version, the BLAS library and the machine type; where the
-current stack differs, the tests skip and name the difference.
+records numpy's version, the BLAS library, the kernel set OpenBLAS chose for
+this CPU and the machine type; where the current stack differs, the tests
+skip and name the difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,7 +49,26 @@ ARTIFACTS = ("deto/deto.ckpt", "deto/deto.json", "deto/train_log.jsonl", "dict.j
 def software_stack() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "machine": platform.machine()}
+            "blas_kernels": openblas_kernels(), "machine": platform.machine()}
+
+
+def openblas_kernels() -> str:
+    """The kernel set numpy's bundled OpenBLAS chose for this CPU at run time.
+
+    A DYNAMIC_ARCH build picks its kernels per CPU when it loads, and they
+    can round differently; the build string in `np.show_config` names only
+    the build's baseline target. "unknown" where the library or its query
+    is missing.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def _report_digest(path: Path) -> str:
@@ -99,8 +121,8 @@ def pose_fit_digests(seed: int) -> dict[str, str]:
 
 def _golden_on_this_stack() -> dict:
     golden = json.loads(GOLDEN.read_text())
-    differs = [f"{key} {golden['stack'][key]!r} != {value!r}"
-               for key, value in software_stack().items() if golden["stack"][key] != value]
+    differs = [f"{key} {golden['stack'].get(key)!r} != {value!r}"
+               for key, value in software_stack().items() if golden["stack"].get(key) != value]
     if differs:
         pytest.skip("golden digests were made on another stack: " + "; ".join(differs))
     return golden
@@ -114,6 +136,13 @@ def test_run_directory_matches_the_golden_digests(mode, train_runs):
 @pytest.mark.parametrize("seed", sorted(POSE_FITS))
 def test_pose_fit_matches_the_golden_digests(seed):
     assert pose_fit_digests(seed) == _golden_on_this_stack()["pose_fits"][str(seed)]
+
+
+def test_another_blas_kernel_set_skips_and_names_it(monkeypatch):
+    recorded = json.loads(GOLDEN.read_text())["stack"]["blas_kernels"]
+    monkeypatch.setattr(sys.modules[__name__], "openblas_kernels", lambda: "Other" + recorded)
+    with pytest.raises(pytest.skip.Exception, match=f"blas_kernels '{recorded}' != 'Other"):
+        _golden_on_this_stack()
 
 
 def write_golden() -> None:

@@ -94,7 +94,7 @@ NODE_BUILDERS = {
     "weighted_sum": lambda leaf: weighted_sum([leaf((2, 3)), leaf((2, 3))], [0.25, 0.75]),
     "cross_entropy": lambda leaf: cross_entropy(leaf((2, 5)), np.array([1, 4])),
     "layer_norm": lambda leaf: layer_norm(leaf((2, 6)), leaf((6,)), leaf((6,))),
-    "conv1d": lambda leaf: conv1d(leaf((8, 3)), leaf((4, 3, 3)), leaf((4,)), stride=2, padding=1),
+    "conv1d": lambda leaf: conv1d(leaf((8, 3)), leaf((9, 4)), leaf((4,)), stride=2, padding=1),
     "upsample": lambda leaf: upsample_repeat(leaf((3, 2)), 2),
     "body_fk": lambda leaf: body_fk(leaf((2, 11, 3)), BODY),
     "loss_rec": lambda leaf: loss_rec(leaf((2, 11, 3)), OBSERVED, leaf((3,)), (5, 5, 6), 2.0),
@@ -214,7 +214,7 @@ def test_conv1d_and_upsample_match_finite_differences():
     rng = np.random.default_rng(7)
     with default_dtype(np.float64):
         x = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(5, 3, 4)) * 0.3, requires_grad=True)
+        w = Tensor(rng.normal(size=(12, 5)) * 0.3, requires_grad=True)  # K = 4, C_in = 3
         bias = Tensor(rng.normal(size=(5,)) * 0.1, requires_grad=True)
 
         def loss_fn():
@@ -434,21 +434,77 @@ def test_repeated_index_inside_a_tuple_key():
 # -- bit-for-bit oracles of the training fast paths ----------------------------
 
 
+def _gather_grad(table: np.ndarray, ids: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """table[ids]'s gradient as backward computes it, for an output gradient g."""
+    x = Tensor(table, requires_grad=True)
+    reduce_sum(x[ids] * Tensor(g)).backward()  # the gather's gradient is exactly g
+    return x.grad
+
+
+@pytest.mark.parametrize("ids", [np.array([3, 1, 3, 0, 3, 1]), np.array([[2, 2, 0], [1, 2, 2]])],
+                         ids=["1d", "2d"])
+@pytest.mark.parametrize("row_shape", [(5,), (2, 3)], ids=["rank2", "rank3"])
+def test_gather_backward_equals_add_at_bit_for_bit(ids, row_shape):
+    rng = np.random.default_rng(ids.size + len(row_shape))
+    table = rng.normal(size=(4, *row_shape)).astype(np.float32)
+    # gradients over sixteen decades, so the sum of a repeated id's rows
+    # rounds differently in another order; one row is all -0.0
+    g = rng.normal(size=(*ids.shape, *row_shape)) * 10.0 ** rng.integers(-8, 8, size=ids.shape
+                                                                        + (1,) * len(row_shape))
+    g = g.astype(np.float32)
+    g.reshape(-1, *row_shape)[1] = -0.0
+    expected = np.zeros_like(table)
+    np.add.at(expected, ids, g)
+    assert _gather_grad(table, ids, g).tobytes() == expected.tobytes()
+
+
+def test_gather_backward_adds_a_repeated_ids_terms_in_index_order():
+    # 1e8 + 1 rounds to 1e8 in float32, so these rows sum to 0 in index
+    # order and to 1 if the 1 came last; np.add.at gives 0, a row that only
+    # receives -0.0 stays +0.0, and a row never gathered stays +0.0
+    ids = np.array([2, 0, 2, 2])
+    g = np.array([[1e8], [-0.0], [1.0], [-1e8]], dtype=np.float32)
+    grad = _gather_grad(np.zeros((3, 1), dtype=np.float32), ids, g)
+    assert grad.tobytes() == np.zeros((3, 1), dtype=np.float32).tobytes()
+
+
 def _conv1d_add_at_grads(x, w, g, stride, padding):
     """conv1d's input, weight and bias gradients, with col2im as one np.add.at."""
     T, c_in = x.shape
-    c_out, _, k = w.shape
+    k = w.shape[0] // c_in
     t_out = g.shape[0]
     xp = np.zeros((T + 2 * padding, c_in), dtype=x.dtype)
     xp[padding: padding + T] = x
     idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
     cols = xp[idx].reshape(t_out, k * c_in)
-    w2 = w.transpose(2, 1, 0).reshape(k * c_in, c_out)
     gxp = np.zeros_like(xp)
-    np.add.at(gxp, idx, (g @ w2.T).reshape(t_out, k, c_in))
-    gw = (cols.T @ g).reshape(k, c_in, c_out).transpose(2, 1, 0)
+    np.add.at(gxp, idx, (g @ w.T).reshape(t_out, k, c_in))
+    gw = cols.T @ g
     gb = g.sum(axis=0, dtype=np.float64).astype(x.dtype)
     return gxp[padding: padding + T], gw, gb
+
+
+@pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1)])
+def test_conv1d_weight_row_holds_a_tap_of_an_input_channel(stride, padding):
+    # row j * C_in + c of the filter matrix is tap j of input channel c
+    rng = np.random.default_rng(stride)
+    k, c_in, c_out = 3, 4, 2
+    x = rng.normal(size=(9, c_in))
+    bank = rng.normal(size=(c_out, c_in, k))
+    bias = rng.normal(size=c_out)
+    with default_dtype(np.float64):
+        out = conv1d(Tensor(x), Tensor(bank.transpose(2, 1, 0).reshape(k * c_in, c_out)),
+                     Tensor(bias), stride=stride, padding=padding).data
+    xp = np.pad(x, ((padding, padding), (0, 0)))
+    direct = np.array([[bias[o] + sum(bank[o, c, j] * xp[t * stride + j, c]
+                                      for c in range(c_in) for j in range(k))
+                        for o in range(c_out)] for t in range(out.shape[0])])
+    np.testing.assert_allclose(out, direct, rtol=1e-12, atol=1e-12)
+
+
+def test_conv1d_weight_rows_not_a_multiple_of_the_input_channels_rejected():
+    with pytest.raises(GraphError, match="channel mismatch"):
+        conv1d(Tensor(np.ones((8, 3))), Tensor(np.ones((10, 4))), Tensor(np.zeros(4)))
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -457,7 +513,7 @@ def _conv1d_add_at_grads(x, w, g, stride, padding):
 def test_conv1d_gradients_equal_add_at_col2im(k, stride, padding):
     rng = np.random.default_rng(100 * k + 10 * stride + padding)
     x = Tensor(rng.normal(size=(11, 5)).astype(np.float32), requires_grad=True)
-    w = Tensor(rng.normal(size=(6, 5, k)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(k * 5, 6)).astype(np.float32), requires_grad=True)
     bias = Tensor(rng.normal(size=6).astype(np.float32), requires_grad=True)
     out = conv1d(x, w, bias, stride=stride, padding=padding)
     g = rng.normal(size=out.shape).astype(np.float32)
@@ -491,6 +547,24 @@ def test_adam_matches_a_per_parameter_reference_bit_for_bit():
     for lo, hi, m, v in moments:
         assert np.array_equal(opt.m[lo:hi], m.reshape(-1))
         assert np.array_equal(opt.v[lo:hi], v.reshape(-1))
+
+
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+def test_adam_makes_its_scratch_buffers_once(grad_dtype):
+    rng = np.random.default_rng(5)
+    params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+              for s in [(3, 4), (2,), ()]]
+    opt = Adam([(f"p{i}", p) for i, p in enumerate(params)], lr=0.1)
+    seen = None
+    for _ in range(3):
+        for p in params:
+            p.grad = rng.normal(size=p.shape).astype(grad_dtype)
+        opt.step()
+        buffers = {dtype: [id(a) for a in pair] for dtype, pair in opt.scratch.items()}
+        assert seen is None or buffers == seen
+        seen = buffers
+    # one pair per dtype: the gradients' and the parameters'
+    assert set(seen) == {np.dtype(grad_dtype), np.dtype(np.float32)}
 
 
 def test_adam_step_without_a_gradient_names_the_parameter_and_changes_nothing():
