@@ -4,8 +4,10 @@ DTW metrics run one alignment per cost family (raw / Procrustes-aligned);
 the DP cost is the mean error over body+hand joints jointly, and per-subset
 numbers are read off along the chosen path. PA alignment is solved per frame
 pair on the union joint set (config tag `pa_scope = per_frame_pair_union`);
-all n*m frame pairs of a track pair are solved in one batched call, which
-holds the (n, m, J) per-joint residuals, so DTW-PA memory is O(n*m*J).
+all n*m frame pairs of a track pair are solved in one batched call. Both
+residuals, raw and aligned, are computed one coordinate at a time on
+(n, m, J) planes, and no (n, m, J, 3) point array is built, so DTW-PA
+memory is O(n*m*J).
 Joint positions come from one forward-kinematics pass per track pair, over
 the generated and reference frames concatenated; FK treats frames
 independently, so this equals two passes bit for bit.
@@ -31,7 +33,7 @@ from ..motion import (
     hand_joint_indices,
 )
 from .dtw import dtw
-from .procrustes import procrustes_align
+from .procrustes import coordinate_planes, plane_distances, procrustes_align
 
 REPORT_SCHEMA_VERSION = 1
 METRIC_CONVENTIONS = {"dtw_normalization": "path", "pa_scope": "per_frame_pair_union", "units": "mm"}
@@ -60,8 +62,7 @@ def dtw_joint_metrics(
     gen_pairs, ref_pairs = gen_track[:, None], ref_track[None, :]
     raw_err = _distances(gen_pairs, ref_pairs)
     raw = dtw(gen_track, ref_track, raw_err.mean(axis=-1))
-    aligned, _ = procrustes_align(gen_pairs, ref_pairs)
-    pa_err = _distances(aligned, ref_pairs)
+    pa_err = procrustes_align(gen_pairs, ref_pairs).distances(gen_pairs, ref_pairs)
     pa = dtw(gen_track, ref_track, pa_err.mean(axis=-1))
     raw_body, raw_hand = _path_subset_means(raw_err, raw.path, body_idx, hand_idx)
     pa_body, pa_hand = _path_subset_means(pa_err, pa.path, body_idx, hand_idx)
@@ -69,11 +70,11 @@ def dtw_joint_metrics(
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a - b, axis=-1) for 3-vectors, summing the squares in
-    the same order without a reduction over the short last axis."""
-    d = a - b
-    d *= d
-    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+    """np.linalg.norm(a - b, axis=-1) for (..., N, 3) points that broadcast,
+    bit for bit, from their (..., N) coordinate planes."""
+    a, b = coordinate_planes(a), coordinate_planes(b)
+    d = np.empty(np.broadcast_shapes(a[0].shape, b[0].shape))
+    return plane_distances(np.subtract(p, q, out=d) for p, q in zip(a, b))
 
 
 def _path_subset_means(err: np.ndarray, path, body_idx, hand_idx) -> tuple[float, float]:
@@ -92,8 +93,8 @@ def reconstruction_pa_mpjpe(
         raise InputError("reconstruction PA-MPJPE requires equal frame counts")
     joints = forward_kinematics_sequence(np.concatenate([gen_seq.frames, ref_seq.frames]), chain)
     gen_joints, ref_joints = joints[: gen_seq.num_frames], joints[gen_seq.num_frames:]
-    aligned, _ = procrustes_align(gen_joints, ref_joints)
-    return float(np.linalg.norm(aligned - ref_joints, axis=-1).mean(axis=-1).mean())
+    errors = procrustes_align(gen_joints, ref_joints).distances(gen_joints, ref_joints)
+    return float(errors.mean(axis=-1).mean())
 
 
 @dataclass(frozen=True)

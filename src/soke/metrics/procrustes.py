@@ -2,6 +2,11 @@
 translation, reflections disallowed), solved for a whole batch of point-set
 pairs at once.
 
+`procrustes_align` returns the transform only. Its `apply` gives the
+aligned points and its `distances` the per-point errors to the targets;
+the metrics need only the errors, which `distances` computes one
+coordinate plane at a time, building no aligned point array.
+
 Umeyama (1991) reduces each pair to the 3x3 cross-covariance `cov` of the
 centred sets: the rotation maximises <R, cov>, and the scale is that maximum
 over the source variance. Horn (1987, closed-form absolute orientation with
@@ -36,6 +41,7 @@ whole `procrustes_align` calls break even between 80 and 110 pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -93,26 +99,68 @@ class SimilarityTransform:
     translation: np.ndarray
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """s*R*p + t for (..., N, 3) points whose leading axes broadcast with S.
+        """s*R*p + t for (..., N, 3) points whose leading axes broadcast with S."""
+        return np.stack([plane.copy() for plane in self._coordinates(points)], axis=-1)
 
-        Each output coordinate is a multiply-add of the three input
-        coordinates, each copied once to a contiguous (..., N) array, with
-        the coefficients s*R broadcast over N: no per-pair matmul.
+    def distances(self, points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """|s*R*p + t - q| for each of the (..., N, 3) points p and targets q,
+        whose leading axes broadcast with S; shape (..., N).
+
+        Equals np.linalg.norm(self.apply(points) - targets, axis=-1) bit for
+        bit. Each coordinate of s*R*p + t has its target plane subtracted in
+        place, so no (..., N, 3) array of aligned points or differences is
+        built.
         """
-        points = np.asarray(points, dtype=np.float64)
+        targets = coordinate_planes(targets)
+        planes = self._coordinates(points, targets[0].shape)
+        return plane_distances(np.subtract(plane, target, out=plane)
+                               for plane, target in zip(planes, targets))
+
+    def _coordinates(self, points: np.ndarray, shape: tuple = ()) -> Iterator[np.ndarray]:
+        """The x, y and z planes of s*R*p + t, yielded one at a time in one
+        (..., N) array that the next overwrites; its shape also broadcasts
+        with `shape`.
+
+        Each is a multiply-add of the points' contiguous coordinate planes,
+        with the coefficients s*R broadcast over N: no per-pair matmul.
+        """
+        x, y, z = coordinate_planes(points)
         coeff = np.asarray(self.scale)[..., None, None] * self.rotation
-        x, y, z = (np.ascontiguousarray(points[..., i]) for i in range(3))
-        out = np.empty(np.broadcast_shapes(points.shape, coeff.shape[:-2] + (1, 3)))
-        acc, term = np.empty(out.shape[:-1]), np.empty(out.shape[:-1])
+        shape = np.broadcast_shapes(x.shape, coeff.shape[:-2] + (1,), shape)
+        plane, term = np.empty(shape), np.empty(shape)
         for i in range(3):
-            np.multiply(coeff[..., i, 0, None], x, out=acc)
-            acc += np.multiply(coeff[..., i, 1, None], y, out=term)
-            acc += np.multiply(coeff[..., i, 2, None], z, out=term)
-            np.add(acc, self.translation[..., i, None], out=out[..., i])
-        return out
+            np.multiply(coeff[..., i, 0, None], x, out=plane)
+            plane += np.multiply(coeff[..., i, 1, None], y, out=term)
+            plane += np.multiply(coeff[..., i, 2, None], z, out=term)
+            plane += self.translation[..., i, None]
+            yield plane
 
 
-def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, SimilarityTransform]:
+def coordinate_planes(points: np.ndarray) -> list[np.ndarray]:
+    """The x, y and z coordinates of (..., N, 3) points as three contiguous
+    (..., N) arrays."""
+    points = np.asarray(points, dtype=np.float64)
+    return [np.ascontiguousarray(points[..., i]) for i in range(3)]
+
+
+def plane_distances(differences: Iterable[np.ndarray]) -> np.ndarray:
+    """sqrt((d0² + d1²) + d2²) for the x, y and z differences d of points
+    and their targets, (..., N) arrays taken one at a time, which it may
+    overwrite: one array may hold each in turn.
+
+    That is the order np.linalg.norm(d, axis=-1) sums (..., N, 3)
+    differences in, so the result has its bits.
+    """
+    total = None
+    for d in differences:
+        if total is None:
+            total = np.multiply(d, d)
+        else:
+            total += np.multiply(d, d, out=d)
+    return np.sqrt(total, out=total)
+
+
+def procrustes_align(A: np.ndarray, B: np.ndarray) -> SimilarityTransform:
     """Least-squares s*R*A + t onto B over rotations (det +1), scale > 0,
     and translation.
 
@@ -122,8 +170,10 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, Similari
     eigenvector of Horn's matrix of the pair's covariance and the scale is
     its eigenvalue over the source variance (module docstring); a batch of
     CLOSED_FORM_MIN_PAIRS or more solves that eigenpair in closed form,
-    a smaller one with eigh. Returns (aligned A of shape (*S, N, 3),
-    transform). Raises InputError for NaN or infinite points and
+    a smaller one with eigh. Returns the transform, without applying it:
+    `apply(A)` gives the aligned points, of shape (*S, N, 3), and
+    `distances(A, B)` their errors, of shape (*S, N). Raises InputError for
+    NaN or infinite points and
     DegenerateAlignmentError for fewer than 3 points, or if any pair has
     coincident source or target points (variance below 1e-18) or a collinear
     point set (σ2 < 1e-12·σ1).
@@ -177,9 +227,8 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, Similari
     if (scale <= 0).any():
         raise DegenerateAlignmentError("non-positive optimal scale")
     t = mu_b - scale[..., None] * (R * mu_a[..., None, :]).sum(axis=-1)
-    transform = SimilarityTransform(rotation=R, scale=scale if scale.ndim else float(scale),
-                                    translation=t)
-    return transform.apply(A), transform
+    return SimilarityTransform(rotation=R, scale=scale if scale.ndim else float(scale),
+                               translation=t)
 
 
 def _closed_form(flat: np.ndarray, horn: np.ndarray,

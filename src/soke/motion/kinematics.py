@@ -141,15 +141,22 @@ class KinematicChain:
         levels = tuple(level(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
         return Placement(order, levels, level(len(inner), self.num_joints))
 
+    @cached_property
+    def _subchains(self) -> dict[int, "KinematicChain"]:
+        return {}
+
     def body_subchain(self, body_joints: int) -> "KinematicChain":
-        """The first `body_joints` joints as a standalone chain."""
-        return KinematicChain(
-            parents=self.parents[:body_joints],
-            offsets=self.offsets[:body_joints].copy(),
-            param_offsets=self.param_offsets[:body_joints],
-            root_position=self.root_position.copy(),
-            joint_names=self.joint_names[:body_joints],
-        )
+        """The first `body_joints` joints as a standalone chain, built once
+        per chain and joint count, so its `placement` is planned once too."""
+        if body_joints not in self._subchains:
+            self._subchains[body_joints] = KinematicChain(
+                parents=self.parents[:body_joints],
+                offsets=self.offsets[:body_joints].copy(),
+                param_offsets=self.param_offsets[:body_joints],
+                root_position=self.root_position.copy(),
+                joint_names=self.joint_names[:body_joints],
+            )
+        return self._subchains[body_joints]
 
 
 def _skew(v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ A run directory looks like:
     manifest.json          config hash + the hash of every file above except
                            run_config.json, written last
 
-A stage counts as complete when every file it writes exists.
+A stage counts as complete when every file it writes exists and
+run_config.json already held the same config; a directory made with another
+config, or with none, reruns every stage.
 
 Every file is written atomically (to `<name>.tmp`, then renamed), so a
 crash never leaves a partial file under its final name; a malformed file
@@ -48,7 +50,7 @@ from .amg import (
     triples_from_tokens,
 )
 from .artifacts import read_json, write_json, write_jsonl
-from .config import RunConfig, run_config_to_dict, save_run_config
+from .config import RunConfig, run_config_from_dict, run_config_to_dict, save_run_config
 from .deto import load_deto, save_deto, train_tokenizer
 from .errors import SokeError
 from .metrics import EvalReport, evaluate_split, save_report
@@ -187,19 +189,24 @@ STAGES = (
 
 
 def run_pipeline(config: RunConfig, out_dir: str | Path, force: bool = False) -> dict:
-    """Run all stages, skipping any whose artifacts already exist.
+    """Run all stages, skipping any whose artifacts already exist, unless
+    `force` is set or the directory's run_config.json holds another config.
 
     Returns the manifest. Stage failures raise StageError tagged with the
-    stage name.
+    stage name; an unreadable run_config.json raises InputError naming it,
+    unless `force` is set.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_run_config(out_dir / "run_config.json", config)
+    config_path = out_dir / "run_config.json"
+    rerun = (force or not config_path.exists()
+             or read_json(config_path, run_config_from_dict) != config)
+    save_run_config(config_path, config)
     started = time.time()
     ran: list[str] = []
     for name, fn, artifacts in STAGES:
         complete = all((out_dir / rel).exists() for rel in artifacts)
-        if complete and not force:
+        if complete and not rerun:
             continue
         try:
             fn(config, out_dir)

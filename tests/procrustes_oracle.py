@@ -32,14 +32,14 @@ class SimilarityTransform:
         return scale * points @ np.swapaxes(self.rotation, -1, -2) + self.translation[..., None, :]
 
 
-def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, SimilarityTransform]:
+def procrustes_align(A: np.ndarray, B: np.ndarray) -> SimilarityTransform:
     """Least-squares s*R*A + t onto B over rotations (det +1), scale > 0,
     and translation.
 
     A and B are (..., N, 3) point sets whose leading axes broadcast to a batch
     shape S; each pair is solved on its own, and each set is centred once
-    however many pairs it takes part in. Returns (aligned A of shape
-    (*S, N, 3), transform). Raises InputError for NaN or infinite points and
+    however many pairs it takes part in. Returns the transform, as the
+    package's solver does; `apply` gives the aligned points. Raises InputError for NaN or infinite points and
     DegenerateAlignmentError for fewer than 3 points, or if any pair has
     coincident source or target points or a collinear point set.
     """
@@ -81,6 +81,5 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, Similari
     if (scale <= 0).any():
         raise DegenerateAlignmentError("non-positive optimal scale")
     t = mu_b - (scale[..., None, None] * R @ mu_a[..., None])[..., 0]
-    transform = SimilarityTransform(rotation=R, scale=scale if scale.ndim else float(scale),
-                                    translation=t)
-    return transform.apply(A), transform
+    return SimilarityTransform(rotation=R, scale=scale if scale.ndim else float(scale),
+                               translation=t)

@@ -39,13 +39,13 @@ def frame_jpe(gen_joints: np.ndarray, ref_joints: np.ndarray) -> float:
 
 def frame_pa_jpe(gen_joints: np.ndarray, ref_joints: np.ndarray) -> float:
     """frame_jpe after Procrustes-aligning the generated joints to the reference."""
-    aligned, _ = procrustes_align(gen_joints, ref_joints)
+    aligned = procrustes_align(gen_joints, ref_joints).apply(gen_joints)
     return frame_jpe(aligned, ref_joints)
 
 
 def aligned_residual(A, B):
     """Mean per-point Euclidean error after Procrustes alignment of A to B."""
-    aligned, _ = procrustes_align(A, B)
+    aligned = procrustes_align(A, B).apply(A)
     return float(np.linalg.norm(aligned - np.asarray(B, dtype=np.float64), axis=1).mean())
 
 
@@ -112,7 +112,7 @@ def dtw_joint_metrics_per_cell(gen_track, ref_track, body_idx, hand_idx):
         for i, j in path:
             gen_frame = gen_track[i]
             if aligned:
-                gen_frame, _ = procrustes_align(gen_frame, ref_track[j])
+                gen_frame = procrustes_align(gen_frame, ref_track[j]).apply(gen_frame)
             err = np.linalg.norm(gen_frame - ref_track[j], axis=-1)
             body_sum += err[body_idx].mean()
             hand_sum += err[hand_idx].mean()
@@ -134,7 +134,8 @@ class TestProcrustes:
     def test_self_alignment_is_identity(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(8, 3))
-        aligned, tf = procrustes_align(A, A)
+        tf = procrustes_align(A, A)
+        aligned = tf.apply(A)
         assert np.allclose(aligned, A, atol=1e-10)
         assert np.allclose(tf.rotation, np.eye(3), atol=1e-10)
         assert tf.scale == pytest.approx(1.0)
@@ -147,7 +148,8 @@ class TestProcrustes:
         R = random_rotation(rng)
         t = rng.normal(size=3)
         B = 2.0 * A @ R.T + t
-        aligned, tf = procrustes_align(A, B)
+        tf = procrustes_align(A, B)
+        aligned = tf.apply(A)
         assert np.linalg.norm(aligned - B, axis=1).max() < 1e-8
         assert tf.scale == pytest.approx(2.0)
         assert np.linalg.det(tf.rotation) == pytest.approx(1.0)
@@ -157,7 +159,8 @@ class TestProcrustes:
         A = rng.normal(size=(12, 3))
         B = A.copy()
         B[:, 0] = -B[:, 0]  # mirror; only a reflection matches exactly
-        aligned, tf = procrustes_align(A, B)
+        tf = procrustes_align(A, B)
+        aligned = tf.apply(A)
         assert np.linalg.det(tf.rotation) == pytest.approx(1.0)
         assert np.linalg.norm(aligned - B, axis=1).mean() > 1e-3
 
@@ -187,7 +190,7 @@ class TestProcrustes:
 
     def test_plain_call_returns_float_scale(self):
         rng = np.random.default_rng(6)
-        _, tf = procrustes_align(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+        tf = procrustes_align(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
         assert type(tf.scale) is float
 
     def test_broadcast_matches_loop_of_plain_calls(self):
@@ -196,11 +199,13 @@ class TestProcrustes:
         for n, m in ((5, 4), (12, 11)):
             A = rng.normal(size=(n, 1, 9, 3))
             B = 1.3 * rng.normal(size=(1, m, 9, 3)) + rng.normal(size=(1, m, 1, 3))
-            aligned, tf = procrustes_align(A, B)
+            tf = procrustes_align(A, B)
+            aligned = tf.apply(A)
             assert aligned.shape == (n, m, 9, 3)
             assert tf.scale.shape == (n, m)
             for i, j in itertools.product(range(n), range(m)):
-                ref_aligned, ref_tf = procrustes_align(A[i, 0], B[0, j])
+                ref_tf = procrustes_align(A[i, 0], B[0, j])
+                ref_aligned = ref_tf.apply(A[i, 0])
                 assert np.allclose(aligned[i, j], ref_aligned, rtol=1e-12, atol=1e-12)
                 assert np.allclose(tf.rotation[i, j], ref_tf.rotation, rtol=1e-12, atol=1e-12)
                 assert tf.scale[i, j] == pytest.approx(ref_tf.scale, rel=1e-12)
@@ -284,8 +289,9 @@ class TestProcrustesAgainstSvdOracle:
     def test_matches_the_svd_oracle(self, chain, kind, size):
         rng = np.random.default_rng(size)
         A, B = point_set_batch(PAIR_KINDS if kind == "mixed" else (kind,), size, rng, chain)
-        aligned, tf = procrustes_align(A, B)
-        expected, oracle = procrustes_oracle.procrustes_align(A, B)
+        tf = procrustes_align(A, B)
+        oracle = procrustes_oracle.procrustes_align(A, B)
+        aligned, expected = tf.apply(A), oracle.apply(A)
         assert np.abs(aligned - expected).max() <= 1e-9 * np.abs(B).max()
         assert np.allclose(tf.scale, oracle.scale, rtol=1e-9, atol=0.0)
         assert np.allclose(np.linalg.det(tf.rotation), 1.0, rtol=0.0, atol=1e-12)
@@ -333,7 +339,7 @@ class TestProcrustesAgainstSvdOracle:
         A[4], B[4] = spectrum_pair(rng, (1.0, 1e-7, 0.0))
         lam, quat, left = closed_form(A, B)
         assert left.tolist() == [1, 2, 3, 4]
-        _, oracle = procrustes_oracle.procrustes_align(A[5:], B[5:])
+        oracle = procrustes_oracle.procrustes_align(A[5:], B[5:])
         var_a = ((A[5:] - A[5:].mean(axis=1, keepdims=True)) ** 2).sum(axis=(1, 2)) / JOINTS
         assert np.allclose(lam[5:] / var_a, oracle.scale, rtol=1e-12, atol=0.0)
         assert np.allclose(np.linalg.norm(quat[5:], axis=1), 1.0, rtol=0.0, atol=1e-14)
@@ -357,6 +363,63 @@ def closed_form(A, B):
     flat = (np.swapaxes(B0, 1, 2) @ A0 / A.shape[1]).reshape(-1, 9)
     bound = np.sqrt((A0 * A0).sum(axis=(1, 2)) * (B0 * B0).sum(axis=(1, 2))) / A.shape[1]
     return procrustes._closed_form(flat, (flat @ procrustes._HORN).reshape(-1, 4, 4), bound)
+
+
+def norm_form(a, b):
+    """The per-point residual as np.linalg.norm over an (..., N, 3) difference."""
+    return np.linalg.norm(np.asarray(a, dtype=np.float64) - b, axis=-1)
+
+
+def point_array_form(a, b):
+    """The raw DTW-JPE residual as evaluate built it on (..., N, 3) arrays."""
+    d = np.asarray(a, dtype=np.float64) - b
+    d *= d
+    return np.sqrt(d[..., 0] + d[..., 1] + d[..., 2])
+
+
+class TestResidualPlanes:
+    """SimilarityTransform.distances and the raw residual against the forms
+    that build (..., N, 3) arrays, bit for bit."""
+
+    def test_single_pair(self, chain):
+        A, B = point_set_pair("rest_pose", np.random.default_rng(20), chain)
+        tf = procrustes_align(A, B)
+        assert tf.distances(A, B).shape == (JOINTS,)
+        assert np.array_equal(tf.distances(A, B), norm_form(tf.apply(A), B))
+        targets = np.stack([B, A, 2.0 * B])  # more targets than transforms
+        assert np.array_equal(tf.distances(A, targets), norm_form(tf.apply(A), targets))
+
+    @pytest.mark.parametrize("size", [8, procrustes.CLOSED_FORM_MIN_PAIRS - 1,
+                                      procrustes.CLOSED_FORM_MIN_PAIRS])
+    def test_paired_batches_below_and_at_the_crossover(self, chain, size):
+        A, B = point_set_batch(PAIR_KINDS, size, np.random.default_rng(size), chain)
+        tf = procrustes_align(A, B)
+        assert np.array_equal(tf.distances(A, B), norm_form(tf.apply(A), B))
+
+    @pytest.mark.parametrize("n, m", [(9, 11), (10, 10), (13, 12)])
+    def test_outer_product_of_two_tracks(self, chain, n, m):
+        rng = np.random.default_rng(n * m)
+        frames = rng.normal(scale=0.4, size=(n + m, 133))
+        joints = forward_kinematics_sequence(frames, chain)
+        gen, ref = joints[:n, None], joints[None, n:]
+        tf = procrustes_align(gen, ref)
+        err = tf.distances(gen, ref)
+        assert err.shape == (n, m, JOINTS)
+        assert np.array_equal(err, norm_form(tf.apply(gen), ref))
+        assert np.array_equal(err, point_array_form(tf.apply(gen), ref))
+        assert np.array_equal(evaluate._distances(gen, ref), point_array_form(gen, ref))
+        assert np.array_equal(evaluate._distances(gen, ref), norm_form(gen, ref))
+
+    def test_exactly_zero_residuals(self, chain):
+        rng = np.random.default_rng(21)
+        A, B = point_set_batch(("random", "rest_pose"), 6, rng, chain)
+        tf = procrustes_align(A, B)
+        assert not tf.distances(A, tf.apply(A)).any()
+        identity = procrustes.SimilarityTransform(np.broadcast_to(np.eye(3), (6, 3, 3)),
+                                                  np.ones(6), np.zeros((6, 3)))
+        assert not identity.distances(A, A).any()
+        assert not evaluate._distances(A, A).any()
+        assert np.array_equal(tf.distances(A, B), norm_form(tf.apply(A), B))
 
 
 class TestFrameJpe:
@@ -566,7 +629,7 @@ class TestEvaluateSplit:
         errors = []
         for g, r in zip(forward_kinematics_sequence(gen.frames, chain),
                         forward_kinematics_sequence(ref.frames, chain)):
-            aligned, _ = procrustes_oracle.procrustes_align(g, r)
+            aligned = procrustes_oracle.procrustes_align(g, r).apply(g)
             errors.append(np.linalg.norm(aligned - r, axis=-1).mean())
         assert np.mean(errors) > 1.0
         assert reconstruction_pa_mpjpe(gen, ref, chain) == pytest.approx(np.mean(errors), rel=1e-12)

@@ -383,6 +383,16 @@ class TestPlacement:
                 ranked += [(parents[i], i) for i in np.arange(len(joints))[members].tolist()]
             assert sorted(ranked) == sorted(zip(parents, range(len(joints))))
 
+    def test_body_subchain_and_its_plan_are_built_once_per_chain(self):
+        chain = build_sign_chain()
+        body = chain.body_subchain(11)
+        assert chain.body_subchain(11) is body
+        assert body.placement is chain.body_subchain(11).placement
+        assert chain.body_subchain(5).num_joints == 5
+        assert build_sign_chain().body_subchain(11) is not body
+        assert body.parents == CHAINS["body"].parents
+        assert np.array_equal(body.offsets, CHAINS["body"].offsets)
+
     @pytest.mark.parametrize("name", ["full", "body"])
     def test_no_joint_has_both_a_leaf_and_an_inner_child(self, name):
         # the VJP passes the leaves' shares first; on these chains that keeps

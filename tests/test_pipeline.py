@@ -71,3 +71,24 @@ def test_generator_without_encoder_layers_trains_in_every_mode(tmp_path, mode):
     assert manifest["stages_run"] == [name for name, _, _ in STAGES]
     sidecar = json.loads((tmp_path / "amg" / "amg.json").read_text())
     assert (sidecar["mode"], sidecar["config"]["enc_layers"]) == (mode, 0)
+
+
+def test_directory_made_with_another_config_reruns_every_stage(tmp_path):
+    run_pipeline(TINY, tmp_path)
+    assert run_pipeline(TINY, tmp_path)["stages_run"] == []
+    manifest = run_pipeline(replace(TINY, mode="sequential"), tmp_path)
+    assert manifest["stages_run"] == [name for name, _, _ in STAGES]
+    sidecar = json.loads((tmp_path / "amg" / "amg.json").read_text())
+    assert sidecar["mode"] == "sequential"
+    (tmp_path / "run_config.json").unlink()
+    assert run_pipeline(TINY, tmp_path)["stages_run"] == [name for name, _, _ in STAGES]
+
+
+@pytest.mark.parametrize("content", ["{\"seed\": ", "{\"no_such_key\": 1}"])
+def test_unreadable_run_config_is_named_unless_forced(tmp_path, content):
+    run_pipeline(TINY, tmp_path)
+    (tmp_path / "run_config.json").write_text(content)
+    with pytest.raises(InputError, match="run_config.json"):
+        run_pipeline(TINY, tmp_path)
+    assert run_pipeline(TINY, tmp_path, force=True)["stages_run"] == [name for name, _, _ in STAGES]
+    assert run_pipeline(TINY, tmp_path)["stages_run"] == []
