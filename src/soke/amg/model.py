@@ -34,6 +34,7 @@ import numpy as np
 
 from ..errors import ConfigError, InputError, ModeError
 from ..grad import Tensor, attention, concat, layer_norm, linear
+from ..grad.checkpoint import Undrawn
 from ..grad.tensor import weighted_sum
 from ..motion import PARTS, Part
 from .vocab import Vocabulary
@@ -140,7 +141,7 @@ class GeneratorModel:
         self.config = config
         self.mode = mode
         self.dec_max_len = len(MODE_SPECS[mode].schedule) * config.k_max + 2
-        rng = np.random.default_rng(seed)
+        rng = seed if isinstance(seed, Undrawn) else np.random.default_rng(seed)
         d, ffn = config.d_model, config.ffn_dim
 
         def init(shape, scale):

@@ -18,6 +18,7 @@ from ..grad import (
     load_parameters,
     save_checkpoint,
 )
+from ..grad.checkpoint import Undrawn
 from ..motion import PARTS, Part
 from ..deto import TokenSeq
 from .decoding import PartTokenTriple
@@ -239,6 +240,6 @@ def load_generator(out_dir: str | Path) -> GeneratorModel:
     sidecar = read_json(out_dir / SIDECAR_NAME,
                         lambda payload: from_dict(AmgSidecar, payload, complete=True))
     vocab = load_vocab(out_dir / "vocab.json")
-    model = GeneratorModel(vocab, sidecar.config, sidecar.mode, seed=0)
+    model = GeneratorModel(vocab, sidecar.config, sidecar.mode, seed=Undrawn())
     load_parameters(out_dir / CHECKPOINT_NAME, model.parameters())
     return model

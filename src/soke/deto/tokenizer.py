@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError, InputError
 from ..grad import Tensor, conv1d, no_grad, straight_through, upsample_repeat
+from ..grad.checkpoint import Undrawn
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, merge_parts, split_parts
 from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
 
@@ -218,7 +219,7 @@ class DecoupledTokenizer:
     def __init__(self, layout: PartLayout, config: DetoConfig, seed: int = 0):
         self.layout = layout
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = seed if isinstance(seed, Undrawn) else np.random.default_rng(seed)
         self.parts: dict[Part, PartTokenizer] = {
             part: PartTokenizer(part, layout.part_width(part), config, rng) for part in PARTS
         }

@@ -10,6 +10,7 @@ import numpy as np
 from ..artifacts import from_dict, read_json, write_json, write_jsonl
 from ..errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
 from ..grad import Adam, CosineSchedule, load_parameters, no_grad, save_checkpoint
+from ..grad.checkpoint import Undrawn
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, split_parts
 from .codebook import nearest_code_ids
 from .tokenizer import DecoupledTokenizer, DetoConfig, PartTokenizer, filter_bank, filter_matrix
@@ -166,7 +167,7 @@ def load_deto(out_dir: str | Path) -> DecoupledTokenizer:
     out_dir = Path(out_dir)
     sidecar = read_json(out_dir / SIDECAR_NAME,
                         lambda payload: from_dict(DetoSidecar, payload, complete=True))
-    deto = DecoupledTokenizer(sidecar.layout, sidecar.config, seed=0)
+    deto = DecoupledTokenizer(sidecar.layout, sidecar.config, seed=Undrawn())
     named = deto.parameters()
     # shapes are checked, and values read, in the checkpoint's layout
     for (_, p), stored in zip(named, _checkpoint_arrays(deto).values()):

@@ -74,6 +74,14 @@ def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     return params
 
 
+class Undrawn:
+    """A model's `seed` when a checkpoint will overwrite every parameter: its
+    `standard_normal` gives zeros, so building the model draws nothing."""
+
+    def standard_normal(self, shape) -> np.ndarray:
+        return np.zeros(shape)
+
+
 def load_parameters(path: str | Path, named_params: list[tuple[str, Tensor]]) -> None:
     """Overwrite each named tensor with its checkpoint value. The checkpoint
     must hold exactly these names in these shapes: a tensor the model lacks,

@@ -4,10 +4,11 @@ DTW metrics run one alignment per cost family (raw / Procrustes-aligned);
 the DP cost is the mean error over body+hand joints jointly, and per-subset
 numbers are read off along the chosen path. PA alignment is solved per frame
 pair on the union joint set (config tag `pa_scope = per_frame_pair_union`);
-all n*m frame pairs of a track pair are solved in one batched call. Both
-residuals, raw and aligned, are computed one coordinate at a time on
-(n, m, J) planes, and no (n, m, J, 3) point array is built, so DTW-PA
-memory is O(n*m*J).
+all n*m frame pairs of a track pair are solved in one batched call, whose
+per-pair products run as one matmul per generated frame (see
+`procrustes`). Both residuals, raw and aligned, are read from
+(n, m, 3, J) rows of differences, 3*n*m*J floats, so DTW-PA memory is
+O(n*m*J).
 Joint positions come from one forward-kinematics pass per track pair, over
 the generated and reference frames concatenated; FK treats frames
 independently, so this equals two passes bit for bit.
@@ -33,7 +34,7 @@ from ..motion import (
     hand_joint_indices,
 )
 from .dtw import dtw
-from .procrustes import coordinate_planes, plane_distances, procrustes_align
+from .procrustes import procrustes_align, row_distances
 
 REPORT_SCHEMA_VERSION = 1
 METRIC_CONVENTIONS = {"dtw_normalization": "path", "pa_scope": "per_frame_pair_union", "units": "mm"}
@@ -71,10 +72,8 @@ def dtw_joint_metrics(
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.linalg.norm(a - b, axis=-1) for (..., N, 3) points that broadcast,
-    bit for bit, from their (..., N) coordinate planes."""
-    a, b = coordinate_planes(a), coordinate_planes(b)
-    d = np.empty(np.broadcast_shapes(a[0].shape, b[0].shape))
-    return plane_distances(np.subtract(p, q, out=d) for p, q in zip(a, b))
+    bit for bit, from the (..., 3, N) rows of their differences."""
+    return row_distances(np.swapaxes(a, -1, -2) - np.swapaxes(b, -1, -2))
 
 
 def _path_subset_means(err: np.ndarray, path, body_idx, hand_idx) -> tuple[float, float]:

@@ -3,9 +3,18 @@ translation, reflections disallowed), solved for a whole batch of point-set
 pairs at once.
 
 `procrustes_align` returns the transform only. Its `apply` gives the
-aligned points and its `distances` the per-point errors to the targets;
-the metrics need only the errors, which `distances` computes one
-coordinate plane at a time, building no aligned point array.
+aligned points and its `distances` the per-point errors to the targets,
+both from the aligned points' (..., 3, N) rows [s*R | t] @ [p; 1]. Such
+per-pair products (these rows, the covariances and R times the source
+centroid) run as one matmul per source point set: on a DTW grid of n
+generated against m reference frames of J joints, one (3m x J) @ (J x 3)
+covariance product and one (3m x 4) @ (4 x J) row product per generated
+frame. The rows hold 3*n*m*J floats, so memory stays O(n*m*J). BLAS
+orders, and may fuse, the multiply-adds its own way, so these products can
+differ in the last place from an elementwise multiply-add per coordinate
+(per-sample DTW-PA-JPE by at most 1.5e-15 relative on the text2sign
+benchmark's samples, and no DTW path changed); `distances` still equals
+np.linalg.norm(apply(P) - Q, axis=-1) bit for bit.
 
 Umeyama (1991) reduces each pair to the 3x3 cross-covariance `cov` of the
 centred sets: the rotation maximises <R, cov>, and the scale is that maximum
@@ -41,7 +50,6 @@ whole `procrustes_align` calls break even between 80 and 110 pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -99,64 +107,66 @@ class SimilarityTransform:
     translation: np.ndarray
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """s*R*p + t for (..., N, 3) points whose leading axes broadcast with S."""
-        return np.stack([plane.copy() for plane in self._coordinates(points)], axis=-1)
+        """s*R*p + t for (..., N, 3) points whose leading axes broadcast with S,
+        as a (..., N, 3) view of the aligned rows (see `_rows`)."""
+        return np.swapaxes(self._rows(points), -1, -2)
 
     def distances(self, points: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """|s*R*p + t - q| for each of the (..., N, 3) points p and targets q,
         whose leading axes broadcast with S; shape (..., N).
 
         Equals np.linalg.norm(self.apply(points) - targets, axis=-1) bit for
-        bit. Each coordinate of s*R*p + t has its target plane subtracted in
-        place, so no (..., N, 3) array of aligned points or differences is
-        built.
+        bit: the targets are subtracted from the aligned rows, in place
+        where those already have the result's shape, and `row_distances`
+        sums the squares in norm's order.
         """
-        targets = coordinate_planes(targets)
-        planes = self._coordinates(points, targets[0].shape)
-        return plane_distances(np.subtract(plane, target, out=plane)
-                               for plane, target in zip(planes, targets))
+        rows = self._rows(points)
+        targets = np.swapaxes(np.asarray(targets, dtype=np.float64), -1, -2)
+        in_place = np.broadcast(rows, targets).shape == rows.shape
+        return row_distances(np.subtract(rows, targets, out=rows if in_place else None))
 
-    def _coordinates(self, points: np.ndarray, shape: tuple = ()) -> Iterator[np.ndarray]:
-        """The x, y and z planes of s*R*p + t, yielded one at a time in one
-        (..., N) array that the next overwrites; its shape also broadcasts
-        with `shape`.
-
-        Each is a multiply-add of the points' contiguous coordinate planes,
-        with the coefficients s*R broadcast over N: no per-pair matmul.
-        """
-        x, y, z = coordinate_planes(points)
-        coeff = np.asarray(self.scale)[..., None, None] * self.rotation
-        shape = np.broadcast_shapes(x.shape, coeff.shape[:-2] + (1,), shape)
-        plane, term = np.empty(shape), np.empty(shape)
-        for i in range(3):
-            np.multiply(coeff[..., i, 0, None], x, out=plane)
-            plane += np.multiply(coeff[..., i, 1, None], y, out=term)
-            plane += np.multiply(coeff[..., i, 2, None], z, out=term)
-            plane += self.translation[..., i, None]
-            yield plane
+    def _rows(self, points: np.ndarray) -> np.ndarray:
+        """s*R*p + t as fresh (..., 3, N) rows of x, y and z: the product
+        [s*R | t] @ [p; 1], one matmul per source point set
+        (`_per_source_matmul`), so the translation is added inside it."""
+        points = np.asarray(points, dtype=np.float64)
+        coeff = np.concatenate([np.asarray(self.scale)[..., None, None] * self.rotation,
+                                self.translation[..., None]], axis=-1)
+        homogeneous = np.ones(points.shape[:-2] + (4, points.shape[-2]))
+        homogeneous[..., :3, :] = np.swapaxes(points, -1, -2)
+        return _per_source_matmul(coeff, homogeneous)
 
 
-def coordinate_planes(points: np.ndarray) -> list[np.ndarray]:
-    """The x, y and z coordinates of (..., N, 3) points as three contiguous
-    (..., N) arrays."""
-    points = np.asarray(points, dtype=np.float64)
-    return [np.ascontiguousarray(points[..., i]) for i in range(3)]
+def _per_source_matmul(pairs: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """pairs @ sources for (..., a, b) matrices, one per point-set pair, and
+    (..., b, c) matrices, one per source set, broadcast to a batch S:
+    (*S, a, c). The trailing batch axes on which the sources have size 1
+    (the m references of a DTW grid's (n, 1) sources) fold into the rows of
+    `pairs`: one (m*a, b) @ (b, c) matmul per source, not one per pair."""
+    rank = max(pairs.ndim, sources.ndim) - 2
+    lead = (1,) * (rank + 2 - sources.ndim) + sources.shape[:-2]
+    kept = rank
+    while kept and lead[kept - 1] == 1:
+        kept -= 1
+    if kept == rank:
+        return pairs @ sources
+    pairs = pairs.reshape((1,) * (rank + 2 - pairs.ndim) + pairs.shape)
+    product = (pairs.reshape(pairs.shape[:kept] + (-1, pairs.shape[-1]))
+               @ sources.reshape(lead[:kept] + sources.shape[-2:]))
+    return product.reshape(product.shape[:kept] + pairs.shape[kept:-1] + sources.shape[-1:])
 
 
-def plane_distances(differences: Iterable[np.ndarray]) -> np.ndarray:
-    """sqrt((d0² + d1²) + d2²) for the x, y and z differences d of points
-    and their targets, (..., N) arrays taken one at a time, which it may
-    overwrite: one array may hold each in turn.
+def row_distances(differences: np.ndarray) -> np.ndarray:
+    """sqrt((d0² + d1²) + d2²) for (..., 3, N) rows of the x, y and z
+    differences d of points and their targets, which it squares in place;
+    shape (..., N).
 
     That is the order np.linalg.norm(d, axis=-1) sums (..., N, 3)
     differences in, so the result has its bits.
     """
-    total = None
-    for d in differences:
-        if total is None:
-            total = np.multiply(d, d)
-        else:
-            total += np.multiply(d, d, out=d)
+    squares = np.multiply(differences, differences, out=differences)
+    total = np.add(squares[..., 0, :], squares[..., 1, :])
+    total += squares[..., 2, :]
     return np.sqrt(total, out=total)
 
 
@@ -204,7 +214,7 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> SimilarityTransform:
     if (var_b < 1e-18).any():
         raise DegenerateAlignmentError("target points are coincident")
 
-    cov = np.swapaxes(B0, -1, -2) @ A0 / n
+    cov = _per_source_matmul(np.swapaxes(B0, -1, -2), A0) / n
     batch = cov.shape[:-2]
     flat = cov.reshape(-1, 9)
     horn = (flat @ _HORN).reshape(-1, 4, 4)
@@ -226,7 +236,7 @@ def procrustes_align(A: np.ndarray, B: np.ndarray) -> SimilarityTransform:
     scale = lam.reshape(batch) / var_a
     if (scale <= 0).any():
         raise DegenerateAlignmentError("non-positive optimal scale")
-    t = mu_b - scale[..., None] * (R * mu_a[..., None, :]).sum(axis=-1)
+    t = mu_b - scale[..., None] * _per_source_matmul(R, mu_a[..., None])[..., 0]
     return SimilarityTransform(rotation=R, scale=scale if scale.ndim else float(scale),
                                translation=t)
 

@@ -21,7 +21,7 @@ a transposed view of the same values would change their bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -83,7 +83,8 @@ class KinematicChain:
     parent to joint j in the rest pose; param_offsets[j] is the index of
     joint j's axis-angle triple inside a flat motion frame. `placement`
     caches the plan that forward kinematics runs (see the module
-    docstring).
+    docstring). offsets and root_position are kept as read-only copies, so
+    that one chain can be shared by every caller.
     """
 
     parents: tuple[int, ...]
@@ -93,8 +94,10 @@ class KinematicChain:
     joint_names: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.float64))
-        object.__setattr__(self, "root_position", np.asarray(self.root_position, dtype=np.float64))
+        for name in ("offsets", "root_position"):
+            value = np.array(getattr(self, name), dtype=np.float64)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         for j, p in enumerate(self.parents):
             if p >= j or (j == 0) != (p == -1):
                 raise LayoutError(f"chain is not topologically ordered at joint {j}")
@@ -151,9 +154,9 @@ class KinematicChain:
         if body_joints not in self._subchains:
             self._subchains[body_joints] = KinematicChain(
                 parents=self.parents[:body_joints],
-                offsets=self.offsets[:body_joints].copy(),
+                offsets=self.offsets[:body_joints],
                 param_offsets=self.param_offsets[:body_joints],
-                root_position=self.root_position.copy(),
+                root_position=self.root_position,
                 joint_names=self.joint_names[:body_joints],
             )
         return self._subchains[body_joints]
@@ -368,9 +371,15 @@ def build_sign_chain(layout: PartLayout | None = None) -> KinematicChain:
     """The default toy signer skeleton matching a PartLayout.
 
     Only the default joint counts (11 body, 15 per hand) are supported; the
-    layout argument exists to validate agreement.
+    layout argument exists to validate agreement. The chain is built once
+    per layout and then shared, with its planned `placement` and body
+    subchains; its arrays are read-only.
     """
-    layout = layout or PartLayout()
+    return _sign_chain(layout or PartLayout())
+
+
+@cache
+def _sign_chain(layout: PartLayout) -> KinematicChain:
     if layout.body_joints != 11 or layout.hand_joints_per_hand != 15:
         raise LayoutError("the toy sign chain requires 11 body and 15 per-hand joints")
 

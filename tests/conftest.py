@@ -1,5 +1,6 @@
 """Fixtures shared by several test modules."""
 
+import numpy as np
 import pytest
 
 from test_golden_run import run_train_config
@@ -18,3 +19,16 @@ def train_runs(tmp_path_factory):
         return runs[mode]
 
     return run
+
+
+class _NoNormals(np.random.Generator):
+    def standard_normal(self, *args, **kwargs):
+        raise AssertionError("a random normal was drawn")
+
+
+@pytest.fixture()
+def no_normal_draws(monkeypatch):
+    """Every generator np.random.default_rng makes from here on raises when
+    asked for standard normals, the draws that initialise model parameters."""
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: _NoNormals(np.random.PCG64(seed)))

@@ -616,6 +616,14 @@ class TestCorruptSidecar:
         save_generator(out, GeneratorModel(vocab, TINY_CFG, "sequential", seed=0))
         return out
 
+    def test_loading_draws_no_random_numbers(self, vocab, saved, no_normal_draws):
+        with pytest.raises(AssertionError, match="random normal"):
+            GeneratorModel(vocab, TINY_CFG, "sequential", seed=0)
+        loaded = load_generator(saved)
+        expected = load_checkpoint(saved / "amg.ckpt")
+        assert [name for name, _ in loaded.parameters()] == list(expected)
+        assert all(np.array_equal(p.data, expected[name]) for name, p in loaded.parameters())
+
     def test_unknown_config_key_names_the_file(self, saved):
         _edit_json(saved / "amg.json", lambda p: p["config"].update(dropout=0.1))
         with pytest.raises(SokeError, match="amg.json"):

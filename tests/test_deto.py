@@ -502,6 +502,12 @@ class TestCheckpointLayout:
                         if name.split(".")[1] in self.CONV else bank)
             assert p.data.dtype == np.float32 and np.array_equal(p.data, expected), name
 
+    def test_loading_draws_no_random_numbers(self, banks, no_normal_draws):
+        out_dir, stored = banks
+        with pytest.raises(AssertionError, match="random normal"):
+            DecoupledTokenizer(PartLayout(), TINY, seed=0)
+        assert [name for name, _ in load_deto(out_dir).parameters()] == list(stored)
+
     def test_save_writes_the_banks_it_loaded(self, banks, tmp_path_factory):
         out_dir, stored = banks
         again = tmp_path_factory.mktemp("again")

@@ -6,7 +6,8 @@ sidecar and log, and of `report.json` without its timings, with
 `tests/golden_run.json`. The file also pins a few seeded pose fits, built
 here: the SHA-256 of each fit's log, frames and camera. A change that claims
 to keep every bit must leave them equal; a change that alters bits on
-purpose regenerates the file and states the old and new digests:
+purpose regenerates the file and states the old and new digests, which
+this prints as one `mode artifact old → new` line each:
 
     PYTHONPATH=src python tests/test_golden_run.py --write
 
@@ -145,7 +146,37 @@ def test_another_blas_kernel_set_skips_and_names_it(monkeypatch):
         _golden_on_this_stack()
 
 
+def test_digest_changes_lists_each_changed_digest():
+    old = {"digests": {"parallel": {"dict.json": "d0", "report.json": "r0"}},
+           "pose_fits": {"1": {"camera": "c0", "log": "l0"}}}
+    new = {"digests": {"parallel": {"dict.json": "d0", "report.json": "r1"},
+                       "sequential": {"dict.json": "d2"}},
+           "pose_fits": {"1": {"camera": "c0", "log": "l1"}}}
+    assert digest_changes(old, new) == (["parallel report.json r0 → r1",
+                                         "sequential dict.json None → d2",
+                                         "pose_fit 1 log l0 → l1"], 2)
+    assert digest_changes(new, new) == ([], 5)
+
+
+def digest_changes(old: dict, new: dict) -> tuple[list[str], int]:
+    """One line `mode artifact old → new` for each digest of `new` that
+    `old` does not hold (`pose_fit seed name old → new` for the pose fits),
+    and the number of digests left unchanged."""
+    lines, unchanged = [], 0
+    for section, prefix in (("digests", ""), ("pose_fits", "pose_fit ")):
+        for group, digests in sorted(new[section].items()):
+            for name, digest in sorted(digests.items()):
+                before = old.get(section, {}).get(group, {}).get(name)
+                if before == digest:
+                    unchanged += 1
+                else:
+                    lines.append(f"{prefix}{group} {name} {before} → {digest}")
+    return lines, unchanged
+
+
 def write_golden() -> None:
+    """Regenerate the golden file and print each digest it changes."""
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     digests = {}
     for mode in MODES:
         with tempfile.TemporaryDirectory() as out_dir:
@@ -155,6 +186,8 @@ def write_golden() -> None:
                "stack": software_stack(), "digests": digests,
                "pose_fits": {str(seed): pose_fit_digests(seed) for seed in POSE_FITS}}
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    lines, unchanged = digest_changes(old, payload)
+    print("\n".join([*lines, f"{unchanged} digests unchanged"]))
 
 
 if __name__ == "__main__":

@@ -410,6 +410,22 @@ class TestResidualPlanes:
         assert np.array_equal(evaluate._distances(gen, ref), point_array_form(gen, ref))
         assert np.array_equal(evaluate._distances(gen, ref), norm_form(gen, ref))
 
+    @pytest.mark.parametrize("n, m", [(9, 11), (13, 12)])
+    def test_grid_products_are_the_per_pair_arithmetic(self, chain, n, m):
+        # one matmul per generated frame serves all m reference frames; each
+        # pair's own transform, applied alone, gives the same errors
+        rng = np.random.default_rng(n + m)
+        joints = forward_kinematics_sequence(rng.normal(scale=0.4, size=(n + m, 133)), chain)
+        gen, ref = joints[:n, None], joints[None, n:]
+        tf = procrustes_align(gen, ref)
+        assert tf.apply(gen).shape == (n, m, JOINTS, 3)
+        err = tf.distances(gen, ref)
+        for i, j in itertools.product(range(n), range(m)):
+            pair = procrustes.SimilarityTransform(tf.rotation[i, j], tf.scale[i, j],
+                                                  tf.translation[i, j])
+            np.testing.assert_allclose(err[i, j], pair.distances(gen[i, 0], ref[0, j]),
+                                       rtol=1e-13, atol=0.0)
+
     def test_exactly_zero_residuals(self, chain):
         rng = np.random.default_rng(21)
         A, B = point_set_batch(("random", "rest_pose"), 6, rng, chain)

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -389,9 +390,20 @@ class TestPlacement:
         assert chain.body_subchain(11) is body
         assert body.placement is chain.body_subchain(11).placement
         assert chain.body_subchain(5).num_joints == 5
-        assert build_sign_chain().body_subchain(11) is not body
+        assert replace(chain).body_subchain(11) is not body
         assert body.parents == CHAINS["body"].parents
         assert np.array_equal(body.offsets, CHAINS["body"].offsets)
+
+    def test_sign_chain_is_built_once_per_layout_and_read_only(self):
+        chain = build_sign_chain()
+        assert build_sign_chain() is chain and build_sign_chain(PartLayout()) is chain
+        for array in (chain.offsets, chain.root_position, chain.body_subchain(11).offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        offsets = np.ones((2, 3))
+        copied = KinematicChain((-1, 0), offsets, (0, 3), np.zeros(3), ("a", "b"))
+        offsets[1] = 2.0  # the caller's array is copied, not shared
+        assert np.array_equal(copied.offsets, np.ones((2, 3)))
 
     @pytest.mark.parametrize("name", ["full", "body"])
     def test_no_joint_has_both_a_leaf_and_an_inner_child(self, name):

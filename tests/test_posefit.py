@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,20 @@ class TestFitSequence:
         objectives = [e["objective"] for e in result.log]
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
         assert result.log[-1]["total"] < result.log[0]["total"]
+
+    def test_a_fit_without_a_chain_shares_one_and_keeps_every_bit(self):
+        rng = np.random.default_rng(9)
+        seq = MotionSequence(rng.normal(0, 0.3, size=(3, 133)).astype(np.float32))
+        cam = CameraWeakPerspective()
+        own = replace(CHAIN)  # equal, but with nothing planned or cached yet
+        obs = observe_sequence(seq, cam, noise_std=2.0, seed=4)
+        assert all(np.array_equal(a.points, b.points) for a, b in
+                   zip(obs, observe_sequence(seq, cam, own, noise_std=2.0, seed=4)))
+        cfg = FitConfig(max_iters=10)
+        shared, given = fit_sequence(seq, obs, cam, cfg), fit_sequence(seq, obs, cam, cfg, own)
+        assert np.array_equal(shared.motion.frames, given.motion.frames)
+        assert shared.log == given.log and shared.camera == given.camera
+        assert build_sign_chain(seq.layout) is CHAIN
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
         # one FK pass and one loss_rec per evaluated point, no point twice, and
