@@ -9,9 +9,11 @@ vocabularies and checkpoint shapes, stay as they are.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
+
 import numpy as np
 
-from ..artifacts import read_json, write_json
+from ..artifacts import from_dict, read_json, write_json
 from ..errors import VocabularyError
 from ..motion import PARTS, Part
 from ..textproc import tokenize_words
@@ -123,19 +125,14 @@ class Vocabulary:
     # -- persistence ------------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "words": self._word_list,
-            "codebook_sizes": list(self.codebook_sizes),
-            "languages": list(self.languages),
-        }
+        return asdict(_VocabFile(tuple(self._word_list), self.codebook_sizes, self.languages))
 
     @classmethod
     def from_json(cls, payload: dict) -> "Vocabulary":
-        return cls(
-            words=payload["words"],
-            codebook_sizes=tuple(payload["codebook_sizes"]),
-            languages=tuple(payload["languages"]),
-        )
+        """The vocabulary `to_json` wrote; a missing or unknown key or a value
+        of the wrong type raises ConfigError."""
+        stored = from_dict(_VocabFile, payload, complete=True)
+        return cls(list(stored.words), stored.codebook_sizes, stored.languages)
 
     @classmethod
     def from_corpus(cls, texts: list[str], codebook_sizes: tuple[int, int, int],
@@ -144,6 +141,15 @@ class Vocabulary:
         for text in texts:
             words.update(tokenize_words(text))
         return cls(sorted(words), codebook_sizes, languages)
+
+
+@dataclass(frozen=True)
+class _VocabFile:
+    """vocab.json: what rebuilds a Vocabulary."""
+
+    words: tuple[str, ...]
+    codebook_sizes: tuple[int, int, int]
+    languages: tuple[str, ...]
 
 
 def save_vocab(path, vocab: Vocabulary) -> None:

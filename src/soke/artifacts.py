@@ -67,13 +67,17 @@ def read_json(path: str | Path, parse: Callable[[Any], T] = lambda payload: payl
 
 def _coerce(value: Any, target_type: Any, path: str, complete: bool) -> Any:
     """Check a JSON value against a field type: a nested dataclass, a
-    fixed-length tuple, or a scalar. Integers widen to float; bool is not a
-    number here."""
+    fixed-length tuple, a `tuple[T, ...]` of any length, or a scalar.
+    Integers widen to float; bool is not a number here."""
     if is_dataclass(target_type):
         return from_dict(target_type, value, path, complete=complete)
     if get_origin(target_type) is tuple:
         item_types = get_args(target_type)
-        if not isinstance(value, (list, tuple)) or len(value) != len(item_types):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if item_types[1:] == (Ellipsis,):
+            item_types = item_types[:1] * len(value)
+        if len(value) != len(item_types):
             raise ConfigError(f"{path}: expected a list of {len(item_types)} items, got {value!r}")
         return tuple(
             _coerce(item, item_type, f"{path}[{i}]", complete)

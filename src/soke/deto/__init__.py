@@ -1,7 +1,7 @@
 """Decoupled tokenizer: three per-part VQ autoencoders."""
 
 from ..motion import PARTS
-from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
+from .codebook import TokenSeq, nearest_code_ids
 from .tokenizer import (
     DOWNSAMPLE,
     DecoupledTokenizer,
@@ -20,7 +20,6 @@ from .training import (
 
 __all__ = [
     "CHECKPOINT_NAME",
-    "Codebook",
     "DOWNSAMPLE",
     "DecoupledTokenizer",
     "DetoConfig",
@@ -31,7 +30,6 @@ __all__ = [
     "TokenSeq",
     "load_deto",
     "nearest_code_ids",
-    "quantize",
     "save_deto",
     "train_tokenizer",
     "vq_loss_terms",

@@ -1,4 +1,8 @@
-"""Codebooks and nearest-neighbor quantization."""
+"""Token sequences and the nearest-code rule of the per-part quantizers.
+
+A codebook is a plain (N, C) parameter tensor of the part tokenizer; this
+module holds what turns latents into its row ids.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError
-from ..grad import Tensor
 from ..motion import Part
 
 
@@ -26,27 +29,6 @@ class TokenSeq:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-class Codebook:
-    """A learnable N x C matrix of latent prototypes for one part."""
-
-    def __init__(self, part: Part, codes: np.ndarray):
-        codes = np.asarray(codes)
-        if codes.ndim != 2 or codes.shape[0] < 1:
-            raise InputError("codebook must be a nonempty N x C matrix")
-        if not np.all(np.isfinite(codes)):
-            raise InputError("codebook contains non-finite entries")
-        self.part = part
-        self.codes = Tensor(codes, requires_grad=True)
-
-    @property
-    def num_codes(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def code_dim(self) -> int:
-        return self.codes.shape[1]
 
 
 def nearest_code_ids(latent: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -90,8 +72,3 @@ def nearest_code_ids(latent: np.ndarray, codes: np.ndarray) -> np.ndarray:
         ids[doubt] = (diff * diff).sum(axis=-1).argmin(axis=1)
     return ids
 
-
-def quantize(latent: np.ndarray, codebook: Codebook) -> TokenSeq:
-    """Nearest-neighbor token ids for a T_f x C latent matrix."""
-    ids = nearest_code_ids(latent, codebook.codes.data)
-    return TokenSeq(part=codebook.part, ids=tuple(int(i) for i in ids))

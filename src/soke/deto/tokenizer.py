@@ -17,7 +17,7 @@ from ..errors import ConfigError, InputError
 from ..grad import Tensor, conv1d, no_grad, straight_through, upsample_repeat
 from ..grad.checkpoint import Undrawn
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, merge_parts, split_parts
-from .codebook import Codebook, TokenSeq, nearest_code_ids, quantize
+from .codebook import TokenSeq, nearest_code_ids
 
 DOWNSAMPLE = 4  # F: frames per latent, realized by the encoder's two stride-2 conv blocks
 
@@ -46,15 +46,12 @@ class DetoConfig:
 class PartTokenizer:
     """Encoder, decoder, and codebook for one body part.
 
-    Each conv weight is held as conv1d's (K * C_in, C_out) filter matrix,
-    the GEMM operand of the im2col product, so no step copies it into or
-    out of another layout. It is drawn as a (C_out, C_in, K) filter bank,
-    the layout deto.ckpt keeps (see `filter_bank`), and permuted once.
+    Every parameter is a plain tensor, held, stored in deto.ckpt and
+    updated by Adam in one form. A conv weight is conv1d's (K * C_in, C_out)
+    filter matrix, the GEMM operand of the im2col product; it is drawn as a
+    (C_out, C_in, K) filter bank and permuted once. The codebook is the
+    (N, C) matrix of latent prototypes, one row per token id.
     """
-
-    # kernel size K of each conv weight: the encoder's two stride-2 blocks
-    # and the decoder's two convs after each 2x upsampling
-    KERNEL_SIZES = {"enc_w1": 4, "enc_w2": 4, "dec_w1": 3, "dec_w2": 3}
 
     def __init__(self, part: Part, width: int, config: DetoConfig, rng: np.random.Generator):
         self.part = part
@@ -62,22 +59,23 @@ class PartTokenizer:
         self.config = config
         h, c = config.hidden_channels, config.code_dim
 
-        def conv(name, c_out, c_in):
-            k = self.KERNEL_SIZES[name]
+        def conv(c_out, c_in, k):
             bank = rng.standard_normal((c_out, c_in, k)) * np.sqrt(1.0 / (c_in * k))
-            return Tensor(filter_matrix(bank.astype(np.float32)), requires_grad=True)
+            matrix = np.ascontiguousarray(bank.astype(np.float32).transpose(2, 1, 0))
+            return Tensor(matrix.reshape(k * c_in, c_out), requires_grad=True)
 
-        self.enc_w1 = conv("enc_w1", h, width)
+        # K = 4 taps in the encoder's two stride-2 blocks, 3 in the decoder's
+        # convs after each 2x upsampling
+        self.enc_w1 = conv(h, width, 4)
         self.enc_b1 = Tensor(np.zeros(h, dtype=np.float32), requires_grad=True)
-        self.enc_w2 = conv("enc_w2", c, h)
+        self.enc_w2 = conv(c, h, 4)
         self.enc_b2 = Tensor(np.zeros(c, dtype=np.float32), requires_grad=True)
-        self.dec_w1 = conv("dec_w1", h, c)
+        self.dec_w1 = conv(h, c, 3)
         self.dec_b1 = Tensor(np.zeros(h, dtype=np.float32), requires_grad=True)
-        self.dec_w2 = conv("dec_w2", width, h)
+        self.dec_w2 = conv(width, h, 3)
         self.dec_b2 = Tensor(np.zeros(width, dtype=np.float32), requires_grad=True)
-        self.codebook = Codebook(
-            part, (rng.standard_normal((config.size_for(part), c)) * 0.5).astype(np.float32)
-        )
+        codes = rng.standard_normal((config.size_for(part), c)) * 0.5
+        self.codebook = Tensor(codes.astype(np.float32), requires_grad=True)
 
     # -- parameter plumbing ---------------------------------------------------
 
@@ -87,7 +85,7 @@ class PartTokenizer:
             ("enc_w2", self.enc_w2), ("enc_b2", self.enc_b2),
             ("dec_w1", self.dec_w1), ("dec_b1", self.dec_b1),
             ("dec_w2", self.dec_w2), ("dec_b2", self.dec_b2),
-            ("codebook", self.codebook.codes),
+            ("codebook", self.codebook),
         ]
         return [(f"{self.part.value}.{name}", p) for name, p in named]
 
@@ -123,18 +121,18 @@ class PartTokenizer:
         self._check_motion(motion)
         with no_grad():
             latents = self.encode_latents(motion.frames)
-        return quantize(latents.data, self.codebook)
+        ids = nearest_code_ids(latents.data, self.codebook.data)
+        return TokenSeq(self.part, tuple(ids.tolist()))
 
     def decode(self, tokens: TokenSeq, num_frames: int | None = None) -> PartMotion:
         if tokens.part is not self.part:
             raise InputError(f"tokenizer for {self.part.value} got {tokens.part.value} tokens")
         ids = np.asarray(tokens.ids)
-        if ids.min() < 0 or ids.max() >= self.codebook.num_codes:
-            raise InputError(
-                f"token id out of range [0, {self.codebook.num_codes}) for part {self.part.value}"
-            )
+        num_codes = self.codebook.shape[0]
+        if ids.min() < 0 or ids.max() >= num_codes:
+            raise InputError(f"token id out of range [0, {num_codes}) for part {self.part.value}")
         with no_grad():
-            codes = self.codebook.codes[ids]
+            codes = self.codebook[ids]
             frames = self.decode_latents(codes).data.astype(np.float32)
         if num_frames is not None:
             if frames.shape[0] >= num_frames:
@@ -149,8 +147,8 @@ class PartTokenizer:
         self._check_motion(motion)
         x = motion.frames
         latents = self.encode_latents(x)
-        ids = nearest_code_ids(latents.data, self.codebook.codes.data)
-        codes = self.codebook.codes[ids]
+        ids = nearest_code_ids(latents.data, self.codebook.data)
+        codes = self.codebook[ids]
         recon = self.decode_latents(straight_through(latents, codes))[: x.shape[0]]
         return vq_loss_terms(latents, codes, recon, x, self.config.w_emb, self.config.w_com)
 
@@ -200,17 +198,6 @@ def vq_loss_terms(
     total = Tensor(rec + emb + com, _parents=(latents, codes, recon), _op="vq_loss",
                    _backward=backward)
     return total, rec, emb, com
-
-
-def filter_matrix(bank: np.ndarray) -> np.ndarray:
-    """A (C_out, C_in, K) filter bank as conv1d's (K * C_in, C_out) weight."""
-    return np.ascontiguousarray(bank.transpose(2, 1, 0)).reshape(-1, bank.shape[0])
-
-
-def filter_bank(weight: np.ndarray, k: int) -> np.ndarray:
-    """conv1d's (K * C_in, C_out) weight as its (C_out, C_in, K) filter bank,
-    a view."""
-    return weight.reshape(k, -1, weight.shape[1]).transpose(2, 1, 0)
 
 
 class DecoupledTokenizer:

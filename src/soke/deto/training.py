@@ -13,7 +13,7 @@ from ..grad import Adam, CosineSchedule, load_parameters, no_grad, save_checkpoi
 from ..grad.checkpoint import Undrawn
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, split_parts
 from .codebook import nearest_code_ids
-from .tokenizer import DecoupledTokenizer, DetoConfig, PartTokenizer, filter_bank, filter_matrix
+from .tokenizer import DecoupledTokenizer, DetoConfig, PartTokenizer
 
 SIDECAR_NAME = "deto.json"
 CHECKPOINT_NAME = "deto.ckpt"
@@ -38,10 +38,10 @@ def _warm_start_codebook(tok: PartTokenizer, motions: list[PartMotion], rng: np.
     """Initialize codebook rows from encoder outputs so no code starts dead."""
     with no_grad():
         latents = np.concatenate([tok.encode_latents(m.frames).data for m in motions], axis=0)
-    n = tok.codebook.num_codes
+    n = tok.codebook.shape[0]
     picks = rng.integers(0, latents.shape[0], size=n)
     jitter = rng.normal(0.0, 0.01, size=(n, latents.shape[1]))
-    tok.codebook.codes.data = (latents[picks] + jitter).astype(np.float32)
+    tok.codebook.data = (latents[picks] + jitter).astype(np.float32)
 
 
 def _train_one_part(
@@ -57,7 +57,7 @@ def _train_one_part(
         schedule=CosineSchedule(train_cfg.lr, train_cfg.steps, train_cfg.min_lr),
     )
     epoch_len = len(motions)
-    used = np.zeros(tok.codebook.num_codes, dtype=bool)
+    used = np.zeros(tok.codebook.shape[0], dtype=bool)
     epoch_losses: list[tuple[float, float, float, float]] = []
     order = rng.permutation(epoch_len)
 
@@ -75,14 +75,14 @@ def _train_one_part(
 
         with no_grad():  # the updated encoder's codes, for dead-code detection
             latents = tok.encode_latents(motion.frames).data
-        used[nearest_code_ids(latents, tok.codebook.codes.data)] = True
+        used[nearest_code_ids(latents, tok.codebook.data)] = True
         epoch_losses.append((total.item(), rec.item(), emb.item(), com.item()))
 
         if (step + 1) % epoch_len == 0 or step + 1 == train_cfg.steps:
             dead = np.flatnonzero(~used)
             for code_idx in dead:
                 row = latents[rng.integers(0, latents.shape[0])]
-                tok.codebook.codes.data[code_idx] = row + rng.normal(0.0, 0.01, size=row.shape)
+                tok.codebook.data[code_idx] = row + rng.normal(0.0, 0.01, size=row.shape)
             arr = np.asarray(epoch_losses)
             log.append(
                 {
@@ -141,39 +141,25 @@ class DetoSidecar:
     config: DetoConfig
 
 
-# the kernel size of every conv weight, by parameter name
-_KERNEL_SIZES = {f"{part.value}.{name}": k for part in PARTS
-                 for name, k in PartTokenizer.KERNEL_SIZES.items()}
-
-
-def _checkpoint_arrays(deto: DecoupledTokenizer) -> dict[str, np.ndarray]:
-    """Every parameter as deto.ckpt stores it: a conv weight as its
-    (C_out, C_in, K) filter bank, the layout of checkpoints written before
-    conv1d took the filter matrix, so run directories stay byte-comparable;
-    the rest as they are."""
-    return {name: filter_bank(p.data, _KERNEL_SIZES[name]) if name in _KERNEL_SIZES else p.data
-            for name, p in deto.parameters()}
-
-
 def save_deto(out_dir: str | Path, deto: DecoupledTokenizer, log: list[dict] | None = None) -> None:
+    """deto.ckpt holds every parameter as the tokenizer holds it, a conv
+    weight as its (K * C_in, C_out) filter matrix; deto.json the layout and
+    config that rebuild the tokenizer; train_log.jsonl the log, if given."""
     out_dir = Path(out_dir)
-    save_checkpoint(out_dir / CHECKPOINT_NAME, _checkpoint_arrays(deto))
+    save_checkpoint(out_dir / CHECKPOINT_NAME, {name: p.data for name, p in deto.parameters()})
     write_json(out_dir / SIDECAR_NAME, asdict(DetoSidecar(deto.layout, deto.config)))
     if log is not None:
         write_jsonl(out_dir / "train_log.jsonl", log)
 
 
 def load_deto(out_dir: str | Path) -> DecoupledTokenizer:
+    """The tokenizer `save_deto` wrote, built from deto.json without drawing
+    a random number, then given deto.ckpt's parameters. A parameter missing
+    from the checkpoint or stored in another shape, such as a conv weight
+    saved as a (C_out, C_in, K) filter bank, raises InputError naming it."""
     out_dir = Path(out_dir)
     sidecar = read_json(out_dir / SIDECAR_NAME,
                         lambda payload: from_dict(DetoSidecar, payload, complete=True))
     deto = DecoupledTokenizer(sidecar.layout, sidecar.config, seed=Undrawn())
-    named = deto.parameters()
-    # shapes are checked, and values read, in the checkpoint's layout
-    for (_, p), stored in zip(named, _checkpoint_arrays(deto).values()):
-        p.data = stored
-    load_parameters(out_dir / CHECKPOINT_NAME, named)
-    for name, p in named:
-        if name in _KERNEL_SIZES:
-            p.data = filter_matrix(p.data)
+    load_parameters(out_dir / CHECKPOINT_NAME, deto.parameters())
     return deto

@@ -85,13 +85,16 @@ class Undrawn:
 def load_parameters(path: str | Path, named_params: list[tuple[str, Tensor]]) -> None:
     """Overwrite each named tensor with its checkpoint value. The checkpoint
     must hold exactly these names in these shapes: a tensor the model lacks,
-    or a parameter the checkpoint lacks or holds in another shape, raises
-    InputError."""
+    a parameter the checkpoint lacks, or one it holds in another shape
+    raises InputError naming it (and both shapes)."""
     params = load_checkpoint(path)
     unexpected = params.keys() - {name for name, _ in named_params}
     if unexpected:
         raise InputError(f"{path}: checkpoint holds unexpected tensors {sorted(unexpected)}")
     for name, tensor in named_params:
-        if name not in params or params[name].shape != tensor.shape:
-            raise InputError(f"{path}: checkpoint missing or mismatched parameter {name}")
+        if name not in params:
+            raise InputError(f"{path}: checkpoint lacks parameter {name}")
+        if params[name].shape != tensor.shape:
+            raise InputError(f"{path}: parameter {name} is stored as {params[name].shape}, "
+                             f"expected {tensor.shape}")
         tensor.data = params[name].astype(np.float32)

@@ -5,7 +5,8 @@ A run directory looks like:
     run_config.json        the RunConfig
     data/train.jsonl, data/test.jsonl, data/dict_instances.jsonl
                            motions, one JSON object per line
-    deto/deto.ckpt         trained tokenizer parameters
+    deto/deto.ckpt         trained tokenizer parameters as the model holds them,
+                           conv weights as (K * C_in, C_out) filter matrices
     deto/deto.json         {"layout": PartLayout, "config": DetoConfig}
     deto/train_log.jsonl   per-epoch losses and reseeded codes of each part
     dict.json              sign dictionary

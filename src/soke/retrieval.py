@@ -10,11 +10,11 @@ order as contiguous per-part blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .amg import Vocabulary
-from .artifacts import read_json, write_json
+from .artifacts import from_dict, read_json, write_json
 from .deto import DOWNSAMPLE, DecoupledTokenizer, TokenSeq
 from .errors import InputError
 from .metrics import reconstruction_pa_mpjpe
@@ -35,6 +35,16 @@ class DictionaryEntry:
         if not 0 <= self.recon_error < math.inf:
             raise InputError(f"entry {self.word!r}: reconstruction error {self.recon_error} "
                              "is negative or not finite")
+
+
+@dataclass(frozen=True)
+class _WordRecord:
+    """One word of dict.json: its token ids per part and its error."""
+
+    B: tuple[int, ...]
+    LH: tuple[int, ...]
+    RH: tuple[int, ...]
+    err: float
 
 
 class SignDictionary:
@@ -68,8 +78,8 @@ class SignDictionary:
         """lang -> word -> {"B": ids, "LH": ids, "RH": ids, "err": error}."""
         return {
             lang: {
-                word: {**{part.value: list(entry.tokens[part].ids) for part in PARTS},
-                       "err": entry.recon_error}
+                word: asdict(_WordRecord(*(entry.tokens[part].ids for part in PARTS),
+                                         entry.recon_error))
                 for word, entry in sorted(table.items())
             }
             for lang, table in sorted(self._entries.items())
@@ -77,11 +87,14 @@ class SignDictionary:
 
     @classmethod
     def from_json(cls, payload: dict) -> "SignDictionary":
+        """The dictionary `to_json` wrote; a word record with a missing or
+        unknown key or a value of the wrong type raises ConfigError."""
         out = cls()
         for lang, table in payload.items():
             for word, rec in table.items():
-                tokens = {part: TokenSeq(part, tuple(rec[part.value])) for part in PARTS}
-                out.offer(lang, DictionaryEntry(word, tokens, float(rec["err"])))
+                stored = from_dict(_WordRecord, rec, f"{lang}.{word}", complete=True)
+                tokens = {part: TokenSeq(part, getattr(stored, part.value)) for part in PARTS}
+                out.offer(lang, DictionaryEntry(word, tokens, stored.err))
         return out
 
 

@@ -1,7 +1,7 @@
 """Adam as one loop over the parameters, each with its own moments.
 
 The oracle of the optimizer's flat-buffer update: the same arithmetic per
-element, run parameter by parameter.
+element, run parameter by parameter, with no flush of subnormal moments.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from soke.grad.optim import BETA1, BETA2, EPS
 
 
 class PerParameterAdam:
-    def __init__(self, params, lr: float = 2e-4, schedule: CosineSchedule | None = None):
-        self.params, self.lr, self.schedule, self.t = params, lr, schedule, 0
+    def __init__(self, params, schedule: CosineSchedule):
+        self.params, self.schedule, self.t = params, schedule, 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
-        lr = self.lr if self.schedule is None else self.schedule.lr(self.t)
+        lr = self.schedule.lr(self.t)
         self.t += 1
         bc1, bc2 = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):

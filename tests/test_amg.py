@@ -645,6 +645,18 @@ class TestCorruptSidecar:
         with pytest.raises(SokeError, match="vocab.json"):
             load_generator(saved)
 
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(words="alpha"),
+        lambda p: p.update(languages="ASL"),
+        lambda p: p.update(lowercase=True),
+    ], ids=["words-a-string", "languages-a-string", "unknown-key"])
+    def test_vocab_of_the_wrong_shape_names_the_file(self, saved, edit):
+        # a string of words once loaded as one word per letter, and the
+        # checkpoint's embedding then took the blame
+        _edit_json(saved / "vocab.json", edit)
+        with pytest.raises(InputError, match="vocab.json"):
+            load_generator(saved)
+
     @pytest.mark.parametrize("sizes", [[6, 8], [6, -2, 8]])
     def test_vocab_with_bad_codebook_sizes_names_the_file(self, saved, sizes):
         _edit_json(saved / "vocab.json", lambda p: p.update(codebook_sizes=sizes))

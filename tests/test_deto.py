@@ -9,7 +9,6 @@ import soke.deto.tokenizer as tokenizer_module
 from soke.errors import ConfigError, InputError, SokeError
 from soke.deto import (
     DOWNSAMPLE,
-    Codebook,
     DecoupledTokenizer,
     DetoConfig,
     DetoTrainConfig,
@@ -17,12 +16,11 @@ from soke.deto import (
     TokenSeq,
     load_deto,
     nearest_code_ids,
-    quantize,
     save_deto,
     train_tokenizer,
     vq_loss_terms,
 )
-from soke.grad import Tensor, default_dtype, load_checkpoint, save_checkpoint
+from soke.grad import Tensor, default_dtype, load_checkpoint, no_grad, save_checkpoint
 from soke.motion import (
     MotionSequence,
     Part,
@@ -68,8 +66,8 @@ def frozen_vq_loss_fn(tok: PartTokenizer, motion: PartMotion):
     on the live loss at this point.
     """
     latents0 = tok.encode_latents(motion.frames).data.copy()
-    ids0 = nearest_code_ids(latents0, tok.codebook.codes.data)
-    codes0 = tok.codebook.codes.data[ids0].copy()
+    ids0 = nearest_code_ids(latents0, tok.codebook.data)
+    codes0 = tok.codebook.data[ids0].copy()
     delta0 = codes0 - latents0
     T = motion.frames.shape[0]
     cfg = tok.config
@@ -79,7 +77,7 @@ def frozen_vq_loss_fn(tok: PartTokenizer, motion: PartMotion):
         quantized = latents + Tensor(delta0)
         recon = tok.decode_latents(quantized)[:T]
         rec = mean(power(sub(recon, Tensor(motion.frames)), 2))
-        codes = tok.codebook.codes[ids0]
+        codes = tok.codebook[ids0]
         emb = mean(power(sub(codes, Tensor(latents0)), 2)) * cfg.w_emb
         com = mean(power(sub(latents, Tensor(codes0)), 2)) * cfg.w_com
         return rec + emb + com
@@ -88,21 +86,21 @@ def frozen_vq_loss_fn(tok: PartTokenizer, motion: PartMotion):
 
 
 class TestQuantize:
+    """The nearest-code rule, alone and as `PartTokenizer.encode` applies it."""
+
     def test_codebook_row_maps_to_itself(self):
         rng = np.random.default_rng(0)
         codes = rng.normal(size=(8, 4)).astype(np.float32)
-        book = Codebook(Part.BODY, codes)
-        result = quantize(codes[5:6], book)
-        assert result.ids == (5,)
+        assert nearest_code_ids(codes[5:6], codes).tolist() == [5]
 
     def test_two_code_worked_example(self):
-        book = Codebook(Part.BODY, np.array([[0.0, 0.0], [1.0, 0.0]]))
-        result = quantize(np.array([[0.9, 0.1]]), book)
-        assert result.ids == (1,)  # distance 0.141 beats 0.906
+        codes = np.array([[0.0, 0.0], [1.0, 0.0]])
+        # distance 0.141 beats 0.906
+        assert nearest_code_ids(np.array([[0.9, 0.1]]), codes).tolist() == [1]
 
     def test_tie_breaks_to_lowest_index(self):
-        book = Codebook(Part.BODY, np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]))
-        assert quantize(np.array([[0.0, 0.0]]), book).ids == (0,)
+        codes = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        assert nearest_code_ids(np.array([[0.0, 0.0]]), codes).tolist() == [0]
 
     @pytest.mark.parametrize("n_codes", [96, 192])
     def test_matches_brute_force_on_random_pairs(self, n_codes):
@@ -125,13 +123,20 @@ class TestQuantize:
     def test_idempotent_on_code_rows(self):
         rng = np.random.default_rng(23)
         codes = rng.normal(size=(10, 3)).astype(np.float32)
-        book = Codebook(Part.LEFT_HAND, codes)
-        assert quantize(codes, book).ids == tuple(range(10))
+        assert nearest_code_ids(codes, codes).tolist() == list(range(10))
+
+    def test_encode_maps_latents_that_are_code_rows_to_those_rows(self):
+        # 28 frames give 7 latents, as many as the left hand's codes
+        tok = PartTokenizer(Part.LEFT_HAND, width=45, config=TINY, rng=np.random.default_rng(23))
+        motion = PartMotion(Part.LEFT_HAND, np.random.default_rng(24).normal(size=(28, 45)))
+        with no_grad():
+            latents = tok.encode_latents(motion.frames).data
+        tok.codebook.data = latents[::-1].copy()
+        assert tok.encode(motion) == TokenSeq(Part.LEFT_HAND, (6, 5, 4, 3, 2, 1, 0))
 
     def test_empty_latent_rejected(self):
-        book = Codebook(Part.BODY, np.zeros((2, 3)))
         with pytest.raises(InputError):
-            quantize(np.zeros((0, 3)), book)
+            nearest_code_ids(np.zeros((0, 3)), np.zeros((2, 3)))
 
     def test_empty_token_seq_rejected(self):
         with pytest.raises(InputError):
@@ -364,8 +369,8 @@ class TestConfig:
     def test_alternate_codebook_sizes_accepted(self, sizes):
         cfg = DetoConfig(code_dim=8, codebook_sizes=sizes, hidden_channels=4)
         deto = DecoupledTokenizer(PartLayout(), cfg, seed=0)
-        assert deto[Part.BODY].codebook.num_codes == sizes[0]
-        assert deto[Part.LEFT_HAND].codebook.num_codes == sizes[1]
+        assert deto[Part.BODY].codebook.shape == (sizes[0], 8)
+        assert deto[Part.LEFT_HAND].codebook.shape == (sizes[1], 8)
 
     def test_default_matches_reported_best(self):
         cfg = DetoConfig()
@@ -468,63 +473,81 @@ class TestCorruptSidecar:
 
 
 class TestCheckpointLayout:
-    """deto.ckpt keeps each conv weight as a (C_out, C_in, K) filter bank, the
-    layout of checkpoints written before conv1d took its (K * C_in, C_out)
-    filter matrix."""
+    """deto.ckpt holds every parameter as the tokenizer holds it: a conv
+    weight as conv1d's (K * C_in, C_out) filter matrix, the codebook as its
+    (N, C) rows."""
 
     CONV = {"enc_w1": 4, "enc_w2": 4, "dec_w1": 3, "dec_w2": 3}
 
     @pytest.fixture()
-    def banks(self, tmp_path):
-        """A deto directory whose checkpoint holds random filter banks."""
+    def stored(self, tmp_path):
+        """A deto directory whose checkpoint holds random values."""
         deto = DecoupledTokenizer(PartLayout(), TINY, seed=0)
         save_deto(tmp_path, deto)
         rng = np.random.default_rng(3)
-        stored = load_checkpoint(tmp_path / "deto.ckpt")
-        for name, value in stored.items():
-            stored[name] = rng.normal(size=value.shape).astype(np.float32)
-        save_checkpoint(tmp_path / "deto.ckpt", stored)
-        return tmp_path, stored
+        arrays = load_checkpoint(tmp_path / "deto.ckpt")
+        for name, value in arrays.items():
+            arrays[name] = rng.normal(size=value.shape).astype(np.float32)
+        save_checkpoint(tmp_path / "deto.ckpt", arrays)
+        return tmp_path, arrays
 
-    def test_filter_banks_are_stored_channels_out_in_then_taps(self, banks):
-        _, stored = banks
+    def test_filter_matrices_are_stored_taps_and_channels_in_by_channels_out(self, stored):
+        _, arrays = stored
         tok = DecoupledTokenizer(PartLayout(), TINY, seed=0)[Part.LEFT_HAND]
         c_in = {"enc_w1": tok.width, "enc_w2": 4, "dec_w1": 6, "dec_w2": 4}
         c_out = {"enc_w1": 4, "enc_w2": 6, "dec_w1": 4, "dec_w2": tok.width}
         for name, k in self.CONV.items():
-            assert stored[f"LH.{name}"].shape == (c_out[name], c_in[name], k)
+            assert arrays[f"LH.{name}"].shape == (k * c_in[name], c_out[name])
+        assert arrays["LH.codebook"].shape == (7, 6)
 
-    def test_a_bank_checkpoint_loads_as_filter_matrices_exactly(self, banks):
-        out_dir, stored = banks
+    def test_a_checkpoint_loads_exactly(self, stored):
+        out_dir, arrays = stored
         for name, p in load_deto(out_dir).parameters():
-            bank = stored[name]
-            expected = (bank.transpose(2, 1, 0).reshape(-1, bank.shape[0])
-                        if name.split(".")[1] in self.CONV else bank)
-            assert p.data.dtype == np.float32 and np.array_equal(p.data, expected), name
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, arrays[name]), name
 
-    def test_loading_draws_no_random_numbers(self, banks, no_normal_draws):
-        out_dir, stored = banks
+    def test_loading_draws_no_random_numbers(self, stored, no_normal_draws):
+        out_dir, arrays = stored
         with pytest.raises(AssertionError, match="random normal"):
             DecoupledTokenizer(PartLayout(), TINY, seed=0)
-        assert [name for name, _ in load_deto(out_dir).parameters()] == list(stored)
+        assert [name for name, _ in load_deto(out_dir).parameters()] == list(arrays)
 
-    def test_save_writes_the_banks_it_loaded(self, banks, tmp_path_factory):
-        out_dir, stored = banks
+    def test_save_writes_the_values_it_loaded(self, stored, tmp_path_factory):
+        out_dir, arrays = stored
         again = tmp_path_factory.mktemp("again")
         save_deto(again, load_deto(out_dir))
         assert (again / "deto.ckpt").read_bytes() == (out_dir / "deto.ckpt").read_bytes()
-        assert load_checkpoint(again / "deto.ckpt").keys() == stored.keys()
+        assert load_checkpoint(again / "deto.ckpt").keys() == arrays.keys()
+
+    def test_a_checkpoint_of_filter_banks_names_the_first_bank_and_both_shapes(self, stored):
+        # checkpoints written before this layout held each conv weight as
+        # its (C_out, C_in, K) filter bank
+        out_dir, arrays = stored
+        for name, value in arrays.items():
+            k = self.CONV.get(name.split(".")[1])
+            if k is not None:
+                arrays[name] = value.reshape(k, -1, value.shape[1]).transpose(2, 1, 0)
+        save_checkpoint(out_dir / "deto.ckpt", arrays)
+        with pytest.raises(InputError, match=r"deto\.ckpt: parameter B\.enc_w1 is stored as "
+                                             r"\(4, 43, 4\), expected \(172, 4\)"):
+            load_deto(out_dir)
 
     @pytest.mark.parametrize("reshape", [
-        lambda bank: bank.transpose(2, 1, 0).reshape(-1, bank.shape[0]),  # a filter matrix
-        lambda bank: bank.reshape(bank.shape[0], bank.shape[2], bank.shape[1]),
-        lambda bank: bank[..., :-1],
-    ], ids=["filter-matrix", "in-and-taps-swapped", "one-tap-short"])
-    def test_a_misshaped_conv_tensor_names_the_parameter(self, banks, reshape):
-        out_dir, stored = banks
-        stored["RH.dec_w1"] = np.ascontiguousarray(reshape(stored["RH.dec_w1"]))
-        save_checkpoint(out_dir / "deto.ckpt", stored)
-        with pytest.raises(InputError, match=r"RH\.dec_w1"):
+        lambda matrix: matrix.reshape(3, -1, matrix.shape[1]).transpose(2, 1, 0),  # a bank
+        lambda matrix: matrix.T,
+        lambda matrix: matrix[:-matrix.shape[0] // 3],
+    ], ids=["filter-bank", "transposed", "one-tap-short"])
+    def test_a_misshaped_conv_tensor_names_the_parameter(self, stored, reshape):
+        out_dir, arrays = stored
+        arrays["RH.dec_w1"] = np.ascontiguousarray(reshape(arrays["RH.dec_w1"]))
+        save_checkpoint(out_dir / "deto.ckpt", arrays)
+        with pytest.raises(InputError, match=r"RH\.dec_w1 is stored as .*expected \(18, 4\)"):
+            load_deto(out_dir)
+
+    def test_a_missing_codebook_names_it(self, stored):
+        out_dir, arrays = stored
+        del arrays["LH.codebook"]
+        save_checkpoint(out_dir / "deto.ckpt", arrays)
+        with pytest.raises(InputError, match=r"deto\.ckpt: checkpoint lacks parameter LH\.codebook"):
             load_deto(out_dir)
 
 

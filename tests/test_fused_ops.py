@@ -8,7 +8,8 @@ import composed_ops
 import soke.amg.model as amg_model
 from soke.amg import MODES, AmgTrainConfig, GeneratorModel, Vocabulary, train_generator
 from soke.errors import GraphError, NonFiniteError
-from soke.grad import NEG_MASK, Adam, Tensor, attention, cross_entropy, default_dtype, linear
+from soke.grad import (NEG_MASK, Adam, CosineSchedule, Tensor, attention, cross_entropy,
+                       default_dtype, linear)
 from soke.grad.tensor import (
     _ROW_MAX_LENGTH,
     _ROW_MAX_ROWS,
@@ -209,7 +210,7 @@ def test_adam_ignores_the_sign_of_a_zero_gradient(dtype):
     for zero in (0.0, -0.0):
         with default_dtype(dtype):
             param = Tensor(table.copy(), requires_grad=True)
-        opt = Adam([("table", param)], lr=1e-2)
+        opt = Adam([("table", param)], CosineSchedule(1e-2, len(grads), min_lr=1e-2))
         for g in grads:
             param.grad = np.where(g == 0.0, dtype(zero), g)
             opt.step()

@@ -282,9 +282,14 @@ def test_straight_through_gives_encoder_nonzero_gradient_through_reconstruction(
     assert np.any(enc.grad != 0.0)
 
 
+def constant_rate(lr: float, steps: int) -> CosineSchedule:
+    """A schedule that gives lr at each of its steps."""
+    return CosineSchedule(lr, steps, min_lr=lr)
+
+
 def test_optimizer_zero_gradient_is_noop():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = Adam([("p", p)], lr=0.1)
+    opt = Adam([("p", p)], constant_rate(0.1, 1))
     before = p.data.copy()
     p.grad = np.zeros_like(p.data)
     opt.step()
@@ -293,7 +298,7 @@ def test_optimizer_zero_gradient_is_noop():
 
 def test_optimizer_reduces_quadratic():
     p = Tensor(np.array([3.0, -1.5]), requires_grad=True)
-    opt = Adam([("p", p)], lr=0.05)
+    opt = Adam([("p", p)], constant_rate(0.05, 400))
     for _ in range(400):
         opt.zero_grad()
         loss = reduce_sum(p * p)
@@ -304,7 +309,7 @@ def test_optimizer_reduces_quadratic():
 
 def test_optimizer_requires_params():
     with pytest.raises(ConfigError):
-        Adam([], lr=0.1)
+        Adam([], constant_rate(0.1, 1))
 
 
 def test_cosine_schedule_endpoints():
@@ -315,13 +320,24 @@ def test_cosine_schedule_endpoints():
     assert sched.lr(250) == pytest.approx(1e-6)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_cosine_schedule_needs_a_step(steps):
+    with pytest.raises(ConfigError, match="at least one step"):
+        CosineSchedule(base_lr=2e-4, total_steps=steps)
+
+
+def test_constant_rate_is_the_rate_at_every_step():
+    sched = constant_rate(3e-3, 7)
+    assert [sched.lr(step) for step in range(10)] == [3e-3] * 10
+
+
 def test_training_is_deterministic_given_seed():
     def run(seed):
         rng = np.random.default_rng(seed)
         w = Tensor(rng.normal(size=(3, 2)).astype(np.float32), requires_grad=True)
         x = Tensor(rng.normal(size=(5, 3)).astype(np.float32))
         y = Tensor(rng.normal(size=(5, 2)).astype(np.float32))
-        opt = Adam([("w", w)], lr=1e-2)
+        opt = Adam([("w", w)], constant_rate(1e-2, 50))
         for _ in range(50):
             opt.zero_grad()
             mean(power(sub(x @ w, y), 2)).backward()
@@ -400,6 +416,22 @@ def test_checkpoint_with_a_tensor_the_model_lacks_raises_naming_file_and_tensor(
     with pytest.raises(InputError, match=r"model\.ckpt.*unexpected.*stray"):
         load_parameters(path, params)
     assert np.array_equal(params[0][1].data, np.zeros(2))  # nothing was loaded
+
+
+def test_checkpoint_without_a_parameter_names_it(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(2, dtype=np.float32)})
+    params = [("w", Tensor(np.zeros(2))), ("enc.b", Tensor(np.zeros(3)))]
+    with pytest.raises(InputError, match=r"model\.ckpt: checkpoint lacks parameter enc\.b$"):
+        load_parameters(path, params)
+
+
+def test_checkpoint_with_a_misshaped_parameter_gives_both_shapes(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones((3, 2), dtype=np.float32)})
+    with pytest.raises(InputError, match=r"model\.ckpt: parameter w is stored as \(3, 2\), "
+                                         r"expected \(2, 3\)$"):
+        load_parameters(path, [("w", Tensor(np.zeros((2, 3))))])
 
 
 def test_max_relative_error_helper():
@@ -530,11 +562,12 @@ def test_adam_matches_a_per_parameter_reference_bit_for_bit():
     start = [rng.normal(size=s).astype(np.float32) for s in shapes]
     fast = [Tensor(a.copy(), requires_grad=True) for a in start]
     slow = [Tensor(a.copy(), requires_grad=True) for a in start]
-    opt = Adam([(f"p{i}", p) for i, p in enumerate(fast)], lr=0.03)
-    ref = PerParameterAdam(slow, lr=0.03)
+    opt = Adam([(f"p{i}", p) for i, p in enumerate(fast)], constant_rate(0.03, 20))
+    ref = PerParameterAdam(slow, constant_rate(0.03, 20))
     for step in range(20):
         for i, s in enumerate(shapes):
-            g = rng.normal(size=s).astype(np.float32) * 10.0 ** rng.integers(-4, 3)
+            # gradients carry their parameter's dtype, as `Tensor._accumulate` casts them
+            g = (rng.normal(size=s) * 10.0 ** rng.integers(-4, 3)).astype(np.float32)
             fast[i].grad, slow[i].grad = g, g.copy()
         if step == 13:  # replacing a parameter's data between steps is allowed
             fast[0].data = fast[0].data * 0.5
@@ -549,27 +582,64 @@ def test_adam_matches_a_per_parameter_reference_bit_for_bit():
         assert np.array_equal(opt.v[lo:hi], v.reshape(-1))
 
 
-@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
-def test_adam_makes_its_scratch_buffers_once(grad_dtype):
+def _zero_gradient_run(steps: int):
+    """Adam and its per-parameter oracle over `steps` steps in which some
+    parameters' gradients turn exactly zero, so their first moments decay
+    toward the subnormals; the parameters hold normal-magnitude values."""
+    rng = np.random.default_rng(41)
+    shapes = [(4, 3), (5,), (2, 2)]
+    start = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    fast = [Tensor(a.copy(), requires_grad=True) for a in start]
+    slow = [Tensor(a.copy(), requires_grad=True) for a in start]
+    opt = Adam([(f"p{i}", p) for i, p in enumerate(fast)], constant_rate(2e-3, steps))
+    ref = PerParameterAdam(slow, constant_rate(2e-3, steps))
+    for step in range(steps):
+        for i, s in enumerate(shapes):
+            g = rng.normal(size=s).astype(np.float32)
+            if i < 2 and step >= 5 * i + 1:  # p0 after one step, p1 after six
+                g[...] = 0.0
+            fast[i].grad, slow[i].grad = g, g.copy()
+        opt.step()
+        ref.step()
+        yield opt, ref, fast, slow
+
+
+def _subnormal(a: np.ndarray) -> np.ndarray:
+    return (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+
+
+def test_adam_leaves_no_subnormal_first_moment_after_a_zero_gradient():
+    for opt, ref, _, _ in _zero_gradient_run(1000):
+        pass
+    assert any(_subnormal(m).any() for m in ref.m)  # the oracle keeps them
+    assert not _subnormal(opt.m).any()
+    assert not _subnormal(opt.v).any()
+
+
+def test_adam_flush_keeps_the_parameters_bits():
+    for step, (_, _, fast, slow) in enumerate(_zero_gradient_run(1000)):
+        for i, (a, b) in enumerate(zip(fast, slow)):
+            assert np.array_equal(a.data, b.data), (step, i)
+
+
+def test_adam_makes_its_scratch_buffers_once():
     rng = np.random.default_rng(5)
     params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
               for s in [(3, 4), (2,), ()]]
-    opt = Adam([(f"p{i}", p) for i, p in enumerate(params)], lr=0.1)
-    seen = None
+    opt = Adam([(f"p{i}", p) for i, p in enumerate(params)], constant_rate(0.1, 3))
+    pair = [id(a) for a in opt.scratch]
     for _ in range(3):
         for p in params:
-            p.grad = rng.normal(size=p.shape).astype(grad_dtype)
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
         opt.step()
-        buffers = {dtype: [id(a) for a in pair] for dtype, pair in opt.scratch.items()}
-        assert seen is None or buffers == seen
-        seen = buffers
-    # one pair per dtype: the gradients' and the parameters'
-    assert set(seen) == {np.dtype(grad_dtype), np.dtype(np.float32)}
+        assert [id(a) for a in opt.scratch] == pair
+    # one pair, in the parameters' dtype
+    assert [(a.dtype, a.shape) for a in opt.scratch] == [(np.float32, (15,))] * 2
 
 
 def test_adam_step_without_a_gradient_names_the_parameter_and_changes_nothing():
     params = [Tensor(np.ones(s, dtype=np.float32), requires_grad=True) for s in [(2,), (3, 4)]]
-    opt = Adam(list(zip(["tok_emb", "enc_pos"], params)), lr=0.1)
+    opt = Adam(list(zip(["tok_emb", "enc_pos"], params)), constant_rate(0.1, 1))
     params[0].grad = np.ones(2, dtype=np.float32)
     with pytest.raises(GraphError, match=r"parameter enc_pos \(shape \(3, 4\)\) has no"):
         opt.step()
@@ -582,7 +652,7 @@ def test_adam_rejects_mixed_dtypes():
     with default_dtype(np.float64):
         b = Tensor(np.zeros(2), requires_grad=True)
     with pytest.raises(ConfigError):
-        Adam([("a", a), ("b", b)])
+        Adam([("a", a), ("b", b)], constant_rate(0.1, 1))
 
 
 def test_first_gradient_is_kept_fresh_and_views_are_copied():

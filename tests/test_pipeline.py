@@ -1,12 +1,14 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from soke.amg import MODES, AmgConfig, AmgTrainConfig
 from soke.config import RunConfig
 from soke.deto import DetoConfig, DetoTrainConfig
 from soke.errors import InputError
+from soke.grad import Adam
 from soke.motion import SynthConfig
 from soke.pipeline import STAGES, StageError, changed_artifacts, run_pipeline
 
@@ -71,6 +73,22 @@ def test_generator_without_encoder_layers_trains_in_every_mode(tmp_path, mode):
     assert manifest["stages_run"] == [name for name, _, _ in STAGES]
     sidecar = json.loads((tmp_path / "amg" / "amg.json").read_text())
     assert (sidecar["mode"], sidecar["config"]["enc_layers"]) == (mode, 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_gradient_adam_packs_has_its_parameters_dtype(tmp_path, monkeypatch, mode):
+    # Adam packs the gradients into one scratch pair in the parameters' dtype
+    steps = []
+    step = Adam.step
+
+    def checked_step(opt):
+        steps.append({(p.grad.dtype, p.data.dtype) for p in opt.params})
+        step(opt)
+
+    monkeypatch.setattr(Adam, "step", checked_step)
+    run_pipeline(replace(TINY, mode=mode), tmp_path)
+    # one step per tokenizer part, one per generator epoch
+    assert steps == [{(np.dtype(np.float32), np.dtype(np.float32))}] * 4
 
 
 def test_directory_made_with_another_config_reruns_every_stage(tmp_path):

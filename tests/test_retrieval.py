@@ -216,3 +216,14 @@ class TestPersistence:
         path.write_text(corrupt(path.read_text()))
         with pytest.raises(SokeError, match="dict.json"):
             load_dictionary(path)
+
+    @pytest.mark.parametrize("record", [
+        {"B": [0], "LH": [0], "RH": [0], "err": "0.5"},
+        {"B": [0], "LH": [0], "RH": [0], "err": True},
+        {"B": [0], "LH": [0], "RH": [0], "err": 0.5, "note": "best take"},
+    ], ids=["numeric-string-err", "bool-err", "unknown-key"])
+    def test_loosely_typed_word_record_names_the_file(self, tmp_path, record):
+        path = tmp_path / "dict.json"
+        path.write_text(json.dumps({"ASL": {"cold": record}}))
+        with pytest.raises(InputError, match=r"dict\.json.*ASL\.cold"):
+            load_dictionary(path)
