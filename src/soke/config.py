@@ -10,10 +10,10 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .amg import AmgConfig, AmgTrainConfig
+from .amg import MODES, AmgConfig, AmgTrainConfig
 from .artifacts import from_dict, read_json, write_json
 from .deto import DetoConfig, DetoTrainConfig
-from .errors import ConfigError
+from .errors import ConfigError, ModeError
 from .motion import SynthConfig, build_sign_chain
 
 
@@ -47,7 +47,10 @@ class RunConfig:
         if not (math.isfinite(self.dict_instance_noise) and self.dict_instance_noise >= 0.0):
             raise ConfigError(f"dict_instance_noise must be finite and non-negative, got "
                               f"{self.dict_instance_noise}")
-        build_sign_chain(self.synth.layout)  # fail before any stage on a layout it cannot build
+        # fail before any stage on a mode or layout the later stages cannot build
+        if self.mode not in MODES:
+            raise ModeError(f"unknown decoding mode {self.mode!r}; expected one of {MODES}")
+        build_sign_chain(self.synth.layout)
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

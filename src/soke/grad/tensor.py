@@ -42,17 +42,19 @@ g) does, without that call's slow path for whole rows; and cross_entropy
 skips the exp of masked-out entries, which is +0.0. conv1d's weight is the
 (K * C_in, C_out) filter matrix of the im2col product (Chellapilla, Puri &
 Simard, 2006), so neither pass copies it into another layout and its
-gradient is the fresh cols.T @ g. Where an op computes a chain of
-elementwise steps into an array it made itself (attention's softmax,
-cross_entropy's log-softmax and gradient, layer_norm's input gradient), it
-writes each step into that array instead of a new one. The row max of many
-short rows runs over a transposed copy, which can change only the sign of a
-zero maximum (see `_row_max`).
+gradient is the fresh cols.T @ g; the im2col gather index is a read-only
+array made once per (t_out, k, stride) and shared by every later call.
+Where an op computes a chain of elementwise steps into an array it made
+itself (attention's softmax, cross_entropy's log-softmax and gradient,
+layer_norm's input gradient), it writes each step into that array instead
+of a new one. The row max of many short rows runs over a transposed copy,
+which can change only the sign of a zero maximum (see `_row_max`).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
@@ -529,6 +531,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                   _backward=backward)
 
 
+@cache
+def _im2col_index(t_out: int, k: int, stride: int) -> np.ndarray:
+    """The (t_out, k) rows of the padded input that im2col gathers: row t
+    holds t * stride + j for tap j. Read-only, made once per shape."""
+    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
+    idx.flags.writeable = False
+    return idx
+
+
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """1D convolution over time. x: (T, C_in); weight: (K * C_in, C_out),
     the filter matrix of the im2col product, whose row j * C_in + c holds
@@ -549,8 +560,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     if padding:  # zero rows at both ends (np.pad costs ~20x more at these sizes)
         xp = np.zeros((T + 2 * padding, c_in), dtype=x.data.dtype)
         xp[padding: padding + T] = x.data
-    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
-    cols = xp[idx].reshape(t_out, rows)  # im2col
+    cols = xp[_im2col_index(t_out, k, stride)].reshape(t_out, rows)
     w = weight.data
     out = cols @ w
     out += bias.data

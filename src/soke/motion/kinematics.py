@@ -11,11 +11,17 @@ then the leaves. Only inner rotations move other joints, so Rodrigues and
 the rotation products run for inner joints only, and the leaves (head and
 fingertips on the sign chain) are placed in one step after the last inner
 level. Working arrays are joint-major, (joints, T, ...), so each level is a
-contiguous slice. Every 3x3 product is the numpy `@` the level-by-level
-pass over all joints ran, on the same operands, so positions and
-gradients keep their bits. Positions come back C-contiguous in joint
-order: the Procrustes means and sums downstream reduce in memory order, so
-a transposed view of the same values would change their bits.
+contiguous slice. Every rotation product is the numpy `@` the
+level-by-level pass over all joints ran, on the same operands. A bone
+offset is the same in every frame, so `_place` applies it with one
+(3T, 3) @ (3, 1) product per joint, the frames folded into the rows, where
+that pass made one (3, 3) @ (3, 1) product per joint and frame. Each row is
+the same three-term dot product either way; tests/test_motion.py checks the
+positions' bytes against that pass at frame counts on both sides of the
+BLAS kernels' row blocks. So positions and gradients keep their bits.
+Positions come back C-contiguous in joint order: the Procrustes means and
+sums downstream reduce in memory order, so a transposed view of the same
+values would change their bits.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ Index = slice | np.ndarray
 
 class Level(NamedTuple):
     """Joints `start:stop` of a plan, the plan slots of their parents, their
-    bone offsets as (n, 1, 3, 1) columns, and the joints grouped by sibling
+    bone offsets as (n, 3, 1) columns, and the joints grouped by sibling
     rank: (joints relative to `start`, their parents' slots) for the first
     child of each parent, then the second, and so on. Each group has
     distinct parents, so the VJP passes a group's shares with one indexed
@@ -138,8 +144,7 @@ class KinematicChain:
                             dtype=np.int64)
             ranks = tuple((_index(np.flatnonzero(rank == r)), _index(parents[rank == r]))
                           for r in range(int(rank.max(initial=-1)) + 1))
-            return Level(start, stop, _index(parents), self.offsets[joints][:, None, :, None],
-                         ranks)
+            return Level(start, stop, _index(parents), self.offsets[joints][..., None], ranks)
 
         levels = tuple(level(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
         return Placement(order, levels, level(len(inner), self.num_joints))
@@ -275,9 +280,14 @@ def forward_kinematics_pass(
 
 
 def _place(pos: np.ndarray, level: Level, parent_rot: np.ndarray) -> None:
-    """x_j = x_p + R_p o_j for the joints of `level`."""
-    np.add(pos[level.parents], (parent_rot @ level.offsets)[..., 0],
-           out=pos[level.start:level.stop])
+    """x_j = x_p + R_p o_j for the joints of `level`, with one (3T, 3) @ (3, 1)
+    product per joint: the offset is the same in every frame, so the T
+    frames' rotations fold into the rows."""
+    placed = pos[level.start:level.stop]
+    n, frames = placed.shape[:2]
+    np.matmul(parent_rot.reshape(n, 3 * frames, 3), level.offsets,
+              out=placed.reshape(n, 3 * frames, 1))
+    placed += pos[level.parents]
 
 
 def forward_kinematics_vjp(
@@ -300,14 +310,14 @@ def forward_kinematics_vjp(
     # R_j = R_p L_j and x_j = x_p + R_p o_j
     leaves = plan.leaves
     _pass_shares(grad_rot, grad_pos, leaves, grad_pos[leaves.start:leaves.stop, :, :, None]
-                 * np.swapaxes(leaves.offsets, -1, -2))
+                 * np.swapaxes(leaves.offsets, -1, -2)[:, None])
     for level in reversed(plan.levels):
         g_rot = grad_rot[level.start:level.stop]
         grad_local[level.start:level.stop] = np.swapaxes(rot[level.parents], -1, -2) @ g_rot
         _pass_shares(grad_rot, grad_pos, level,
                      g_rot @ np.swapaxes(local[level.start:level.stop], -1, -2)
                      + grad_pos[level.start:level.stop, :, :, None]
-                     * np.swapaxes(level.offsets, -1, -2))
+                     * np.swapaxes(level.offsets, -1, -2)[:, None])
     grad_local[0] = grad_rot[0]
     grad = np.zeros(angles.shape)
     grad[:, plan.inner] = np.swapaxes(

@@ -76,6 +76,15 @@ def test_negative_seed_exits_2_before_any_stage(tmp_path, config_path, capsys):
     assert not out.exists()
 
 
+def test_unknown_mode_exits_2_before_any_stage(tmp_path, config_path, capsys):
+    # before, the data, deto and dict stages ran and the amg stage raised
+    out = tmp_path / "run"
+    assert main(["run", str(config_path), str(out), "--set", "mode=fast"]) == 2
+    err = capsys.readouterr().err
+    assert "'fast'" in err and "multihead" in err
+    assert not out.exists()  # so no data/ either
+
+
 def test_declared_console_scripts_resolve_and_run():
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     assert "soke" in scripts

@@ -1,12 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from soke.amg import AmgConfig, AmgTrainConfig
+from soke.amg import MODES, AmgConfig, AmgTrainConfig
 from soke.config import RunConfig, load_run_config, run_config_from_dict, run_config_to_dict
 from soke.deto import DetoConfig
-from soke.errors import ConfigError, LayoutError
+from soke.errors import ConfigError, LayoutError, ModeError
 from soke.motion import PartLayout, SynthConfig
 
 
@@ -126,6 +127,11 @@ def test_seeds_numpy_cannot_take_rejected(setting, field):
 
 def test_negative_offset_that_keeps_the_test_seed_valid_accepted():
     assert RunConfig(seed=5, eval_seed_offset=-5).eval_seed_offset == -5
+
+
+def test_unknown_mode_rejected_naming_the_modes():
+    with pytest.raises(ModeError, match=f"'fast'.*{re.escape(str(MODES))}"):
+        RunConfig(mode="fast")
 
 
 def test_deto_warm_start_override_below_one_rejected(tmp_path):

@@ -11,10 +11,16 @@ this prints as one `mode artifact old → new` line each:
 
     PYTHONPATH=src python tests/test_golden_run.py --write
 
-Bits are promised on one software and hardware stack only, so the file also
-records numpy's version, the BLAS library, the kernel set OpenBLAS chose for
-this CPU and the machine type; where the current stack differs, the tests
-skip and name the difference.
+Bits are promised per software and hardware stack, so the file holds one
+set of digests per OpenBLAS kernel set, each with the stack it was made on:
+numpy's version, the BLAS library, the kernel set and the machine type.
+The tests check the set made under the host's kernel set; where there is
+none, or the rest of the stack differs, they skip and name the difference.
+`--write` rewrites only the host's set. The `Haswell` set was made on a
+`SkylakeX` host with `OPENBLAS_CORETYPE=Haswell` in the environment of that
+one process, which is also how to check or rewrite it there:
+
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python -m pytest tests/test_golden_run.py
 """
 
 from __future__ import annotations
@@ -121,9 +127,15 @@ def pose_fit_digests(seed: int) -> dict[str, str]:
 
 
 def _golden_on_this_stack() -> dict:
-    golden = json.loads(GOLDEN.read_text())
+    """The digest set made under this host's kernel set, if its stack matches."""
+    stack = software_stack()
+    kernel_sets = json.loads(GOLDEN.read_text())["kernel_sets"]
+    golden = kernel_sets.get(stack["blas_kernels"])
+    if golden is None:
+        pytest.skip(f"no golden digests for blas_kernels {stack['blas_kernels']!r}, only for "
+                    f"{sorted(kernel_sets)}")
     differs = [f"{key} {golden['stack'].get(key)!r} != {value!r}"
-               for key, value in software_stack().items() if golden["stack"].get(key) != value]
+               for key, value in stack.items() if golden["stack"].get(key) != value]
     if differs:
         pytest.skip("golden digests were made on another stack: " + "; ".join(differs))
     return golden
@@ -139,10 +151,22 @@ def test_pose_fit_matches_the_golden_digests(seed):
     assert pose_fit_digests(seed) == _golden_on_this_stack()["pose_fits"][str(seed)]
 
 
-def test_another_blas_kernel_set_skips_and_names_it(monkeypatch):
-    recorded = json.loads(GOLDEN.read_text())["stack"]["blas_kernels"]
-    monkeypatch.setattr(sys.modules[__name__], "openblas_kernels", lambda: "Other" + recorded)
-    with pytest.raises(pytest.skip.Exception, match=f"blas_kernels '{recorded}' != 'Other"):
+def test_a_kernel_set_without_digests_skips_and_names_it(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "openblas_kernels", lambda: "Other")
+    with pytest.raises(pytest.skip.Exception,
+                       match=r"blas_kernels 'Other', only for \['Haswell', 'SkylakeX'\]"):
+        _golden_on_this_stack()
+
+
+@pytest.mark.parametrize("kernels", ["Haswell", "SkylakeX"])
+def test_the_host_kernel_set_picks_its_digests(monkeypatch, kernels):
+    golden = json.loads(GOLDEN.read_text())["kernel_sets"][kernels]
+    stack = {**golden["stack"], "blas_kernels": kernels}
+    monkeypatch.setattr(sys.modules[__name__], "software_stack", lambda: stack)
+    assert _golden_on_this_stack() == golden
+    monkeypatch.setattr(sys.modules[__name__], "software_stack",
+                        lambda: {**stack, "numpy": "0.0"})
+    with pytest.raises(pytest.skip.Exception, match="numpy .* != '0.0'"):
         _golden_on_this_stack()
 
 
@@ -175,19 +199,24 @@ def digest_changes(old: dict, new: dict) -> tuple[list[str], int]:
 
 
 def write_golden() -> None:
-    """Regenerate the golden file and print each digest it changes."""
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    """Regenerate the host kernel set's digests and print each one it changes."""
+    kernel_sets = json.loads(GOLDEN.read_text())["kernel_sets"] if GOLDEN.exists() else {}
+    stack = software_stack()
+    old = kernel_sets.get(stack["blas_kernels"], {})
     digests = {}
     for mode in MODES:
         with tempfile.TemporaryDirectory() as out_dir:
             run_train_config(mode, Path(out_dir))
             digests[mode] = run_directory_digests(Path(out_dir))
+    kernel_sets[stack["blas_kernels"]] = new = {
+        "stack": stack, "digests": digests,
+        "pose_fits": {str(seed): pose_fit_digests(seed) for seed in POSE_FITS}}
     payload = {"config": CONFIG.relative_to(REPO).as_posix(), "overrides": OVERRIDES,
-               "stack": software_stack(), "digests": digests,
-               "pose_fits": {str(seed): pose_fit_digests(seed) for seed in POSE_FITS}}
+               "kernel_sets": kernel_sets}
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    lines, unchanged = digest_changes(old, payload)
-    print("\n".join([*lines, f"{unchanged} digests unchanged"]))
+    lines, unchanged = digest_changes(old, new)
+    print("\n".join([f"kernel set {stack['blas_kernels']}", *lines,
+                      f"{unchanged} digests unchanged"]))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from soke.grad import (
     straight_through,
     upsample_repeat,
 )
-from soke.grad.tensor import weighted_sum
+from soke.grad.tensor import _im2col_index, weighted_sum
 from soke.deto import vq_loss_terms
 from soke.motion import build_sign_chain
 from soke.posefit import (Observation2D, body_fk, loss_rec, loss_reg, loss_temp,
@@ -500,15 +500,21 @@ def test_gather_backward_adds_a_repeated_ids_terms_in_index_order():
     assert grad.tobytes() == np.zeros((3, 1), dtype=np.float32).tobytes()
 
 
+def _uncached_im2col(x, k, stride, padding, t_out):
+    """The padded input and its im2col rows, with the index built here."""
+    T, c_in = x.shape
+    xp = np.zeros((T + 2 * padding, c_in), dtype=x.dtype)
+    xp[padding: padding + T] = x
+    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
+    return xp, idx, xp[idx].reshape(t_out, k * c_in)
+
+
 def _conv1d_add_at_grads(x, w, g, stride, padding):
     """conv1d's input, weight and bias gradients, with col2im as one np.add.at."""
     T, c_in = x.shape
     k = w.shape[0] // c_in
     t_out = g.shape[0]
-    xp = np.zeros((T + 2 * padding, c_in), dtype=x.dtype)
-    xp[padding: padding + T] = x
-    idx = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
-    cols = xp[idx].reshape(t_out, k * c_in)
+    xp, idx, cols = _uncached_im2col(x, k, stride, padding, t_out)
     gxp = np.zeros_like(xp)
     np.add.at(gxp, idx, (g @ w.T).reshape(t_out, k, c_in))
     gw = cols.T @ g
@@ -554,6 +560,47 @@ def test_conv1d_gradients_equal_add_at_col2im(k, stride, padding):
     assert np.array_equal(x.grad, gx)
     assert np.array_equal(w.grad, gw)
     assert np.array_equal(bias.grad, gb)
+
+
+def test_im2col_index_is_read_only():
+    idx = _im2col_index(7, 3, 2)
+    assert idx.tolist() == [[2 * t + j for j in range(3)] for t in range(7)]
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0, 0] = 1
+
+
+def test_im2col_index_is_made_once_per_shape():
+    first = _im2col_index(9, 4, 1)
+    _im2col_index(9, 4, 2)
+    _im2col_index(9, 3, 1)
+    assert _im2col_index(9, 4, 1) is first
+    assert _im2col_index(10, 4, 1) is not first
+
+
+# (T, k, stride, padding): the first shape recurs after three others, and
+# the last two share its (t_out, k, stride) from another input length
+CONV_SHAPES = [(12, 4, 2, 1), (12, 3, 1, 1), (29, 4, 2, 1), (6, 3, 1, 0), (12, 4, 2, 1),
+               (13, 4, 2, 1), (14, 4, 2, 0)]
+
+
+def test_conv1d_over_recurring_shapes_equals_an_uncached_im2col():
+    rng = np.random.default_rng(27)
+    c_in, c_out = 5, 6
+    for T, k, stride, padding in CONV_SHAPES:
+        x = Tensor(rng.normal(size=(T, c_in)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(k * c_in, c_out)).astype(np.float32), requires_grad=True)
+        bias = Tensor(rng.normal(size=c_out).astype(np.float32), requires_grad=True)
+        out = conv1d(x, w, bias, stride=stride, padding=padding)
+        t_out = (T + 2 * padding - k) // stride + 1
+        want = _uncached_im2col(x.data, k, stride, padding, t_out)[2] @ w.data
+        want += bias.data
+        assert out.data.tobytes() == want.tobytes()
+        g = rng.normal(size=out.shape).astype(np.float32)
+        reduce_sum(out * Tensor(g)).backward()
+        gx, gw, gb = _conv1d_add_at_grads(x.data, w.data, g, stride, padding)
+        assert x.grad.tobytes() == gx.tobytes()
+        assert w.grad.tobytes() == gw.tobytes()
+        assert bias.grad.tobytes() == gb.tobytes()
 
 
 def test_adam_matches_a_per_parameter_reference_bit_for_bit():

@@ -259,11 +259,16 @@ def _leaves(chain) -> list[int]:
 class TestFkAgainstOracle:
     """The pass and its VJP against the level-by-level oracle (fk_oracle.py)."""
 
-    @pytest.mark.parametrize("frames", [1, 4, 29, 60])
+    # frame counts on both sides of the BLAS kernels' row blocks, which the
+    # pass's (3T, 3) @ (3, 1) offset products cross and the oracle's
+    # per-frame (3, 3) @ (3, 1) products do not
+    @pytest.mark.parametrize("frames, scale", [(f, 0.6) for f in (1, 2, 3, 4, 5, 29, 60, 61,
+                                                                  128, 129, 257)]
+                             + [(61, 2.5)])
     @pytest.mark.parametrize("name", ["full", "body"])
-    def test_positions_are_the_oracle_bytes(self, name, frames):
+    def test_positions_are_the_oracle_bytes(self, name, frames, scale):
         rng = np.random.default_rng(frames)
-        x = rng.normal(scale=0.6, size=(frames, 133)).astype(np.float32)
+        x = rng.normal(scale=scale, size=(frames, 133)).astype(np.float32)
         got = forward_kinematics_sequence(x, CHAINS[name])
         want = fk_oracle.forward_kinematics_sequence(x, CHAINS[name])
         assert got.flags.c_contiguous
