@@ -6,12 +6,15 @@ the mode it was trained for. Sequential decoding runs one flat stream with
 3K passes for K triples; parallel decoding runs three streams seeded by
 <Lang_p> start tokens as the three rows of one batched pass; multi-head
 decoding feeds one trunk pass to three part heads and the fused embedding of
-their picks back in. Each step is one decoder pass and one masked argmax
-per slot, a (row, head, support part) triple. A pass runs one new position
-per row (one row per start token) through `decode_hidden`, the trunk that
-teacher-forced training runs over its whole prefix, against a per-prompt
-`DecoderCache`. The cache holds the cross-attention keys and values of the
-prompt and the self-attention keys and values of the positions run so far.
+their picks back in. Each step is one decoder pass and one pick per slot, a
+(row, head, support part) triple: the argmax of the row's head logits over
+the positions of the head's columns that the part's support allows, found
+once per decode, or a plain argmax where the support is every column, as in
+multi-head decoding. A pass runs one new position per row (one row per
+start token) through `decode_hidden`, the trunk that teacher-forced
+training runs over its whole prefix, against a per-prompt `DecoderCache`.
+The cache holds the cross-attention keys and values of the prompt and the
+self-attention keys and values of the positions run so far.
 Decoding builds no autodiff graph (`no_grad`).
 Decoding stops at the first step where any slot picks EOS, and that step is
 excluded. The kept picks, in step and slot order, are the flat stream
@@ -93,10 +96,19 @@ def _check_slots(vocab: Vocabulary, token_ids) -> None:
             )
 
 
-def _masked_pick(logits_row: np.ndarray, support: np.ndarray, columns: np.ndarray) -> int:
-    """Greedy argmax of a head's logits over its sorted columns under a
-    support mask, as a token id; ties go to the lowest one."""
-    return int(columns[np.argmax(np.where(support, logits_row.astype(np.float64), -np.inf))])
+def _allowed_positions(support: np.ndarray) -> np.ndarray | None:
+    """The positions of a head's columns that a slot's support allows, in
+    increasing order; None where it allows every column."""
+    return None if support.all() else np.flatnonzero(support)
+
+
+def _pick(logits_row: np.ndarray, allowed: np.ndarray | None, columns: np.ndarray) -> int:
+    """Greedy argmax of a head's logits over the allowed positions of its
+    sorted columns, as a token id. argmax takes the first maximum and the
+    positions increase, so ties go to the lowest id."""
+    if allowed is None:
+        return int(columns[np.argmax(logits_row)])
+    return int(columns[allowed[np.argmax(logits_row[allowed])]])
 
 
 def greedy_decode(
@@ -115,8 +127,8 @@ def greedy_decode(
     spec = MODE_SPECS[model.mode]
     vocab, columns = model.vocab, model.head_columns
     k_max = model.config.k_max if k_max is None else k_max
-    supports = {(head, part): vocab.part_support(part, columns[head])
-                for slots in spec.schedule for _, head, part in slots}
+    allowed = {(head, part): _allowed_positions(vocab.part_support(part, columns[head]))
+               for slots in spec.schedule for _, head, part in slots}
     picks: list[int] = []
     max_steps = len(spec.schedule) * k_max
     passes = max_steps
@@ -130,7 +142,7 @@ def greedy_decode(
             for _, head, _ in slots:
                 if head not in logits:
                     logits[head] = model.head_logits(hidden, head).data[:, -1]
-            tokens = [_masked_pick(logits[head][row], supports[head, part], columns[head])
+            tokens = [_pick(logits[head][row], allowed[head, part], columns[head])
                       for row, head, part in slots]
             if vocab.eos_id in tokens:
                 passes = t + 1

@@ -12,7 +12,12 @@ Teacher-forced training and greedy decoding share the trunk `decode_hidden`:
 training runs its whole prefix as one pass from an empty DecoderCache, and
 decoding runs one new position per pass against the prompt's cache.
 Attention splits and joins the heads itself, so the cache keeps keys and
-values as projected, (rows, positions, d_model).
+values as projected. Its self-attention keys and values are arrays of
+(rows, dec_max_len, d_model), made on the first pass: each pass writes its
+positions in place and attends over the filled prefix, so no pass copies
+the keys of earlier ones. Those arrays carry no graph, so a pass that builds
+one, as teacher forcing does, must start from an empty cache and attends
+over its own key and value nodes; on a non-empty cache it raises GraphError.
 
 Key projections take no bias (Namazifar et al., "Role of Bias Terms in
 Dot-Product Attention", ICASSP 2023): a key bias adds the same q . b_k to
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError, InputError, ModeError
+from ..errors import ConfigError, GraphError, InputError, ModeError
 from ..grad import Tensor, attention, concat, layer_norm, linear
 from ..grad.checkpoint import Undrawn
 from ..grad.tensor import weighted_sum
@@ -217,25 +222,34 @@ class GeneratorModel:
         return linear(attention(q, k, v, self.config.num_heads, mask), p["wo"], p["bo"])
 
     def _self_attention(self, x: Tensor, p: dict, mask: np.ndarray | None,
-                        layer: LayerCache | None = None) -> Tensor:
-        """Self-attention of the positions x (B, n, d). With a layer cache,
-        they also attend to its keys and values, and their own join it."""
+                        layer: LayerCache | None = None, offset: int = 0) -> Tensor:
+        """Self-attention of the positions x (B, n, d). With a layer cache, x
+        holds positions offset .. offset + n - 1: their keys and values are
+        written into it, and they attend to its first offset + n positions."""
         q = linear(x, p["wq"], p["bq"])
         k = x @ p["wk"]
         v = linear(x, p["wv"], p["bv"])
         if layer is not None:
-            if layer.self_k is not None:
-                k = concat([layer.self_k, k], axis=1)
-                v = concat([layer.self_v, v], axis=1)
-            layer.self_k, layer.self_v = k, v
+            if offset and (k.requires_grad or v.requires_grad):
+                raise GraphError("a pass that builds a graph must start from an empty "
+                                 f"decoder cache, not one holding {offset} positions")
+            end = offset + x.shape[1]
+            layer.k[:, offset:end] = k.data
+            layer.v[:, offset:end] = v.data
+            if offset:
+                k, v = Tensor(layer.k[:, :end]), Tensor(layer.v[:, :end])
         return self._attend(q, k, v, p, mask)
 
-    def _layer_cache(self, layer: dict, h_en: Tensor) -> LayerCache:
-        """A decoder layer's cache for the encoder state h_en (R, S, d); with
-        R = 1 its keys and values broadcast over every decoder row."""
+    def _layer_cache(self, layer: dict, h_en: Tensor, rows: int) -> LayerCache:
+        """A decoder layer's cache for `rows` decoder rows and the encoder
+        state h_en (R, S, d); with R = 1 its keys and values broadcast over
+        every decoder row."""
         ca = layer["cross"]
-        return LayerCache(cross_k=h_en @ ca["wk"],
-                          cross_v=linear(h_en, ca["wv"], ca["bv"]))
+        cross_k = h_en @ ca["wk"]
+        shape = (rows, self.dec_max_len, self.config.d_model)
+        return LayerCache(cross_k=cross_k, cross_v=linear(h_en, ca["wv"], ca["bv"]),
+                          k=np.empty(shape, cross_k.data.dtype),
+                          v=np.empty(shape, cross_k.data.dtype))
 
     def _ffn(self, x: Tensor, p: dict) -> Tensor:
         return linear(linear(x, p["w1"], p["b1"]).relu(), p["w2"], p["b2"])
@@ -269,8 +283,11 @@ class GeneratorModel:
         """Decoder trunk over already-embedded inputs (B, K, d), the positions
         after those in `cache` (teacher forcing passes none: a fresh, empty one).
 
-        The first pass over a cache projects h_en to the cross-attention keys
-        and values, and every pass appends its self-attention keys and values.
+        The first pass over a cache reads h_en and enc_key_mask: it projects
+        h_en to the cross-attention keys and values and keeps the key mask's
+        attention mask; later passes reuse them. Every pass writes its
+        self-attention keys and values into the cache. A pass that builds a
+        graph raises GraphError unless the cache is empty.
         """
         cache = cache or DecoderCache()
         k, offset = dec_emb.shape[1], cache.length
@@ -280,19 +297,20 @@ class GeneratorModel:
                 f"decoder positions (k_max {self.config.k_max}, mode {self.mode})"
             )
         if not cache.layers:
-            cache.layers = [self._layer_cache(layer, h_en) for layer in self.dec_layers]
-        # None for a mask that hides nothing: one new position sees the whole
-        # cache, and an unpadded prompt shows every key
+            cache.layers = [self._layer_cache(layer, h_en, dec_emb.shape[0])
+                            for layer in self.dec_layers]
+            # None for an unpadded prompt, which shows every key
+            cache.cross_mask = None if enc_key_mask.all() else enc_key_mask[:, None, :]
+        # None for a mask that hides nothing: one new position sees the whole cache
         causal = None if k == 1 else np.tri(k, offset + k, offset, dtype=bool)
-        cross_mask = None if enc_key_mask.all() else enc_key_mask[:, None, :]
         x = dec_emb + self.dec_pos[offset:offset + k]
         for layer, lc in zip(self.dec_layers, cache.layers):
             normed = layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            x = x + self._self_attention(normed, layer["self"], causal, lc)
+            x = x + self._self_attention(normed, layer["self"], causal, lc, offset)
             cross = layer["cross"]
             normed = layer_norm(x, layer["lnc_g"], layer["lnc_b"])
             q = linear(normed, cross["wq"], cross["bq"])
-            x = x + self._attend(q, lc.cross_k, lc.cross_v, cross, cross_mask)
+            x = x + self._attend(q, lc.cross_k, lc.cross_v, cross, cache.cross_mask)
             x = x + self._ffn(layer_norm(x, layer["ln2_g"], layer["ln2_b"]), layer["ffn"])
         cache.length += k
         return layer_norm(x, self.dec_ln_g, self.dec_ln_b)
@@ -309,12 +327,22 @@ class GeneratorModel:
 
 @dataclass
 class LayerCache:
-    """One decoder layer's state in a DecoderCache."""
+    """One decoder layer's state in a DecoderCache.
+
+    The cross-attention keys and values are nodes, projected once per
+    prompt. The self-attention keys and values are plain arrays with a row
+    per decoder row and a position for each of the model's dec_max_len
+    decoder positions; the cache's first `length` positions are filled. A
+    pass writes its own positions into them in place and attends over the
+    filled prefix, as views. Only a pass from an empty cache may build a
+    graph: it attends over its own key and value nodes, since the arrays
+    carry no gradient to earlier positions.
+    """
 
     cross_k: Tensor  # cross-attention keys, (R or 1, S, d)
     cross_v: Tensor  # (R or 1, S, d)
-    self_k: Tensor | None = None  # self-attention keys so far, (R, length, d)
-    self_v: Tensor | None = None  # (R, length, d)
+    k: np.ndarray  # self-attention keys, (rows, dec_max_len, d)
+    v: np.ndarray  # (rows, dec_max_len, d)
 
 
 @dataclass
@@ -322,13 +350,16 @@ class DecoderCache:
     """The positions one prompt has run through `decode_hidden`: a whole
     teacher-forced prefix, or greedy decoding's passes so far.
 
-    Empty when made; the first pass fills one LayerCache per decoder layer,
-    and every pass advances `length` by the positions it ran. It holds
-    projections of the parameters, so it is valid only while they stay fixed.
+    Empty when made; the first pass fills one LayerCache per decoder layer
+    and the cross-attention mask of the prompt's key mask (None where it
+    hides nothing), and every pass advances `length` by the positions it
+    ran. It holds projections of the parameters, so it is valid only while
+    they stay fixed.
     """
 
     length: int = 0
     layers: list[LayerCache] = field(default_factory=list)
+    cross_mask: np.ndarray | None = None
 
 
 def tile_rows(h_en: Tensor, enc_mask: np.ndarray, rows: int) -> tuple[Tensor, np.ndarray]:

@@ -43,7 +43,9 @@ skips the exp of masked-out entries, which is +0.0. conv1d's weight is the
 (K * C_in, C_out) filter matrix of the im2col product (Chellapilla, Puri &
 Simard, 2006), so neither pass copies it into another layout and its
 gradient is the fresh cols.T @ g; the im2col gather index is a read-only
-array made once per (t_out, k, stride) and shared by every later call.
+array made once per (t_out, k, stride) and shared by every later call, as
+is attention's scale per (dh, dtype). layer_norm takes a single row's
+statistics as Python floats (see its docstring).
 Where an op computes a chain of elementwise steps into an array it made
 itself (attention's softmax, cross_entropy's log-softmax and gradient,
 layer_norm's input gradient), it writes each step into that array instead
@@ -53,6 +55,7 @@ which can change only the sign of a zero maximum (see `_row_max`).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from functools import cache
 
@@ -394,7 +397,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     qh, kh, vh = (_split_heads(x.data, num_heads) for x in (q, k, v))
     scores = qh @ _swap_last(kh)
     _check_finite(scores, "attention")  # a masked-out score is checked too
-    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=_default_dtype)  # as a leaf holds it
+    scale = _attention_scale(qh.shape[-1], _default_dtype)
     z = scores * scale
     if mask is not None:
         mask = np.expand_dims(mask, -3)  # one mask for every head
@@ -424,6 +427,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
             v._accumulate(_join_heads(_sum_to_shape(_swap_last(prob) @ g, vh.shape)))
 
     return Tensor(_join_heads(prob @ vh), _parents=(q, k, v), _op="attention", _backward=backward)
+
+
+@cache
+def _attention_scale(dh: int, dtype) -> np.ndarray:
+    """1 / sqrt(dh) as a scalar leaf of the dtype holds it. Read-only, made
+    once per (dh, dtype)."""
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=dtype)
+    scale.flags.writeable = False
+    return scale
 
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -502,14 +514,26 @@ def cross_entropy(
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+    """Normalize over the last axis, then scale and shift.
+
+    The statistics run in float64 with the operations of mean() then var().
+    A single row, as in a greedy decoder pass, takes them as Python floats:
+    the same pairwise add.reduce over the row, then / n, + eps, sqrt and
+    1.0 /, each one IEEE operation rounded as numpy's float64 rounds it, and
+    the inverse rounded to the dtype as astype rounds it; so its bits equal
+    those of the row inside a batch, without the small arrays per step.
+    """
     dt = x.data.dtype
-    # one float64 pass, the same operations as mean() then var()
     centered = x.data.astype(np.float64)
     n = centered.shape[-1]
-    centered -= np.add.reduce(centered, axis=-1, keepdims=True) / n
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
-    inv = (1.0 / np.sqrt(var + eps)).astype(dt)
+    if centered.size == n > 0:
+        centered -= float(np.add.reduce(centered, axis=None)) / n
+        var = float(np.add.reduce(centered * centered, axis=None)) / n
+        inv = float(dt.type(1.0 / math.sqrt(var + eps)))
+    else:
+        centered -= np.add.reduce(centered, axis=-1, keepdims=True) / n
+        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / n
+        inv = (1.0 / np.sqrt(var + eps)).astype(dt)
     xhat = (centered * inv).astype(dt)
 
     def backward(g):

@@ -21,7 +21,9 @@ A run directory looks like:
 
 A stage counts as complete when every file it writes exists and
 run_config.json already held the same config; a directory made with another
-config, or with none, reruns every stage.
+config, or with none, reruns every stage. Such a rerun first deletes every
+stage's files and the manifest, then writes run_config.json, so a stage that
+fails leaves only the new config's files and a resume starts at that stage.
 
 Every file is written atomically (to `<name>.tmp`, then renamed), so a
 crash never leaves a partial file under its final name; a malformed file
@@ -191,7 +193,8 @@ STAGES = (
 
 def run_pipeline(config: RunConfig, out_dir: str | Path, force: bool = False) -> dict:
     """Run all stages, skipping any whose artifacts already exist, unless
-    `force` is set or the directory's run_config.json holds another config.
+    `force` is set or the directory's run_config.json holds another config;
+    then the artifacts of every stage are deleted before any stage runs.
 
     Returns the manifest. Stage failures raise StageError tagged with the
     stage name; an unreadable run_config.json raises InputError naming it,
@@ -202,6 +205,9 @@ def run_pipeline(config: RunConfig, out_dir: str | Path, force: bool = False) ->
     config_path = out_dir / "run_config.json"
     rerun = (force or not config_path.exists()
              or read_json(config_path, run_config_from_dict) != config)
+    if rerun:  # no artifact of another config outlives a failed stage
+        for rel in ["manifest.json", *(rel for _, _, rels in STAGES for rel in rels)]:
+            (out_dir / rel).unlink(missing_ok=True)
     save_run_config(config_path, config)
     started = time.time()
     ran: list[str] = []

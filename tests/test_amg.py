@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soke.errors import ConfigError, InputError, SokeError, VocabularyError
+from soke.errors import ConfigError, GraphError, InputError, SokeError, VocabularyError
 from soke.amg import (
     MODES,
     AmgConfig,
@@ -26,6 +26,7 @@ from soke.amg import (
     train_generator,
     unflatten,
 )
+from soke.amg.decoding import _allowed_positions, _pick
 from soke.amg.model import MODE_SPECS, tile_rows
 from soke.amg.training import _teacher_batch
 from soke.config import load_run_config
@@ -338,6 +339,33 @@ class TestPartMaskingProperty:
             assert vocab.part_of(triple.right) is Part.RIGHT_HAND
 
 
+def masked_pick_oracle(logits_row, support, columns) -> int:
+    """The greedy pick as one masked argmax over all of a head's columns:
+    the float64 logits where the support allows them, -inf elsewhere."""
+    return int(columns[np.argmax(np.where(support, logits_row.astype(np.float64), -np.inf))])
+
+
+class TestSubsetPick:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_equals_the_masked_argmax_oracle_with_ties(self, vocab, mode):
+        columns = MODE_SPECS[mode].head_columns(vocab)
+        slots = dict.fromkeys((head, part) for step in MODE_SPECS[mode].schedule
+                              for _, head, part in step)
+        rng = np.random.default_rng(7)
+        for head, part in slots:
+            cols = columns[head]
+            support = vocab.part_support(part, cols)
+            allowed = _allowed_positions(support)
+            # multi-head slots support every column of their head
+            assert (allowed is None) == (mode == "multihead")
+            for _ in range(200):
+                logits = rng.normal(size=len(cols)).astype(np.float32)
+                # exact ties at the maximum, over allowed and hidden columns
+                tied = rng.choice(len(cols), size=int(rng.integers(2, 5)), replace=False)
+                logits[tied] = logits.max() + float(rng.integers(0, 2))
+                assert _pick(logits, allowed, cols) == masked_pick_oracle(logits, support, cols)
+
+
 def make_pairs(vocab, n=8, k=3, seed=0):
     rng = np.random.default_rng(seed)
     word_ids = [vocab.encode_text(w)[0] for w in WORDS]
@@ -374,7 +402,7 @@ def parallel_oracle(model, h_en, enc_mask, lang, k_max):
         for _ in range(k_max):
             hidden = model.decode_hidden(model.token_embeddings(np.asarray([ids])), h_en, enc_mask)
             logits = model.head_logits(hidden, Part.BODY).data[0, -1]
-            token = int(columns[np.argmax(np.where(support, logits.astype(np.float64), -np.inf))])
+            token = masked_pick_oracle(logits, support, columns)
             if token == vocab.eos_id:
                 break
             ids.append(token)
@@ -507,8 +535,7 @@ def full_prefix_greedy(model, h_en, enc_mask, lang, k_max):
             logits = model.head_logits(hidden, head).data[row, -1]
             columns = model.head_columns[head]
             support = vocab.part_support_mask(part)[columns]
-            tokens.append(int(columns[np.argmax(np.where(support, logits.astype(np.float64),
-                                                         -np.inf))]))
+            tokens.append(masked_pick_oracle(logits, support, columns))
         if vocab.eos_id in tokens:
             passes = t + 1
             break
@@ -584,6 +611,68 @@ class TestIncrementalDecoding:
             with pytest.raises(InputError) as cached:
                 model.decode_hidden(bos, h_en, enc_mask, cache)
         assert str(cached.value) == str(uncached.value)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interleaved_decodes_on_two_caches_match_decoding_one_after_the_other(
+            self, vocab, mode):
+        model = GeneratorModel(vocab, TINY_CFG, mode, seed=5)
+        pairs = make_pairs(vocab, n=4, k=3, seed=3)
+        train_generator(pairs, model, AmgTrainConfig(epochs=40, lr=4e-3))
+        states = [model.encode([pair.prompt_ids]) for pair in pairs[:2]]
+        k_maxes = (2, TINY_CFG.k_max)  # so that the two decodes run unequal passes
+        trunk = model.decode_hidden
+        passes = [[], []]  # per prompt, each pass's input and output
+
+        def recording_trunk(index):
+            def run(dec_emb, h_en, enc_mask, cache):
+                hidden = trunk(dec_emb, h_en, enc_mask, cache)
+                passes[index].append((dec_emb, hidden.data))
+                return hidden
+            return run
+
+        alone = []
+        for index, state in enumerate(states):
+            model.decode_hidden = recording_trunk(index)
+            alone.append(greedy_decode(model, *state, "ASL", k_maxes[index]))
+        assert min(len(result.triples) for result in alone) > 0
+
+        # each prompt is decoded again while the other's passes, replayed from
+        # their inputs, run on a second cache between its own passes; every
+        # pass of either gives the bytes it gave alone
+        for driver, other in ((0, 1), (1, 0)):
+            own, replay, other_cache = iter(passes[driver]), iter(passes[other]), DecoderCache()
+
+            def other_pass():
+                other_emb, other_hidden = next(replay)
+                got = trunk(other_emb, *states[other], other_cache)
+                assert got.data.tobytes() == other_hidden.tobytes()
+
+            def interleaved(dec_emb, h_en, enc_mask, cache):
+                hidden = trunk(dec_emb, h_en, enc_mask, cache)
+                assert hidden.data.tobytes() == next(own)[1].tobytes()
+                if other_cache.length < len(passes[other]):
+                    other_pass()
+                return hidden
+
+            model.decode_hidden = interleaved
+            assert greedy_decode(model, *states[driver], "ASL", k_maxes[driver]) == alone[driver]
+            with no_grad():
+                while other_cache.length < len(passes[other]):  # the other's passes left over
+                    other_pass()
+        del model.decode_hidden
+
+    def test_graph_building_pass_on_a_non_empty_cache_raises(self, vocab):
+        model = GeneratorModel(vocab, TINY_CFG, "multihead", seed=0)
+        h_en, enc_mask = model.encode([[vocab.lang_id("ASL"), 6]])
+        bos = model.token_embeddings(np.asarray([[vocab.bos_id]]))
+        cache = DecoderCache()
+        model.decode_hidden(bos, h_en, enc_mask, cache)  # from an empty cache: builds a graph
+        with pytest.raises(GraphError, match="empty decoder cache"):
+            model.decode_hidden(bos, h_en, enc_mask, cache)
+        assert cache.length == 1
+        with no_grad():  # the cache is still usable without a graph
+            model.decode_hidden(bos, h_en, enc_mask, cache)
+        assert cache.length == 2
 
     def test_decoding_builds_no_graph_and_leaves_grads_untouched(self, vocab):
         model = GeneratorModel(vocab, TINY_CFG, "multihead", seed=3)

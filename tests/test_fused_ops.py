@@ -9,7 +9,7 @@ import soke.amg.model as amg_model
 from soke.amg import MODES, AmgTrainConfig, GeneratorModel, Vocabulary, train_generator
 from soke.errors import GraphError, NonFiniteError
 from soke.grad import (NEG_MASK, Adam, CosineSchedule, Tensor, attention, cross_entropy,
-                       default_dtype, linear)
+                       default_dtype, layer_norm, linear)
 from soke.grad.tensor import (
     _ROW_MAX_LENGTH,
     _ROW_MAX_ROWS,
@@ -119,6 +119,33 @@ def test_self_attention_of_one_tensor_accumulates_in_composed_order(dtype):
         return graph
 
     assert_graphs_equal(build(attention), build(composed_ops.attention), [x], dtype)
+
+
+def layer_norm_graph(x, gain, bias, upstream, dtype):
+    """layer_norm's output and the gradients of x, gain and bias under a
+    linear loss with the given upstream gradient."""
+    with default_dtype(dtype):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        out = layer_norm(*leaves)
+        reduce_sum(out * Tensor(upstream)).backward()
+    return [out.data] + [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 31, 32, 33, 127, 128, 129, 256, 512])
+def test_one_row_layer_norm_equals_its_row_in_a_batch(dtype, n):
+    # a single row takes its statistics as Python floats; widths cross
+    # numpy's pairwise-sum blocks. Gain and bias have a row each, so their
+    # gradients are per row too
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        x = (scale * rng.normal(1.0, size=(3, 1, n))).astype(dtype)
+        gain, bias, upstream = (rng.normal(size=(3, 1, n)).astype(dtype) for _ in range(3))
+        batch = layer_norm_graph(x, gain, bias, upstream, dtype)
+        for row in range(3):
+            one = layer_norm_graph(*(a[row: row + 1] for a in (x, gain, bias, upstream)), dtype)
+            for got, want in zip(one, batch):
+                assert_same_bits(got, want[row: row + 1])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -21,6 +21,10 @@ none, or the rest of the stack differs, they skip and name the difference.
 one process, which is also how to check or rewrite it there:
 
     OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python -m pytest tests/test_golden_run.py
+
+`test_the_haswell_digests_in_a_subprocess` runs that check from the default
+test run on a host with other kernels whose CPU lists AVX2 and FMA; it
+skips, naming the reason, elsewhere.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import argparse
 import ctypes
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -168,6 +174,43 @@ def test_the_host_kernel_set_picks_its_digests(monkeypatch, kernels):
                         lambda: {**stack, "numpy": "0.0"})
     with pytest.raises(pytest.skip.Exception, match="numpy .* != '0.0'"):
         _golden_on_this_stack()
+
+
+def cpu_flags() -> set[str]:
+    """The feature flags of the first CPU in /proc/cpuinfo; empty where it
+    lists none or cannot be read."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return next((set(line.split(":", 1)[1].split()) for line in lines
+                 if line.startswith("flags")), set())
+
+
+def test_the_haswell_digests_in_a_subprocess():
+    """The golden digest tests again, in a process whose OpenBLAS runs its
+    Haswell kernels, so that a host with other kernels checks both sets."""
+    if openblas_kernels() == "Haswell":
+        pytest.skip("the host runs the Haswell kernels, so the tests above check their digests")
+    missing = sorted({"avx2", "fma"} - cpu_flags())
+    if missing:
+        pytest.skip(f"/proc/cpuinfo does not list {missing}, which the Haswell kernels need")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                        os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run([sys.executable, "-c", "import test_golden_run as t; "
+                            "print(t.openblas_kernels())"], cwd=GOLDEN.parent, env=env,
+                           capture_output=True, text=True, check=True)
+    if probe.stdout.strip() != "Haswell":
+        pytest.skip(f"OPENBLAS_CORETYPE=Haswell gives the {probe.stdout.strip()!r} kernels here")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
+                          str(Path(__file__)), "-k", "matches_the_golden_digests"],
+                         cwd=REPO, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
+    skipped = [line for line in run.stdout.splitlines() if line.startswith("SKIPPED")]
+    if skipped:  # as the tests above skip on another stack
+        pytest.skip(f"under the Haswell kernels: {skipped[0]}")
+    assert f"{len(MODES) + len(POSE_FITS)} passed" in run.stdout.strip().splitlines()[-1]
 
 
 def test_digest_changes_lists_each_changed_digest():

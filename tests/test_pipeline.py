@@ -7,7 +7,7 @@ import pytest
 from soke.amg import MODES, AmgConfig, AmgTrainConfig
 from soke.config import RunConfig
 from soke.deto import DetoConfig, DetoTrainConfig
-from soke.errors import InputError
+from soke.errors import InputError, TrainingDivergedError
 from soke.grad import Adam
 from soke.motion import SynthConfig
 from soke.pipeline import STAGES, StageError, changed_artifacts, run_pipeline
@@ -100,6 +100,25 @@ def test_directory_made_with_another_config_reruns_every_stage(tmp_path):
     assert sidecar["mode"] == "sequential"
     (tmp_path / "run_config.json").unlink()
     assert run_pipeline(TINY, tmp_path)["stages_run"] == [name for name, _, _ in STAGES]
+
+
+def test_failed_rerun_under_another_config_keeps_no_old_artifacts(tmp_path, monkeypatch):
+    run_pipeline(TINY, tmp_path)
+    sequential = replace(TINY, mode="sequential")
+
+    def diverge(*args, **kwargs):
+        raise TrainingDivergedError("generator diverged at epoch 0")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("soke.pipeline.train_generator", diverge)
+        with pytest.raises(StageError) as info:
+            run_pipeline(sequential, tmp_path)
+    assert info.value.stage == "amg"
+    stale = [rel for name, _, rels in STAGES if name in ("amg", "eval") for rel in rels]
+    assert not [rel for rel in stale + ["manifest.json"] if (tmp_path / rel).exists()]
+    manifest = run_pipeline(sequential, tmp_path)
+    assert manifest["stages_run"] == ["amg", "eval"]
+    assert json.loads((tmp_path / "amg" / "amg.json").read_text())["mode"] == "sequential"
 
 
 @pytest.mark.parametrize("content", ["{\"seed\": ", "{\"no_such_key\": 1}"])
