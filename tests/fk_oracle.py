@@ -1,32 +1,53 @@
 """Forward kinematics as it ran before the inner-joint plan: one tree depth at
-a time, every joint included.
+a time, every joint included, and Rodrigues as it ran before its closed form.
 
 `forward_kinematics_pass` composes the rotations of all joints, leaves too,
 level by level in joint order, with time-major (T, J, ...) arrays. The VJP
 walks the same levels in reverse and sums the shares of siblings with
-`np.add.at`. The Rodrigues form and its VJP are kept as they ran too; only
-their helpers (`_skew`, `_vee`, `_rodrigues_coefficients`) are the
-package's own.
+`np.add.at`. Both call the package's Rodrigues form and its VJP, so they pin
+the plan's bytes and nothing else.
+
+`blas_axis_angle_matrices` and `blas_axis_angle_vjp` are the Rodrigues form
+and its VJP with K and K^2 as matrices and K^2 = K @ K a BLAS product: the
+accuracy reference of the closed forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from soke.motion.kinematics import _rodrigues_coefficients, _skew, _vee
+from soke.motion.kinematics import (_rodrigues_coefficients, axis_angle_matrices,
+                                    axis_angle_vjp)
 from soke.motion.layout import ROTATION_DIMS
 
 
-def axis_angle_matrices(v: np.ndarray) -> np.ndarray:
+def skew(v: np.ndarray) -> np.ndarray:
+    """Cross-product matrices K with K @ u = v x u, shape (..., 3, 3)."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    k = np.zeros(v.shape + (3,), dtype=v.dtype)
+    k[..., 0, 1], k[..., 0, 2] = -z, y
+    k[..., 1, 0], k[..., 1, 2] = z, -x
+    k[..., 2, 0], k[..., 2, 1] = -y, x
+    return k
+
+
+def vee(m: np.ndarray) -> np.ndarray:
+    """<m, skew(e_i)> for i = x, y, z: the cotangent of `skew`, shape (..., 3)."""
+    return np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                     m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+
+
+def blas_axis_angle_matrices(v: np.ndarray) -> np.ndarray:
     """R = I + A K + B K^2 for axis-angle vectors v (..., 3)."""
     v = np.asarray(v, dtype=np.float64)
     a, b = _rodrigues_coefficients((v * v).sum(axis=-1))
-    k = _skew(v)
+    k = skew(v)
     return np.eye(3) + a[..., None, None] * k + b[..., None, None] * (k @ k)
 
 
-def axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Cotangent on v of axis_angle_matrices(v), given one on its matrices."""
+def blas_axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Cotangent on v of blas_axis_angle_matrices(v), given one on its
+    matrices: dR/dv_i = v_i (A'/t K + B'/t K^2) + A E_i + B (E_i K + K E_i)."""
     v = np.asarray(v, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
     t2 = (v * v).sum(axis=-1)
@@ -39,11 +60,12 @@ def axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
                   (t * np.cos(t) - sin_t) / t**3)
     db = np.where(small, -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0,
                   (t * sin_t - 4.0 * half_sin * half_sin) / t**4)
-    k = _skew(v)
+    k = skew(v)
     k2 = k @ k
     radial = da * (grad * k).sum(axis=(-2, -1)) + db * (grad * k2).sum(axis=(-2, -1))
-    return (v * radial[..., None] + a[..., None] * _vee(grad)
-            - b[..., None] * _vee(grad @ k + k @ grad))
+    # <G, E_i K + K E_i> = <G K^T + K^T G, E_i> and K^T = -K
+    return (v * radial[..., None] + a[..., None] * vee(grad)
+            - b[..., None] * vee(grad @ k + k @ grad))
 
 
 def levels(chain):

@@ -16,15 +16,17 @@ set of digests per OpenBLAS kernel set, each with the stack it was made on:
 numpy's version, the BLAS library, the kernel set and the machine type.
 The tests check the set made under the host's kernel set; where there is
 none, or the rest of the stack differs, they skip and name the difference.
-`--write` rewrites only the host's set. The `Haswell` set was made on a
-`SkylakeX` host with `OPENBLAS_CORETYPE=Haswell` in the environment of that
-one process, which is also how to check or rewrite it there:
+The `Haswell` set was made on a `SkylakeX` host with
+`OPENBLAS_CORETYPE=Haswell` in the environment of that one process, which
+is also how to check it there:
 
     OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python -m pytest tests/test_golden_run.py
 
 `test_the_haswell_digests_in_a_subprocess` runs that check from the default
 test run on a host with other kernels whose CPU lists AVX2 and FMA; it
-skips, naming the reason, elsewhere.
+skips, naming the reason, elsewhere. `--write` rewrites the host's set, and
+then the `Haswell` set in such a child process, which prints its own lines;
+where none can run, it prints the reason instead.
 """
 
 from __future__ import annotations
@@ -187,14 +189,15 @@ def cpu_flags() -> set[str]:
                  if line.startswith("flags")), set())
 
 
-def test_the_haswell_digests_in_a_subprocess():
-    """The golden digest tests again, in a process whose OpenBLAS runs its
-    Haswell kernels, so that a host with other kernels checks both sets."""
+def haswell_environment() -> tuple[dict | None, str]:
+    """The environment of a child process whose OpenBLAS runs its Haswell
+    kernels, with `src` on its path; or None and the reason no such process
+    runs here."""
     if openblas_kernels() == "Haswell":
-        pytest.skip("the host runs the Haswell kernels, so the tests above check their digests")
+        return None, "the host runs the Haswell kernels itself"
     missing = sorted({"avx2", "fma"} - cpu_flags())
     if missing:
-        pytest.skip(f"/proc/cpuinfo does not list {missing}, which the Haswell kernels need")
+        return None, f"/proc/cpuinfo does not list {missing}, which the Haswell kernels need"
     env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"),
                                                         os.environ.get("PYTHONPATH")]))}
@@ -202,7 +205,16 @@ def test_the_haswell_digests_in_a_subprocess():
                             "print(t.openblas_kernels())"], cwd=GOLDEN.parent, env=env,
                            capture_output=True, text=True, check=True)
     if probe.stdout.strip() != "Haswell":
-        pytest.skip(f"OPENBLAS_CORETYPE=Haswell gives the {probe.stdout.strip()!r} kernels here")
+        return None, f"OPENBLAS_CORETYPE=Haswell gives the {probe.stdout.strip()!r} kernels here"
+    return env, ""
+
+
+def test_the_haswell_digests_in_a_subprocess():
+    """The golden digest tests again, in a process whose OpenBLAS runs its
+    Haswell kernels, so that a host with other kernels checks both sets."""
+    env, reason = haswell_environment()
+    if env is None:
+        pytest.skip(reason)
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rs", "-p", "no:cacheprovider",
                           str(Path(__file__)), "-k", "matches_the_golden_digests"],
                          cwd=REPO, env=env, capture_output=True, text=True)
@@ -211,6 +223,32 @@ def test_the_haswell_digests_in_a_subprocess():
     if skipped:  # as the tests above skip on another stack
         pytest.skip(f"under the Haswell kernels: {skipped[0]}")
     assert f"{len(MODES) + len(POSE_FITS)} passed" in run.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("child", [True, False])
+def test_write_rewrites_the_host_set_then_the_haswell_set_in_a_child(monkeypatch, tmp_path,
+                                                                      capsys, child):
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN", tmp_path / "golden.json")
+    monkeypatch.setattr(module, "software_stack", lambda: {"blas_kernels": "Host"})
+    monkeypatch.setattr(module, "run_train_config", lambda mode, out_dir: None)
+    monkeypatch.setattr(module, "run_directory_digests", lambda out_dir: {"dict.json": "d"})
+    monkeypatch.setattr(module, "pose_fit_digests", lambda seed: {"log": "l"})
+    env = {"OPENBLAS_CORETYPE": "Haswell"}
+    monkeypatch.setattr(module, "haswell_environment",
+                        lambda: (env, "") if child else (None, "no AVX2 here"))
+    calls = []
+    monkeypatch.setattr(subprocess, "run", lambda args, **kwargs: calls.append((args, kwargs)))
+    write_golden()
+    written = json.loads((tmp_path / "golden.json").read_text())["kernel_sets"]
+    assert list(written) == ["Host"] and written["Host"]["digests"]["multihead"] == {"dict.json": "d"}
+    out = capsys.readouterr().out
+    assert out.startswith("kernel set Host\nmultihead dict.json None → d\n")
+    if child:
+        assert calls == [([sys.executable, str(Path(__file__)), "--write"],
+                          {"env": env, "check": True})]
+    else:
+        assert not calls and out.endswith("no Haswell child process: no AVX2 here\n")
 
 
 def test_digest_changes_lists_each_changed_digest():
@@ -242,7 +280,9 @@ def digest_changes(old: dict, new: dict) -> tuple[list[str], int]:
 
 
 def write_golden() -> None:
-    """Regenerate the host kernel set's digests and print each one it changes."""
+    """Regenerate the host kernel set's digests and print each one it changes;
+    then do the same for the `Haswell` set in a child process, or print why
+    no such process runs here."""
     kernel_sets = json.loads(GOLDEN.read_text())["kernel_sets"] if GOLDEN.exists() else {}
     stack = software_stack()
     old = kernel_sets.get(stack["blas_kernels"], {})
@@ -259,7 +299,12 @@ def write_golden() -> None:
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     lines, unchanged = digest_changes(old, new)
     print("\n".join([f"kernel set {stack['blas_kernels']}", *lines,
-                      f"{unchanged} digests unchanged"]))
+                      f"{unchanged} digests unchanged"]), flush=True)
+    env, reason = haswell_environment()
+    if env is None:
+        print(f"no Haswell child process: {reason}")
+    else:
+        subprocess.run([sys.executable, str(Path(__file__)), "--write"], env=env, check=True)
 
 
 if __name__ == "__main__":

@@ -316,13 +316,18 @@ class TestFkAgainstOracle:
 
 
     @pytest.mark.parametrize("scale", [0.0, 1e-8, 3e-3, 0.6, 2.5, 40.0])
-    def test_rodrigues_and_its_vjp_are_the_oracle_bytes(self, scale):
+    def test_rodrigues_and_its_vjp_are_the_blas_form_to_rounding(self, scale):
+        # the closed forms against K and K^2 as matrices, K @ K an FMA-fused
+        # BLAS product: only rounding may differ (at most 4.4e-16 on R and
+        # 4.5e-16 of max|VJP| measured on these inputs)
         rng = np.random.default_rng(7)
         v = rng.normal(scale=scale, size=(5, 9, 3))
         v[0, 0] = -0.0
         grad = rng.normal(size=(5, 9, 3, 3))
-        assert axis_angle_matrices(v).tobytes() == fk_oracle.axis_angle_matrices(v).tobytes()
-        assert axis_angle_vjp(v, grad).tobytes() == fk_oracle.axis_angle_vjp(v, grad).tobytes()
+        assert np.abs(axis_angle_matrices(v) - fk_oracle.blas_axis_angle_matrices(v)).max() \
+            <= 4.5e-16
+        want = fk_oracle.blas_axis_angle_vjp(v, grad)
+        assert np.abs(axis_angle_vjp(v, grad) - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_mixed_siblings_match_the_oracle_to_rounding(self):
         # a joint with both a leaf and an inner child gets its leaf's shares
@@ -349,6 +354,67 @@ class TestFkAgainstOracle:
         pos, rot, local = forward_kinematics_pass(angles, chain)
         assert np.array_equal(pos, np.tile([1.0, 2.0, 3.0], (2, 1, 1)))
         assert not forward_kinematics_vjp(np.ones((2, 1, 3)), angles, rot, local, chain).any()
+
+
+def _directions(rng, n: int = 16) -> np.ndarray:
+    """The axes, with -0.0 in their other components, both ways round, then
+    n random unit vectors: (6 + n, 3)."""
+    axes = np.where(np.eye(3) == 1.0, 1.0, -0.0)
+    random = rng.normal(size=(n, 3))
+    return np.concatenate([axes, -axes, random / np.linalg.norm(random, axis=-1, keepdims=True)])
+
+
+# each side of both Taylor thresholds, a half and a full turn, a large angle,
+# and zero of either sign
+ANGLES = [0.0, -0.0, 1e-8, 1e-6 - 1e-13, 1e-6 + 1e-13, 1e-2 - 1e-13, 1e-2 + 1e-13, 0.6,
+          np.pi - 1e-3, 2 * np.pi, 40.0]
+
+
+class TestClosedFormRodrigues:
+    @pytest.mark.parametrize("t", ANGLES)
+    def test_a_rotation_that_fixes_its_axis(self, t):
+        v = t * _directions(np.random.default_rng(5))
+        r = axis_angle_matrices(v)
+        assert np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max() <= 1e-15
+        assert np.abs(np.linalg.det(r) - 1.0).max() <= 1e-15
+        assert np.abs((r @ v[..., None])[..., 0] - v).max() <= 1e-15 * abs(t)
+
+    @pytest.mark.parametrize("t", ANGLES)
+    def test_vjp_matches_central_differences(self, t):
+        rng = np.random.default_rng(6)
+        v = t * _directions(rng)
+        grad = rng.normal(size=v.shape + (3,))
+        h = 1e-5
+        steps = h * np.eye(3)[:, None]
+        numeric = np.stack([((axis_angle_matrices(v + e) - axis_angle_matrices(v - e)) * grad)
+                            .sum(axis=(-2, -1)) / (2 * h) for e in steps], axis=-1)
+        got = axis_angle_vjp(v, grad)
+        assert np.abs(got - numeric).max() <= 1e-8 * np.abs(got).max()
+
+    def test_skipped_taylor_branches_keep_the_bits(self):
+        # with no angle below a threshold, the np.where branches are skipped;
+        # one small angle in the batch brings them back for every entry
+        rng = np.random.default_rng(9)
+        v = rng.normal(scale=0.6, size=(40, 3))
+        grad = rng.normal(size=(40, 3, 3))
+        for small in (1e-7, 5e-3):
+            with_small = np.concatenate([v, [[small, 0.0, 0.0]]])
+            with_grad = np.concatenate([grad, grad[:1]])
+            assert axis_angle_matrices(with_small)[:-1].tobytes() == \
+                axis_angle_matrices(v).tobytes()
+            assert axis_angle_vjp(with_small, with_grad)[:-1].tobytes() == \
+                axis_angle_vjp(v, grad).tobytes()
+
+    @pytest.mark.parametrize("scale", [0.6, 2.5])
+    @pytest.mark.parametrize("name", ["full", "body"])
+    def test_every_bone_keeps_its_rest_length(self, name, scale):
+        chain = CHAINS[name]
+        x = np.random.default_rng(4).normal(scale=scale, size=(29, 133))
+        pos = forward_kinematics_sequence(x, chain)
+        parents = np.asarray(chain.parents[1:])
+        bones = np.linalg.norm(pos[:, 1:] - pos[:, parents], axis=-1)
+        rest = np.linalg.norm(chain.offsets[1:], axis=-1)
+        assert np.abs(bones / rest - 1.0).max() <= 1e-12
 
 
 class TestPlacement:
