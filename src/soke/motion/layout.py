@@ -9,6 +9,7 @@ part so the three part slices stay contiguous; with the default counts
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -93,6 +94,8 @@ class MotionSequence:
             )
         if not np.all(np.isfinite(frames)):
             raise LayoutError("frames contain non-finite values")
+        if not (math.isfinite(self.fps) and self.fps > 0.0):
+            raise LayoutError(f"fps must be finite and positive, got {self.fps}")
 
     @property
     def num_frames(self) -> int:

@@ -8,6 +8,7 @@ function of (config, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,10 @@ class SynthConfig:
             raise ConfigError("invalid motif frame range")
         if self.sentence_words[0] < 1 or self.sentence_words[0] > self.sentence_words[1]:
             raise ConfigError("invalid sentence word-count range")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ConfigError(f"noise_std must be finite and non-negative, got {self.noise_std}")
+        if not (math.isfinite(self.fps) and self.fps > 0.0):
+            raise ConfigError(f"fps must be finite and positive, got {self.fps}")
 
 
 @dataclass(frozen=True)

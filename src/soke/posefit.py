@@ -1,8 +1,9 @@
 """Pose refinement from 2D keypoints.
 
-Given per-frame 2D joint observations and an initial pose sequence, refine
-the upper-body joint rotations (hands and expression stay bit-identical) by
-descending a weighted sum of a confidence-weighted L1 reprojection loss, a
+Given 2D joint observations of each frame (`Observations`: (T, M, 2) points
+and (T, M) confidences) and an initial pose sequence, refine the upper-body
+joint rotations (hands and expression stay bit-identical) by descending a
+weighted sum of a confidence-weighted L1 reprojection loss, a
 temporal-coherence loss, and an L2 pose regularizer. The optimizer is plain
 gradient descent with a backtracking step control, so accepted steps never
 increase the total loss.
@@ -21,14 +22,14 @@ the gradient tracked, and an accepted candidate's graph gives the next
 iteration's gradient by one backward pass. The optimizer minimizes a
 smoothed reprojection term; the exact L1 term that the log reports comes
 from the residual the smoothed term already computed (`RecLoss.exact`).
-The observations are packed into arrays once per fit.
+The body angles and the camera are one iterate vector with one
+preconditioned descent.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,21 +53,22 @@ MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
-class Observation2D:
-    """Observed 2D joint positions and confidences for one frame."""
+class Observations:
+    """Observed 2D joint positions and confidences of a sequence's frames."""
 
-    points: np.ndarray  # (M, 2)
-    confidence: np.ndarray  # (M,) in [0, 1]
+    points: np.ndarray  # (T, M, 2)
+    confidence: np.ndarray  # (T, M) in [0, 1]
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
         conf = np.asarray(self.confidence, dtype=np.float64)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "confidence", conf)
-        if points.ndim != 2 or points.shape[1] != 2 or conf.shape != (points.shape[0],):
-            raise InputError("observation needs (M,2) points and (M,) confidences")
-        if points.shape[0] == 0:
-            raise InputError("observation needs at least one joint")
+        if points.ndim != 3 or points.shape[2] != 2 or conf.shape != points.shape[:2]:
+            raise InputError(f"observations need (T,M,2) points and (T,M) confidences, got "
+                             f"{points.shape} and {conf.shape}")
+        if points.shape[1] == 0:
+            raise InputError("observations need at least one joint")
         if not np.all(np.isfinite(points)):
             raise InputError("observation coordinates must be finite")
         if not np.all((conf >= 0.0) & (conf <= 1.0)):  # NaN fails both comparisons
@@ -117,18 +119,6 @@ class FitConfig:
             raise ConfigError("observed_joints must name at least one joint")
 
 
-class ObservationArrays(NamedTuple):
-    """A sequence's observations packed into arrays."""
-
-    points: np.ndarray  # (T, M, 2)
-    confidence: np.ndarray  # (T, M, 1)
-
-
-def pack_observations(observations: list[Observation2D]) -> ObservationArrays:
-    return ObservationArrays(np.array([o.points for o in observations]),
-                             np.array([o.confidence for o in observations])[..., None])
-
-
 def project_weak(joints3d: np.ndarray, cam: CameraWeakPerspective) -> np.ndarray:
     """(x, y) = s * (X, Y) + (tx, ty); depth dropped."""
     joints3d = np.asarray(joints3d, dtype=np.float64)
@@ -165,11 +155,11 @@ class RecLoss(Tensor):
 
 
 def loss_rec(
-    joints: Tensor, observations: ObservationArrays, cam_params: Tensor,
+    joints: Tensor, observations: Observations, cam_params: Tensor,
     observed_joints: tuple[int, ...], smooth: float = 0.0,
 ) -> RecLoss:
     """Confidence-weighted L1 distance between observed and projected joints,
-    summed over frames. The observations come packed (`pack_observations`).
+    summed over frames.
 
     smooth > 0 replaces |r| with sqrt(r^2 + smooth^2), used only when a
     well-behaved descent direction is needed; the default is the exact L1.
@@ -177,7 +167,7 @@ def loss_rec(
     key = (slice(None), np.asarray(observed_joints), slice(0, 2))
     dtype = joints.data.dtype  # rounded as the constant leaves they stand for would be
     obs_points = observations.points.astype(dtype, copy=False)
-    conf = observations.confidence.astype(dtype, copy=False)
+    conf = observations.confidence[..., None].astype(dtype, copy=False)
     xy = joints.data[key]
     scale = cam_params.data[0:1].reshape(1, 1, 1)
     shift = cam_params.data[1:3].reshape(1, 1, 2)
@@ -251,13 +241,12 @@ def loss_reg(theta: Tensor) -> Tensor:
 def total_loss(
     theta: Tensor,
     cam_params: Tensor,
-    observations: ObservationArrays,
+    observations: Observations,
     chain: KinematicChain,
     config: FitConfig,
     smooth: float = 0.0,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """(total, rec, temp, reg) from one graph: one FK pass, one loss_rec,
-    over packed observations (`pack_observations`).
+    """(total, rec, temp, reg) from one graph: one FK pass, one loss_rec.
 
     total is the weighted objective the optimizer minimizes; its
     reprojection term is smoothed by `smooth` (see loss_rec). rec, temp and
@@ -298,22 +287,25 @@ class FitResult:
 
 def fit_sequence(
     init: MotionSequence,
-    observations: list[Observation2D],
+    observations: Observations,
     cam: CameraWeakPerspective | None = None,
     config: FitConfig | None = None,
     chain: KinematicChain | None = None,
 ) -> FitResult:
-    """Refine upper-body rotations against 2D observations.
+    """Refine upper-body rotations against 2D observations of its frames.
 
     Hands and expression parameters of the output are bit-identical to the
     input. The log records per-iteration loss terms; accepted total losses
     are non-increasing.
 
-    Each point is evaluated once, by one graph of the smoothed objective
-    with theta (and, with `optimize_camera`, the camera) tracking a
-    gradient; an accepted point's graph gives the next iteration's gradient
-    by one backward pass. The logged exact rec comes from the residual of
-    that graph's smoothed term (see total_loss).
+    The iterate is one vector x = [body angles, scale, tx, ty], descended
+    along one preconditioned direction. Each point is evaluated once, by one
+    graph of the smoothed objective whose theta and camera leaves are views
+    of x; the camera tracks a gradient only with `optimize_camera`, so a
+    fixed camera has a zero direction and keeps every bit. An accepted
+    point's graph gives the next iteration's gradient by one backward pass.
+    The logged exact rec comes from the residual of that graph's smoothed
+    term (see total_loss).
     """
     from .motion import build_sign_chain
 
@@ -322,28 +314,28 @@ def fit_sequence(
     full_chain = chain or build_sign_chain(init.layout)
     body_chain = full_chain.body_subchain(init.layout.body_joints)
     T = init.num_frames
-    if len(observations) != T:
-        raise InputError(f"{len(observations)} observations for {T} frames")
+    frames_seen, joints_seen = observations.confidence.shape
+    if frames_seen != T:
+        raise InputError(f"{frames_seen} observations for {T} frames")
     j = init.layout.body_joints
     if not all(0 <= joint < j for joint in config.observed_joints):
         raise InputError(f"observed_joints {config.observed_joints} must index the {j} body joints")
-    n_obs = {o.points.shape[0] for o in observations}
-    if n_obs != {len(config.observed_joints)}:
+    if joints_seen != len(config.observed_joints):
         raise InputError("observation joint count does not match observed_joints")
 
-    theta_value = init.frames[:, : 3 * j].astype(np.float64).reshape(T, j, 3)
-    cam_value = np.array([cam.scale, cam.tx, cam.ty], dtype=np.float64)
-    packed = pack_observations(observations)
+    n = T * j * 3  # x[:n] are the body angles, x[n:] the camera
+    x = np.concatenate([init.frames[:, : 3 * j].astype(np.float64).reshape(-1),
+                        [cam.scale, cam.tx, cam.ty]])
 
-    def evaluate(theta_arr, cam_arr) -> tuple[dict[str, float], tuple[Tensor, Tensor, Tensor]]:
+    def evaluate(point) -> tuple[dict[str, float], tuple[Tensor, Tensor, Tensor]]:
         """The terms at a point and its graph (objective, theta, cam).
         `objective` is the smoothed total the optimizer minimizes; the
         logged rec/temp/reg/total values are the exact L1 quantities."""
         with _float64_graph():
-            theta_t = Tensor(theta_arr, requires_grad=True)
-            cam_t = Tensor(cam_arr, requires_grad=config.optimize_camera)
-            objective, rec, temp, reg = total_loss(theta_t, cam_t, packed, body_chain, config,
-                                                   smooth=config.rec_smooth_mm)
+            theta_t = Tensor(point[:n].reshape(T, j, 3), requires_grad=True)
+            cam_t = Tensor(point[n:], requires_grad=config.optimize_camera)
+            objective, rec, temp, reg = total_loss(theta_t, cam_t, observations, body_chain,
+                                                   config, smooth=config.rec_smooth_mm)
         terms = {
             "objective": objective.item(),
             "rec": rec.item(),
@@ -354,13 +346,14 @@ def fit_sequence(
                           + config.w_reg * terms["reg"])
         return terms, (objective, theta_t, cam_t)
 
-    def gradient(graph) -> tuple[np.ndarray, np.ndarray]:
-        """The smoothed objective's gradient at an evaluated point."""
+    def gradient(graph) -> np.ndarray:
+        """The smoothed objective's gradient with respect to x at an
+        evaluated point."""
         objective, theta_t, cam_t = graph
         with _float64_graph():
             objective.backward()
         g_cam = cam_t.grad if cam_t.grad is not None else np.zeros(3)
-        return theta_t.grad, g_cam
+        return np.concatenate([theta_t.grad.reshape(-1), g_cam])
 
     def log_entry(it, terms, step):
         return {"iter": it, "objective": terms["objective"], "total": terms["total"],
@@ -368,40 +361,32 @@ def fit_sequence(
                 "step": step, "accepted": True}
 
     log: list[dict] = []
-    terms_prev, graph = evaluate(theta_value, cam_value)
+    terms_prev, graph = evaluate(x)
     log.append(log_entry(0, terms_prev, 0.0))
     objective_prev = terms_prev["objective"]
     step = INIT_STEP
 
     # diagonal preconditioning (second-moment EMA) tames the very different
     # lever arms of spine vs distal joints; still first-order + backtracking
-    v_theta = np.zeros_like(theta_value)
-    v_cam = np.zeros_like(cam_value)
+    v = np.zeros_like(x)
     beta = 0.9
 
     for it in range(1, config.max_iters + 1):
-        g_theta, g_cam = gradient(graph)
-        v_theta = beta * v_theta + (1.0 - beta) * g_theta * g_theta
-        v_cam = beta * v_cam + (1.0 - beta) * g_cam * g_cam
+        g = gradient(graph)
+        v = beta * v + (1.0 - beta) * g * g
         correction = 1.0 - beta ** it
-        d_theta = g_theta / (np.sqrt(v_theta / correction) + 1e-8)
-        d_cam = g_cam / (np.sqrt(v_cam / correction) + 1e-8)
-        accepted = False
-        terms = None
+        d = g / (np.sqrt(v / correction) + 1e-8)
         for _ in range(MAX_BACKTRACKS):
-            cand_theta = theta_value - step * d_theta
-            cand_cam = cam_value.copy()
+            candidate = x - step * d
             if config.optimize_camera:
-                cand_cam = cam_value - step * d_cam
-                cand_cam[0] = max(cand_cam[0], 1e-4)
-            terms, cand_graph = evaluate(cand_theta, cand_cam)
+                candidate[n] = max(candidate[n], 1e-4)
+            terms, cand_graph = evaluate(candidate)
             if terms["objective"] <= objective_prev:
-                accepted = True
                 break
             step *= STEP_SHRINK
-        if not accepted:
-            break
-        theta_value, cam_value, graph = cand_theta, cand_cam, cand_graph
+        else:
+            break  # no candidate accepted
+        x, graph = candidate, cand_graph
         log.append(log_entry(it, terms, step))
         improvement = objective_prev - terms["objective"]
         objective_prev = terms["objective"]
@@ -410,12 +395,10 @@ def fit_sequence(
             break
 
     frames = init.frames.copy()
-    frames[:, : 3 * j] = theta_value.reshape(T, 3 * j).astype(np.float32)
+    frames[:, : 3 * j] = x[:n].reshape(T, 3 * j).astype(np.float32)
     refined = MotionSequence(frames, fps=init.fps, layout=init.layout,
                              language_tag=init.language_tag)
-    camera = CameraWeakPerspective(scale=float(cam_value[0]), tx=float(cam_value[1]),
-                                   ty=float(cam_value[2]))
-    return FitResult(motion=refined, log=log, camera=camera)
+    return FitResult(motion=refined, log=log, camera=CameraWeakPerspective(*x[n:].tolist()))
 
 
 def observe_sequence(
@@ -425,17 +408,18 @@ def observe_sequence(
     observed_joints: tuple[int, ...] = FitConfig.observed_joints,
     noise_std: float = 0.0,
     seed: int = 0,
-) -> list[Observation2D]:
-    """Synthesize 2D observations of a sequence (testing and demos)."""
+) -> Observations:
+    """Synthesize fully confident 2D observations of a sequence (testing and
+    demos): the weak-perspective projection of its FK joints, plus Gaussian
+    noise of `noise_std` from one (T, M, 2) draw of a generator seeded by
+    `seed`."""
     from .motion import build_sign_chain, forward_kinematics_sequence
 
+    if not (np.isfinite(noise_std) and noise_std >= 0.0):
+        raise ConfigError(f"noise_std must be finite and non-negative, got {noise_std}")
     chain = chain or build_sign_chain(seq.layout)
     joints = forward_kinematics_sequence(seq.frames, chain)
-    rng = np.random.default_rng(seed)
-    out = []
-    for frame_joints in joints:
-        pts = project_weak(frame_joints[list(observed_joints)], cam)
-        if noise_std > 0:
-            pts = pts + rng.normal(0.0, noise_std, size=pts.shape)
-        out.append(Observation2D(pts, np.ones(len(observed_joints))))
-    return out
+    points = project_weak(joints[:, list(observed_joints)], cam)
+    if noise_std > 0:
+        points = points + np.random.default_rng(seed).normal(0.0, noise_std, size=points.shape)
+    return Observations(points, np.ones(points.shape[:2]))

@@ -175,7 +175,7 @@ def absolute(x: Tensor) -> Tensor:
 def loss_rec(joints: Tensor, observations, cam_params: Tensor, observed_joints,
              smooth: float = 0.0) -> Tensor:
     idx = np.asarray(observed_joints)
-    obs_points, conf = observations  # posefit.ObservationArrays
+    obs_points, conf = observations.points, observations.confidence[..., None]
     xy = joints[:, idx, 0:2]
     scale = reshape(cam_params[0:1], (1, 1, 1))
     shift = reshape(cam_params[1:3], (1, 1, 2))

@@ -1,13 +1,18 @@
-"""The pose fit's loop as it ran before each point was evaluated once.
+"""The pose fit's loop as it ran before each point was evaluated once, and
+the synthetic observations as they were made one frame at a time.
 
 `fit_sequence` here evaluates every point in two separate passes. `evaluate`
 builds the smoothed objective without tracking a gradient, and a second,
 exact-L1 `loss_rec` for the log. `gradient` then rebuilds the FK and the
-smoothed objective at the accepted point to run the backward pass. The
-observations are packed once, as `loss_rec` takes them. The nodes are the
-package's own; only the loop and the order in which it builds them differ.
+smoothed objective at the accepted point to run the backward pass. Body
+angles and camera keep their own arrays and their own second moments. The
+nodes are the package's own; only the loop and the order in which it builds
+them differ.
 The caller passes valid input: the checks of `posefit.fit_sequence` are
 not repeated.
+
+`observe_sequence` here projects each frame's joints on its own and draws
+that frame's (M, 2) noise from the generator before the next frame's.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from soke.grad import Tensor
 from soke.grad.tensor import weighted_sum
-from soke.motion import MotionSequence, build_sign_chain
+from soke.motion import MotionSequence, build_sign_chain, forward_kinematics_sequence
 from soke.posefit import (
     INIT_STEP,
     MAX_BACKTRACKS,
@@ -30,7 +35,7 @@ from soke.posefit import (
     loss_rec,
     loss_reg,
     loss_temp,
-    pack_observations,
+    project_weak,
 )
 
 
@@ -52,7 +57,6 @@ def fit_sequence(init: MotionSequence, observations, cam: CameraWeakPerspective,
     j = init.layout.body_joints
     theta_value = init.frames[:, : 3 * j].astype(np.float64).reshape(T, j, 3)
     cam_value = np.array([cam.scale, cam.tx, cam.ty], dtype=np.float64)
-    observations = pack_observations(observations)
 
     def evaluate(theta_arr, cam_arr):
         with _float64_graph():
@@ -125,3 +129,16 @@ def fit_sequence(init: MotionSequence, observations, cam: CameraWeakPerspective,
     camera = CameraWeakPerspective(scale=float(cam_value[0]), tx=float(cam_value[1]),
                                    ty=float(cam_value[2]))
     return FitResult(motion=refined, log=log, camera=camera)
+
+
+def observe_sequence(seq: MotionSequence, cam: CameraWeakPerspective, chain, observed_joints,
+                     noise_std: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points (T, M, 2), confidence (T, M)), one frame at a time."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for frame_joints in forward_kinematics_sequence(seq.frames, chain):
+        pts = project_weak(frame_joints[list(observed_joints)], cam)
+        if noise_std > 0:
+            pts = pts + rng.normal(0.0, noise_std, size=pts.shape)
+        points.append(pts)
+    return np.array(points), np.ones((len(points), len(observed_joints)))

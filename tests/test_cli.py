@@ -85,6 +85,13 @@ def test_unknown_mode_exits_2_before_any_stage(tmp_path, config_path, capsys):
     assert not out.exists()  # so no data/ either
 
 
+def test_declared_version_is_the_package_version():
+    import soke
+
+    assert tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["version"] \
+        == soke.__version__
+
+
 def test_declared_console_scripts_resolve_and_run():
     scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
     assert "soke" in scripts

@@ -49,7 +49,7 @@ from soke.amg import MODES
 from soke.config import load_run_config
 from soke.motion import MotionSequence, build_sign_chain
 from soke.pipeline import file_hash, run_pipeline
-from soke.posefit import (CameraWeakPerspective, FitConfig, Observation2D, fit_sequence,
+from soke.posefit import (CameraWeakPerspective, FitConfig, Observations, fit_sequence,
                           observe_sequence)
 
 REPO = Path(__file__).resolve().parent.parent
@@ -120,10 +120,9 @@ def pose_fit_digests(seed: int) -> dict[str, str]:
     rng = np.random.default_rng(seed)
     chain = build_sign_chain()
     truth = MotionSequence(rng.normal(0.0, 0.4, size=(frames, 133)).astype(np.float32))
-    obs = [Observation2D(o.points, rng.uniform(0.2, 1.0, size=len(cfg.observed_joints)))
-           for o in observe_sequence(truth, CameraWeakPerspective(), chain,
-                                     observed_joints=cfg.observed_joints, noise_std=2.0,
-                                     seed=seed)]
+    points = observe_sequence(truth, CameraWeakPerspective(), chain,
+                              observed_joints=cfg.observed_joints, noise_std=2.0, seed=seed).points
+    obs = Observations(points, rng.uniform(0.2, 1.0, size=points.shape[:2]))
     init = truth.frames.copy()
     init[:, :33] += rng.normal(0.0, 0.1, size=(frames, 33)).astype(np.float32)
     cam = CameraWeakPerspective(scale=1.05, tx=0.5, ty=-0.3)

@@ -25,8 +25,7 @@ from soke.grad import (
 from soke.grad.tensor import _im2col_index, weighted_sum
 from soke.deto import vq_loss_terms
 from soke.motion import build_sign_chain
-from soke.posefit import (Observation2D, body_fk, loss_rec, loss_reg, loss_temp,
-                          pack_observations)
+from soke.posefit import Observations, body_fk, loss_rec, loss_reg, loss_temp
 
 from adam_reference import PerParameterAdam
 from composed_ops import mean, power, reduce_sum, reshape, softmax, sub, transpose
@@ -76,7 +75,7 @@ def test_no_grad_outputs_keep_no_parents_or_closures():
 
 
 BODY = build_sign_chain().body_subchain(11)
-OBSERVED = pack_observations([Observation2D(np.zeros((3, 2)), np.ones(3))] * 2)
+OBSERVED = Observations(np.zeros((2, 3, 2)), np.ones((2, 3)))
 
 # every graph node the engine and the pose fit build, from leaves made by
 # `leaf(shape)`; the first leaf each one makes is its gradient input

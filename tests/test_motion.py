@@ -96,6 +96,11 @@ class TestLayout:
         with pytest.raises(LayoutError):
             MotionSequence(np.zeros((0, 133), dtype=np.float32))
 
+    @pytest.mark.parametrize("fps", [0.0, -25.0, np.nan, np.inf])
+    def test_bad_fps_rejected(self, fps):
+        with pytest.raises(LayoutError, match="fps"):
+            MotionSequence(np.zeros((3, 133), dtype=np.float32), fps=fps)
+
 
 class TestKinematics:
     def test_rest_pose_is_cumulative_offsets(self):
@@ -561,6 +566,16 @@ class TestSynthetic:
         with pytest.raises(ConfigError):
             SynthConfig(lexicon_size=0)
 
+    @pytest.mark.parametrize("noise_std", [-0.1, np.nan, np.inf])
+    def test_bad_noise_std_rejected(self, noise_std):
+        with pytest.raises(ConfigError, match="noise_std"):
+            SynthConfig(noise_std=noise_std)
+
+    @pytest.mark.parametrize("fps", [0.0, -25.0, np.nan, np.inf])
+    def test_bad_fps_rejected(self, fps):
+        with pytest.raises(ConfigError, match="fps"):
+            SynthConfig(fps=fps)
+
 
 class TestMotionIO:
     def test_round_trip(self, tmp_path):
@@ -575,6 +590,31 @@ class TestMotionIO:
             assert s0.language_tag == s1.language_tag
             assert s0.fps == s1.fps
             assert np.array_equal(s0.frames, s1.frames)
+
+    def test_written_bytes(self, tmp_path):
+        frames = np.zeros((2, PartLayout().total_dims), dtype=np.float32)
+        frames[1, 3] = 0.1
+        path = tmp_path / "motions.jsonl"
+        save_motions(path, [("hi there", MotionSequence(frames, fps=30, language_tag="DGS"))])
+        row = lambda frame: "[" + ", ".join(repr(float(v)) for v in frame) + "]"
+        assert path.read_text() == ('{"text": "hi there", "lang": "DGS", "fps": 30, "frames": ['
+                                    + row(frames[0]) + ", " + row(frames[1]) + "]}\n")
+
+    @pytest.mark.parametrize("change", [
+        {"text": 5},
+        {"fps": "25"},
+        {"lang": None},
+        {"frames": "[]"},
+        {"extra": 1},
+        {"text": 5, "fps": "25", "extra": 1},
+    ])
+    def test_wrong_field_names_the_line(self, tmp_path, change):
+        path = tmp_path / "bad.jsonl"
+        good = {"text": "hi", "lang": "ASL", "fps": 25.0,
+                "frames": np.zeros((2, PartLayout().total_dims)).tolist()}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change}) + "\n")
+        with pytest.raises(InputError, match=r"bad\.jsonl:2: "):
+            load_motions(path)
 
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -16,7 +16,7 @@ from soke.motion import (
 from soke.posefit import (
     CameraWeakPerspective,
     FitConfig,
-    Observation2D,
+    Observations,
     _float64_graph,
     body_fk,
     fit_sequence,
@@ -24,7 +24,6 @@ from soke.posefit import (
     loss_reg,
     loss_temp,
     observe_sequence,
-    pack_observations,
     project_weak,
     total_loss,
 )
@@ -83,7 +82,7 @@ class TestLossTerms:
     def test_rec_zero_on_perfect_reprojection(self):
         seq = constant_pose_sequence(np.zeros((11, 3)), frames=3)
         cam = CameraWeakPerspective()
-        obs = pack_observations(observe_sequence(seq, cam, CHAIN))
+        obs = observe_sequence(seq, cam, CHAIN)
         joints = body_fk(Tensor(seq.frames[:, :33].reshape(3, 11, 3).astype(np.float64)), BODY)
         value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])),
                          FitConfig().observed_joints)
@@ -92,13 +91,13 @@ class TestLossTerms:
     def test_rec_l1_arithmetic(self):
         # one observed joint off by (1, -2) with confidence 1 -> 3
         joints = Tensor(np.zeros((1, 2, 3)))
-        obs = pack_observations([Observation2D(np.array([[1.0, -2.0]]), np.array([1.0]))])
+        obs = Observations(np.array([[[1.0, -2.0]]]), np.array([[1.0]]))
         value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])), (1,))
         assert value.item() == pytest.approx(3.0)
 
     def test_rec_zero_confidence_contributes_nothing(self):
         joints = Tensor(np.zeros((1, 2, 3)))
-        obs = pack_observations([Observation2D(np.array([[100.0, 50.0]]), np.array([0.0]))])
+        obs = Observations(np.array([[[100.0, 50.0]]]), np.array([[0.0]]))
         value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])), (1,))
         assert value.item() == 0.0
 
@@ -131,8 +130,7 @@ class TestGradients:
         rng = np.random.default_rng(3)
         cfg = FitConfig()
         seq_truth = constant_pose_sequence(rng.uniform(0.2, 0.6, size=(11, 3)), frames=2)
-        obs = pack_observations(observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN,
-                                                 noise_std=1.0, seed=1))
+        obs = observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN, noise_std=1.0, seed=1)
         with default_dtype(np.float64):
             theta = Tensor(rng.uniform(0.2, 0.7, size=(2, 11, 3)), requires_grad=True)
             cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=True)
@@ -156,10 +154,9 @@ class TestFusedObjective:
         rng = np.random.default_rng(frames)
         cfg = FitConfig(optimize_camera=optimize_camera, observed_joints=observed)
         truth = MotionSequence(rng.normal(0.0, 0.3, size=(frames, 133)).astype(np.float32))
-        obs = pack_observations([
-            Observation2D(o.points, rng.uniform(0.0, 1.0, size=len(observed)))
-            for o in observe_sequence(truth, CameraWeakPerspective(), CHAIN,
-                                      observed_joints=observed, noise_std=2.0, seed=frames)])
+        points = observe_sequence(truth, CameraWeakPerspective(), CHAIN,
+                                  observed_joints=observed, noise_std=2.0, seed=frames).points
+        obs = Observations(points, rng.uniform(0.0, 1.0, size=points.shape[:2]))
         theta0 = (truth.frames[:, :33].reshape(frames, 11, 3)
                   + rng.normal(0.0, 0.1, size=(frames, 11, 3)))
         results = []
@@ -214,8 +211,8 @@ class TestFitSequence:
         cam = CameraWeakPerspective()
         own = replace(CHAIN)  # equal, but with nothing planned or cached yet
         obs = observe_sequence(seq, cam, noise_std=2.0, seed=4)
-        assert all(np.array_equal(a.points, b.points) for a, b in
-                   zip(obs, observe_sequence(seq, cam, own, noise_std=2.0, seed=4)))
+        assert np.array_equal(obs.points,
+                              observe_sequence(seq, cam, own, noise_std=2.0, seed=4).points)
         cfg = FitConfig(max_iters=10)
         shared, given = fit_sequence(seq, obs, cam, cfg), fit_sequence(seq, obs, cam, cfg, own)
         assert np.array_equal(shared.motion.frames, given.motion.frames)
@@ -270,7 +267,8 @@ class TestFitSequence:
 
     def test_frame_mismatch_rejected(self):
         seq = constant_pose_sequence(np.zeros((11, 3)), frames=4)
-        obs = observe_sequence(seq, CameraWeakPerspective(), CHAIN)[:-1]
+        full = observe_sequence(seq, CameraWeakPerspective(), CHAIN)
+        obs = Observations(full.points[:-1], full.confidence[:-1])
         with pytest.raises(InputError):
             fit_sequence(seq, obs, CameraWeakPerspective(), FitConfig(), CHAIN)
 
@@ -300,25 +298,68 @@ def _numpy_total_loss(theta: np.ndarray, obs, cam: CameraWeakPerspective,
     batch = theta.shape[:-3]
     frames = theta.reshape(-1, theta.shape[-2] * theta.shape[-1])
     joints = forward_kinematics_sequence(frames, BODY).reshape(theta.shape)
-    points = np.stack([o.points for o in obs])
-    conf = np.stack([o.confidence for o in obs])
     proj = project_weak(joints[..., list(cfg.observed_joints), :], cam)
-    rec = (np.abs(proj - points) * conf[..., None]).sum(axis=(-3, -2, -1))
+    rec = (np.abs(proj - obs.points) * obs.confidence[..., None]).sum(axis=(-3, -2, -1))
     temp = 2.0 * np.linalg.norm(joints[..., 1:, :, :] - joints[..., :-1, :, :],
                                 axis=(-2, -1)).sum(axis=-1)
     reg = np.linalg.norm(theta.reshape(batch + (-1,)), axis=-1)
     return cfg.w_rec * rec + cfg.w_temp * temp + cfg.w_reg * reg
 
 
-class TestObservation2D:
+class TestObservations:
     @pytest.mark.parametrize("bad", [1.5, -0.5, np.nan])
     def test_bad_confidence_rejected(self, bad):
         with pytest.raises(InputError, match="confidences"):
-            Observation2D(np.zeros((2, 2)), np.array([0.5, bad]))
+            Observations(np.zeros((3, 2, 2)), np.array([[0.5, 0.5], [0.5, 0.5], [0.5, bad]]))
 
-    def test_zero_joints_rejected(self):
+    @pytest.mark.parametrize("frames", [0, 2])
+    def test_zero_joints_rejected(self, frames):
         with pytest.raises(InputError, match="at least one joint"):
-            Observation2D(np.zeros((0, 2)), np.zeros(0))
+            Observations(np.zeros((frames, 0, 2)), np.zeros((frames, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        points = np.zeros((2, 3, 2))
+        points[1, 2, 0] = bad
+        with pytest.raises(InputError, match="finite"):
+            Observations(points, np.ones((2, 3)))
+
+    @pytest.mark.parametrize("points, confidence", [
+        (np.zeros((3, 2)), np.ones(3)),  # one frame's rank
+        (np.zeros((2, 3, 2, 1)), np.ones((2, 3))),
+        (np.zeros((2, 3, 3)), np.ones((2, 3))),  # not 2D points
+        (np.zeros((2, 3, 2)), np.ones((2, 3, 1))),  # confidence of the wrong rank
+        (np.zeros((2, 3, 2)), np.ones((3, 3))),  # frame counts differ
+        (np.zeros((2, 3, 2)), np.ones((2, 4))),  # joint counts differ
+    ])
+    def test_wrong_shape_rejected(self, points, confidence):
+        with pytest.raises(InputError, match=r"\(T,M,2\) points and \(T,M\) confidences"):
+            Observations(points, confidence)
+
+    def test_arrays_become_float64(self):
+        obs = Observations(np.zeros((1, 2, 2), dtype=np.float32), np.ones((1, 2), dtype=int))
+        assert obs.points.dtype == obs.confidence.dtype == np.float64
+
+    @pytest.mark.parametrize("observed", [FitConfig.observed_joints, (5, 5, 6)])
+    @pytest.mark.parametrize("noise_std", [0.0, 2.0])
+    @pytest.mark.parametrize("frames", [1, 2, 5])
+    def test_observe_sequence_equals_the_per_frame_oracle(self, frames, noise_std, observed):
+        rng = np.random.default_rng(frames)
+        seq = MotionSequence(rng.normal(0.0, 0.3, size=(frames, 133)).astype(np.float32))
+        cam = CameraWeakPerspective(scale=1.05, tx=0.5, ty=-0.3)
+        obs = observe_sequence(seq, cam, CHAIN, observed_joints=observed, noise_std=noise_std,
+                               seed=7)
+        points, confidence = fit_oracle.observe_sequence(seq, cam, CHAIN, observed, noise_std,
+                                                         seed=7)
+        assert obs.points.shape == (frames, len(observed), 2)
+        assert obs.points.tobytes() == points.tobytes()
+        assert obs.confidence.tobytes() == confidence.tobytes()
+
+    @pytest.mark.parametrize("noise_std", [-1.0, -1e-12, np.nan, np.inf])
+    def test_observe_sequence_rejects_a_bad_noise_std(self, noise_std):
+        seq = constant_pose_sequence(np.zeros((11, 3)), frames=2)
+        with pytest.raises(ConfigError, match="noise_std"):
+            observe_sequence(seq, CameraWeakPerspective(), CHAIN, noise_std=noise_std)
 
 
 class TestFitConfig:
@@ -334,9 +375,8 @@ class TestObservedJoints:
         rng = np.random.default_rng(4)
         cfg = FitConfig(observed_joints=(5, 5, 6))
         seq_truth = constant_pose_sequence(rng.uniform(0.2, 0.6, size=(11, 3)), frames=1)
-        obs = pack_observations(observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN,
-                                                 observed_joints=cfg.observed_joints,
-                                                 noise_std=1.0, seed=1))
+        obs = observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN,
+                               observed_joints=cfg.observed_joints, noise_std=1.0, seed=1)
         with default_dtype(np.float64):
             theta = Tensor(rng.uniform(0.2, 0.7, size=(1, 11, 3)), requires_grad=True)
             cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=True)
@@ -352,10 +392,16 @@ class TestObservedJoints:
         with pytest.raises(ConfigError, match="observed_joints"):
             FitConfig(observed_joints=())
 
+    def test_observation_joint_count_off_the_config_rejected(self):
+        seq = constant_pose_sequence(np.zeros((11, 3)), frames=2)
+        obs = Observations(np.zeros((2, 2, 2)), np.ones((2, 2)))
+        with pytest.raises(InputError, match="joint count"):
+            fit_sequence(seq, obs, config=FitConfig(observed_joints=(5,)), chain=CHAIN)
+
     @pytest.mark.parametrize("joints", [(20,), (-1,)])
     def test_joint_outside_the_body_rejected(self, joints):
         seq = constant_pose_sequence(np.zeros((11, 3)), frames=2)
-        obs = [Observation2D(np.zeros((1, 2)), np.ones(1)) for _ in range(2)]
+        obs = Observations(np.zeros((2, 1, 2)), np.ones((2, 1)))
         with pytest.raises(InputError, match="observed_joints"):
             fit_sequence(seq, obs, config=FitConfig(observed_joints=joints), chain=CHAIN)
 
@@ -376,9 +422,9 @@ def _stop_reason(log: list[dict], cfg: FitConfig) -> str:
 def _noisy_case(frames: int, observed: tuple[int, ...], seed: int):
     rng = np.random.default_rng(seed)
     truth = MotionSequence(rng.normal(0.0, 0.3, size=(frames, 133)).astype(np.float32))
-    obs = [Observation2D(o.points, rng.uniform(0.2, 1.0, size=len(observed)))
-           for o in observe_sequence(truth, CameraWeakPerspective(), CHAIN,
-                                     observed_joints=observed, noise_std=2.0, seed=seed)]
+    points = observe_sequence(truth, CameraWeakPerspective(), CHAIN,
+                              observed_joints=observed, noise_std=2.0, seed=seed).points
+    obs = Observations(points, rng.uniform(0.2, 1.0, size=points.shape[:2]))
     frames_init = truth.frames.copy()
     frames_init[:, :33] += rng.normal(0.0, 0.1, size=(frames, 33)).astype(np.float32)
     return MotionSequence(frames_init), obs
