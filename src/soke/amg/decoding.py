@@ -30,7 +30,6 @@ import numpy as np
 
 from ..errors import InputError
 from ..grad import Tensor, no_grad
-from ..motion import PARTS
 from .model import MODE_SPECS, DecoderCache, GeneratorModel, fuse_embeddings
 from .vocab import Vocabulary
 
@@ -68,10 +67,8 @@ class DecodeResult:
 def flatten(triples: list[PartTokenTriple], vocab: Vocabulary) -> list[int]:
     """(y_1^B, y_1^LH, y_1^RH, ..., y_K^RH) as one flat list; 3K tokens.
     Rejects a token in the wrong part slot."""
-    flat: list[int] = []
-    for triple in triples:
-        _check_slots(vocab, triple.as_tuple())
-        flat.extend(triple.as_tuple())
+    flat = [token for triple in triples for token in triple.as_tuple()]
+    vocab.motion_codes(np.array(flat, dtype=np.int64).reshape(-1, 3))
     return flat
 
 
@@ -80,20 +77,8 @@ def unflatten(flat: list[int], vocab: Vocabulary) -> list[PartTokenTriple]:
     the wrong part slot."""
     if len(flat) % 3 != 0:
         raise InputError(f"flat token list of length {len(flat)} is not divisible by 3")
-    triples = []
-    for k in range(0, len(flat), 3):
-        _check_slots(vocab, flat[k: k + 3])
-        triples.append(PartTokenTriple(*flat[k: k + 3]))
-    return triples
-
-
-def _check_slots(vocab: Vocabulary, token_ids) -> None:
-    for token_id, part in zip(token_ids, PARTS):
-        lo, hi = vocab.part_range(part)
-        if not lo <= token_id < hi:
-            raise InputError(
-                f"token {token_id} does not belong to the {part.value} sub-vocabulary slot"
-            )
+    vocab.motion_codes(np.array(flat, dtype=np.int64).reshape(-1, 3))
+    return [PartTokenTriple(*flat[k: k + 3]) for k in range(0, len(flat), 3)]
 
 
 def _allowed_positions(support: np.ndarray) -> np.ndarray | None:

@@ -19,8 +19,7 @@ from ..grad import (
     save_checkpoint,
 )
 from ..grad.checkpoint import Undrawn
-from ..motion import PARTS, Part
-from ..deto import TokenSeq
+from ..motion import PARTS
 from .decoding import PartTokenTriple
 from .model import MODE_SPECS, MODES, AmgConfig, GeneratorModel, fuse_embeddings, tile_rows
 from .vocab import Vocabulary, load_vocab, save_vocab
@@ -53,25 +52,15 @@ class AmgTrainConfig:
         CosineSchedule(self.lr, self.epochs, self.min_lr)  # rejects bad rates
 
 
-def triples_from_tokens(tokens: dict[Part, TokenSeq], vocab: Vocabulary) -> tuple[PartTokenTriple, ...]:
-    """Map a tokenizer's per-part code sequences to vocabulary-id triples."""
-    lengths = {part: len(seq) for part, seq in tokens.items()}
-    if len(set(lengths.values())) != 1:
-        raise InputError(f"part token sequences differ in length: {lengths}")
-    return tuple(
-        PartTokenTriple(*(vocab.motion_id(part, tokens[part].ids[i]) for part in PARTS))
-        for i in range(lengths[Part.BODY])
-    )
+def triples_from_tokens(codes: np.ndarray, vocab: Vocabulary) -> tuple[PartTokenTriple, ...]:
+    """A tokenizer's (K, 3) code array to K vocabulary-id triples."""
+    return tuple(PartTokenTriple(*row) for row in vocab.motion_ids(codes).tolist())
 
 
-def tokens_from_triples(
-    triples: tuple[PartTokenTriple, ...], vocab: Vocabulary
-) -> dict[Part, TokenSeq]:
-    """Inverse of triples_from_tokens; TokenSeq rejects an empty decode."""
-    return {
-        part: TokenSeq(part, tuple(vocab.code_of(triple.as_tuple()[j])[1] for triple in triples))
-        for j, part in enumerate(PARTS)
-    }
+def tokens_from_triples(triples: tuple[PartTokenTriple, ...], vocab: Vocabulary) -> np.ndarray:
+    """Inverse of triples_from_tokens: the (K, 3) code array of K triples."""
+    ids = np.array([triple.as_tuple() for triple in triples], dtype=np.int64).reshape(-1, 3)
+    return vocab.motion_codes(ids)
 
 
 def _pad_prompts(pairs: list[TrainPair], vocab: Vocabulary, max_len: int, log: list[dict]):

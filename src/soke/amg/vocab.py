@@ -5,6 +5,8 @@ Token id space (one bijection onto [0, |V|)):
   | sorted text words | <B_i> | <LH_i> | <RH_i>
 No code emits SEP; it keeps its id so every later id, and with them saved
 vocabularies and checkpoint shapes, stay as they are.
+A motion's (K, 3) code array maps to its (K, 3) vocabulary ids by one offset
+per column, the first id of part PARTS[j]'s range.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..artifacts import from_dict, read_json, write_json
-from ..errors import VocabularyError
+from ..errors import InputError, VocabularyError
 from ..motion import PARTS, Part
 from ..textproc import tokenize_words
 
@@ -35,10 +37,13 @@ class Vocabulary:
         tokens += [f"<{lang}_{part.value}>" for lang in self.languages for part in PARTS]
         self._word_list = sorted(set(w.lower() for w in words))
         tokens += self._word_list
-        self._part_start: dict[Part, int] = {}
+        starts = []
         for part, n in zip(PARTS, codebook_sizes):
-            self._part_start[part] = len(tokens)
+            starts.append(len(tokens))
             tokens += [f"<{part.value}_{i}>" for i in range(n)]
+        self._starts = np.array(starts, dtype=np.int64)
+        self._sizes = np.array(self.codebook_sizes, dtype=np.int64)
+        self._ends = self._starts + self._sizes
         self._tokens = tokens
         self._ids = {tok: i for i, tok in enumerate(tokens)}
         if len(self._ids) != len(tokens):
@@ -90,27 +95,34 @@ class Vocabulary:
         n = self.codebook_sizes[PARTS.index(part)]
         if not 0 <= code_index < n:
             raise VocabularyError(f"code index {code_index} outside [0, {n}) for part {part.value}")
-        return self._part_start[part] + code_index
+        return self.part_range(part)[0] + code_index
 
-    def motion_ids(self, part: Part, code_indices) -> list[int]:
-        return [self.motion_id(part, int(c)) for c in code_indices]
+    def motion_ids(self, codes) -> np.ndarray:
+        """A (K, 3) code array, column j the codes of part PARTS[j], to its
+        (K, 3) vocabulary ids. A code outside its part's codebook raises
+        InputError naming the slot."""
+        return self._in_slots(codes, 0, self._sizes, "code") + self._starts
+
+    def motion_codes(self, ids) -> np.ndarray:
+        """Inverse of motion_ids. An id outside its column's part range raises
+        InputError naming the slot."""
+        return self._in_slots(ids, self._starts, self._ends, "token") - self._starts
+
+    def _in_slots(self, values, lo, hi, what: str) -> np.ndarray:
+        """values as a (K, 3) int64 array whose column j lies in [lo[j], hi[j])."""
+        values = np.asarray(values)
+        if values.ndim != 2 or values.shape[1] != len(PARTS) or values.dtype.kind not in "iu":
+            raise InputError(f"expected a (K, 3) integer array of {what}s, got {values!r}")
+        outside = (values < lo) | (values >= hi)
+        if outside.any():
+            k, j = np.argwhere(outside)[0]
+            raise InputError(f"{what} {values[k, j]} at step {k} does not belong to the "
+                             f"{PARTS[j].value} slot")
+        return values.astype(np.int64, copy=False)
 
     def part_range(self, part: Part) -> tuple[int, int]:
-        start = self._part_start[part]
-        return start, start + self.codebook_sizes[PARTS.index(part)]
-
-    def part_of(self, token_id: int) -> Part | None:
-        for part in PARTS:
-            lo, hi = self.part_range(part)
-            if lo <= token_id < hi:
-                return part
-        return None
-
-    def code_of(self, token_id: int) -> tuple[Part, int]:
-        part = self.part_of(token_id)
-        if part is None:
-            raise VocabularyError(f"token {token_id} is not a motion token")
-        return part, token_id - self._part_start[part]
+        j = PARTS.index(part)
+        return int(self._starts[j]), int(self._ends[j])
 
     def part_support(self, part: Part, ids: np.ndarray) -> np.ndarray:
         """Which of the token ids `ids` a slot of this part may emit: the

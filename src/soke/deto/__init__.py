@@ -1,7 +1,9 @@
-"""Decoupled tokenizer: three per-part VQ autoencoders."""
+"""Decoupled tokenizer: three per-part VQ autoencoders. A motion of T
+frames encodes to one (K, 3) int64 code array, K = ceil(T / DOWNSAMPLE),
+column j the codes of part PARTS[j], and decodes back from it."""
 
 from ..motion import PARTS
-from .codebook import TokenSeq, nearest_code_ids
+from .codebook import nearest_code_ids
 from .tokenizer import (
     DOWNSAMPLE,
     DecoupledTokenizer,
@@ -27,7 +29,6 @@ __all__ = [
     "PARTS",
     "PartTokenizer",
     "SIDECAR_NAME",
-    "TokenSeq",
     "load_deto",
     "nearest_code_ids",
     "save_deto",

@@ -1,34 +1,37 @@
-"""Token sequences and the nearest-code rule of the per-part quantizers.
+"""A motion's token array and the nearest-code rule of the per-part
+quantizers.
 
-A codebook is a plain (N, C) parameter tensor of the part tokenizer; this
-module holds what turns latents into its row ids.
+A motion's tokens are one int64 array of shape (K, 3): row k holds the
+codes of the k-th window of DOWNSAMPLE frames, column j those of part
+PARTS[j]. A codebook is a plain (N, C) parameter tensor of the part
+tokenizer; `nearest_code_ids` turns latents into its row ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import InputError
-from ..motion import Part
+from ..motion import PARTS, Part
 
 
-@dataclass(frozen=True)
-class TokenSeq:
-    """Discrete code indices for one body part."""
+class PartCodes(np.ndarray):
+    """The (K, 3) int64 code array as `encode_sequence` returns it.
 
-    part: Part
-    ids: tuple[int, ...]
+    It acts as a plain ndarray, except that `codes[part]` is the part's
+    column and a column's `ids` its codes as a tuple of ints: the per-part
+    read that benchmark/workloads.py makes to count codebook use. Package
+    code indexes the columns by position.
+    """
 
-    def __post_init__(self):
-        if len(self.ids) == 0:
-            raise InputError("token sequence must be nonempty")
-        if not all(type(i) is int for i in self.ids):
-            raise InputError(f"token ids must be integers, got {self.ids!r}")
+    def __getitem__(self, key):
+        if isinstance(key, Part):
+            key = (slice(None), PARTS.index(key))
+        return super().__getitem__(key)
 
-    def __len__(self) -> int:
-        return len(self.ids)
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(self.tolist())
 
 
 def nearest_code_ids(latent: np.ndarray, codes: np.ndarray) -> np.ndarray:

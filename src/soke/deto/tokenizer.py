@@ -3,7 +3,9 @@
 Each part tokenizer is a strided 1D-CNN encoder (temporal downsample factor
 F = DOWNSAMPLE), a codebook, and a mirrored upsampling decoder. Inputs are
 edge-padded to a multiple of F so the encoder emits exactly ceil(T / F)
-latents.
+latents. A part tokenizer encodes its slice to one code per latent, a (K,)
+int64 column; the decoupled tokenizer stacks the three columns into a
+motion's (K, 3) code array (see `codebook`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from ..errors import ConfigError, InputError
 from ..grad import Tensor, conv1d, no_grad, straight_through, upsample_repeat
 from ..grad.checkpoint import Undrawn
 from ..motion import PARTS, MotionSequence, Part, PartLayout, PartMotion, merge_parts, split_parts
-from .codebook import TokenSeq, nearest_code_ids
+from .codebook import PartCodes, nearest_code_ids
 
 DOWNSAMPLE = 4  # F: frames per latent, realized by the encoder's two stride-2 conv blocks
 
@@ -117,20 +119,23 @@ class PartTokenizer:
                 f"downsample window ({DOWNSAMPLE})"
             )
 
-    def encode(self, motion: PartMotion) -> TokenSeq:
+    def encode(self, motion: PartMotion) -> np.ndarray:
+        """(T, width) slice -> (ceil(T/F),) int64 code indices."""
         self._check_motion(motion)
         with no_grad():
             latents = self.encode_latents(motion.frames)
-        ids = nearest_code_ids(latents.data, self.codebook.data)
-        return TokenSeq(self.part, tuple(ids.tolist()))
+        return nearest_code_ids(latents.data, self.codebook.data)
 
-    def decode(self, tokens: TokenSeq, num_frames: int | None = None) -> PartMotion:
-        if tokens.part is not self.part:
-            raise InputError(f"tokenizer for {self.part.value} got {tokens.part.value} tokens")
-        ids = np.asarray(tokens.ids)
-        num_codes = self.codebook.shape[0]
-        if ids.min() < 0 or ids.max() >= num_codes:
-            raise InputError(f"token id out of range [0, {num_codes}) for part {self.part.value}")
+    def decode(self, ids: np.ndarray, num_frames: int | None = None) -> PartMotion:
+        """(K,) code indices -> a slice of F * K frames, or of num_frames when
+        given (cut, or the last frame repeated)."""
+        ids, n = np.asarray(ids), self.codebook.shape[0]
+        if (ids.ndim != 1 or ids.size == 0 or ids.dtype.kind not in "iu"
+                or ids.min() < 0 or ids.max() >= n):
+            raise InputError(f"{self.part.value} codes must be a nonempty vector of integers in "
+                             f"[0, {n}), got {ids!r}")
+        if num_frames is not None and num_frames < 1:
+            raise InputError(f"num_frames must be at least 1, got {num_frames}")
         with no_grad():
             codes = self.codebook[ids]
             frames = self.decode_latents(codes).data.astype(np.float32)
@@ -217,26 +222,24 @@ class DecoupledTokenizer:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [pair for part in PARTS for pair in self.parts[part].parameters()]
 
-    def encode_sequence(self, seq: MotionSequence) -> dict[Part, TokenSeq]:
-        body, left, right = split_parts(seq)
-        return {pm.part: self.parts[pm.part].encode(pm) for pm in (body, left, right)}
+    def encode_sequence(self, seq: MotionSequence) -> PartCodes:
+        """A motion of T frames -> its (ceil(T/F), 3) int64 code array."""
+        columns = [self.parts[pm.part].encode(pm) for pm in split_parts(seq)]
+        return np.stack(columns, axis=1).view(PartCodes)
 
     def decode_tokens(
         self,
-        tokens: dict[Part, TokenSeq],
+        tokens: np.ndarray,
         num_frames: int | None = None,
         fps: float = 25.0,
         language_tag: str = "ASL",
     ) -> MotionSequence:
-        """One token sequence per part, all of one length K, to a motion of
-        F * K frames, or of num_frames when given (cut, or the last frame
-        repeated)."""
-        lengths = {part.value: len(tokens[part]) for part in PARTS if part in tokens}
-        if len(lengths) != len(PARTS) or len(set(lengths.values())) != 1:
-            raise InputError(f"decoding needs one token sequence per part, all of one "
-                             f"length; got lengths {lengths}")
-        decoded = {part: self.parts[part].decode(tokens[part], num_frames) for part in PARTS}
-        return merge_parts(
-            decoded[Part.BODY], decoded[Part.LEFT_HAND], decoded[Part.RIGHT_HAND],
-            layout=self.layout, fps=fps, language_tag=language_tag,
-        )
+        """A (K, 3) code array to a motion of F * K frames, or of num_frames
+        when given (cut, or the last frame repeated)."""
+        codes = np.asarray(tokens)
+        if codes.ndim != 2 or codes.shape[1] != len(PARTS):
+            raise InputError(f"decoding needs a (K, {len(PARTS)}) code array; got shape "
+                             f"{codes.shape}")
+        decoded = [self.parts[part].decode(codes[:, j], num_frames)
+                   for j, part in enumerate(PARTS)]
+        return merge_parts(*decoded, layout=self.layout, fps=fps, language_tag=language_tag)

@@ -120,14 +120,7 @@ class EvalReport:
     timing: dict
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "split": self.split,
-            "conventions": dict(self.conventions),
-            "samples": [asdict(s) for s in self.samples],
-            "aggregates": dict(self.aggregates),
-            "timing": dict(self.timing),
-        }
+        return {"schema_version": REPORT_SCHEMA_VERSION, **asdict(self)}
 
 
 GenerateFn = Callable[[str, str], tuple[MotionSequence, int]]

@@ -44,10 +44,17 @@ class SynthConfig:
             raise ConfigError("invalid motif frame range")
         if self.sentence_words[0] < 1 or self.sentence_words[0] > self.sentence_words[1]:
             raise ConfigError("invalid sentence word-count range")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ConfigError(f"noise_std must be finite and non-negative, got {self.noise_std}")
         if not (math.isfinite(self.fps) and self.fps > 0.0):
             raise ConfigError(f"fps must be finite and positive, got {self.fps}")
+        if self.num_sentences < 1:
+            raise ConfigError(f"num_sentences must be at least 1, got {self.num_sentences}")
+        if self.smoothing_halfwidth < 0:
+            raise ConfigError(f"smoothing_halfwidth must be non-negative, got "
+                              f"{self.smoothing_halfwidth}")
+        for name in ("noise_std", "body_amplitude", "hand_amplitude", "expression_amplitude"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)

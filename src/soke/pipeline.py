@@ -9,7 +9,8 @@ A run directory looks like:
                            conv weights as (K * C_in, C_out) filter matrices
     deto/deto.json         {"layout": PartLayout, "config": DetoConfig}
     deto/train_log.jsonl   per-epoch losses and reseeded codes of each part
-    dict.json              sign dictionary
+    dict.json              sign dictionary: lang -> lemma -> {"B", "LH", "RH": the
+                           columns of the word's (K, 3) code array, "err"}
     dict_warnings.jsonl    skipped dictionary instances (empty if none)
     amg/amg.ckpt           trained generator parameters (single mode per run)
     amg/amg.json           {"config": AmgConfig, "mode": str}
@@ -151,8 +152,8 @@ def stage_amg(config: RunConfig, out_dir: Path) -> None:
 
 def make_generate_fn(model: GeneratorModel, deto, dictionary: SignDictionary | None,
                      fps: float = 25.0):
-    """text -> decoded motion plus step count, via prompt construction and
-    the tokenizer's part decoders."""
+    """text -> decoded motion plus step count: the prompt, the decoded
+    triples, their (K, 3) code array, then the tokenizer's part decoders."""
 
     def generate(text: str, lang: str):
         prompt = build_prompt(text, lang, dictionary, model.vocab)
@@ -162,8 +163,8 @@ def make_generate_fn(model: GeneratorModel, deto, dictionary: SignDictionary | N
             frames = np.zeros((1, deto.layout.total_dims), dtype=np.float32)
             return MotionSequence(frames, fps=fps, layout=deto.layout,
                                   language_tag=lang), result.step_count
-        tokens = tokens_from_triples(result.triples, model.vocab)
-        motion = deto.decode_tokens(tokens, fps=fps, language_tag=lang)
+        codes = tokens_from_triples(result.triples, model.vocab)
+        motion = deto.decode_tokens(codes, fps=fps, language_tag=lang)
         return motion, result.step_count
 
     return generate

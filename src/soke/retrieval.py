@@ -1,10 +1,11 @@
 """Retrieval-enhanced prompting from a word-level sign dictionary.
 
-Dictionary entries are (lemma, per-part token sequences, reconstruction
-error) quadruples; when a word has several recorded instances, the one with
-the lowest tokenizer round-trip PA-MPJPE wins. Prompts are the language tag,
-the text tokens, then each matched word's motion tokens appended in sentence
-order as contiguous per-part blocks.
+Dictionary entries are (lemma, (K, 3) code array, reconstruction error)
+triples, column j of the array the codes of part PARTS[j]; when a word has
+several recorded instances, the one with the lowest tokenizer round-trip
+PA-MPJPE wins. Prompts are the language tag, the text tokens, then each
+matched word's motion tokens appended in sentence order, one contiguous
+block per part (the array's columns in turn).
 """
 
 from __future__ import annotations
@@ -13,25 +14,26 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .amg import Vocabulary
 from .artifacts import from_dict, read_json, write_json
-from .deto import DOWNSAMPLE, DecoupledTokenizer, TokenSeq
+from .deto import DOWNSAMPLE, DecoupledTokenizer
 from .errors import InputError
 from .metrics import reconstruction_pa_mpjpe
 from .motion import PARTS, KinematicChain, MotionSequence
 from .textproc import lemmatize, tokenize_words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DictionaryEntry:
     word: str  # lemmatized
-    tokens: dict  # Part -> TokenSeq
+    codes: np.ndarray  # (K, 3) int64, as DecoupledTokenizer.encode_sequence returns
     recon_error: float
 
     def __post_init__(self):
-        lengths = {len(self.tokens[p]) for p in PARTS}
-        if len(lengths) != 1:
-            raise InputError(f"entry {self.word!r}: part token sequences differ in length")
+        if len(self.codes) == 0:
+            raise InputError(f"entry {self.word!r} has no codes")
         if not 0 <= self.recon_error < math.inf:
             raise InputError(f"entry {self.word!r}: reconstruction error {self.recon_error} "
                              "is negative or not finite")
@@ -39,7 +41,7 @@ class DictionaryEntry:
 
 @dataclass(frozen=True)
 class _WordRecord:
-    """One word of dict.json: its token ids per part and its error."""
+    """One word of dict.json: its code indices per part and its error."""
 
     B: tuple[int, ...]
     LH: tuple[int, ...]
@@ -78,8 +80,7 @@ class SignDictionary:
         """lang -> word -> {"B": ids, "LH": ids, "RH": ids, "err": error}."""
         return {
             lang: {
-                word: asdict(_WordRecord(*(entry.tokens[part].ids for part in PARTS),
-                                         entry.recon_error))
+                word: asdict(_WordRecord(*entry.codes.T.tolist(), entry.recon_error))
                 for word, entry in sorted(table.items())
             }
             for lang, table in sorted(self._entries.items())
@@ -88,13 +89,14 @@ class SignDictionary:
     @classmethod
     def from_json(cls, payload: dict) -> "SignDictionary":
         """The dictionary `to_json` wrote; a word record with a missing or
-        unknown key or a value of the wrong type raises ConfigError."""
+        unknown key or a value of the wrong type raises ConfigError, one with
+        code lists of unequal length ValueError (from numpy)."""
         out = cls()
         for lang, table in payload.items():
             for word, rec in table.items():
                 stored = from_dict(_WordRecord, rec, f"{lang}.{word}", complete=True)
-                tokens = {part: TokenSeq(part, getattr(stored, part.value)) for part in PARTS}
-                out.offer(lang, DictionaryEntry(word, tokens, stored.err))
+                codes = np.array([getattr(stored, part.value) for part in PARTS], dtype=np.int64)
+                out.offer(lang, DictionaryEntry(word, codes.T, stored.err))
         return out
 
 
@@ -117,11 +119,11 @@ def build_dictionary(
                 "frames": seq.num_frames, "required": DOWNSAMPLE,
             })
             continue
-        tokens = deto.encode_sequence(seq)
-        recon = deto.decode_tokens(tokens, num_frames=seq.num_frames, fps=seq.fps,
+        codes = deto.encode_sequence(seq)
+        recon = deto.decode_tokens(codes, num_frames=seq.num_frames, fps=seq.fps,
                                    language_tag=seq.language_tag)
         error = reconstruction_pa_mpjpe(recon, seq, chain)
-        entry = DictionaryEntry(word=lemmatize(word), tokens=tokens, recon_error=error)
+        entry = DictionaryEntry(word=lemmatize(word), codes=codes, recon_error=error)
         dictionary.offer(seq.language_tag, entry)
     return dictionary, warnings
 
@@ -135,18 +137,17 @@ def build_prompt(
     """[lang token] ++ text tokens ++ matched words' motion-token blocks.
 
     Words are matched by their `lemmatize` form. Each matched word
-    contributes its B, LH, RH token ids contiguously, in sentence order, with
-    no separator between words; unmatched words contribute nothing.
+    contributes the vocabulary ids of its code array column by column (its
+    B, then LH, then RH ids), in sentence order, with no separator between
+    words; unmatched words contribute nothing.
     """
     prompt = [vocab.lang_id(lang)] + vocab.encode_text(text)
     if dictionary is None:
         return prompt
     for word in tokenize_words(text):
         entry = dictionary.lookup(lang, lemmatize(word))
-        if entry is None:
-            continue
-        for part in PARTS:
-            prompt.extend(vocab.motion_ids(part, entry.tokens[part].ids))
+        if entry is not None:
+            prompt.extend(vocab.motion_ids(entry.codes).ravel(order="F").tolist())
     return prompt
 
 

@@ -23,7 +23,9 @@ from soke.amg import (
     load_generator,
     load_vocab,
     save_generator,
+    tokens_from_triples,
     train_generator,
+    triples_from_tokens,
     unflatten,
 )
 from soke.amg.decoding import _allowed_positions, _pick
@@ -69,8 +71,7 @@ class TestVocabulary:
         for part, n in zip((Part.BODY, Part.LEFT_HAND, Part.RIGHT_HAND), SIZES):
             ids = [vocab.motion_id(part, c) for c in range(n)]
             assert len(set(ids)) == n
-            for c, token_id in enumerate(ids):
-                assert vocab.code_of(token_id) == (part, c)
+            assert ids == list(range(*vocab.part_range(part)))
 
     def test_text_encoding_with_unk(self, vocab):
         ids = vocab.encode_text("alpha zeta BETA")
@@ -143,6 +144,39 @@ class TestFlatten:
                vocab.motion_id(Part.RIGHT_HAND, 0)]
         with pytest.raises(InputError):
             unflatten(bad, vocab)
+
+
+class TestTokenTriples:
+    def test_token_in_another_parts_slot_is_rejected_naming_the_slot(self, vocab):
+        body, left, right = (vocab.motion_id(part, 1) for part in PARTS)
+        with pytest.raises(InputError, match=r"token %d at step 0 .* B slot" % left):
+            tokens_from_triples((PartTokenTriple(left, body, right),), vocab)
+
+    def test_round_trip_through_motion_ids(self, vocab):
+        rng = np.random.default_rng(3)
+        codes = np.stack([rng.integers(0, n, size=7) for n in SIZES], axis=1)
+        triples = triples_from_tokens(codes, vocab)
+        assert triples == tuple(make_triples(vocab, codes.tolist()))
+        back = tokens_from_triples(triples, vocab)
+        assert back.dtype == np.int64 and np.array_equal(back, codes)
+
+    def test_no_triples_give_no_codes(self, vocab):
+        assert tokens_from_triples((), vocab).shape == (0, 3)
+
+    @pytest.mark.parametrize("slot,code", [(0, 6), (1, 8), (2, -1)])
+    def test_code_outside_its_parts_codebook_is_rejected_naming_the_slot(self, vocab, slot, code):
+        codes = np.zeros((2, 3), dtype=np.int64)
+        codes[1, slot] = code
+        part = PARTS[slot].value
+        with pytest.raises(InputError, match=r"code %d at step 1 .* %s slot" % (code, part)):
+            triples_from_tokens(codes, vocab)
+
+    @pytest.mark.parametrize("codes", [np.zeros((2, 2), dtype=np.int64),
+                                       np.zeros(3, dtype=np.int64), np.zeros((2, 3))],
+                             ids=["two-columns", "vector", "float"])
+    def test_codes_that_are_no_integer_k_by_3_array_are_rejected(self, vocab, codes):
+        with pytest.raises(InputError, match=r"\(K, 3\) integer array"):
+            triples_from_tokens(codes, vocab)
 
 
 class TestFuseEmbeddings:
@@ -334,9 +368,9 @@ class TestPartMaskingProperty:
         model = ScriptedModel(vocab, "sequential", wrong)
         result = greedy_decode(model, *dummy_state())
         for triple in result.triples:
-            assert vocab.part_of(triple.body) is Part.BODY
-            assert vocab.part_of(triple.left) is Part.LEFT_HAND
-            assert vocab.part_of(triple.right) is Part.RIGHT_HAND
+            for token, part in zip(triple.as_tuple(), PARTS):
+                lo, hi = vocab.part_range(part)
+                assert lo <= token < hi
 
 
 def masked_pick_oracle(logits_row, support, columns) -> int:

@@ -13,7 +13,6 @@ from soke.deto import (
     DetoConfig,
     DetoTrainConfig,
     PartTokenizer,
-    TokenSeq,
     load_deto,
     nearest_code_ids,
     save_deto,
@@ -132,15 +131,11 @@ class TestQuantize:
         with no_grad():
             latents = tok.encode_latents(motion.frames).data
         tok.codebook.data = latents[::-1].copy()
-        assert tok.encode(motion) == TokenSeq(Part.LEFT_HAND, (6, 5, 4, 3, 2, 1, 0))
+        assert tok.encode(motion).tolist() == [6, 5, 4, 3, 2, 1, 0]
 
     def test_empty_latent_rejected(self):
         with pytest.raises(InputError):
             nearest_code_ids(np.zeros((0, 3)), np.zeros((2, 3)))
-
-    def test_empty_token_seq_rejected(self):
-        with pytest.raises(InputError):
-            TokenSeq(Part.BODY, ())
 
 
 class TestEncodeDecode:
@@ -150,36 +145,40 @@ class TestEncodeDecode:
 
     def test_encode_length_is_ceil_t_over_f(self, tok):
         motion = PartMotion(Part.BODY, np.random.default_rng(0).normal(size=(16, 43)))
-        assert len(tok.encode(motion)) == 4
+        assert tok.encode(motion).shape == (4,)
         motion = PartMotion(Part.BODY, np.random.default_rng(0).normal(size=(18, 43)))
-        assert len(tok.encode(motion)) == 5
+        assert tok.encode(motion).shape == (5,)
 
     def test_encode_is_deterministic(self, tok):
         motion = PartMotion(Part.BODY, np.random.default_rng(2).normal(size=(12, 43)))
-        assert tok.encode(motion).ids == tok.encode(motion).ids
+        assert np.array_equal(tok.encode(motion), tok.encode(motion))
 
     def test_too_short_motion_rejected(self, tok):
         with pytest.raises(InputError):
             tok.encode(PartMotion(Part.BODY, np.zeros((3, 43))))
 
     def test_decode_length_is_f_times_tokens(self, tok):
-        tokens = TokenSeq(Part.BODY, (0, 1, 2, 3))
-        assert tok.decode(tokens).num_frames == 16
+        assert tok.decode(np.arange(4)).num_frames == 16
 
     def test_decode_trims_and_pads_to_requested_length(self, tok):
-        tokens = TokenSeq(Part.BODY, (0, 1, 2, 3))
-        assert tok.decode(tokens, num_frames=14).num_frames == 14
-        assert tok.decode(tokens, num_frames=20).num_frames == 20
+        assert tok.decode(np.arange(4), num_frames=14).num_frames == 14
+        assert tok.decode(np.arange(4), num_frames=20).num_frames == 20
 
     def test_decode_deterministic(self, tok):
-        tokens = TokenSeq(Part.BODY, (4, 0, 2))
-        a = tok.decode(tokens)
-        b = tok.decode(tokens)
+        a = tok.decode(np.array([4, 0, 2]))
+        b = tok.decode(np.array([4, 0, 2]))
         assert np.array_equal(a.frames, b.frames)
 
     def test_decode_rejects_out_of_range_ids(self, tok):
         with pytest.raises(InputError):
-            tok.decode(TokenSeq(Part.BODY, (0, 99)))
+            tok.decode(np.array([0, 99]))
+
+    @pytest.mark.parametrize("ids", [np.zeros(0, dtype=np.int64), np.zeros((2, 1), dtype=np.int64),
+                                     np.array([0.0, 1.0]), np.array([True, False])],
+                             ids=["empty", "matrix", "float", "bool"])
+    def test_decode_rejects_codes_that_are_no_integer_vector(self, tok, ids):
+        with pytest.raises(InputError, match="nonempty vector of integers"):
+            tok.decode(ids)
 
     def test_round_trip_frame_count(self):
         deto = DecoupledTokenizer(PartLayout(), TINY, seed=3)
@@ -187,20 +186,28 @@ class TestEncodeDecode:
         out = round_trip(deto, seq)
         assert out.num_frames == seq.num_frames
 
-    def test_decode_tokens_needs_one_sequence_per_part(self):
+    @pytest.mark.parametrize("num_frames", [0, -1])
+    def test_decode_tokens_rejects_fewer_than_one_frame(self, num_frames):
         deto = DecoupledTokenizer(PartLayout(), TINY, seed=3)
-        tokens = {part: TokenSeq(part, (0, 1, 2)) for part in (Part.BODY, Part.LEFT_HAND)}
-        with pytest.raises(InputError, match=r"lengths \{'B': 3, 'LH': 3\}"):
-            deto.decode_tokens(tokens)
+        seq = MotionSequence(np.random.default_rng(5).normal(size=(42, 133)).astype(np.float32))
+        with pytest.raises(InputError, match="num_frames"):
+            deto.decode_tokens(deto.encode_sequence(seq), num_frames=num_frames)
 
-    @pytest.mark.parametrize("num_frames", [None, 12])
-    def test_decode_tokens_rejects_parts_of_different_lengths(self, num_frames):
+    @pytest.mark.parametrize("shape", [(3, 2), (3, 4), (6,), (1, 3, 3)])
+    def test_decode_tokens_needs_one_column_per_part(self, shape):
         deto = DecoupledTokenizer(PartLayout(), TINY, seed=3)
-        tokens = {Part.BODY: TokenSeq(Part.BODY, (0, 1, 2)),
-                  Part.LEFT_HAND: TokenSeq(Part.LEFT_HAND, (0, 1)),
-                  Part.RIGHT_HAND: TokenSeq(Part.RIGHT_HAND, (0, 1))}
-        with pytest.raises(InputError, match=r"lengths \{'B': 3, 'LH': 2, 'RH': 2\}"):
-            deto.decode_tokens(tokens, num_frames=num_frames)
+        with pytest.raises(InputError, match=r"\(K, 3\) code array"):
+            deto.decode_tokens(np.zeros(shape, dtype=np.int64))
+
+    def test_encode_sequence_stacks_the_part_codes(self):
+        deto = DecoupledTokenizer(PartLayout(), TINY, seed=3)
+        seq = MotionSequence(np.random.default_rng(5).normal(size=(17, 133)).astype(np.float32))
+        codes = deto.encode_sequence(seq)
+        assert codes.shape == (5, 3) and codes.dtype == np.int64
+        for j, motion in enumerate(split_parts(seq)):
+            column = deto[motion.part].encode(motion)
+            assert np.array_equal(codes[:, j], column)
+            assert codes[motion.part].ids == tuple(column.tolist())
 
 
 class TestVqLoss:
@@ -263,7 +270,7 @@ class TestVqLoss:
                 # weights and an upstream gradient that are not powers of two
                 # make the order of the scalar products show
                 (total * (1.0 / 3.0)).backward()
-            return tok.encode(motion).ids, total, terms, tok.parameters()
+            return tok.encode(motion).tolist(), total, terms, tok.parameters()
 
         ids, total, terms, params = run()
         monkeypatch.setattr(tokenizer_module, "vq_loss_terms", composed_ops.vq_loss_terms)
@@ -358,10 +365,7 @@ class TestTraining:
         save_deto(tmp_path / "deto", deto, log)
         loaded = load_deto(tmp_path / "deto")
         seq = small_corpus[0]
-        original = deto.encode_sequence(seq)
-        restored = loaded.encode_sequence(seq)
-        for part in original:
-            assert original[part].ids == restored[part].ids
+        assert np.array_equal(deto.encode_sequence(seq), loaded.encode_sequence(seq))
 
 
 class TestConfig:

@@ -576,6 +576,20 @@ class TestSynthetic:
         with pytest.raises(ConfigError, match="fps"):
             SynthConfig(fps=fps)
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_sentences", 0), ("num_sentences", -3), ("smoothing_halfwidth", -1),
+        *((name, value) for name in ("body_amplitude", "hand_amplitude", "expression_amplitude")
+          for value in (-1.0, np.nan, np.inf)),
+    ])
+    def test_values_synthesis_cannot_honour_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SynthConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["smoothing_halfwidth", "body_amplitude", "hand_amplitude",
+                                       "expression_amplitude"])
+    def test_zero_smoothing_and_amplitudes_accepted(self, field):
+        assert getattr(SynthConfig(**{field: 0}), field) == 0
+
 
 class TestMotionIO:
     def test_round_trip(self, tmp_path):

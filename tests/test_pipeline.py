@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from soke.amg import MODES, AmgConfig, AmgTrainConfig
+from soke.amg import MODES, AmgConfig, AmgTrainConfig, DecodeResult, GeneratorModel, Vocabulary
 from soke.config import RunConfig
-from soke.deto import DetoConfig, DetoTrainConfig
+from soke.deto import DecoupledTokenizer, DetoConfig, DetoTrainConfig
 from soke.errors import InputError, TrainingDivergedError
 from soke.grad import Adam
-from soke.motion import SynthConfig
-from soke.pipeline import STAGES, StageError, changed_artifacts, run_pipeline
+from soke.metrics import evaluate_split
+from soke.motion import SynthConfig, build_sign_chain, synthesize_dataset
+from soke.pipeline import STAGES, StageError, changed_artifacts, make_generate_fn, run_pipeline
 
 
 TINY = RunConfig(
@@ -129,3 +130,18 @@ def test_unreadable_run_config_is_named_unless_forced(tmp_path, content):
         run_pipeline(TINY, tmp_path)
     assert run_pipeline(TINY, tmp_path, force=True)["stages_run"] == [name for name, _, _ in STAGES]
     assert run_pipeline(TINY, tmp_path)["stages_run"] == []
+
+
+def test_empty_decode_gives_one_rest_frame(monkeypatch):
+    deto = DecoupledTokenizer(TINY.synth.layout, TINY.deto)
+    model = GeneratorModel(Vocabulary([], TINY.deto.codebook_sizes), TINY.amg, TINY.mode)
+    test = synthesize_dataset(TINY.synth, seed=0)
+    monkeypatch.setattr("soke.pipeline.generate_triples",
+                        lambda model, prompt, lang: DecodeResult((), 0, 1))
+    generate = make_generate_fn(model, deto, None, fps=TINY.synth.fps)
+    text, ref = test[0]
+    motion, steps = generate(text, ref.language_tag)
+    assert motion.frames.shape == (1, deto.layout.total_dims) and not motion.frames.any()
+    assert (steps, motion.fps, motion.language_tag) == (0, TINY.synth.fps, "ASL")
+    report = evaluate_split(generate, test, build_sign_chain(), split="test")
+    assert [(s.gen_frames, s.step_count) for s in report.samples] == [(1, 0)] * len(test)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from soke.amg import Vocabulary
-from soke.deto import DetoConfig, DetoTrainConfig, TokenSeq, train_tokenizer
-from soke.errors import InputError, SokeError
+from soke.deto import DetoConfig, DetoTrainConfig, train_tokenizer
+from soke.errors import InputError
 from soke.metrics import reconstruction_pa_mpjpe
 from soke.motion import (
     MotionSequence,
@@ -51,15 +51,8 @@ def vocab(deto):
 
 
 def entry_for(word, n=3, err=1.0, sizes=(10, 12, 12)):
-    return DictionaryEntry(
-        word=word,
-        tokens={
-            Part.BODY: TokenSeq(Part.BODY, tuple(i % sizes[0] for i in range(n))),
-            Part.LEFT_HAND: TokenSeq(Part.LEFT_HAND, tuple(i % sizes[1] for i in range(n))),
-            Part.RIGHT_HAND: TokenSeq(Part.RIGHT_HAND, tuple(i % sizes[2] for i in range(n))),
-        },
-        recon_error=err,
-    )
+    return DictionaryEntry(word=word, codes=np.arange(n)[:, None] % np.array(sizes),
+                           recon_error=err)
 
 
 class TestLemmatizer:
@@ -93,17 +86,9 @@ class TestSignDictionary:
         d.offer("ASL", entry_for("book"))
         assert d.lookup("CSL", "book") is None
 
-    def test_unequal_part_lengths_rejected(self):
-        with pytest.raises(InputError):
-            DictionaryEntry(
-                word="bad",
-                tokens={
-                    Part.BODY: TokenSeq(Part.BODY, (0, 1)),
-                    Part.LEFT_HAND: TokenSeq(Part.LEFT_HAND, (0,)),
-                    Part.RIGHT_HAND: TokenSeq(Part.RIGHT_HAND, (0, 1)),
-                },
-                recon_error=0.1,
-            )
+    def test_entry_without_codes_rejected(self):
+        with pytest.raises(InputError, match="no codes"):
+            DictionaryEntry(word="bad", codes=np.zeros((0, 3), dtype=np.int64), recon_error=0.1)
 
 
 class TestBuildDictionary:
@@ -115,8 +100,7 @@ class TestBuildDictionary:
         candidates = [seq for w, seq in instances if w == word]
         errors = []
         for seq in candidates:
-            tokens = deto.encode_sequence(seq)
-            recon = deto.decode_tokens(tokens, num_frames=seq.num_frames)
+            recon = deto.decode_tokens(deto.encode_sequence(seq), num_frames=seq.num_frames)
             errors.append(reconstruction_pa_mpjpe(recon, seq, chain))
         assert dictionary.lookup("ASL", lemmatize(word)).recon_error == pytest.approx(min(errors))
 
@@ -173,6 +157,14 @@ class TestBuildPrompt:
         # 1 lang + 3 text + two matched occurrences of 3*4 tokens
         assert len(prompt) == 1 + 3 + 2 * 3 * 4
 
+    def test_a_words_block_is_its_code_columns_in_part_order(self, vocab):
+        d = SignDictionary()
+        d.offer("ASL", DictionaryEntry("cold", np.array([[0, 1, 2], [3, 4, 5]]), 1.0))
+        blocks = build_prompt("cold", "ASL", d, vocab)[2:]
+        assert blocks == [vocab.motion_id(Part.BODY, 0), vocab.motion_id(Part.BODY, 3),
+                          vocab.motion_id(Part.LEFT_HAND, 1), vocab.motion_id(Part.LEFT_HAND, 4),
+                          vocab.motion_id(Part.RIGHT_HAND, 2), vocab.motion_id(Part.RIGHT_HAND, 5)]
+
     def test_lemmatized_match(self, vocab):
         d = SignDictionary()
         d.offer("ASL", entry_for("book", n=2))
@@ -194,6 +186,14 @@ class TestPersistence:
         loaded = load_dictionary(path)
         assert loaded.to_json() == dictionary.to_json()
 
+    def test_a_word_record_holds_the_code_columns(self):
+        d = SignDictionary()
+        d.offer("ASL", DictionaryEntry("cold", np.array([[0, 1, 2], [3, 4, 5]]), 0.5))
+        record = {"B": [0, 3], "LH": [1, 4], "RH": [2, 5], "err": 0.5}
+        assert d.to_json() == {"ASL": {"cold": record}}
+        assert SignDictionary.from_json(d.to_json()).lookup("ASL", "cold").codes.tolist() == [
+            [0, 1, 2], [3, 4, 5]]
+
     @pytest.mark.parametrize("corrupt", [
         lambda text: text[: len(text) // 2],
         lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": [0]}}}),
@@ -206,15 +206,18 @@ class TestPersistence:
                                                   "err": float("nan")}}}),
         lambda text: json.dumps({"ASL": {"cold": {"B": [0], "LH": [0], "RH": [0],
                                                   "err": float("inf")}}}),
+        lambda text: json.dumps({"ASL": {"cold": {"B": [0, 1], "LH": [0], "RH": [0, 1],
+                                                  "err": 0.5}}}),
+        lambda text: json.dumps({"ASL": {"cold": {"B": [], "LH": [], "RH": [], "err": 0.5}}}),
     ], ids=["truncated", "missing-err", "string-err", "not-an-object", "float-id", "bool-id",
-            "string-id", "nan-err", "inf-err"])
+            "string-id", "nan-err", "inf-err", "unequal-lengths", "no-codes"])
     def test_corrupt_dictionary_names_the_file(self, tmp_path, corrupt):
         d = SignDictionary()
         d.offer("ASL", entry_for("cold", n=2))
         path = tmp_path / "dict.json"
         save_dictionary(path, d)
         path.write_text(corrupt(path.read_text()))
-        with pytest.raises(SokeError, match="dict.json"):
+        with pytest.raises(InputError, match="dict.json"):
             load_dictionary(path)
 
     @pytest.mark.parametrize("record", [
