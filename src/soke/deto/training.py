@@ -44,6 +44,13 @@ def _warm_start_codebook(tok: PartTokenizer, motions: list[PartMotion], rng: np.
     tok.codebook.data = (latents[picks] + jitter).astype(np.float32)
 
 
+def _perplexity(counts: np.ndarray) -> float:
+    """exp of the entropy of the codes' pick frequencies: the number of
+    equally used codes that would spread the picks as evenly."""
+    p = counts[counts > 0] / counts.sum()
+    return float(np.exp(-(p * np.log(p)).sum()))
+
+
 def _train_one_part(
     tok: PartTokenizer,
     motions: list[PartMotion],
@@ -57,7 +64,7 @@ def _train_one_part(
         schedule=CosineSchedule(train_cfg.lr, train_cfg.steps, train_cfg.min_lr),
     )
     epoch_len = len(motions)
-    used = np.zeros(tok.codebook.shape[0], dtype=bool)
+    counts = np.zeros(tok.codebook.shape[0], dtype=np.int64)  # picks per code this epoch
     epoch_losses: list[tuple[float, float, float, float]] = []
     order = rng.permutation(epoch_len)
 
@@ -75,11 +82,12 @@ def _train_one_part(
 
         with no_grad():  # the updated encoder's codes, for dead-code detection
             latents = tok.encode_latents(motion.frames).data
-        used[nearest_code_ids(latents, tok.codebook.data)] = True
+        counts += np.bincount(nearest_code_ids(latents, tok.codebook.data),
+                              minlength=counts.size)
         epoch_losses.append((total.item(), rec.item(), emb.item(), com.item()))
 
         if (step + 1) % epoch_len == 0 or step + 1 == train_cfg.steps:
-            dead = np.flatnonzero(~used)
+            dead = np.flatnonzero(counts == 0)
             for code_idx in dead:
                 row = latents[rng.integers(0, latents.shape[0])]
                 tok.codebook.data[code_idx] = row + rng.normal(0.0, 0.01, size=row.shape)
@@ -95,10 +103,11 @@ def _train_one_part(
                     "com": float(arr[:, 3].mean()),
                     "lr": opt.current_lr(),
                     "reseeded_codes": int(dead.size),
+                    "code_perplexity": _perplexity(counts),
                 }
             )
             epoch_losses.clear()
-            used[:] = False
+            counts[:] = 0
             order = rng.permutation(epoch_len)
 
 

@@ -13,26 +13,36 @@ fingertips on the sign chain) are placed in one step after the last inner
 level. Working arrays are joint-major, (joints, T, ...), so each level is a
 contiguous slice.
 
-Local rotations and their VJP are closed forms with no BLAS call: R = I +
-A K + B (v v^T - t^2 I) entry by entry, and three identities of exponential
-coordinates for the VJP (Gallego and Yezzi, JMIV 2015; see
-`axis_angle_matrices` and `axis_angle_vjp`). Against K @ K as a BLAS
-product, which fuses multiply-adds, R differs by at most 4.4e-16 and the
-VJP by 8.1e-16 of its batch's largest entry (3.2 million random vectors, t
-up to 40); both are as close to a long-double reference. Float32 angles
-square exactly in float64, so motions stored as float32 keep the old bits.
+Local rotations are a closed form with no BLAS call: R = I + A K + B (v v^T
+- t^2 I) entry by entry (see `axis_angle_matrices`), within 4.4e-16 of R
+with K @ K a BLAS product (3.2 million random vectors, t up to 40). Float32
+angles square exactly in float64, so motions stored as float32 keep the
+old bits.
 
-Every rotation product is the numpy `@` the
-level-by-level pass over all joints ran, on the same operands. A bone
-offset is the same in every frame, so `_place` applies it with one
-(3T, 3) @ (3, 1) product per joint, the frames folded into the rows, where
-that pass made one (3, 3) @ (3, 1) product per joint and frame. Each row is
-the same three-term dot product either way; tests/test_motion.py checks the
-positions' bytes against that pass at frame counts on both sides of the
-BLAS kernels' row blocks. So positions and gradients keep their bits.
-Positions come back C-contiguous in joint order: the Procrustes means and
-sums downstream reduce in memory order, so a transposed view of the same
-values would change their bits.
+Every rotation product is the numpy `@` the level-by-level pass over all
+joints ran, on the same operands. A bone offset is the same in every frame,
+so `_place` applies it with one (3T, 3) @ (3, 1) product per joint, the
+frames folded into the rows: each row is the same three-term dot product
+as that pass's per-frame (3, 3) @ (3, 1) product. tests/test_motion.py
+checks the positions' bytes against that pass at frame counts on both
+sides of the BLAS kernels' row blocks. Positions come back C-contiguous in
+joint order: the Procrustes means and sums downstream reduce in memory
+order, so a transposed view of the same values would change their bits.
+
+The VJP is one pass with no loop over levels: the transposed geometric
+Jacobian of the tree (Featherstone, Rigid Body Dynamics Algorithms, 2008)
+through the right Jacobian J_r of SO(3) (Sola et al., "A micro Lie theory
+for state estimation in robotics", 2018). A small turn delta of inner
+joint j in its own frame moves each strict descendant d by (R_j delta) x
+(x_d - x_j), so position cotangents g give delta the cotangent u = R_j^T
+m_j, m_j = sum_d x_d x g_d - x_j x sum_d g_d. One (6T, J) @ (J, n)
+product with the plan's 0/1 `subtree` matrix sums both over every inner
+joint's descendants. On the angles v the cotangent is J_r(v)^T u = u +
+B (v x u) + C (v (v . u) - t^2 u), C = (1 - A)/t^2; the cross products and
+R_j^T run on x, y, z planes with no BLAS call. Against the level-by-level
+VJP through the Rodrigues VJP (tests/fk_oracle.py) only rounding differs,
+but where 1e-6 < t < 1e-2 both inherit the cancellation in B = (1 - cos
+t)/t^2 and differ by up to about 2e-11 of the largest cotangent.
 """
 
 from __future__ import annotations
@@ -48,36 +58,29 @@ from .layout import ROTATION_DIMS, PartLayout
 
 MEAN_BONE_MM = 100.0
 
-# the cross-product matrices E_k of e_x, e_y, e_z: <G, E_k> = vee(G)_k
-_SKEW_BASIS = np.swapaxes(np.cross(np.eye(3)[:, None], np.eye(3)), 1, 2)
-
-
 Index = slice | np.ndarray
 
 
 class Level(NamedTuple):
-    """Joints `start:stop` of a plan, the plan slots of their parents, their
-    bone offsets as (n, 3, 1) columns, and the joints grouped by sibling
-    rank: (joints relative to `start`, their parents' slots) for the first
-    child of each parent, then the second, and so on. Each group has
-    distinct parents, so the VJP passes a group's shares with one indexed
-    add, and a parent sums its children's shares in their index order.
-    """
+    """Joints `start:stop` of a plan, the plan slots of their parents, and
+    their bone offsets as (n, 3, 1) columns."""
 
     start: int
     stop: int
     parents: Index
     offsets: np.ndarray
-    ranks: tuple[tuple[Index, Index], ...]
 
 
 class Placement(NamedTuple):
     """Joint indices in plan order, the inner joints' depth levels from 1
-    down, and the leaves."""
+    down, the leaves, and the read-only (J, n) `subtree` matrix: entry
+    (d, i) is 1 where joint d is a strict descendant of the i-th inner
+    joint in plan order, else 0."""
 
     order: np.ndarray
     levels: tuple[Level, ...]
     leaves: Level
+    subtree: np.ndarray
 
     @property
     def inner(self) -> np.ndarray:
@@ -130,15 +133,16 @@ class KinematicChain:
 
         An inner joint is the root or a joint with a child; only inner
         rotations move other joints. Within a level and among the leaves,
-        joints keep their index order. The VJP passes the leaves' shares
-        first, so a parent sums its children's shares in their index order
-        unless it has both a leaf and an inner child, which no joint of the
-        sign chain or its body subchain has.
+        joints keep their index order. The `subtree` matrix sums the VJP's
+        moments over each inner joint's descendants.
         """
         parent_of = np.asarray(self.parents)
         depth = np.zeros(self.num_joints, dtype=np.int64)
+        below = np.zeros((self.num_joints, self.num_joints), dtype=bool)  # (d, a): a above d
         for j in range(1, self.num_joints):
             depth[j] = depth[parent_of[j]] + 1
+            below[j] = below[parent_of[j]]
+            below[j, parent_of[j]] = True
         has_child = np.zeros(self.num_joints, dtype=bool)
         has_child[parent_of[1:]] = True
         has_child[0] = True
@@ -151,15 +155,13 @@ class KinematicChain:
 
         def level(start: int, stop: int) -> Level:
             joints = order[start:stop]
-            parents = slot[parent_of[joints]]
-            rank = np.array([np.count_nonzero(parents[:i] == p) for i, p in enumerate(parents)],
-                            dtype=np.int64)
-            ranks = tuple((_index(np.flatnonzero(rank == r)), _index(parents[rank == r]))
-                          for r in range(int(rank.max(initial=-1)) + 1))
-            return Level(start, stop, _index(parents), self.offsets[joints][..., None], ranks)
+            return Level(start, stop, _index(slot[parent_of[joints]]),
+                         self.offsets[joints][..., None])
 
         levels = tuple(level(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]))
-        return Placement(order, levels, level(len(inner), self.num_joints))
+        subtree = below[:, order[:len(inner)]].astype(np.float64)
+        subtree.flags.writeable = False
+        return Placement(order, levels, level(len(inner), self.num_joints), subtree)
 
     @cached_property
     def _subchains(self) -> dict[int, "KinematicChain"]:
@@ -215,49 +217,13 @@ def axis_angle_matrices(v: np.ndarray) -> np.ndarray:
     return r.transpose((*range(2, r.ndim), 0, 1)).copy()
 
 
-def axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Cotangent on the vectors v (..., 3) of axis_angle_matrices(v), given a
-    cotangent G = `grad` (..., 3, 3) on its matrices.
-
-    With R = I + A K + B K^2, dR/dv_i = v_i (A'/t K + B'/t K^2) + A E_i
-    + B (E_i K + K E_i), E_i the cross-product matrix of e_i; A'(t)/t and
-    B'(t)/t come from their Taylor series below t = 1e-2, where they cancel
-    badly. With vee(G)_i = <G, E_i>, <G, K> = v . vee(G), <G, K^2> =
-    v^T G v - t^2 tr G and vee(G K + K G) = 2 tr G v - (G + G^T) v
-    (Gallego and Yezzi, JMIV 2015), so the cotangent is v (A'/t <G, K> +
-    B'/t <G, K^2> - 2 B tr G) + A vee(G) + B (G + G^T) v, with no BLAS
-    call: within 8.1e-16 of the batch's largest entry of the form with
-    K @ K a BLAS product.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    t2 = v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2
-    a, b = _rodrigues_coefficients(t2)
-    t = np.sqrt(t2)
-    small = t < 1e-2
-    t = np.where(small, 1.0, t)
-    sin_t, half_sin = np.sin(t), np.sin(0.5 * t)
-    da = (t * np.cos(t) - sin_t) / t**3
-    db = (t * sin_t - 4.0 * half_sin * half_sin) / t**4
-    if small.any():
-        da = np.where(small, -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0, da)
-        db = np.where(small, -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0, db)
-    sym_v = np.einsum("...ij,...j->...i", grad + np.swapaxes(grad, -1, -2), v)
-    vee = np.einsum("...ij,kij->...k", grad, _SKEW_BASIS)
-    trace = np.einsum("...ii->...", grad)
-    radial = (da * (v * vee).sum(axis=-1)
-              + db * (0.5 * (v * sym_v).sum(axis=-1) - t2 * trace) - 2.0 * b * trace)
-    return v * radial[..., None] + a[..., None] * vee + b[..., None] * sym_v
-
-
 def forward_kinematics_pass(
     angles: np.ndarray, chain: KinematicChain,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Positions (T, J, 3) for per-joint axis-angle vectors angles (T, J, 3),
-    with the rotations of the chain's n inner joints, joint-major in plan
-    order: global R_j (n, T, 3, 3), the product of the local rotations from
-    the root down to j, and local L_j (n, T, 3, 3), the Rodrigues matrix of
-    j's own angles. Leaves get no rotation: none of theirs moves a joint.
+    and the global rotations R_j (n, T, 3, 3) of the chain's n inner joints,
+    joint-major in plan order: the product of the local rotations from the
+    root down to j. Leaves get no rotation: none of theirs moves a joint.
 
     Inner joints are composed one tree depth at a time: every joint of a
     level hangs off a parent of the level before, which is already placed.
@@ -276,7 +242,7 @@ def forward_kinematics_pass(
     _place(pos, plan.leaves, rot[plan.leaves.parents])
     positions = np.empty(angles.shape)
     positions[:, plan.order] = np.swapaxes(pos, 0, 1)
-    return positions, rot, local
+    return positions, rot
 
 
 def _place(pos: np.ndarray, level: Level, parent_rot: np.ndarray) -> None:
@@ -290,49 +256,56 @@ def _place(pos: np.ndarray, level: Level, parent_rot: np.ndarray) -> None:
     placed += pos[level.parents]
 
 
+def _cycled(planes: np.ndarray) -> np.ndarray:
+    """x, y, z planes (3, ...) followed by x and y again, (5, ...): [1:4] and
+    [2:5] are the planes cycled once and twice, which `_cross` reads."""
+    out = np.empty((5,) + planes.shape[1:])
+    out[:3] = planes
+    out[3:] = out[:2]
+    return out
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b as x, y, z planes (3, ...), for two `_cycled` arrays."""
+    return a[1:4] * b[2:5] - a[2:5] * b[1:4]
+
+
 def forward_kinematics_vjp(
-    grad_pos: np.ndarray, angles: np.ndarray, rot: np.ndarray, local: np.ndarray,
+    grad_pos: np.ndarray, angles: np.ndarray, positions: np.ndarray, rot: np.ndarray,
     chain: KinematicChain,
 ) -> np.ndarray:
     """Cotangent (T, J, 3) on the angles of forward_kinematics_pass, given a
-    cotangent (T, J, 3) on its positions and the inner joints' global and
-    local rotations it returned, (n, T, 3, 3) each in plan order.
-
-    The leaves pass their position cotangents to their parents first: a
-    leaf's rotation moves no joint, so its angles get a zero cotangent. The
-    inner levels then run in reverse: a level's rotation cotangents are
-    complete once every deeper level has passed its share to its parents.
+    cotangent g (T, J, 3) on its positions and the positions (T, J, 3) and
+    inner rotations (n, T, 3, 3) it returned: J_r(v_j)^T R_j^T m_j on inner
+    joint j (see the module docstring), zero on a leaf, whose rotation
+    moves no joint.
     """
     plan = chain.placement
-    grad_pos = np.swapaxes(np.asarray(grad_pos, dtype=np.float64), 0, 1)[plan.order]
-    grad_rot = np.zeros_like(rot)
-    grad_local = np.empty_like(local)
-    # R_j = R_p L_j and x_j = x_p + R_p o_j
-    leaves = plan.leaves
-    _pass_shares(grad_rot, grad_pos, leaves, grad_pos[leaves.start:leaves.stop, :, :, None]
-                 * np.swapaxes(leaves.offsets, -1, -2)[:, None])
-    for level in reversed(plan.levels):
-        g_rot = grad_rot[level.start:level.stop]
-        grad_local[level.start:level.stop] = np.swapaxes(rot[level.parents], -1, -2) @ g_rot
-        _pass_shares(grad_rot, grad_pos, level,
-                     g_rot @ np.swapaxes(local[level.start:level.stop], -1, -2)
-                     + grad_pos[level.start:level.stop, :, :, None]
-                     * np.swapaxes(level.offsets, -1, -2)[:, None])
-    grad_local[0] = grad_rot[0]
+    inner = plan.inner
+    frames, joints = positions.shape[:2]
+    x = _cycled(positions.transpose(2, 0, 1))
+    g = _cycled(grad_pos.transpose(2, 0, 1))
+    terms = np.concatenate([_cross(x, g), g[:3]]).reshape(6 * frames, joints)
+    sums = (terms @ plan.subtree).reshape(6, frames, len(inner))  # over each subtree
+    m = sums[:3] - _cross(x[..., inner], _cycled(sums[3:]))
+    # u = R_j^T m: u_a = sum_b R_ba m_b, with R's (b, a) planes
+    rot_planes = np.ascontiguousarray(rot.transpose(2, 3, 1, 0))
+    u = _cycled(np.add.reduce(rot_planes * m[:, None], axis=0))
+    v = _cycled(angles[:, inner].transpose(2, 0, 1))
+    sq = v[:3] * v[:3]
+    t2 = sq[0] + sq[1] + sq[2]
+    a, b = _rodrigues_coefficients(t2)
+    small = t2 < 1e-4  # C = (1 - A)/t^2 cancels below t = 1e-2: its series there
+    if small.any():
+        c = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
+                     (1.0 - a) / np.where(small, 1.0, t2))
+    else:
+        c = (1.0 - a) / t2
+    vu = v[:3] * u[:3]
+    out = u[:3] + b * _cross(v, u) + (v[:3] * (c * (vu[0] + vu[1] + vu[2])) - (c * t2) * u[:3])
     grad = np.zeros(angles.shape)
-    grad[:, plan.inner] = np.swapaxes(
-        axis_angle_vjp(np.swapaxes(angles, 0, 1)[plan.inner], grad_local), 0, 1)
+    grad[:, inner] = out.transpose(1, 2, 0)
     return grad
-
-
-def _pass_shares(grad_rot: np.ndarray, grad_pos: np.ndarray, level: Level,
-                 to_parent: np.ndarray) -> None:
-    """Add the rotation shares `to_parent` and the position cotangents of the
-    joints of `level` to their parents', one sibling rank at a time."""
-    own = grad_pos[level.start:level.stop]
-    for joints, parents in level.ranks:
-        grad_rot[parents] += to_parent[joints]
-        grad_pos[parents] += own[joints]
 
 
 def forward_kinematics_sequence(frames: np.ndarray, chain: KinematicChain) -> np.ndarray:

@@ -8,7 +8,7 @@ A run directory looks like:
     deto/deto.ckpt         trained tokenizer parameters as the model holds them,
                            conv weights as (K * C_in, C_out) filter matrices
     deto/deto.json         {"layout": PartLayout, "config": DetoConfig}
-    deto/train_log.jsonl   per-epoch losses and reseeded codes of each part
+    deto/train_log.jsonl   per-epoch losses, reseeded codes and code perplexity of each part
     dict.json              sign dictionary: lang -> lemma -> {"B", "LH", "RH": the
                            columns of the word's (K, 3) code array, "err"}
     dict_warnings.jsonl    skipped dictionary instances (empty if none)

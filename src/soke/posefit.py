@@ -9,9 +9,11 @@ gradient descent with a backtracking step control, so accepted steps never
 increase the total loss.
 
 The objective is a small float64 autodiff graph of four nodes and their
-weighted sum (`weighted_sum`). `body_fk` enters the motion-core forward
-kinematics (`motion.forward_kinematics_pass`) with the FK's hand-written
-VJP as its backward. `loss_rec`, `loss_temp` and `loss_reg` each fuse one
+weighted sum (`weighted_sum`). `body_fk` runs the motion-core forward
+kinematics (`motion.forward_kinematics_pass`) as one node whose backward
+is the FK's one-pass VJP over subtree moments
+(`motion.forward_kinematics_vjp`), on the positions and inner rotations
+the forward returned. `loss_rec`, `loss_temp` and `loss_reg` each fuse one
 loss term into a node with a numpy forward and a hand-written backward, bit
 for bit equal to the composed graph of elementary nodes they replace (the
 tests keep that graph as the oracle). Mesh vertices in the temporal term
@@ -133,10 +135,10 @@ def body_fk(theta: Tensor, chain: KinematicChain) -> Tensor:
 
     One graph node: the motion-core FK forward, its hand-written VJP backward.
     """
-    pos, rot, local = forward_kinematics_pass(theta.data, chain)
+    pos, rot = forward_kinematics_pass(theta.data, chain)
 
     def backward(g):
-        theta._accumulate(forward_kinematics_vjp(g, theta.data, rot, local, chain))
+        theta._accumulate(forward_kinematics_vjp(g, theta.data, pos, rot, chain))
 
     return Tensor(pos, _parents=(theta,), _op="body_fk", _backward=backward)
 

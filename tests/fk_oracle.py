@@ -3,10 +3,14 @@ a time, every joint included, and Rodrigues as it ran before its closed form.
 
 `forward_kinematics_pass` composes the rotations of all joints, leaves too,
 level by level in joint order, with time-major (T, J, ...) arrays. The VJP
-walks the same levels in reverse and sums the shares of siblings with
-`np.add.at`. Both call the package's Rodrigues form and its VJP, so they pin
-the plan's bytes and nothing else.
+walks the same levels in reverse, sums the shares of siblings with
+`np.add.at` and ends with `axis_angle_vjp`, the Rodrigues VJP the package
+ran before its one-pass VJP over subtree moments. The pass calls the
+package's Rodrigues form, so it pins the plan's bytes and nothing else; the
+VJP is the package VJP's reference to rounding.
 
+`axis_angle_vjp` is the closed-form Rodrigues VJP: three identities of
+exponential coordinates (Gallego and Yezzi, JMIV 2015) with no BLAS call.
 `blas_axis_angle_matrices` and `blas_axis_angle_vjp` are the Rodrigues form
 and its VJP with K and K^2 as matrices and K^2 = K @ K a BLAS product: the
 accuracy reference of the closed forms.
@@ -16,9 +20,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from soke.motion.kinematics import (_rodrigues_coefficients, axis_angle_matrices,
-                                    axis_angle_vjp)
+from soke.motion.kinematics import _rodrigues_coefficients, axis_angle_matrices
 from soke.motion.layout import ROTATION_DIMS
+
+# the cross-product matrices E_k of e_x, e_y, e_z: <G, E_k> = vee(G)_k
+_SKEW_BASIS = np.swapaxes(np.cross(np.eye(3)[:, None], np.eye(3)), 1, 2)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -66,6 +72,40 @@ def blas_axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
     # <G, E_i K + K E_i> = <G K^T + K^T G, E_i> and K^T = -K
     return (v * radial[..., None] + a[..., None] * vee(grad)
             - b[..., None] * vee(grad @ k + k @ grad))
+
+
+def axis_angle_vjp(v: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Cotangent on the vectors v (..., 3) of axis_angle_matrices(v), given a
+    cotangent G = `grad` (..., 3, 3) on its matrices.
+
+    With R = I + A K + B K^2, dR/dv_i = v_i (A'/t K + B'/t K^2) + A E_i
+    + B (E_i K + K E_i), E_i the cross-product matrix of e_i; A'(t)/t and
+    B'(t)/t come from their Taylor series below t = 1e-2, where they cancel
+    badly. With vee(G)_i = <G, E_i>, <G, K> = v . vee(G), <G, K^2> =
+    v^T G v - t^2 tr G and vee(G K + K G) = 2 tr G v - (G + G^T) v, the
+    cotangent is v (A'/t <G, K> + B'/t <G, K^2> - 2 B tr G) + A vee(G)
+    + B (G + G^T) v: within 8.1e-16 of the batch's largest entry of the
+    form with K @ K a BLAS product.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    t2 = v[..., 0] ** 2 + v[..., 1] ** 2 + v[..., 2] ** 2
+    a, b = _rodrigues_coefficients(t2)
+    t = np.sqrt(t2)
+    small = t < 1e-2
+    t = np.where(small, 1.0, t)
+    sin_t, half_sin = np.sin(t), np.sin(0.5 * t)
+    da = (t * np.cos(t) - sin_t) / t**3
+    db = (t * sin_t - 4.0 * half_sin * half_sin) / t**4
+    if small.any():
+        da = np.where(small, -1.0 / 3.0 + t2 / 30.0 - t2 * t2 / 840.0, da)
+        db = np.where(small, -1.0 / 12.0 + t2 / 180.0 - t2 * t2 / 6720.0, db)
+    sym_v = np.einsum("...ij,...j->...i", grad + np.swapaxes(grad, -1, -2), v)
+    vee = np.einsum("...ij,kij->...k", grad, _SKEW_BASIS)
+    trace = np.einsum("...ii->...", grad)
+    radial = (da * (v * vee).sum(axis=-1)
+              + db * (0.5 * (v * sym_v).sum(axis=-1) - t2 * trace) - 2.0 * b * trace)
+    return v * radial[..., None] + a[..., None] * vee + b[..., None] * sym_v
 
 
 def levels(chain):

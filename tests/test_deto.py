@@ -19,6 +19,7 @@ from soke.deto import (
     train_tokenizer,
     vq_loss_terms,
 )
+from soke.deto.training import _perplexity
 from soke.grad import Tensor, default_dtype, load_checkpoint, no_grad, save_checkpoint
 from soke.motion import (
     MotionSequence,
@@ -350,6 +351,27 @@ class TestTraining:
         deto_b, _ = train_tokenizer(small_corpus, **kwargs)
         for (name_a, pa), (_, pb) in zip(deto_a.parameters(), deto_b.parameters()):
             assert np.array_equal(pa.data, pb.data), name_a
+
+    def test_log_gives_each_epochs_code_perplexity(self, small_corpus):
+        # between 1 (one code takes every pick) and the number of codes
+        # picked at all, the codes the epoch did not reseed
+        sizes = dict(zip(("B", "LH", "RH"), (12, 10, 8)))
+        _, log = train_tokenizer(
+            small_corpus,
+            config=DetoConfig(code_dim=12, codebook_sizes=tuple(sizes.values()),
+                              hidden_channels=8),
+            train_config=DetoTrainConfig(steps=40),
+            seed=3,
+        )
+        assert len(log) == 3 * 7  # six sequences per epoch, the last one cut short
+        for entry in log:
+            used = sizes[entry["part"]] - entry["reseeded_codes"]
+            assert 1.0 <= entry["code_perplexity"] <= used * (1 + 1e-12)
+
+    @pytest.mark.parametrize("counts, want", [([0, 5, 0, 5], 2.0), ([3, 3, 3], 3.0),
+                                              ([0, 7, 0], 1.0), ([1, 3], 1.7547654)])
+    def test_perplexity_is_the_exp_of_the_pick_entropy(self, counts, want):
+        assert _perplexity(np.array(counts)) == pytest.approx(want)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputError):

@@ -230,9 +230,9 @@ class TestFitSequence:
             events.append(("pass", angles.copy()))
             return forward_kinematics_pass(angles, chain)
 
-        def counting_vjp(grad, angles, rot, local, chain):
+        def counting_vjp(grad, angles, positions, rot, chain):
             events.append(("vjp", angles.copy()))
-            return forward_kinematics_vjp(grad, angles, rot, local, chain)
+            return forward_kinematics_vjp(grad, angles, positions, rot, chain)
 
         def counting_rec(*args, **kwargs):
             events.append(("rec", None))
