@@ -1,20 +1,24 @@
 """Reverse-mode autodiff on dense numpy arrays.
 
 The operator set is deliberately closed: it holds only what the motion
-tokenizer CNN, the micro encoder-decoder generator and the pose fit run.
+tokenizer CNN and the micro encoder-decoder generator run; the pose fit's
+objective is plain numpy and builds no node.
 The graph nodes the package builds, by `_op` name, are `add`, `mul`,
 `relu`, `slice` (which also indexes by integer arrays, the embedding
 lookup), `concat`, `cross_entropy`, `layer_norm`, `conv1d`, `upsample` and
 `straight_through`; `matmul`, the generator's bias-free key projections;
 the generator's fused nodes `linear` (x @ w + b), `attention` (multi-head
 masked softmax attention over (B, T, d) inputs) and `weighted_sum` (the
-fused embedding, and the pose fit's weighted total); the pose fit's own
-nodes `body_fk`, `loss_rec`, `loss_temp` and `loss_reg`; and the
-tokenizer's VQ objective, `vq_loss`.
+fused embedding); and the tokenizer's VQ objective, `vq_loss`.
 Default storage is float32 with float64 accumulation in reductions.
-`default_dtype` switches newly created tensors to float64; its users are
-`posefit.fit_sequence` and the tests' finite-difference gradient checks, so
-central differences are not drowned by rounding noise.
+`posefit.body_fk`, an FK node, is defined but built by no package code:
+the tests' graph oracles of the pose-fit objective use it, and
+`benchmark/tracer.py` wraps it by name.
+`default_dtype` switches newly created tensors to float64; no package code
+uses it. Its users are the tests: their finite-difference gradient checks,
+so central differences are not drowned by rounding noise, their float64
+cases of the fused nodes, and their graph oracles of the pose fit, which
+build `body_fk` under it.
 Every op hands its output value, parents and backward closure to the
 `Tensor` constructor, which alone decides what the node keeps (see
 `Tensor.__init__`). `no_grad` switches graph building off: inside it, op
@@ -26,8 +30,8 @@ and every intermediate the composed graph would have checked that can be
 non-finite while its inputs are finite: attention checks its raw scores,
 since the mask could hide a non-finite one, and needs no check between them
 and its output because its scale 1 / sqrt(dh) is at most 1 and a softmax
-of finite values is finite; linear, weighted_sum, vq_loss and the pose
-fit's loss nodes carry a non-finite intermediate into their output.
+of finite values is finite; linear, weighted_sum and vq_loss carry a
+non-finite intermediate into their output.
 The fused nodes run the arithmetic of their composed graphs, forward and
 backward, so they change no bit; their parents are ordered so the backward
 traversal visits the rest of the graph in the composed order.

@@ -4,40 +4,41 @@ Given 2D joint observations of each frame (`Observations`: (T, M, 2) points
 and (T, M) confidences) and an initial pose sequence, refine the upper-body
 joint rotations (hands and expression stay bit-identical) by descending a
 weighted sum of a confidence-weighted L1 reprojection loss, a
-temporal-coherence loss, and an L2 pose regularizer. The optimizer is plain
-gradient descent with a backtracking step control, so accepted steps never
-increase the total loss.
+temporal-coherence loss, and an L2 pose regularizer, the SMPLify-X-style
+objective (Pavlakos et al., 2019). The optimizer is plain gradient descent
+with a backtracking step control, so accepted steps never increase the
+total loss.
 
-The objective is a small float64 autodiff graph of four nodes and their
-weighted sum (`weighted_sum`). `body_fk` runs the motion-core forward
-kinematics (`motion.forward_kinematics_pass`) as one node whose backward
-is the FK's one-pass VJP over subtree moments
-(`motion.forward_kinematics_vjp`), on the positions and inner rotations
-the forward returned. `loss_rec`, `loss_temp` and `loss_reg` each fuse one
-loss term into a node with a numpy forward and a hand-written backward, bit
-for bit equal to the composed graph of elementary nodes they replace (the
-tests keep that graph as the oracle). Mesh vertices in the temporal term
-are proxied by the FK joint positions; no mesh exists at this scale.
+The objective (`objective`) is plain numpy and builds no autodiff graph.
+Its value is one motion-core FK pass (`motion.forward_kinematics_pass`),
+the reprojection term (`loss_rec`) on the positions it returned, and the
+temporal and prior terms. Its gradient is the FK's one-pass VJP over
+subtree moments (`motion.forward_kinematics_vjp`) on that pass's positions
+and inner rotations, fed by the loss terms' hand-written cotangents. Value
+and gradient replay the arithmetic of the graph of elementary nodes that
+the tests keep as their oracle, bit for bit, including the order in which
+each array's gradient contributions are added. Mesh vertices in the
+temporal term are proxied by the FK joint positions; no mesh exists at
+this scale.
 
-The fit evaluates each point once: it builds one graph per candidate, with
-the gradient tracked, and an accepted candidate's graph gives the next
-iteration's gradient by one backward pass. The optimizer minimizes a
-smoothed reprojection term; the exact L1 term that the log reports comes
-from the residual the smoothed term already computed (`RecLoss.exact`).
-The body angles and the camera are one iterate vector with one
-preconditioned descent.
+The fit evaluates each point once: a candidate's evaluation keeps what its
+gradient needs, and an accepted candidate's gives the next iteration's
+gradient by one VJP. The optimizer minimizes a smoothed reprojection term;
+the exact L1 term that the log reports comes from the residual the
+smoothed term already computed. The body angles and the camera are one
+iterate vector with one preconditioned descent.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InputError, NonFiniteError, TrainingDivergedError
-from .grad import Tensor, default_dtype
-from .grad.tensor import _sum_to_shape, weighted_sum
+from .errors import ConfigError, InputError, TrainingDivergedError
+from .grad import Tensor
 from .motion import (
     KinematicChain,
     MotionSequence,
@@ -127,13 +128,15 @@ def project_weak(joints3d: np.ndarray, cam: CameraWeakPerspective) -> np.ndarray
     return cam.scale * joints3d[..., :2] + np.array([cam.tx, cam.ty])
 
 
-# -- differentiable forward kinematics over the body chain -------------------
+# -- the FK graph node -----------------------------------------------------------
 
 
 def body_fk(theta: Tensor, chain: KinematicChain) -> Tensor:
     """Differentiable positions (T, J, 3) for body rotations theta (T, J, 3).
 
     One graph node: the motion-core FK forward, its hand-written VJP backward.
+    The fit does not build it. It stays for the tests' graph oracles of the
+    objective and for `benchmark/tracer.py`, which wraps it by name.
     """
     pos, rot = forward_kinematics_pass(theta.data, chain)
 
@@ -143,138 +146,101 @@ def body_fk(theta: Tensor, chain: KinematicChain) -> Tensor:
     return Tensor(pos, _parents=(theta,), _op="body_fk", _backward=backward)
 
 
-# -- loss terms --------------------------------------------------------------
-# Each node replays its composed graph's arithmetic, including the order in
-# which a tensor's gradient contributions are added. Only the output is
-# checked for non-finite values: a non-finite intermediate reaches the sum.
-
-
-class RecLoss(Tensor):
-    """loss_rec's node. `exact` is the exact L1 of the node's residual: its
-    own value when unsmoothed, so the log needs no second node."""
-
-    __slots__ = ("exact",)
+# -- the objective -----------------------------------------------------------------
+# Each cotangent replays the graph oracle's arithmetic, including the order
+# in which an array's gradient contributions are added.
 
 
 def loss_rec(
-    joints: Tensor, observations: Observations, cam_params: Tensor,
+    joints: np.ndarray, observations: Observations, cam_params: np.ndarray,
     observed_joints: tuple[int, ...], smooth: float = 0.0,
-) -> RecLoss:
+) -> tuple[float, float, Callable[[float], tuple[np.ndarray, np.ndarray]]]:
     """Confidence-weighted L1 distance between observed and projected joints,
-    summed over frames.
+    summed over frames, as (value, exact, vjp).
 
+    joints are (T, J, 3) positions and cam_params the camera [scale, tx, ty].
     smooth > 0 replaces |r| with sqrt(r^2 + smooth^2), used only when a
     well-behaved descent direction is needed; the default is the exact L1.
+    `exact` is the exact L1 of the same residual. vjp(g) gives the
+    cotangents of g * value on joints (T, J, 3) and on cam_params (3,).
     """
     key = (slice(None), np.asarray(observed_joints), slice(0, 2))
-    dtype = joints.data.dtype  # rounded as the constant leaves they stand for would be
-    obs_points = observations.points.astype(dtype, copy=False)
-    conf = observations.confidence[..., None].astype(dtype, copy=False)
-    xy = joints.data[key]
-    scale = cam_params.data[0:1].reshape(1, 1, 1)
-    shift = cam_params.data[1:3].reshape(1, 1, 2)
-    residual = xy * scale + shift - obs_points
+    conf = observations.confidence[..., None]
+    xy = joints[key]
+    scale = cam_params[0:1].reshape(1, 1, 1)
+    shift = cam_params[1:3].reshape(1, 1, 2)
+    residual = xy * scale + shift - observations.points
     if smooth > 0.0:
         magnitude = np.sqrt(residual * residual + smooth * smooth)
     else:
         magnitude = np.abs(residual)
+    value = (magnitude * conf).sum(dtype=np.float64)
+    exact = (np.abs(residual) * conf).sum(dtype=np.float64) if smooth > 0.0 else value
 
-    def backward(g):
+    def vjp(g):
         g_magnitude = g * conf
         if smooth > 0.0:
             g_square = g_magnitude * 0.5 / magnitude
             g_residual = g_square * residual + g_square * residual  # r * r
         else:
             g_residual = g_magnitude * np.sign(residual)
-        if joints.requires_grad:
-            full = np.zeros(joints.shape, dtype=joints.data.dtype)
-            np.add.at(full, key, g_residual * scale)  # observed_joints may repeat
-            joints._accumulate(full)
-        if cam_params.requires_grad:
-            for part, g_part in ((slice(0, 1), _sum_to_shape(g_residual * xy, scale.shape)),
-                                 (slice(1, 3), _sum_to_shape(g_residual, shift.shape))):
-                full = np.zeros(cam_params.shape, dtype=cam_params.data.dtype)
-                full[part] = g_part.reshape(-1)
-                cam_params._accumulate(full)
+        g_joints = np.zeros(joints.shape)
+        np.add.at(g_joints, key, g_residual * scale)  # observed_joints may repeat
+        # the broadcast scale and shift sum their cotangents one axis at a
+        # time; each half then adds a zero at the other's entries, hence + 0.0
+        g_scale = (g_residual * xy).sum(axis=0).sum(axis=0).sum(axis=0, keepdims=True)
+        g_shift = g_residual.sum(axis=0).sum(axis=0)
+        return g_joints, np.concatenate([g_scale, g_shift]) + 0.0
 
-    value = (magnitude * conf).sum(dtype=np.float64)
-    node = RecLoss(value, _parents=(joints, cam_params), _op="loss_rec", _backward=backward)
-    node.exact = float((np.abs(residual) * conf).sum(dtype=np.float64) if smooth > 0.0 else value)
-    return node
+    return float(value), float(exact), vjp
 
 
-def loss_temp(joints: Tensor) -> Tensor:
-    """Sum over frames of the surface-proxy and joint displacement norms.
+def objective(
+    theta: np.ndarray, cam_params: np.ndarray, observations: Observations,
+    chain: KinematicChain, config: FitConfig, smooth: float = 0.0,
+) -> tuple[float, dict[str, float], Callable[[], tuple[np.ndarray, np.ndarray]]]:
+    """The fit's objective at body angles theta (T, J, 3) and camera
+    cam_params [scale, tx, ty], as (value, terms, gradient).
 
-    FK joints stand in for mesh vertices, so the two norms run over the same
-    point set and the term is twice the joint displacement sum.
-    T < 2 contributes zero.
+    value is the weighted total the optimizer minimizes, its reprojection
+    term smoothed by `smooth` (see loss_rec). terms holds the exact "rec",
+    "temp" and "reg"; rec is the exact L1 even when smooth > 0. gradient()
+    gives value's cotangents on theta (T, J, 3) and on cam_params (3,).
+    The value costs one FK pass and one loss_rec, the gradient one FK VJP.
+
+    temp sums over frames the surface-proxy and joint displacement norms:
+    FK joints stand in for mesh vertices, so the two norms run over the
+    same point set and temp is twice the joint displacement sum; one frame
+    contributes zero. reg is the Euclidean norm of theta.
     """
-    if joints.shape[0] < 2:
-        return Tensor(0.0)
-    diff = joints.data[1:] - joints.data[:-1]
-    norms = np.sqrt((diff * diff).sum(axis=(1, 2), dtype=np.float64) + _EPS)
+    positions, rot = forward_kinematics_pass(theta, chain)
+    rec, rec_exact, rec_vjp = loss_rec(positions, observations, cam_params,
+                                       config.observed_joints, smooth=smooth)
+    moving = len(theta) > 1
+    if moving:
+        diff = positions[1:] - positions[:-1]
+        norms = np.sqrt((diff * diff).sum(axis=(1, 2), dtype=np.float64) + _EPS)
+        temp = norms.sum(dtype=np.float64) * 2.0
+    else:
+        temp = 0.0
+    reg = np.sqrt((theta * theta).sum(dtype=np.float64) + _EPS)
+    value = rec * config.w_rec + temp * config.w_temp + reg * config.w_reg
 
-    def backward(g):
-        g_square = (g * 2.0 * 0.5 / norms)[:, None, None]
-        g_diff = g_square * diff + g_square * diff  # diff * diff
-        # joints[1:] receives its gradient before joints[:-1]
-        for part, g_part in ((slice(1, None), g_diff), (slice(None, -1), -g_diff)):
-            full = np.zeros(joints.shape, dtype=joints.data.dtype)
-            full[part] = g_part
-            joints._accumulate(full)
+    def gradient():
+        g_joints, g_cam = rec_vjp(config.w_rec)
+        if moving:
+            g_square = (config.w_temp * 2.0 * 0.5 / norms)[:, None, None]
+            g_diff = g_square * diff + g_square * diff  # diff * diff
+            # joints[1:] receive theirs before joints[:-1]; in place, since the
+            # zeros the graph added to the other frames change no entry (the
+            # scatter leaves no -0.0)
+            g_joints[1:] += g_diff
+            g_joints[:-1] -= g_diff
+        g_theta = forward_kinematics_vjp(g_joints, theta, positions, rot, chain)
+        g_square = config.w_reg * 0.5 / reg
+        return g_theta + g_square * theta + g_square * theta, g_cam  # theta * theta
 
-    return Tensor(norms.sum(dtype=np.float64) * 2.0, _parents=(joints,), _op="loss_temp",
-                  _backward=backward)
-
-
-def loss_reg(theta: Tensor) -> Tensor:
-    """Euclidean norm of the packed refined rotation parameters."""
-    value = np.sqrt((theta.data * theta.data).sum(dtype=np.float64) + _EPS)
-
-    def backward(g):
-        g_square = g * 0.5 / value
-        theta._accumulate(g_square * theta.data)  # theta * theta: one product per operand
-        theta._accumulate(g_square * theta.data)
-
-    return Tensor(value, _parents=(theta,), _op="loss_reg", _backward=backward)
-
-
-def total_loss(
-    theta: Tensor,
-    cam_params: Tensor,
-    observations: Observations,
-    chain: KinematicChain,
-    config: FitConfig,
-    smooth: float = 0.0,
-) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """(total, rec, temp, reg) from one graph: one FK pass, one loss_rec.
-
-    total is the weighted objective the optimizer minimizes; its
-    reprojection term is smoothed by `smooth` (see loss_rec). rec, temp and
-    reg are the exact terms. rec is the exact L1 even when smooth > 0: it
-    comes from the residual the smoothed term computed (`RecLoss.exact`),
-    as a constant; with smooth = 0 it is the term in total's graph.
-    """
-    joints = body_fk(theta, chain)
-    rec = loss_rec(joints, observations, cam_params, config.observed_joints, smooth=smooth)
-    temp = loss_temp(joints)
-    reg = loss_reg(theta)
-    total = weighted_sum([rec, temp, reg], [config.w_rec, config.w_temp, config.w_reg])
-    if smooth > 0.0:
-        rec = Tensor(rec.exact)
-    return total, rec, temp, reg
-
-
-@contextmanager
-def _float64_graph():
-    """float64 tensors, so residual signs near an exact optimum are clean; a
-    non-finite value ends the fit."""
-    with default_dtype(np.float64):
-        try:
-            yield
-        except NonFiniteError as exc:
-            raise TrainingDivergedError(f"pose fit produced a non-finite loss: {exc}") from exc
+    return float(value), {"rec": rec_exact, "temp": float(temp), "reg": float(reg)}, gradient
 
 
 # -- the fit loop ----------------------------------------------------------------
@@ -301,13 +267,15 @@ def fit_sequence(
     are non-increasing.
 
     The iterate is one vector x = [body angles, scale, tx, ty], descended
-    along one preconditioned direction. Each point is evaluated once, by one
-    graph of the smoothed objective whose theta and camera leaves are views
-    of x; the camera tracks a gradient only with `optimize_camera`, so a
-    fixed camera has a zero direction and keeps every bit. An accepted
-    point's graph gives the next iteration's gradient by one backward pass.
-    The logged exact rec comes from the residual of that graph's smoothed
-    term (see total_loss).
+    along one preconditioned direction. Each point is evaluated once, by
+    `objective` on views of x, with the smoothed reprojection term; the
+    camera's gradient is used only with `optimize_camera`, so a fixed
+    camera has a zero direction and keeps every bit. An accepted point's
+    evaluation gives the next iteration's gradient. The logged exact rec
+    comes from the residual of that evaluation's smoothed term. A non-finite
+    objective raises TrainingDivergedError: every non-finite input or
+    intermediate reaches it (a zero weight or confidence times inf or NaN
+    is NaN).
     """
     from .motion import build_sign_chain
 
@@ -329,33 +297,18 @@ def fit_sequence(
     x = np.concatenate([init.frames[:, : 3 * j].astype(np.float64).reshape(-1),
                         [cam.scale, cam.tx, cam.ty]])
 
-    def evaluate(point) -> tuple[dict[str, float], tuple[Tensor, Tensor, Tensor]]:
-        """The terms at a point and its graph (objective, theta, cam).
-        `objective` is the smoothed total the optimizer minimizes; the
-        logged rec/temp/reg/total values are the exact L1 quantities."""
-        with _float64_graph():
-            theta_t = Tensor(point[:n].reshape(T, j, 3), requires_grad=True)
-            cam_t = Tensor(point[n:], requires_grad=config.optimize_camera)
-            objective, rec, temp, reg = total_loss(theta_t, cam_t, observations, body_chain,
-                                                   config, smooth=config.rec_smooth_mm)
-        terms = {
-            "objective": objective.item(),
-            "rec": rec.item(),
-            "temp": temp.item(),
-            "reg": reg.item(),
-        }
+    def evaluate(point) -> tuple[dict[str, float], Callable]:
+        """The terms at a point and its gradient function. `objective` is
+        the smoothed total the optimizer minimizes; the logged
+        rec/temp/reg/total values are the exact L1 quantities."""
+        value, terms, gradient = objective(point[:n].reshape(T, j, 3), point[n:], observations,
+                                           body_chain, config, smooth=config.rec_smooth_mm)
+        if not math.isfinite(value):
+            raise TrainingDivergedError(f"pose fit produced a non-finite loss: {value}")
+        terms["objective"] = value
         terms["total"] = (config.w_rec * terms["rec"] + config.w_temp * terms["temp"]
                           + config.w_reg * terms["reg"])
-        return terms, (objective, theta_t, cam_t)
-
-    def gradient(graph) -> np.ndarray:
-        """The smoothed objective's gradient with respect to x at an
-        evaluated point."""
-        objective, theta_t, cam_t = graph
-        with _float64_graph():
-            objective.backward()
-        g_cam = cam_t.grad if cam_t.grad is not None else np.zeros(3)
-        return np.concatenate([theta_t.grad.reshape(-1), g_cam])
+        return terms, gradient
 
     def log_entry(it, terms, step):
         return {"iter": it, "objective": terms["objective"], "total": terms["total"],
@@ -363,7 +316,7 @@ def fit_sequence(
                 "step": step, "accepted": True}
 
     log: list[dict] = []
-    terms_prev, graph = evaluate(x)
+    terms_prev, gradient = evaluate(x)
     log.append(log_entry(0, terms_prev, 0.0))
     objective_prev = terms_prev["objective"]
     step = INIT_STEP
@@ -374,7 +327,9 @@ def fit_sequence(
     beta = 0.9
 
     for it in range(1, config.max_iters + 1):
-        g = gradient(graph)
+        g_theta, g_cam = gradient()  # the smoothed objective's, at x
+        g = np.concatenate([g_theta.reshape(-1),
+                            g_cam if config.optimize_camera else np.zeros(3)])
         v = beta * v + (1.0 - beta) * g * g
         correction = 1.0 - beta ** it
         d = g / (np.sqrt(v / correction) + 1e-8)
@@ -382,13 +337,13 @@ def fit_sequence(
             candidate = x - step * d
             if config.optimize_camera:
                 candidate[n] = max(candidate[n], 1e-4)
-            terms, cand_graph = evaluate(candidate)
+            terms, cand_gradient = evaluate(candidate)
             if terms["objective"] <= objective_prev:
                 break
             step *= STEP_SHRINK
         else:
             break  # no candidate accepted
-        x, graph = candidate, cand_graph
+        x, gradient = candidate, cand_gradient
         log.append(log_entry(it, terms, step))
         improvement = objective_prev - terms["objective"]
         objective_prev = terms["objective"]

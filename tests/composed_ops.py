@@ -13,9 +13,9 @@ node must equal its composed form bit for bit, forward and backward:
   splits the heads into (B, h, T, dh) nodes (`split_heads`), runs
   `head_attention`, the matmuls around `softmax`, the masked softmax node,
   and joins the heads again (`join_heads`).
-- The pose fit's `loss_rec`, `loss_temp` and `loss_reg`, and `objective`,
-  the weighted total `posefit.total_loss` builds from them. `sqrt` and
-  `absolute` are the nodes those losses fold in.
+- The pose fit's `objective` (`posefit.objective`, plain numpy) as a graph
+  of `posefit.body_fk` and its loss terms `loss_rec`, `loss_temp` and
+  `loss_reg`, written with the `sqrt` and `absolute` nodes.
 - The tokenizer's `vq_loss_terms`.
 """
 

@@ -1,13 +1,19 @@
-"""The pose fit's loop as it ran before each point was evaluated once, and
-the synthetic observations as they were made one frame at a time.
+"""The pose fit's loop as it ran before each point was evaluated once, with
+the objective as the graph of fused nodes it was then, and the synthetic
+observations as they were made one frame at a time.
+
+`loss_rec`, `loss_temp` and `loss_reg` are the fused loss nodes the package
+built before its objective became plain numpy: each has a numpy forward
+and a hand-written backward that replays its composed graph's arithmetic,
+including the order in which a tensor's gradient contributions are added.
+`objective` joins them with the package's FK node, `posefit.body_fk`, and
+`weighted_sum`.
 
 `fit_sequence` here evaluates every point in two separate passes. `evaluate`
 builds the smoothed objective without tracking a gradient, and a second,
 exact-L1 `loss_rec` for the log. `gradient` then rebuilds the FK and the
 smoothed objective at the accepted point to run the backward pass. Body
-angles and camera keep their own arrays and their own second moments. The
-nodes are the package's own; only the loop and the order in which it builds
-them differ.
+angles and camera keep their own arrays and their own second moments.
 The caller passes valid input: the checks of `posefit.fit_sequence` are
 not repeated.
 
@@ -17,12 +23,16 @@ that frame's (M, 2) noise from the generator before the next frame's.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from soke.grad import Tensor
-from soke.grad.tensor import weighted_sum
+from soke.errors import NonFiniteError, TrainingDivergedError
+from soke.grad import Tensor, default_dtype
+from soke.grad.tensor import _sum_to_shape, weighted_sum
 from soke.motion import MotionSequence, build_sign_chain, forward_kinematics_sequence
 from soke.posefit import (
+    _EPS,
     INIT_STEP,
     MAX_BACKTRACKS,
     STEP_GROW,
@@ -30,13 +40,90 @@ from soke.posefit import (
     CameraWeakPerspective,
     FitConfig,
     FitResult,
-    _float64_graph,
     body_fk,
-    loss_rec,
-    loss_reg,
-    loss_temp,
     project_weak,
 )
+
+
+def loss_rec(joints: Tensor, observations, cam_params: Tensor, observed_joints,
+             smooth: float = 0.0) -> Tensor:
+    """Confidence-weighted L1 (smoothed when smooth > 0) reprojection term."""
+    key = (slice(None), np.asarray(observed_joints), slice(0, 2))
+    dtype = joints.data.dtype  # rounded as the constant leaves they stand for would be
+    obs_points = observations.points.astype(dtype, copy=False)
+    conf = observations.confidence[..., None].astype(dtype, copy=False)
+    xy = joints.data[key]
+    scale = cam_params.data[0:1].reshape(1, 1, 1)
+    shift = cam_params.data[1:3].reshape(1, 1, 2)
+    residual = xy * scale + shift - obs_points
+    if smooth > 0.0:
+        magnitude = np.sqrt(residual * residual + smooth * smooth)
+    else:
+        magnitude = np.abs(residual)
+
+    def backward(g):
+        g_magnitude = g * conf
+        if smooth > 0.0:
+            g_square = g_magnitude * 0.5 / magnitude
+            g_residual = g_square * residual + g_square * residual  # r * r
+        else:
+            g_residual = g_magnitude * np.sign(residual)
+        if joints.requires_grad:
+            full = np.zeros(joints.shape, dtype=joints.data.dtype)
+            np.add.at(full, key, g_residual * scale)  # observed_joints may repeat
+            joints._accumulate(full)
+        if cam_params.requires_grad:
+            for part, g_part in ((slice(0, 1), _sum_to_shape(g_residual * xy, scale.shape)),
+                                 (slice(1, 3), _sum_to_shape(g_residual, shift.shape))):
+                full = np.zeros(cam_params.shape, dtype=cam_params.data.dtype)
+                full[part] = g_part.reshape(-1)
+                cam_params._accumulate(full)
+
+    return Tensor((magnitude * conf).sum(dtype=np.float64), _parents=(joints, cam_params),
+                  _op="loss_rec", _backward=backward)
+
+
+def loss_temp(joints: Tensor) -> Tensor:
+    """Twice the sum over frames of the joint displacement norms; T < 2
+    contributes zero."""
+    if joints.shape[0] < 2:
+        return Tensor(0.0)
+    diff = joints.data[1:] - joints.data[:-1]
+    norms = np.sqrt((diff * diff).sum(axis=(1, 2), dtype=np.float64) + _EPS)
+
+    def backward(g):
+        g_square = (g * 2.0 * 0.5 / norms)[:, None, None]
+        g_diff = g_square * diff + g_square * diff  # diff * diff
+        # joints[1:] receives its gradient before joints[:-1]
+        for part, g_part in ((slice(1, None), g_diff), (slice(None, -1), -g_diff)):
+            full = np.zeros(joints.shape, dtype=joints.data.dtype)
+            full[part] = g_part
+            joints._accumulate(full)
+
+    return Tensor(norms.sum(dtype=np.float64) * 2.0, _parents=(joints,), _op="loss_temp",
+                  _backward=backward)
+
+
+def loss_reg(theta: Tensor) -> Tensor:
+    """Euclidean norm of the packed rotation parameters."""
+    value = np.sqrt((theta.data * theta.data).sum(dtype=np.float64) + _EPS)
+
+    def backward(g):
+        g_square = g * 0.5 / value
+        theta._accumulate(g_square * theta.data)  # theta * theta: one product per operand
+        theta._accumulate(g_square * theta.data)
+
+    return Tensor(value, _parents=(theta,), _op="loss_reg", _backward=backward)
+
+
+@contextmanager
+def _float64_graph():
+    """float64 tensors; a non-finite value ends the fit."""
+    with default_dtype(np.float64):
+        try:
+            yield
+        except NonFiniteError as exc:
+            raise TrainingDivergedError(f"pose fit produced a non-finite loss: {exc}") from exc
 
 
 def objective(theta, cam_params, observations, chain, config, smooth):

@@ -1,7 +1,10 @@
 """Central finite-difference gradient checking.
 
-Checks run the forward pass in float64 (see `default_dtype`) so the
-difference quotient is not dominated by float32 rounding.
+`check_gradients` checks a graph's reverse-mode gradients; it runs the
+forward pass in float64 (see `default_dtype`) so the difference quotient is
+not dominated by float32 rounding. `check_array_gradients` checks the
+gradients of a plain numpy function of float64 arrays, such as the pose
+fit's objective.
 """
 
 from __future__ import annotations
@@ -13,6 +16,24 @@ import numpy as np
 from soke.grad import Tensor
 
 
+def central_differences(fn: Callable[[np.ndarray], float], x: np.ndarray,
+                        eps: float = 1e-4) -> np.ndarray:
+    """Central-difference gradient of the scalar fn at the float64 array x,
+    one element perturbed at a time."""
+    grad = np.zeros(x.size, dtype=np.float64)
+    flat = x.reshape(-1)
+    for i in range(flat.size):
+        orig = float(flat[i])
+        perturbed = x.copy().reshape(-1)
+        perturbed[i] = orig + eps
+        plus = fn(perturbed.reshape(x.shape))
+        perturbed = x.copy().reshape(-1)
+        perturbed[i] = orig - eps
+        minus = fn(perturbed.reshape(x.shape))
+        grad[i] = (plus - minus) / (2.0 * eps)
+    return grad.reshape(x.shape)
+
+
 def finite_difference_grad(
     loss_fn: Callable[[], Tensor], param: Tensor, eps: float = 1e-4
 ) -> np.ndarray:
@@ -21,21 +42,15 @@ def finite_difference_grad(
     loss_fn must rebuild the graph from current parameter values each call.
     """
     base = param.data.copy()
-    grad = np.zeros(base.size, dtype=np.float64)
-    flat = base.reshape(-1)
-    for i in range(flat.size):
-        orig = float(flat[i])
-        perturbed = base.copy().reshape(-1)
-        perturbed[i] = orig + eps
-        param.data = perturbed.reshape(base.shape)
-        plus = loss_fn().item()
-        perturbed = base.copy().reshape(-1)
-        perturbed[i] = orig - eps
-        param.data = perturbed.reshape(base.shape)
-        minus = loss_fn().item()
-        grad[i] = (plus - minus) / (2.0 * eps)
-    param.data = base
-    return grad.reshape(base.shape)
+
+    def loss_at(value: np.ndarray) -> float:
+        param.data = value
+        return loss_fn().item()
+
+    try:
+        return central_differences(loss_at, base, eps)
+    finally:
+        param.data = base
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-4) -> float:
@@ -74,10 +89,31 @@ def check_gradients(
     analytic = {
         name: (p.grad.copy() if p.grad is not None else np.zeros(p.shape)) for name, p in params
     }
+    numeric = {name: finite_difference_grad(loss_fn, p, eps=eps) for name, p in params}
+    return _compare(analytic, numeric, tol)
+
+
+def check_array_gradients(
+    fn: Callable[..., float],
+    arrays: dict[str, np.ndarray],
+    analytic: dict[str, np.ndarray],
+    eps: float = 1e-4,
+    tol: float = 1e-3,
+) -> dict[str, float]:
+    """Compare the given gradients of the scalar fn(**arrays), a plain numpy
+    function of float64 arrays, against central differences. Returns
+    per-array max relative error; raises AssertionError above tol."""
+    numeric = {name: central_differences(lambda value, name=name: fn(**{**arrays, name: value}),
+                                         x, eps=eps)
+               for name, x in arrays.items()}
+    return _compare(analytic, numeric, tol)
+
+
+def _compare(analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray],
+             tol: float) -> dict[str, float]:
     errors: dict[str, float] = {}
-    for name, p in params:
-        numeric = finite_difference_grad(loss_fn, p, eps=eps)
-        errors[name] = max_relative_error(analytic[name], numeric)
+    for name, grad in numeric.items():
+        errors[name] = max_relative_error(analytic[name], grad)
         if errors[name] > tol:
             raise AssertionError(
                 f"gradient check failed for {name}: rel err {errors[name]:.3e} > {tol}"
@@ -85,4 +121,5 @@ def check_gradients(
     return errors
 
 
-__all__ = ["finite_difference_grad", "max_relative_error", "check_gradients"]
+__all__ = ["central_differences", "check_array_gradients", "check_gradients",
+           "finite_difference_grad", "max_relative_error"]

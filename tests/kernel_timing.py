@@ -1,5 +1,5 @@
-"""Timings of the forward-kinematics kernels at the sizes the package runs
-them at.
+"""Timings of the forward-kinematics kernels and the pose-fit objective at
+the sizes the package runs them at.
 
     PYTHONPATH=src python tests/kernel_timing.py
 
@@ -10,6 +10,9 @@ two sizes:
   runs the pass once per evaluated point and the VJP once per iteration;
 - a tokenizer round trip's: the full 41-joint sign chain, 30 frames, where
   the pass scores the reconstruction.
+At the pose fit's size it also times `posefit.objective` with the default
+`FitConfig`: its value, which every evaluated point costs, and its value
+plus gradient, which an accepted point costs.
 
 For each it prints the minimum over REPEATS of the mean time of NUMBER
 calls, in microseconds, on seeded angles and cotangents. The times depend
@@ -27,12 +30,14 @@ from collections.abc import Callable
 
 import numpy as np
 
-from soke.motion import (axis_angle_matrices, build_sign_chain, forward_kinematics_pass,
-                         forward_kinematics_vjp)
+from soke.motion import (MotionSequence, axis_angle_matrices, build_sign_chain,
+                         forward_kinematics_pass, forward_kinematics_vjp)
+from soke.posefit import CameraWeakPerspective, FitConfig, objective, observe_sequence
 from test_golden_run import openblas_kernels
 
 REPEATS = 7
 NUMBER = 300
+POSEFIT = "posefit (body, 4 frames)"
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                     "OPENBLAS_CORETYPE")
 
@@ -40,7 +45,7 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def sizes() -> dict[str, tuple]:
     """Name -> (chain, frames)."""
     chain = build_sign_chain()
-    return {"posefit (body, 4 frames)": (chain.body_subchain(11), 4),
+    return {POSEFIT: (chain.body_subchain(11), 4),
             "round trip (full, 30 frames)": (chain, 30)}
 
 
@@ -58,15 +63,36 @@ def kernels(chain, frames: int) -> dict[str, Callable[[], object]]:
     }
 
 
+def objective_kernels(body_chain, frames: int) -> dict[str, Callable[[], object]]:
+    """Name -> a call of the pose-fit objective on seeded noisy observations
+    of a seeded motion, from a perturbed start."""
+    rng = np.random.default_rng(0)
+    config = FitConfig()
+    truth = MotionSequence(rng.normal(0.0, 0.3, size=(frames, 133)).astype(np.float32))
+    observations = observe_sequence(truth, CameraWeakPerspective(), build_sign_chain(),
+                                    noise_std=2.0, seed=1)
+    theta = (truth.frames[:, :33].reshape(frames, 11, 3)
+             + rng.normal(0.0, 0.1, size=(frames, 11, 3)))
+    cam = np.array([1.0, 0.0, 0.0])
+
+    def value():
+        return objective(theta, cam, observations, body_chain, config, config.rec_smooth_mm)
+
+    return {"objective": value, "objective+grad": lambda: value()[2]()}
+
+
 def main() -> int:
     threads = " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in THREAD_VARIABLES)
     print(f"# numpy {np.__version__}, OpenBLAS kernels {openblas_kernels()}, "
           f"{len(os.sched_getaffinity(0))} CPUs, {threads}")
     print(f"# min of {REPEATS} x {NUMBER} calls, us per call")
     for size, (chain, frames) in sizes().items():
-        for name, call in kernels(chain, frames).items():
+        calls = kernels(chain, frames)
+        if size == POSEFIT:
+            calls.update(objective_kernels(chain, frames))
+        for name, call in calls.items():
             best = min(timeit.repeat(call, number=NUMBER, repeat=REPEATS))
-            print(f"{size:30s}  {name:10s}  {best / NUMBER * 1e6:8.1f}")
+            print(f"{size:30s}  {name:14s}  {best / NUMBER * 1e6:8.1f}")
     return 0
 
 

@@ -25,7 +25,7 @@ from soke.grad import (
 from soke.grad.tensor import _im2col_index, weighted_sum
 from soke.deto import vq_loss_terms
 from soke.motion import build_sign_chain
-from soke.posefit import Observations, body_fk, loss_rec, loss_reg, loss_temp
+from soke.posefit import body_fk
 
 from adam_reference import PerParameterAdam
 from composed_ops import mean, power, reduce_sum, reshape, softmax, sub, transpose
@@ -75,10 +75,9 @@ def test_no_grad_outputs_keep_no_parents_or_closures():
 
 
 BODY = build_sign_chain().body_subchain(11)
-OBSERVED = Observations(np.zeros((2, 3, 2)), np.ones((2, 3)))
 
-# every graph node the engine and the pose fit build, from leaves made by
-# `leaf(shape)`; the first leaf each one makes is its gradient input
+# every graph node the package defines, from leaves made by `leaf(shape)`;
+# the first leaf each one makes is its gradient input
 NODE_BUILDERS = {
     "add": lambda leaf: leaf((2, 3)) + leaf((2, 3)),
     "mul": lambda leaf: leaf((2, 3)) * leaf((2, 3)),
@@ -96,9 +95,6 @@ NODE_BUILDERS = {
     "conv1d": lambda leaf: conv1d(leaf((8, 3)), leaf((9, 4)), leaf((4,)), stride=2, padding=1),
     "upsample": lambda leaf: upsample_repeat(leaf((3, 2)), 2),
     "body_fk": lambda leaf: body_fk(leaf((2, 11, 3)), BODY),
-    "loss_rec": lambda leaf: loss_rec(leaf((2, 11, 3)), OBSERVED, leaf((3,)), (5, 5, 6), 2.0),
-    "loss_temp": lambda leaf: loss_temp(leaf((3, 4, 3))),
-    "loss_reg": lambda leaf: loss_reg(leaf((2, 3))),
     "vq_loss": lambda leaf: vq_loss_terms(leaf((2, 3)), leaf((2, 3)), leaf((4, 3)),
                                           np.zeros((4, 3)), 1.0, 0.25)[0],
 }

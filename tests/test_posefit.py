@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from soke.errors import ConfigError, InputError
-from soke.grad import Tensor, default_dtype
+from soke.errors import ConfigError, InputError, TrainingDivergedError
+from soke.grad import Tensor
 from soke.motion import (
     MotionSequence,
     build_sign_chain,
@@ -17,20 +17,17 @@ from soke.posefit import (
     CameraWeakPerspective,
     FitConfig,
     Observations,
-    _float64_graph,
     body_fk,
     fit_sequence,
     loss_rec,
-    loss_reg,
-    loss_temp,
+    objective,
     observe_sequence,
     project_weak,
-    total_loss,
 )
 
 import composed_ops
 import fit_oracle
-from gradcheck import check_gradients
+from gradcheck import check_array_gradients
 
 CHAIN = build_sign_chain()
 BODY = CHAIN.body_subchain(11)
@@ -78,51 +75,69 @@ class TestBodyFk:
         assert np.allclose(joints, expected, atol=1e-6)
 
 
+IDENTITY = np.array([1.0, 0.0, 0.0])  # camera [scale, tx, ty]
+
+
+def objective_terms(theta: np.ndarray) -> dict[str, float]:
+    """The exact terms of the objective at body angles theta (T, 11, 3),
+    against observations of the zero pose."""
+    frames = len(theta)
+    obs = observe_sequence(constant_pose_sequence(np.zeros((11, 3)), frames),
+                           CameraWeakPerspective(), CHAIN)
+    return objective(theta, IDENTITY, obs, BODY, FitConfig())[1]
+
+
 class TestLossTerms:
     def test_rec_zero_on_perfect_reprojection(self):
         seq = constant_pose_sequence(np.zeros((11, 3)), frames=3)
         cam = CameraWeakPerspective()
         obs = observe_sequence(seq, cam, CHAIN)
-        joints = body_fk(Tensor(seq.frames[:, :33].reshape(3, 11, 3).astype(np.float64)), BODY)
-        value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])),
-                         FitConfig().observed_joints)
-        assert value.item() == pytest.approx(0.0, abs=1e-6)
+        joints = forward_kinematics_pass(seq.frames[:, :33].reshape(3, 11, 3).astype(np.float64),
+                                         BODY)[0]
+        value = loss_rec(joints, obs, IDENTITY, FitConfig().observed_joints)[0]
+        assert value == pytest.approx(0.0, abs=1e-6)
 
     def test_rec_l1_arithmetic(self):
         # one observed joint off by (1, -2) with confidence 1 -> 3
-        joints = Tensor(np.zeros((1, 2, 3)))
+        joints = np.zeros((1, 2, 3))
         obs = Observations(np.array([[[1.0, -2.0]]]), np.array([[1.0]]))
-        value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])), (1,))
-        assert value.item() == pytest.approx(3.0)
+        assert loss_rec(joints, obs, IDENTITY, (1,))[0] == pytest.approx(3.0)
+
+    def test_rec_exact_is_the_l1_of_the_smoothed_residual(self):
+        joints = np.zeros((1, 2, 3))
+        obs = Observations(np.array([[[1.0, -2.0]]]), np.array([[1.0]]))
+        value, exact, _ = loss_rec(joints, obs, IDENTITY, (1,), smooth=2.0)
+        assert value == pytest.approx(np.sqrt(5.0) + np.sqrt(8.0))
+        assert exact == pytest.approx(3.0)
 
     def test_rec_zero_confidence_contributes_nothing(self):
-        joints = Tensor(np.zeros((1, 2, 3)))
+        joints = np.zeros((1, 2, 3))
         obs = Observations(np.array([[[100.0, 50.0]]]), np.array([[0.0]]))
-        value = loss_rec(joints, obs, Tensor(np.array([1.0, 0.0, 0.0])), (1,))
-        assert value.item() == 0.0
+        assert loss_rec(joints, obs, IDENTITY, (1,))[0] == 0.0
 
     def test_temp_zero_for_constant_pose(self):
-        joints = Tensor(np.tile(np.arange(12.0).reshape(1, 4, 3), (5, 1, 1)))
-        assert loss_temp(joints).item() == pytest.approx(0.0, abs=1e-9)
+        theta = np.tile(np.linspace(-0.5, 0.5, 33).reshape(1, 11, 3), (5, 1, 1))
+        assert objective_terms(theta)["temp"] == pytest.approx(0.0, abs=1e-9)
 
     def test_temp_single_frame_is_zero(self):
-        joints = Tensor(np.zeros((1, 4, 3)))
-        assert loss_temp(joints).item() == 0.0
+        assert objective_terms(np.full((1, 11, 3), 0.3))["temp"] == 0.0
 
-    def test_temp_single_joint_move_counts_twice(self):
-        base = np.zeros((2, 4, 3))
-        base[1, 2, 0] = 2.0  # one joint moves distance 2 between the frames
-        value = loss_temp(Tensor(base)).item()
-        assert value == pytest.approx(4.0, abs=1e-6)  # 2 per norm, two norms
+    def test_temp_counts_each_joint_displacement_twice(self):
+        theta = np.zeros((3, 11, 3))
+        theta[1, 8, 2] = 0.5  # the right shoulder turns, then turns back
+        joints = forward_kinematics_sequence(theta.reshape(3, 33), BODY)
+        moved = np.linalg.norm(joints[1:] - joints[:-1], axis=(1, 2)).sum()
+        assert moved > 1.0
+        assert objective_terms(theta)["temp"] == pytest.approx(2.0 * moved, rel=1e-12)
 
     def test_reg_is_euclidean_norm(self):
-        theta = np.zeros((1, 2, 3))
+        theta = np.zeros((1, 11, 3))
         theta[0, 0, 0] = 3.0
         theta[0, 1, 1] = 4.0
-        assert loss_reg(Tensor(theta)).item() == pytest.approx(5.0, abs=1e-6)
+        assert objective_terms(theta)["reg"] == pytest.approx(5.0, abs=1e-6)
 
     def test_reg_zero_pose(self):
-        assert loss_reg(Tensor(np.zeros((2, 3, 3)))).item() == pytest.approx(0.0, abs=1e-9)
+        assert objective_terms(np.zeros((2, 11, 3)))["reg"] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestGradients:
@@ -131,15 +146,12 @@ class TestGradients:
         cfg = FitConfig()
         seq_truth = constant_pose_sequence(rng.uniform(0.2, 0.6, size=(11, 3)), frames=2)
         obs = observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN, noise_std=1.0, seed=1)
-        with default_dtype(np.float64):
-            theta = Tensor(rng.uniform(0.2, 0.7, size=(2, 11, 3)), requires_grad=True)
-            cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=True)
-
-            def loss_fn():
-                return total_loss(theta, cam, obs, BODY, cfg)[0]
-
-            errors = check_gradients(loss_fn, [("theta", theta), ("cam", cam)],
-                                     eps=1e-6, tol=1e-3)
+        theta = rng.uniform(0.2, 0.7, size=(2, 11, 3))
+        cam = np.array([1.1, 0.4, -0.2])
+        g_theta, g_cam = objective(theta, cam, obs, BODY, cfg)[2]()
+        errors = check_array_gradients(lambda theta, cam: objective(theta, cam, obs, BODY, cfg)[0],
+                                       {"theta": theta, "cam": cam},
+                                       {"theta": g_theta, "cam": g_cam}, eps=1e-6, tol=1e-3)
         assert max(errors.values()) < 1e-3
 
 
@@ -149,8 +161,8 @@ class TestFusedObjective:
     @pytest.mark.parametrize("frames", [1, 2, 4])
     @pytest.mark.parametrize("smooth", [0.0, 2.0])
     def test_objective_equals_the_composed_graph(self, smooth, frames, optimize_camera, observed):
-        # value, theta.grad and cam.grad bit for bit, with each loss node
-        # replaced by the graph of sqrt, abs, mul, add and slice nodes it fuses
+        # value, theta's and cam's gradients bit for bit against the graph of
+        # FK, sqrt, abs, mul, add and slice nodes that the numpy objective replays
         rng = np.random.default_rng(frames)
         cfg = FitConfig(optimize_camera=optimize_camera, observed_joints=observed)
         truth = MotionSequence(rng.normal(0.0, 0.3, size=(frames, 133)).astype(np.float32))
@@ -159,21 +171,20 @@ class TestFusedObjective:
         obs = Observations(points, rng.uniform(0.0, 1.0, size=points.shape[:2]))
         theta0 = (truth.frames[:, :33].reshape(frames, 11, 3)
                   + rng.normal(0.0, 0.1, size=(frames, 11, 3)))
-        results = []
-        for build in (lambda *args: total_loss(*args)[0], composed_ops.objective):
-            with _float64_graph():
-                theta = Tensor(theta0, requires_grad=True)
-                cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=optimize_camera)
-                total = build(theta, cam, obs, BODY, cfg, smooth)
-                total.backward()
-            results.append((total.data, theta.grad, cam.grad))
-        (value, g_theta, g_cam), (value_ref, g_theta_ref, g_cam_ref) = results
-        assert np.array_equal(value, value_ref)
-        assert np.array_equal(g_theta, g_theta_ref)
+        cam0 = np.array([1.1, 0.4, -0.2])
+        value, _, gradient = objective(theta0, cam0, obs, BODY, cfg, smooth)
+        g_theta, g_cam = gradient()
+        with fit_oracle._float64_graph():
+            theta = Tensor(theta0, requires_grad=True)
+            cam = Tensor(cam0, requires_grad=optimize_camera)
+            total = composed_ops.objective(theta, cam, obs, BODY, cfg, smooth)
+            total.backward()
+        assert np.array_equal(value, total.data)
+        assert np.array_equal(g_theta, theta.grad)
         if optimize_camera:
-            assert np.array_equal(g_cam, g_cam_ref)
+            assert np.array_equal(g_cam, cam.grad)
         else:
-            assert g_cam is None and g_cam_ref is None
+            assert cam.grad is None
 
 
 class TestFitSequence:
@@ -264,6 +275,41 @@ class TestFitSequence:
                 assert np.array_equal(angles, last_pass)
         refined = result.motion.frames[:, :33].reshape(3, 11, 3)
         assert np.array_equal(refined, last_pass.astype(np.float32))
+
+    def test_a_fit_builds_no_graph_node(self, monkeypatch):
+        built = []
+        init = Tensor.__init__
+
+        def recording_init(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            built.append(tensor._op)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        seq = constant_pose_sequence(np.full((11, 3), 0.1), frames=3)
+        obs = observe_sequence(seq, CameraWeakPerspective(), CHAIN, noise_std=2.0, seed=4)
+        result = fit_sequence(seq, obs, CameraWeakPerspective(), FitConfig(max_iters=4), CHAIN)
+        assert len(result.log) == 5
+        assert built == []
+
+    def test_a_non_finite_position_ends_the_fit(self, monkeypatch):
+        # one finiteness check per point, on the smoothed total
+        import soke.posefit as posefit
+
+        calls = []
+
+        def diverging_pass(angles, chain):
+            positions, rot = forward_kinematics_pass(angles, chain)
+            calls.append(None)
+            if len(calls) == 2:
+                positions[-1, 3, 1] = np.nan  # a joint no observation sees
+            return positions, rot
+
+        monkeypatch.setattr(posefit, "forward_kinematics_pass", diverging_pass)
+        seq = constant_pose_sequence(np.full((11, 3), 0.1), frames=3)
+        obs = observe_sequence(seq, CameraWeakPerspective(), CHAIN, noise_std=2.0, seed=4)
+        with pytest.raises(TrainingDivergedError, match="non-finite"):
+            fit_sequence(seq, obs, CameraWeakPerspective(), FitConfig(max_iters=4), CHAIN)
+        assert len(calls) == 2
 
     def test_frame_mismatch_rejected(self):
         seq = constant_pose_sequence(np.zeros((11, 3)), frames=4)
@@ -377,15 +423,18 @@ class TestObservedJoints:
         seq_truth = constant_pose_sequence(rng.uniform(0.2, 0.6, size=(11, 3)), frames=1)
         obs = observe_sequence(seq_truth, CameraWeakPerspective(), CHAIN,
                                observed_joints=cfg.observed_joints, noise_std=1.0, seed=1)
-        with default_dtype(np.float64):
-            theta = Tensor(rng.uniform(0.2, 0.7, size=(1, 11, 3)), requires_grad=True)
-            cam = Tensor(np.array([1.1, 0.4, -0.2]), requires_grad=True)
+        theta = rng.uniform(0.2, 0.7, size=(1, 11, 3))
+        cam = np.array([1.1, 0.4, -0.2])
 
-            def loss_fn():
-                return loss_rec(body_fk(theta, BODY), obs, cam, cfg.observed_joints, smooth=2.0)
+        def rec(theta, cam):
+            return loss_rec(forward_kinematics_pass(theta, BODY)[0], obs, cam,
+                            cfg.observed_joints, smooth=2.0)[0]
 
-            errors = check_gradients(loss_fn, [("theta", theta), ("cam", cam)],
-                                     eps=1e-6, tol=1e-3)
+        positions, rot = forward_kinematics_pass(theta, BODY)
+        g_joints, g_cam = loss_rec(positions, obs, cam, cfg.observed_joints, smooth=2.0)[2](1.0)
+        g_theta = forward_kinematics_vjp(g_joints, theta, positions, rot, BODY)
+        errors = check_array_gradients(rec, {"theta": theta, "cam": cam},
+                                       {"theta": g_theta, "cam": g_cam}, eps=1e-6, tol=1e-3)
         assert max(errors.values()) < 1e-3
 
     def test_empty_joint_list_rejected(self):
