@@ -25,8 +25,9 @@ from soke.grad import (
 from soke.grad.tensor import _im2col_index, weighted_sum
 from soke.deto import vq_loss_terms
 from soke.motion import build_sign_chain
-from soke.posefit import body_fk
+from soke.posefit import Observations, body_fk
 
+import fit_oracle
 from adam_reference import PerParameterAdam
 from composed_ops import mean, power, reduce_sum, reshape, softmax, sub, transpose
 from gradcheck import check_gradients, finite_difference_grad, max_relative_error
@@ -75,9 +76,11 @@ def test_no_grad_outputs_keep_no_parents_or_closures():
 
 
 BODY = build_sign_chain().body_subchain(11)
+OBSERVED = Observations(np.zeros((2, 3, 2)), np.ones((2, 3)))
 
-# every graph node the package defines, from leaves made by `leaf(shape)`;
-# the first leaf each one makes is its gradient input
+# every graph node the package defines, and the pose-fit loss nodes the
+# parent-loop oracle in `fit_oracle` builds, from leaves made by
+# `leaf(shape)`; the first leaf each one makes is its gradient input
 NODE_BUILDERS = {
     "add": lambda leaf: leaf((2, 3)) + leaf((2, 3)),
     "mul": lambda leaf: leaf((2, 3)) * leaf((2, 3)),
@@ -95,6 +98,10 @@ NODE_BUILDERS = {
     "conv1d": lambda leaf: conv1d(leaf((8, 3)), leaf((9, 4)), leaf((4,)), stride=2, padding=1),
     "upsample": lambda leaf: upsample_repeat(leaf((3, 2)), 2),
     "body_fk": lambda leaf: body_fk(leaf((2, 11, 3)), BODY),
+    "loss_rec": lambda leaf: fit_oracle.loss_rec(leaf((2, 11, 3)), OBSERVED, leaf((3,)),
+                                                 (5, 5, 6), 2.0),
+    "loss_temp": lambda leaf: fit_oracle.loss_temp(leaf((3, 4, 3))),
+    "loss_reg": lambda leaf: fit_oracle.loss_reg(leaf((2, 3))),
     "vq_loss": lambda leaf: vq_loss_terms(leaf((2, 3)), leaf((2, 3)), leaf((4, 3)),
                                           np.zeros((4, 3)), 1.0, 0.25)[0],
 }

@@ -122,6 +122,12 @@ class TestLossTerms:
     def test_temp_single_frame_is_zero(self):
         assert objective_terms(np.full((1, 11, 3), 0.3))["temp"] == 0.0
 
+    def test_temp_single_joint_move_counts_twice(self):
+        base = np.zeros((2, 4, 3))
+        base[1, 2, 0] = 2.0  # one joint moves distance 2 between the frames
+        value = fit_oracle.loss_temp(Tensor(base)).item()
+        assert value == pytest.approx(4.0, abs=1e-6)  # 2 per norm, two norms
+
     def test_temp_counts_each_joint_displacement_twice(self):
         theta = np.zeros((3, 11, 3))
         theta[1, 8, 2] = 0.5  # the right shoulder turns, then turns back
